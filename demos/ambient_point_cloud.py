@@ -28,8 +28,8 @@ from lokpde import (
 )
 
 
-def main():
-    cloud = sample_sphere(3000, seed=7)
+def main(n_points=3000):
+    cloud = sample_sphere(n_points, seed=7)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sphere.xyz")
         with open(path, "w") as fh:

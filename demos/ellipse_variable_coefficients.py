@@ -55,10 +55,10 @@ def debias_comparison(n_points=2000, seed=2):
           f"vs without {errors[False]:.3f} (ratio {errors[False] / errors[True]:.2f})")
 
 
-def main():
-    solve("ellipse", 1000)
-    solve("half_ellipse", 1000)
-    debias_comparison()
+def main(n_points=1000):
+    solve("ellipse", n_points)
+    solve("half_ellipse", n_points)
+    debias_comparison(2 * n_points)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ from lokpde import (
 )
 
 
-def main():
+def main(n_points=1000):
     problem = analytic_pair("bvp1d")
-    cloud = sample_points(problem.manifold, 1000, "uniform_grid")
+    cloud = sample_points(problem.manifold, n_points, "uniform_grid")
     coeffs = problem_coefficients(problem, cloud)
     config = KernelConfig(epsilon=2e-6, tilde_epsilon=2e-6, k_neighbors=100)
     generator = build_operator(cloud, coeffs, config, debias=False)

@@ -42,10 +42,10 @@ def run(problem_id, n_points, epsilon, debias=True):
     return report
 
 
-def main():
-    run("torus", 6400, 0.0024, debias=True)
-    run("torus", 6400, 0.0024, debias=False)
-    run("half_torus", 3200, 0.0026, debias=True)
+def main(n_points=6400):
+    run("torus", n_points, 0.0024, debias=True)
+    run("torus", n_points, 0.0024, debias=False)
+    run("half_torus", n_points // 2, 0.0026, debias=True)
 
 
 if __name__ == "__main__":

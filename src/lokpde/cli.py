@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .kernels import KernelConfig
 from .operator import (
     build_operator,
     default_epsilon_grid,
+    psd_eigenvalues,
     tune_bandwidth,
     tune_gaussian_bandwidth,
 )
@@ -202,10 +204,15 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
 
 def load_coefficient_file(path: str, n_points: int, ambient_dim: int) -> CoefficientField:
-    """Per-point ambient coefficients from CSV: index, B, C^-1 upper triangle."""
+    """Per-point ambient coefficients from CSV: index, B, C^-1 upper triangle.
+
+    Every token must be finite and every C^-1 positive semidefinite (no
+    eigenvalue below -1e-12 max|eig|); violations name the line.
+    """
     n_tri = ambient_dim * (ambient_dim + 1) // 2
     drift = np.full((n_points, ambient_dim), np.nan)
     diff_inv = np.full((n_points, ambient_dim, ambient_dim), np.nan)
+    line_of = np.zeros(n_points, dtype=int)
     iu = np.triu_indices(ambient_dim)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -222,9 +229,14 @@ def load_coefficient_file(path: str, n_points: int, ambient_dim: int) -> Coeffic
                 values = [float(t) for t in row]
             except ValueError:
                 raise ConfigError(f"{path}: line {lineno}: non-numeric token") from None
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(
+                    f"{path}: line {lineno}: non-finite value for point index {row[0].strip()}"
+                )
             idx = int(values[0])
             if not 0 <= idx < n_points:
                 raise ConfigError(f"{path}: line {lineno}: point index {idx} out of range")
+            line_of[idx] = lineno
             drift[idx] = values[1 : 1 + ambient_dim]
             tri = values[1 + ambient_dim :]
             mat = np.zeros((ambient_dim, ambient_dim))
@@ -233,26 +245,37 @@ def load_coefficient_file(path: str, n_points: int, ambient_dim: int) -> Coeffic
     if np.isnan(drift).any():
         missing = int(np.flatnonzero(np.isnan(drift).any(axis=1))[0])
         raise ConfigError(f"{path}: no coefficient row for point index {missing}")
+    eig, bad = psd_eigenvalues(diff_inv)
+    if bad is not None:
+        raise ConfigError(
+            f"{path}: line {line_of[bad]}: C^-1 for point index {bad} is not positive "
+            f"semidefinite (eigenvalue {eig[bad, 0]!r})"
+        )
     return CoefficientField(drift, diff_inv)
 
 
 def _load_rhs(rhs, n_points: int, path_hint: str) -> np.ndarray:
     if isinstance(rhs, float):
         return np.full(n_points, rhs)
-    values = []
     try:
         with open(rhs) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                tokens = line.split()
-                if not tokens:
-                    continue
-                if len(tokens) != 1:
-                    raise ConfigError(f"{rhs}: line {lineno}: expected one value per line")
-                values.append(float(tokens[0]))
-    except OSError as exc:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read rhs file {rhs!r}: {exc}") from exc
-    except ValueError:
-        raise ConfigError(f"{rhs}: line {lineno}: non-numeric token") from None
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 1:
+            raise ConfigError(f"{rhs}: line {lineno}: expected one value per line")
+        try:
+            value = float(tokens[0])
+        except ValueError:
+            raise ConfigError(f"{rhs}: line {lineno}: non-numeric token") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{rhs}: line {lineno}: non-finite value {tokens[0]!r}")
+        values.append(value)
     if len(values) != n_points:
         raise ConfigError(f"{rhs}: got {len(values)} values for {n_points} points ({path_hint})")
     return np.array(values)
@@ -299,17 +322,20 @@ def _build_system(config: RunConfig, cloud, problem):
 
 
 def _resolve_bandwidths(config: RunConfig, cloud, coeffs):
+    """(epsilon, tilde_epsilon, d_hat, pair_evals); the last two are None
+    unless a bandwidth is "auto"."""
     eps, tilde = config.epsilon, config.tilde_epsilon
-    d_hat = None
+    d_hat = pair_evals = None
     if eps == "auto":
         report = tune_bandwidth(cloud, coeffs)
-        eps, d_hat = report.epsilon_star, report.d_hat
+        eps, d_hat, pair_evals = report.epsilon_star, report.d_hat, report.pair_evals
     if tilde == "auto":
         report = tune_gaussian_bandwidth(cloud)
         tilde = report.epsilon_star
         if d_hat is None:
             d_hat = report.d_hat
-    return float(eps), float(tilde), d_hat
+        pair_evals = (pair_evals or 0) + report.pair_evals
+    return float(eps), float(tilde), d_hat, pair_evals
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -329,7 +355,7 @@ def run_solve(config: RunConfig) -> dict:
     start = time.perf_counter()
     cloud, coeffs, problem, debias = _build_cloud(config)
     shift, rhs = _build_system(config, cloud, problem)
-    epsilon, tilde_epsilon, d_hat = _resolve_bandwidths(config, cloud, coeffs)
+    epsilon, tilde_epsilon, d_hat, pair_evals = _resolve_bandwidths(config, cloud, coeffs)
     k = min(config.k, cloud.n_points)
     gen = build_operator(cloud, coeffs, KernelConfig(epsilon, tilde_epsilon, k), debias=debias)
     lin = LinearProblem(gen, shift, rhs)
@@ -369,6 +395,7 @@ def run_solve(config: RunConfig) -> dict:
             "residual_inf": report.residual_inf,
             "iterations": report.iterations,
             "d_hat": d_hat,
+            "pair_evals": pair_evals,
             "wall_time_seconds": time.perf_counter() - start,
         }
     )
@@ -431,6 +458,7 @@ def run_tune(config: RunConfig) -> dict:
             "N": cloud.n_points,
             "epsilon_star": report.epsilon_star,
             "d_hat": report.d_hat,
+            "pair_evals": report.pair_evals,
             "wall_time_seconds": time.perf_counter() - start,
         }
     )

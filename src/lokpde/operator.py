@@ -14,10 +14,20 @@ the row normalization, so neither the sampling density's scale nor the
 intrinsic dimension is needed to build L.  Bandwidths can be selected by
 locating the maximal log-log slope of Q(eps), the mean of the full kernel
 matrix, which also estimates the intrinsic dimension as twice that slope.
+
+The Q(eps) scan is exact but skips the terms it can certify to be 0.0:
+for positive semidefinite C^-1 (checked; the first bad point is named)
+the quadratic form is bounded below by (sqrt(q0) - eps sqrt(q2))^2, and
+a term is skipped only if that bound, less a rounding margin, keeps the
+exponent above 750, past float64's underflow point 1075 ln 2 = 745.13.
+Row blocks run on at most ``len(os.sched_getaffinity(0))`` threads and
+are summed in block order, so the result is the same for any worker count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +50,11 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 512
+_BLOCK_ROWS = 64
+# exp(-x) is exactly 0.0 in float64 for x > 1075 ln 2 = 745.13...; the
+# scan skips a term only if its certified bound puts x above this
+_UNDERFLOW_EXPONENT = 750.0
+_PSD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -177,7 +192,8 @@ class TuningReport:
     Q is computed over all N^2 kernel pairs (dense), so Q -> 1 as
     eps -> infinity for drift-free kernels and Q -> 1/N as eps -> 0.
     ``d_hat`` is twice the maximal slope; ``epsilon_star`` the grid point
-    attaining it.
+    attaining it.  ``pair_evals`` counts the (grid point, i, j) terms that
+    were passed to ``exp``; the rest are certified to be exactly 0.0.
     """
 
     epsilon_grid: np.ndarray
@@ -185,11 +201,54 @@ class TuningReport:
     slope: np.ndarray
     epsilon_star: float
     d_hat: float
+    pair_evals: int
 
 
 def default_epsilon_grid() -> np.ndarray:
     """41 logarithmically spaced bandwidths from 2^-30 to 2^10."""
     return 2.0 ** np.linspace(-30.0, 10.0, 41)
+
+
+def psd_eigenvalues(diffusion_inv: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """Ascending eigenvalues of the symmetric part of every C^-1, and the
+    first point whose smallest one is below -1e-12 max|eig| (None if none)."""
+    sym = 0.5 * (diffusion_inv + np.swapaxes(diffusion_inv, 1, 2))
+    eig = np.linalg.eigvalsh(sym)
+    bad = np.flatnonzero(eig[:, 0] < -_PSD_RTOL * np.abs(eig).max(axis=1))
+    return eig, (int(bad[0]) if bad.size else None)
+
+
+def _q0_window(pts, coeffs, eig, q2, grid):
+    """Per-row q0 bounds outside which every term underflows to exactly 0.0.
+
+    Returns (low, high), each (N, grid.size): the term of pair (i, j) at
+    grid point g can be nonzero only if low[i, g] < q0_ij < high[i, g].
+    A q0 below 0 from rounding counts as 0 (low is -inf or positive).
+    """
+    dim = pts.shape[1]
+    ci = coeffs.diffusion_inv
+    # rounding in q0, q1, q2 and in the quadratic form, a slightly negative
+    # eigenvalue and an antisymmetric part of C^-1 all perturb quad by at
+    # most kappa (|v| + eps |B|)^2, so |sqrt(q0) - eps sqrt(q2)| may fall
+    # short of sqrt(quad) by at most sigma (|v| + eps |B|)
+    gamma = 4.0 * (2 * dim + 8) * np.finfo(float).eps / 2.0
+    norm_c = np.sqrt(np.einsum("mnp,mnp->m", ci, ci))
+    anti = ci - np.swapaxes(ci, 1, 2)
+    norm_anti = 0.5 * np.sqrt(np.einsum("mnp,mnp->m", anti, anti))
+    sigma = 3.0 * np.sqrt(np.maximum(-eig[:, 0], 0.0) + norm_anti + 2.0 * gamma * norm_c)
+    # |x_i - x_j| <= |x_i - center| + max_j |x_j - center|
+    dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+    reach = (dist + dist.max()) * (1.0 + 1e-9)
+    b_norm = np.linalg.norm(coeffs.drift, axis=1) * (1.0 + 1e-9)
+
+    eps = grid[None, :]
+    center = eps * np.sqrt(np.maximum(q2, 0.0))[:, None]
+    radius = np.sqrt((2.0 * _UNDERFLOW_EXPONENT) * eps)
+    radius = radius + sigma[:, None] * (reach[:, None] + eps * b_norm[:, None])
+    radius += 1e-12 * (center + radius)  # rounding of these bounds themselves
+    lower = center - radius
+    low = np.where(lower > 0.0, lower * lower, -np.inf)
+    return low, (center + radius) ** 2
 
 
 def tune_bandwidth(
@@ -204,6 +263,22 @@ def tune_bandwidth(
     the pairwise pieces are computed once and reused for every eps.
     Slopes of log Q against log eps use centered differences (one-sided at
     the ends); the maximal slope estimates d/2 and selects eps.
+
+    Every term that is evaluated uses exactly that formula; terms that
+    provably evaluate to 0.0 are skipped.  With C^-1 positive
+    semidefinite, quad = |v + eps B|^2 in the C^-1 seminorm, so
+    sqrt(quad) >= |sqrt(q0) - eps sqrt(q2)|.  A term is skipped when this
+    bound, less a margin for the rounding of q0, q1, q2 and of the form,
+    still puts quad / (2 eps) above 750, beyond the 745.13 at which
+    exp(-x) underflows to 0.0 in float64.  Rows are processed in blocks of
+    64 with their q0 sorted, so each grid point evaluates one contiguous
+    column range per block.  Blocks run on a thread pool of
+    ``len(os.sched_getaffinity(0))`` workers, never more; their partial
+    sums are added in block order, so the result does not depend on the
+    worker count.
+
+    Raises ValueError for non-finite input and names the first point
+    whose C^-1 has an eigenvalue below -1e-12 max|eig|.
     """
     grid = default_epsilon_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
@@ -214,19 +289,61 @@ def tune_bandwidth(
     n = pts.shape[0]
     if coeffs.n_points != n:
         raise ValueError("coefficient field size does not match cloud")
-    totals = np.zeros(grid.size)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        ci = coeffs.diffusion_inv[start:stop]
-        b = coeffs.drift[start:stop]
-        civ = np.einsum("mnp,mjp->mjn", ci, diff)
+    ci, drift = coeffs.diffusion_inv, coeffs.drift
+    if not (np.isfinite(pts).all() and np.isfinite(ci).all() and np.isfinite(drift).all()):
+        raise ValueError("non-finite point or coefficient in the bandwidth scan")
+    eig, bad_point = psd_eigenvalues(ci)
+    if bad_point is not None:
+        raise ValueError(
+            f"diffusion_inv at point {bad_point} is not positive semidefinite "
+            f"(smallest eigenvalue {eig[bad_point, 0]!r})"
+        )
+    has_drift = bool(drift.any())
+    q2 = np.einsum("mn,mnp,mp->m", drift, ci, drift)
+    low, high = _q0_window(pts, coeffs, eig, q2, grid)
+
+    def scan_block(start):
+        rows = slice(start, min(start + _BLOCK_ROWS, n))
+        diff = pts[rows, None, :] - pts[None, :, :]
+        civ = np.einsum("mnp,mjp->mjn", ci[rows], diff)
         q0 = np.einsum("mjn,mjn->mj", diff, civ)
-        q1 = np.einsum("mn,mjn->mj", b, civ)
-        q2 = np.einsum("mn,mnp,mp->m", b, ci, b)[:, None]
+        order = np.argsort(q0, axis=1)
+        q0 = np.take_along_axis(q0, order, axis=1)
+        if has_drift:
+            q1 = np.einsum("mn,mjn->mj", drift[rows], civ)
+            q1 = np.take_along_axis(q1, order, axis=1)
+            q2_rows = q2[rows, None]
+        los = [np.searchsorted(row, lo, side="right") for row, lo in zip(q0, low[rows])]
+        his = [np.searchsorted(row, hi, side="left") for row, hi in zip(q0, high[rows])]
+        los, his = np.min(los, axis=0), np.max(his, axis=0)
+        buf = np.empty(q0.size)
+        partial = np.zeros(grid.size)
+        evals = 0
         for idx, eps in enumerate(grid):
-            quad = q0 + (2.0 * eps) * q1 + (eps * eps) * q2
-            totals[idx] += np.exp(-quad / (2.0 * eps)).sum()
+            lo, hi = los[idx], his[idx]
+            if lo >= hi:
+                continue
+            # quad / (-2 eps) == -quad / (2 eps) bit for bit
+            out = buf[: q0.shape[0] * (hi - lo)].reshape(q0.shape[0], hi - lo)
+            if has_drift:
+                np.multiply(q1[:, lo:hi], 2.0 * eps, out=out)
+                np.add(q0[:, lo:hi], out, out=out)
+                np.add(out, (eps * eps) * q2_rows, out=out)
+                np.divide(out, -2.0 * eps, out=out)
+            else:
+                np.divide(q0[:, lo:hi], -2.0 * eps, out=out)
+            np.exp(out, out=out)
+            partial[idx] = out.sum()
+            evals += out.size
+        return partial, evals
+
+    totals = np.zeros(grid.size)
+    pair_evals = 0
+    # the thread module loads on first use, not at import
+    with concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        for partial, evals in pool.map(scan_block, range(0, n, _BLOCK_ROWS)):
+            totals += partial
+            pair_evals += evals
     with np.errstate(divide="ignore"):
         log_q = np.log(totals / (n * n))
     log_e = np.log(grid)
@@ -242,7 +359,9 @@ def tune_bandwidth(
     if not np.isfinite(slope).any():
         raise ValueError("Q(eps) vanished on the whole grid; no usable slope")
     best = int(np.nanargmax(slope))
-    return TuningReport(grid, log_q, slope, float(grid[best]), float(2.0 * slope[best]))
+    return TuningReport(
+        grid, log_q, slope, float(grid[best]), float(2.0 * slope[best]), pair_evals
+    )
 
 
 def tune_gaussian_bandwidth(cloud: PointCloud, grid: np.ndarray | None = None) -> TuningReport:

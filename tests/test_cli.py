@@ -16,7 +16,9 @@ from lokpde.cli import (
     run_tune,
     validate_config,
 )
-from lokpde.geometry import sample_sphere
+from lokpde.geometry import sample_points, sample_sphere
+from lokpde.operator import tune_bandwidth
+from lokpde.problems import analytic_pair, problem_coefficients
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -181,6 +183,7 @@ class TestRunSolve:
         assert isinstance(record["epsilon"], float) and record["epsilon"] > 0
         assert isinstance(record["tilde_epsilon"], float) and record["tilde_epsilon"] > 0
         assert record["d_hat"] is not None
+        assert 0 < record["pair_evals"] < 2 * 41 * 200**2  # both scans ran
 
     def test_bvp1d_paper_configuration(self):
         cfg = validate_config(
@@ -239,6 +242,56 @@ class TestCoefficientFile:
         with pytest.raises(ConfigError, match="columns"):
             load_coefficient_file(str(path), 1, 2)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_token(self, tmp_path, token):
+        path = tmp_path / "coeffs.csv"
+        path.write_text(f"0,1.0,0.0,2.0,0.5,3.0\n1,0.0,{token},1.0,0.0,1.0\n")
+        with pytest.raises(ConfigError, match="line 2: non-finite value for point index 1"):
+            load_coefficient_file(str(path), 2, 2)
+
+    def test_indefinite_diffusion(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("0,1.0,0.0,2.0,0.5,3.0\n1,0.0,1.0,1.0,2.0,1.0\n")
+        with pytest.raises(ConfigError, match="line 2: C\\^-1 for point index 1 is not positive"):
+            load_coefficient_file(str(path), 2, 2)
+
+    def test_indefinite_diffusion_exit_code(self, tmp_path, capsys):
+        cloud_path = write_cloud(tmp_path, np.eye(2))
+        path = tmp_path / "coeffs.csv"
+        path.write_text("0,1.0,0.0,2.0,0.5,3.0\n1,0.0,1.0,1.0,2.0,1.0\n")
+        code = main(["tune", "--problem", cloud_path, "--coefficients", str(path)])
+        assert code == 1
+        assert "point index 1" in capsys.readouterr().err
+
+
+class TestRhsFile:
+    def solve_with_rhs(self, tmp_path, text):
+        cloud_path = write_cloud(tmp_path, np.eye(3))
+        rhs_path = tmp_path / "f.txt"
+        rhs_path.write_text(text)
+        cfg = validate_config(
+            {"problem": cloud_path, "rhs": str(rhs_path), "shift_a": -1.0,
+             "epsilon": 0.5, "tilde_epsilon": 0.5, "k": 2}
+        )
+        return run_solve(cfg)
+
+    def test_two_values_on_a_line(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 2: expected one value per line"):
+            self.solve_with_rhs(tmp_path, "1.0\n1.0 2.0\n3.0\n")
+
+    def test_non_numeric_token(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 3: non-numeric token"):
+            self.solve_with_rhs(tmp_path, "1.0\n2.0\nabc\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_value(self, tmp_path, token):
+        with pytest.raises(ConfigError, match=f"line 1: non-finite value '{token}'"):
+            self.solve_with_rhs(tmp_path, f"{token}\n2.0\n3.0\n")
+
+    def test_values_file(self, tmp_path):
+        record = self.solve_with_rhs(tmp_path, "1.0\n\n2.0\n3.0\n")
+        assert record["pair_evals"] is None  # no bandwidth was tuned
+
 
 class TestRunStudy:
     def test_needs_four_sizes(self):
@@ -281,6 +334,11 @@ class TestRunTune:
     def test_torus_dimension(self):
         record = run_tune(validate_config({"problem": "torus", "N": 1600}))
         assert abs(record["d_hat"] - 2.0) <= 0.4
+        # the record counts the exp evaluations the scan really made
+        problem = analytic_pair("torus")
+        cloud = sample_points(problem.manifold, 1600, "uniform_grid")
+        report = tune_bandwidth(cloud, problem_coefficients(problem, cloud))
+        assert record["pair_evals"] == report.pair_evals < report.epsilon_grid.size * 1600**2
 
 
 class TestMainEntry:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lokpde.geometry import CoefficientField, PointCloud, ambient_cloud_manifold, sample_points
+from lokpde import operator
+from lokpde.geometry import (
+    CoefficientField,
+    PointCloud,
+    ambient_cloud_manifold,
+    sample_points,
+    sample_sphere,
+)
 from lokpde.kernels import KernelConfig, SparseKernelMatrix, assemble_kernel_matrix
 from lokpde.operator import (
     DensityEstimate,
@@ -20,6 +29,53 @@ from lokpde.problems import analytic_pair, problem_coefficients
 def make_cloud(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return PointCloud(pts, None, "iid_density", ambient_cloud_manifold(pts.shape[1]))
+
+
+def dense_tuning(cloud, coeffs, grid):
+    """Dense oracle: every (grid point, i, j) term, 512-row chunks.
+
+    Returns (log_q, epsilon_star, d_hat); the last two are None when no
+    slope is usable.
+    """
+    pts = cloud.ambient
+    n = pts.shape[0]
+    totals = np.zeros(grid.size)
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        diff = pts[start:stop, None, :] - pts[None, :, :]
+        ci = coeffs.diffusion_inv[start:stop]
+        b = coeffs.drift[start:stop]
+        civ = np.einsum("mnp,mjp->mjn", ci, diff)
+        q0 = np.einsum("mjn,mjn->mj", diff, civ)
+        q1 = np.einsum("mn,mjn->mj", b, civ)
+        q2 = np.einsum("mn,mnp,mp->m", b, ci, b)[:, None]
+        for idx, eps in enumerate(grid):
+            quad = q0 + (2.0 * eps) * q1 + (eps * eps) * q2
+            totals[idx] += np.exp(-quad / (2.0 * eps)).sum()
+    with np.errstate(divide="ignore"):
+        log_q = np.log(totals / (n * n))
+    log_e = np.log(grid)
+    slope = np.full_like(log_q, np.nan)
+    with np.errstate(invalid="ignore"):
+        slope[1:-1] = (log_q[2:] - log_q[:-2]) / (log_e[2:] - log_e[:-2])
+        slope[0] = (log_q[1] - log_q[0]) / (log_e[1] - log_e[0])
+        slope[-1] = (log_q[-1] - log_q[-2]) / (log_e[-1] - log_e[-2])
+    bad = ~np.isfinite(log_q)
+    slope[np.convolve(bad, [True, True, True], mode="same")] = np.nan
+    if not np.isfinite(slope).any():
+        return log_q, None, None
+    best = int(np.nanargmax(slope))
+    return log_q, float(grid[best]), float(2.0 * slope[best])
+
+
+def assert_matches_oracle(rep, oracle):
+    log_q, eps_star, d_hat = oracle
+    finite = np.isfinite(log_q)
+    np.testing.assert_array_equal(np.isfinite(rep.log_q), finite)
+    np.testing.assert_array_equal(rep.log_q[~finite], log_q[~finite])
+    np.testing.assert_allclose(rep.log_q[finite], log_q[finite], rtol=0, atol=1e-12)
+    assert rep.epsilon_star == eps_star
+    assert abs(rep.d_hat - d_hat) <= 1e-12
 
 
 def circle_cloud(n):
@@ -271,3 +327,110 @@ class TestTuning:
         a = tune_gaussian_bandwidth(cloud)
         b = tune_bandwidth(cloud, CoefficientField.isotropic(300, 2))
         np.testing.assert_array_equal(a.log_q, b.log_q)
+
+
+@st.composite
+def tuning_inputs(draw):
+    """Small clouds in 1-3 dimensions with random PSD C^-1 (possibly rank
+    deficient) and drifts large enough that high-eps terms underflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 3))
+    rank = draw(st.integers(0, dim))
+    pts = rng.normal(size=(n, dim)) * 10.0 ** draw(st.floats(-3, 1))
+    factor = rng.normal(size=(n, dim, rank)) * 10.0 ** draw(st.floats(-1, 2))
+    diff_inv = factor @ np.swapaxes(factor, 1, 2)
+    drift = rng.normal(size=(n, dim)) * draw(st.sampled_from([0.0, 0.1, 1.0, 10.0, 100.0]))
+    cloud = PointCloud(pts, None, "iid_density", ambient_cloud_manifold(dim))
+    return cloud, CoefficientField(drift, diff_inv)
+
+
+class TestTuningExactness:
+    """The scan equals the dense oracle: skipped terms are exactly 0.0."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(tuning_inputs())
+    def test_random_clouds_match_dense_oracle(self, inputs):
+        cloud, coeffs = inputs
+        grid = default_epsilon_grid()
+        oracle = dense_tuning(cloud, coeffs, grid)
+        if oracle[1] is None:
+            with pytest.raises(ValueError, match="vanished"):
+                tune_bandwidth(cloud, coeffs, grid)
+            return
+        assert_matches_oracle(tune_bandwidth(cloud, coeffs, grid), oracle)
+
+    @pytest.mark.parametrize("exponent,q_positive", [(742.0, True), (744.0, True), (745.2, False)])
+    def test_terms_at_the_underflow_edge(self, exponent, q_positive):
+        # self terms exp(-eps B^2 / 2) with eps B^2 / 2 = exponent at eps = 1:
+        # Q(1) is subnormal, or exactly zero past 1075 ln 2 = 745.13
+        # (the drifts point away from the other point, so cross terms vanish)
+        drift = np.array([[-1.0], [1.0]]) * np.sqrt(2.0 * exponent)
+        coeffs = CoefficientField(drift, np.ones((2, 1, 1)))
+        cloud = make_cloud([[0.0], [50.0]])
+        grid = default_epsilon_grid()
+        rep = tune_bandwidth(cloud, coeffs, grid)
+        assert_matches_oracle(rep, dense_tuning(cloud, coeffs, grid))
+        assert np.isfinite(rep.log_q[grid == 1.0][0]) == q_positive
+
+    def test_drift_problem_matches_dense_oracle(self):
+        problem = analytic_pair("bvp1d")
+        cloud = sample_points(problem.manifold, 1000, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        grid = default_epsilon_grid()
+        rep = tune_bandwidth(cloud, coeffs)
+        assert_matches_oracle(rep, dense_tuning(cloud, coeffs, grid))
+        assert rep.pair_evals < grid.size * 1000**2
+
+    # (epsilon_star, d_hat) of the dense scan for the kernel and the
+    # Gaussian density, at each problem's paper size
+    PINNED = {
+        "bvp1d": ((2.0**-20, 0.9988761692484946), (2.0**-20, 0.998876170324505)),
+        "ellipse": ((2.0**-5, 1.0899867991826604), (1.0, 1.1264222954090595)),
+        "half_ellipse": ((2.0**-5, 1.0439495877201492), (2.0**-14, 0.9992261590386294)),
+        "half_torus": ((2.0**-5, 2.08232106906599), (0.5, 2.0575726058785833)),
+        "torus": ((2.0**-5, 2.124433290291245), (0.5, 2.2291780107096444)),
+        "sphere": ((2.0**-4, 1.9870473270507085), (2.0**-3, 1.9870473270507087)),
+        "circle": ((0.5, 1.1699413713788986), (0.5, 1.1699413713788986)),
+    }
+    PAPER_N = {"bvp1d": 1000, "ellipse": 1000, "half_ellipse": 1000, "half_torus": 3200, "torus": 6400}
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_pinned_selection(self, name):
+        if name == "sphere":
+            cloud = sample_sphere(3000, seed=7)
+            coeffs = CoefficientField.laplace_beltrami(3000, 3)
+        elif name == "circle":
+            cloud = circle_cloud(2000)
+            coeffs = CoefficientField.isotropic(2000, 2)
+        else:
+            problem = analytic_pair(name)
+            cloud = sample_points(problem.manifold, self.PAPER_N[name], "uniform_grid")
+            coeffs = problem_coefficients(problem, cloud)
+        for rep, (eps_star, d_hat) in zip(
+            (tune_bandwidth(cloud, coeffs), tune_gaussian_bandwidth(cloud)), self.PINNED[name]
+        ):
+            assert rep.epsilon_star == eps_star
+            assert abs(rep.d_hat - d_hat) <= 1e-12
+
+    def test_worker_count_does_not_change_the_result(self, monkeypatch):
+        problem = analytic_pair("half_ellipse")
+        cloud = sample_points(problem.manifold, 700, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        pooled = tune_bandwidth(cloud, coeffs)
+        monkeypatch.setattr(operator.os, "sched_getaffinity", lambda pid: {0})
+        single = tune_bandwidth(cloud, coeffs)
+        np.testing.assert_array_equal(single.log_q, pooled.log_q)
+        assert single.pair_evals == pooled.pair_evals
+
+    def test_indefinite_diffusion_rejected(self):
+        coeffs = CoefficientField.isotropic(5, 2)
+        coeffs.diffusion_inv[3] = [[1.0, 0.0], [0.0, -0.5]]
+        with pytest.raises(ValueError, match="point 3 is not positive semidefinite"):
+            tune_bandwidth(circle_cloud(5), coeffs)
+
+    def test_non_finite_input_rejected(self):
+        coeffs = CoefficientField.isotropic(5, 2)
+        coeffs.drift[1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            tune_bandwidth(circle_cloud(5), coeffs)
