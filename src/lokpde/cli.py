@@ -114,18 +114,20 @@ def _as_int(key, value):
 
 
 def _as_real_or(key, value, *allowed):
-    if isinstance(value, str):
-        if value in allowed:
-            return value
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r} must be a real number or one of {allowed}, got {value!r}"
-            ) from None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"config key {key!r} must be a real number or one of {allowed}, got {value!r}")
+    """A finite float, or ``value`` itself when it is one of ``allowed``."""
+    if isinstance(value, str) and value in allowed:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"config key {key!r} must be a real number or one of {allowed}, got {value!r}")
+    try:
+        out = float(value)
+    except ValueError:
+        raise ConfigError(
+            f"config key {key!r} must be a real number or one of {allowed}, got {value!r}"
+        ) from None
+    if not math.isfinite(out):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    return out
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -166,7 +168,7 @@ def validate_config(raw: dict) -> RunConfig:
     if not (isinstance(rhs, str) or isinstance(rhs, (int, float))):
         raise ConfigError(f"config key 'rhs' must be a real, a file path, or 'problem', got {rhs!r}")
     if isinstance(rhs, (int, float)) and not isinstance(rhs, bool):
-        rhs = float(rhs)
+        rhs = _as_real_or("rhs", rhs)
     coeff = merged["coefficients"]
     if coeff is not None and not isinstance(coeff, str):
         raise ConfigError(f"config key 'coefficients' must be a path or null, got {coeff!r}")
@@ -203,6 +205,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     return validate_config(raw)
 
 
+def _parses_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def load_coefficient_file(path: str, n_points: int, ambient_dim: int) -> CoefficientField:
     """Per-point ambient coefficients from CSV: index, B, C^-1 upper triangle.
 
@@ -219,7 +229,7 @@ def load_coefficient_file(path: str, n_points: int, ambient_dim: int) -> Coeffic
         for lineno, row in enumerate(reader, start=1):
             if not row or not row[0].strip():
                 continue
-            if lineno == 1 and not row[0].strip().lstrip("-").isdigit():
+            if lineno == 1 and not _parses_as_float(row[0]):
                 continue  # header row
             if len(row) != 1 + ambient_dim + n_tri:
                 raise ConfigError(
@@ -232,6 +242,10 @@ def load_coefficient_file(path: str, n_points: int, ambient_dim: int) -> Coeffic
             if not all(map(math.isfinite, values)):
                 raise ConfigError(
                     f"{path}: line {lineno}: non-finite value for point index {row[0].strip()}"
+                )
+            if not values[0].is_integer():
+                raise ConfigError(
+                    f"{path}: line {lineno}: point index {row[0].strip()!r} is not an integer"
                 )
             idx = int(values[0])
             if not 0 <= idx < n_points:

@@ -8,6 +8,14 @@ whose small-eps moments over the tangent plane encode the drift and
 diffusion coefficients; :func:`moment_check` verifies that numerically.
 The isotropic Gaussian kernel (B = 0, C = I) doubles as the density
 estimator used by the debiasing normalization.
+
+The kernel is evaluated only on each point's k nearest neighbours.
+:func:`build_knn_graph` takes candidates from a k-d tree
+(``scipy.spatial``, imported on the first search, not with this module),
+recomputes their squared distances with the exact formula, orders them by
+(d^2, index) and widens the candidate set until no left-out point can tie
+with the k-th.  Its (indices, d^2) pair equals a brute-force search over
+all N^2 pairs bit for bit, and the d^2 feed the density estimate.
 """
 
 from __future__ import annotations
@@ -39,13 +47,12 @@ class KernelConfig:
 
     ``epsilon`` is the squared-length scale of the prototypical kernel,
     ``tilde_epsilon`` the Gaussian bandwidth used for density estimation,
-    ``k_neighbors`` the kNN count (self included).
+    ``k_neighbors`` the kNN count (self included; N gives the dense kernel).
     """
 
     epsilon: float
     tilde_epsilon: float
     k_neighbors: int
-    sparsify: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
@@ -118,28 +125,64 @@ def eval_gaussian_kernel(x, y, tilde_epsilon: float) -> float:
     return eval_prototypical_kernel(x, y, np.zeros(x.shape[0]), np.eye(x.shape[0]), tilde_epsilon)
 
 
-def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest points (self included) for every point.
+def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest points (self included) of every point, with their d^2.
 
-    Brute-force O(N^2) Euclidean search in ambient coordinates; distance
+    Returns ``(indices, d2)``, both (N, k), ordered by (d^2, index): distance
     ties break toward the smaller index, so the result is deterministic.
-    Returns an (N, k) integer array ordered by (distance, index).
+    ``d2[i, c]`` is |x_i - x_j|^2 for j = ``indices[i, c]``, computed as
+    ``diff = x_i - x_j`` then ``einsum("mjn,mjn->mj", diff, diff)``.
+
+    A k-d tree (``scipy.spatial.cKDTree``, imported on first call) proposes
+    m = k + 8 candidates per row, in blocks of rows.  Their d^2 is
+    recomputed with the exact formula above and the candidates are sorted
+    by (d^2, index).  Every point the tree left out is at least the tree's
+    m-th distance away; if that distance squared, less a rounding margin,
+    is not strictly above the k-th exact d^2, a left-out point could tie
+    with or beat the k-th candidate, so m doubles for those rows (up to N)
+    and the tree is queried again.  The result equals the brute-force
+    search over all N points exactly.
+
+    Raises ValueError for k outside [1, N] and names the first point with
+    a non-finite coordinate.
     """
     pts = cloud.ambient if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and N={n}, got {k}")
-    sq = np.einsum("ij,ij->i", pts, pts)
-    out = np.empty((n, k), dtype=np.intp)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite coordinate at point {int(np.argmin(finite))}")
+    import scipy.spatial  # ~0.1 s to import, so only when a search runs
+
+    tree = scipy.spatial.cKDTree(pts)
+    # the tree's distances and the exact d^2 each carry a few ulps of rounding
+    shrink = 1.0 - 8.0 * (pts.shape[1] + 2) * np.finfo(float).eps
+    indices = np.empty((n, k), dtype=np.intp)
+    d2 = np.empty((n, k))
     for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        # |x_i - x_j|^2 computed directly: exact zeros on the diagonal
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        d2 = np.einsum("mjn,mjn->mj", diff, diff)
-        # stable sort keeps ascending index order among equal distances
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop] = order[:, :k]
-    return out
+        rows = np.arange(start, min(start + _CHUNK_ROWS, n))
+        m = min(k + 8, n)
+        while rows.size:
+            dist, cand = tree.query(pts[rows], k=m)
+            dist, cand = dist.reshape(rows.size, m), cand.reshape(rows.size, m)
+            diff = pts[rows, None, :] - pts[cand]
+            cand_d2 = np.einsum("mjn,mjn->mj", diff, diff)
+            order = np.argsort(cand_d2, axis=1, kind="stable")
+            cand = np.take_along_axis(cand, order, axis=1)
+            cand_d2 = np.take_along_axis(cand_d2, order, axis=1)
+            # equal d^2 put the smaller index first: sort by (rank of d^2, index)
+            rank = np.zeros(cand.shape, dtype=np.intp)
+            np.cumsum(cand_d2[:, 1:] != cand_d2[:, :-1], axis=1, out=rank[:, 1:])
+            order = np.argsort(rank * n + cand, axis=1, kind="stable")[:, :k]
+            cand = np.take_along_axis(cand, order, axis=1)
+            cand_d2 = np.take_along_axis(cand_d2, order, axis=1)
+            done = (m == n) | (dist[:, -1] ** 2 * shrink > cand_d2[:, -1])
+            indices[rows[done]] = cand[done]
+            d2[rows[done]] = cand_d2[done]
+            rows = rows[~done]
+            m = min(2 * m, n)
+    return indices, d2
 
 
 def _kernel_rows(x_rows, pts, cols, drift_rows, diff_inv_rows, epsilon):
@@ -153,29 +196,24 @@ def assemble_kernel_matrix(
     cloud: PointCloud,
     coeffs: CoefficientField,
     cfg: KernelConfig,
-    neighbors: np.ndarray | None = None,
+    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SparseKernelMatrix:
     """Evaluate the prototypical kernel on the kNN pattern of the cloud.
 
     Row i holds K(eps, x_i, x_j) for the neighbors j of i, evaluated with
-    the row point's coefficients B(x_i), C(x_i)^-1.  With
-    ``cfg.sparsify=False`` every column is retained.  A precomputed
-    ``neighbors`` array (as returned by :func:`build_knn_graph`) can be
-    passed to amortize the search across bandwidths.
+    the row point's coefficients B(x_i), C(x_i)^-1; ``k_neighbors = N``
+    retains every column.  A precomputed ``(indices, d2)`` pair (as
+    returned by :func:`build_knn_graph`) can be passed to amortize the
+    search across bandwidths.
     """
     pts = cloud.ambient
     n = pts.shape[0]
     if coeffs.n_points != n:
         raise ValueError("coefficient field size does not match cloud")
     _check_finite(pts, coeffs.drift, coeffs.diffusion_inv)
-    if cfg.sparsify:
-        if neighbors is None:
-            if cfg.k_neighbors > n:
-                raise ValueError(f"k_neighbors={cfg.k_neighbors} exceeds N={n}")
-            neighbors = build_knn_graph(cloud, cfg.k_neighbors)
-        cols = np.sort(neighbors, axis=1)
-    else:
-        cols = np.broadcast_to(np.arange(n), (n, n))
+    if neighbors is None:
+        neighbors = build_knn_graph(cloud, cfg.k_neighbors)
+    cols = np.sort(neighbors[0], axis=1)
     k = cols.shape[1]
     data = np.empty((n, k))
     for start in range(0, n, _CHUNK_ROWS):

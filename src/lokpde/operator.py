@@ -49,7 +49,6 @@ __all__ = [
     "default_epsilon_grid",
 ]
 
-_CHUNK_ROWS = 512
 _BLOCK_ROWS = 64
 # exp(-x) is exactly 0.0 in float64 for x > 1075 ln 2 = 745.13...; the
 # scan skips a term only if its certified bound puts x above this
@@ -111,25 +110,21 @@ def estimate_density(
     cloud: PointCloud,
     tilde_epsilon: float,
     k: int,
-    neighbors: np.ndarray | None = None,
+    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DensityEstimate:
     """Gaussian kernel density values over the kNN pattern.
 
     q_i = sum_j exp(-|x_i - x_j|^2 / (2 eps~)) over the k nearest neighbors
-    of i; the self term makes every value >= 1.
+    of i, summed in (d^2, index) order from the squared distances of the
+    ``(indices, d2)`` pair that :func:`build_knn_graph` returns (searched
+    here when ``neighbors`` is None); the self term makes every value >= 1.
     """
     if tilde_epsilon <= 0:
         raise ValueError("tilde_epsilon must be positive")
-    pts = cloud.ambient
     if neighbors is None:
-        neighbors = build_knn_graph(cloud, min(k, pts.shape[0]))
-    q = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, pts.shape[0])
-        diff = pts[start:stop, None, :] - pts[neighbors[start:stop]]
-        d2 = np.einsum("mkn,mkn->mk", diff, diff)
-        q[start:stop] = np.exp(-d2 / (2.0 * tilde_epsilon)).sum(axis=1)
-    return DensityEstimate(q, tilde_epsilon)
+        neighbors = build_knn_graph(cloud, min(k, cloud.n_points))
+    d2 = neighbors[1]
+    return DensityEstimate(np.exp(-d2 / (2.0 * tilde_epsilon)).sum(axis=1), tilde_epsilon)
 
 
 def right_normalize(kernel: SparseKernelMatrix, density: DensityEstimate) -> SparseKernelMatrix:
@@ -162,25 +157,22 @@ def build_operator(
     coeffs: CoefficientField,
     cfg: KernelConfig,
     debias: bool = True,
-    neighbors: np.ndarray | None = None,
+    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GeneratorMatrix:
     """Full pipeline: kernel matrix -> (debias) -> row normalization.
 
-    With ``debias`` the kernel columns are pre-divided by a Gaussian
-    density estimate at bandwidth ``cfg.tilde_epsilon`` (computed on the
-    same kNN pattern), removing the sampling-density bias of i.i.d. clouds.
+    One kNN search (or the precomputed ``(indices, d2)`` pair from
+    :func:`build_knn_graph`) feeds both the kernel matrix and, with
+    ``debias``, the Gaussian density estimate at bandwidth
+    ``cfg.tilde_epsilon`` that the kernel columns are pre-divided by,
+    removing the sampling-density bias of i.i.d. clouds.  ``k_neighbors = N``
+    gives the dense operator.
     """
-    if cfg.sparsify and neighbors is None:
-        if cfg.k_neighbors > cloud.n_points:
-            raise ValueError(f"k_neighbors={cfg.k_neighbors} exceeds N={cloud.n_points}")
+    if neighbors is None:
         neighbors = build_knn_graph(cloud, cfg.k_neighbors)
     kernel = assemble_kernel_matrix(cloud, coeffs, cfg, neighbors=neighbors)
     if debias:
-        if cfg.sparsify:
-            density = estimate_density(cloud, cfg.tilde_epsilon, cfg.k_neighbors, neighbors)
-        else:
-            all_cols = np.broadcast_to(np.arange(cloud.n_points), (cloud.n_points, cloud.n_points))
-            density = estimate_density(cloud, cfg.tilde_epsilon, cloud.n_points, all_cols)
+        density = estimate_density(cloud, cfg.tilde_epsilon, cfg.k_neighbors, neighbors)
         kernel = right_normalize(kernel, density)
     return left_normalize(kernel, debiased=debias)
 

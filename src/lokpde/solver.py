@@ -325,8 +325,8 @@ def oracle_epsilon(
     """Error-minimizing bandwidth by coarse log-scan plus golden section.
 
     This is the tuning mode available only when the analytic truth is
-    known; it returns (epsilon, achieved uniform error).  The kNN pattern
-    is computed once and shared by every trial.
+    known; it returns (epsilon, achieved uniform error).  The kNN search
+    (indices and d^2) runs once and is shared by every trial.
     """
     neighbors = build_knn_graph(cloud, min(k, cloud.n_points))
 
@@ -429,7 +429,10 @@ def epsilon_sweep(
     seed: int = 0,
     debias: bool = True,
 ) -> EpsilonSweep:
-    """Uniform error against bandwidth at fixed N (the O(eps) regime check)."""
+    """Uniform error against bandwidth at fixed N (the O(eps) regime check).
+
+    One kNN search (indices and d^2) is shared by every bandwidth.
+    """
     epsilons = np.asarray(list(epsilons), dtype=float)
     if epsilons.size < 2:
         raise ValueError("epsilon sweep needs at least 2 bandwidths")

@@ -74,6 +74,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config({"problem": "bvp1d", "N": 100, **overrides})
 
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    @pytest.mark.parametrize("key", ["epsilon", "tilde_epsilon", "shift_a", "rhs"])
+    def test_non_finite_real_named(self, key, token, capsys):
+        argv = ["solve", "--problem", "bvp1d", "--N", "100", "--k", "20",
+                "--epsilon", "1e-4", "--tilde-epsilon", "1e-4",
+                f"--{key.replace('_', '-')}={token}"]
+        assert main(argv) == 1
+        assert f"config key {key!r} must be finite" in capsys.readouterr().err
+
     def test_flag_overrides_beat_file(self, tmp_path):
         path = write_config(tmp_path, {"problem": "bvp1d", "N": 100, "epsilon": 1e-5})
         cfg = parse_config(path, {"epsilon": 2e-5})
@@ -254,6 +263,22 @@ class TestCoefficientFile:
         path.write_text("0,1.0,0.0,2.0,0.5,3.0\n1,0.0,1.0,1.0,2.0,1.0\n")
         with pytest.raises(ConfigError, match="line 2: C\\^-1 for point index 1 is not positive"):
             load_coefficient_file(str(path), 2, 2)
+
+    def test_fractional_index_rejected(self, tmp_path, capsys):
+        cloud_path = write_cloud(tmp_path, np.eye(2))
+        path = tmp_path / "coeffs.csv"
+        path.write_text("0,1.0,0.0,2.0,0.5,3.0\n1.7,0.0,1.0,1.0,0.0,1.0\n")
+        code = main(["tune", "--problem", cloud_path, "--coefficients", str(path)])
+        assert code == 1
+        assert "line 2: point index '1.7' is not an integer" in capsys.readouterr().err
+
+    def test_fractional_first_index_is_not_a_header(self, tmp_path, capsys):
+        cloud_path = write_cloud(tmp_path, np.eye(2))
+        path = tmp_path / "coeffs.csv"
+        path.write_text("1.5,1.0,0.0,2.0,0.5,3.0\n0,0.0,1.0,1.0,0.0,1.0\n")
+        code = main(["tune", "--problem", cloud_path, "--coefficients", str(path)])
+        assert code == 1
+        assert "line 1: point index '1.5' is not an integer" in capsys.readouterr().err
 
     def test_indefinite_diffusion_exit_code(self, tmp_path, capsys):
         cloud_path = write_cloud(tmp_path, np.eye(2))

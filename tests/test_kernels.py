@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lokpde.geometry import CoefficientField, PointCloud, ambient_cloud_manifold
+from lokpde.geometry import (
+    CoefficientField,
+    PointCloud,
+    ambient_cloud_manifold,
+    sample_points,
+    sample_sphere,
+)
 from lokpde.kernels import (
     KernelConfig,
     assemble_kernel_matrix,
@@ -11,6 +19,7 @@ from lokpde.kernels import (
     eval_prototypical_kernel,
     moment_check,
 )
+from lokpde.problems import analytic_pair
 
 
 def make_cloud(points):
@@ -18,6 +27,57 @@ def make_cloud(points):
     if pts.shape[0] < pts.shape[1] and pts.shape[1] > 3:
         pts = pts.T
     return PointCloud(pts, None, "iid_density", ambient_cloud_manifold(pts.shape[1]))
+
+
+def brute_knn(pts, k):
+    """Brute-force oracle: every |x_i - x_j|^2, a stable argsort per row.
+
+    Returns (indices, d2) ordered by (d^2, index), in 256-row chunks.
+    """
+    n = pts.shape[0]
+    indices = np.empty((n, k), dtype=np.intp)
+    d2 = np.empty((n, k))
+    for start in range(0, n, 256):
+        stop = min(start + 256, n)
+        diff = pts[start:stop, None, :] - pts[None, :, :]
+        full = np.einsum("mjn,mjn->mj", diff, diff)
+        order = np.argsort(full, axis=1, kind="stable")[:, :k]
+        indices[start:stop] = order
+        d2[start:stop] = np.take_along_axis(full, order, axis=1)
+    return indices, d2
+
+
+@st.composite
+def tie_clouds(draw):
+    """1-3-D clouds on a coarse grid, so points repeat and many distances
+    tie exactly (also at the k-th neighbour), with k = 1, 2, N or any."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 80))
+    dim = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 6))
+    spacing = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.0**-7]))
+    offset = draw(st.sampled_from([0.0, 0.5, 1e3]))
+    pts = rng.integers(-width, width + 1, size=(n, dim)) * spacing + offset
+    k = draw(st.one_of(st.sampled_from([1, 2, n]), st.integers(1, n)))
+    return make_cloud(pts), k
+
+
+def paper_cloud(name):
+    """The uniform grid of a zoo problem at its paper size, or the
+    criterion-7 sphere cloud; returns (cloud, k, tilde_epsilon)."""
+    if name == "sphere":
+        return sample_sphere(3000, seed=7), 400, 0.01
+    n, k, tilde_epsilon = PAPER_GRIDS[name]
+    return sample_points(analytic_pair(name).manifold, n, "uniform_grid"), k, tilde_epsilon
+
+
+PAPER_GRIDS = {
+    "bvp1d": (1000, 100, 2e-6),
+    "ellipse": (1000, 200, 1e-4),
+    "half_ellipse": (1000, 200, 1e-4),
+    "torus": (6400, 128, 0.0179),
+    "half_torus": (3200, 128, 0.0179),
+}
 
 
 def random_spd(rng, n, floor=0.2):
@@ -28,7 +88,7 @@ def random_spd(rng, n, floor=0.2):
 class TestKernelConfig:
     def test_valid(self):
         cfg = KernelConfig(1e-4, 1e-3, 50)
-        assert cfg.sparsify
+        assert (cfg.epsilon, cfg.tilde_epsilon, cfg.k_neighbors) == (1e-4, 1e-3, 50)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -99,20 +159,20 @@ class TestKernelEvaluation:
 class TestKnnGraph:
     def test_collinear(self):
         cloud = make_cloud([[0.0], [1.0], [2.0], [3.0]])
-        nbrs = build_knn_graph(cloud, 2)
+        nbrs, _ = build_knn_graph(cloud, 2)
         assert set(nbrs[0]) == {0, 1}
         assert set(nbrs[3]) == {3, 2}
 
     def test_k_equals_n(self):
         cloud = make_cloud(np.random.default_rng(0).normal(size=(7, 2)))
-        nbrs = build_knn_graph(cloud, 7)
+        nbrs, _ = build_knn_graph(cloud, 7)
         for row in nbrs:
             assert set(row) == set(range(7))
 
     def test_matches_exhaustive_sort(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(100, 3))
-        nbrs = build_knn_graph(make_cloud(pts), 10)
+        nbrs, _ = build_knn_graph(make_cloud(pts), 10)
         for i in range(100):
             dist = np.sum((pts - pts[i]) ** 2, axis=1)
             expected = sorted(range(100), key=lambda j: (dist[j], j))[:10]
@@ -120,13 +180,47 @@ class TestKnnGraph:
 
     def test_ties_break_to_smaller_index(self):
         cloud = make_cloud([[0.0], [1.0], [-1.0], [2.0]])
-        nbrs = build_knn_graph(cloud, 2)
+        nbrs, _ = build_knn_graph(cloud, 2)
         assert list(nbrs[0]) == [0, 1]  # 1 and 2 are equidistant; index wins
 
     def test_k_out_of_range(self):
         cloud = make_cloud([[0.0], [1.0]])
         with pytest.raises(ValueError, match="between 1 and N"):
             build_knn_graph(cloud, 3)
+
+    def test_non_finite_coordinate_named(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, np.nan], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match="non-finite coordinate at point 2"):
+            build_knn_graph(pts, 2)
+
+
+class TestKnnExactness:
+    """The tree search returns the brute-force oracle's arrays bit for bit."""
+
+    @staticmethod
+    def assert_matches_brute(pts, k):
+        indices, d2 = build_knn_graph(pts, k)
+        ref_indices, ref_d2 = brute_knn(pts, k)
+        np.testing.assert_array_equal(indices, ref_indices)
+        np.testing.assert_array_equal(d2, ref_d2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tie_clouds())
+    def test_tie_clouds_match_brute(self, inputs):
+        cloud, k = inputs
+        self.assert_matches_brute(cloud.ambient, k)
+
+    def test_tie_group_wider_than_the_candidates(self):
+        # 40 copies of one point tie at d^2 = 0 far beyond the first k + 8
+        # candidates, so the search must widen to keep the smallest indices
+        pts = np.concatenate([np.full((40, 2), 0.5), np.eye(2), np.full((40, 2), 0.5)])
+        self.assert_matches_brute(pts, 3)
+        self.assert_matches_brute(pts, 50)
+
+    @pytest.mark.parametrize("name", [*PAPER_GRIDS, "sphere"])
+    def test_paper_clouds_match_brute(self, name):
+        cloud, k, _ = paper_cloud(name)
+        self.assert_matches_brute(cloud.ambient, k)
 
 
 class TestAssembly:
@@ -144,7 +238,7 @@ class TestAssembly:
         # points {0, 1/2, 1}, eps = 1/8: K(1/2, 1) = exp(-(1/4)/(1/4)) = 1/e
         cloud = make_cloud([[0.0], [0.5], [1.0]])
         coeffs = CoefficientField.isotropic(3, 1)
-        km = assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.125, 0.125, 3, sparsify=False))
+        km = assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.125, 0.125, 3))
         np.testing.assert_allclose(km.matrix[1, 2], np.exp(-1.0))
         np.testing.assert_allclose(km.matrix[0, 2], np.exp(-4.0))
 
@@ -190,7 +284,7 @@ class TestAssembly:
         k = int(rng.integers(3, n))
         sparse = assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.4, 0.4, k)).matrix
         dense = assemble_kernel_matrix(
-            cloud, coeffs, KernelConfig(0.4, 0.4, k, sparsify=False)
+            cloud, coeffs, KernelConfig(0.4, 0.4, n)
         ).matrix.toarray()
         for i in range(n):
             cols = sparse.indices[sparse.indptr[i] : sparse.indptr[i + 1]]

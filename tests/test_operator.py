@@ -12,7 +12,7 @@ from lokpde.geometry import (
     sample_points,
     sample_sphere,
 )
-from lokpde.kernels import KernelConfig, SparseKernelMatrix, assemble_kernel_matrix
+from lokpde.kernels import KernelConfig, SparseKernelMatrix, assemble_kernel_matrix, build_knn_graph
 from lokpde.operator import (
     DensityEstimate,
     build_operator,
@@ -24,6 +24,7 @@ from lokpde.operator import (
     tune_gaussian_bandwidth,
 )
 from lokpde.problems import analytic_pair, problem_coefficients
+from test_kernels import PAPER_GRIDS, brute_knn, paper_cloud, tie_clouds
 
 
 def make_cloud(points):
@@ -66,6 +67,18 @@ def dense_tuning(cloud, coeffs, grid):
         return log_q, None, None
     best = int(np.nanargmax(slope))
     return log_q, float(grid[best]), float(2.0 * slope[best])
+
+
+def chunk_density(cloud, tilde_epsilon, indices):
+    """Oracle: the 512-row chunk loop that recomputed each neighbour's d^2."""
+    pts = cloud.ambient
+    q = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], 512):
+        stop = min(start + 512, pts.shape[0])
+        diff = pts[start:stop, None, :] - pts[indices[start:stop]]
+        d2 = np.einsum("mkn,mkn->mk", diff, diff)
+        q[start:stop] = np.exp(-d2 / (2.0 * tilde_epsilon)).sum(axis=1)
+    return q
 
 
 def assert_matches_oracle(rep, oracle):
@@ -113,13 +126,29 @@ class TestDensityEstimate:
         with pytest.raises(ValueError, match="strictly positive"):
             DensityEstimate(np.array([1.0, 0.0]), 0.1)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(tie_clouds(), st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    def test_tie_clouds_match_chunk_loop(self, inputs, tilde_epsilon):
+        cloud, k = inputs
+        q = estimate_density(cloud, tilde_epsilon, k)
+        indices, _ = brute_knn(cloud.ambient, k)
+        np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, indices))
+
+    @pytest.mark.parametrize("name", [*PAPER_GRIDS, "sphere"])
+    def test_paper_clouds_match_chunk_loop(self, name):
+        # the search's indices equal the brute oracle's (test_kernels)
+        cloud, k, tilde_epsilon = paper_cloud(name)
+        neighbors = build_knn_graph(cloud, k)
+        q = estimate_density(cloud, tilde_epsilon, k, neighbors)
+        np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, neighbors[0]))
+
 
 class TestRightNormalize:
     def base_kernel(self, n=5, seed=0):
         rng = np.random.default_rng(seed)
         cloud = make_cloud(rng.normal(size=(n, 2)))
         coeffs = CoefficientField.isotropic(n, 2)
-        return assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.5, 0.5, n, sparsify=False))
+        return assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.5, 0.5, n))
 
     def test_unit_density_is_identity(self):
         km = self.base_kernel()
@@ -183,7 +212,7 @@ class TestGeneratorMatrix:
         rng = np.random.default_rng(seed)
         cloud = make_cloud(rng.normal(size=(n, 2)))
         km = assemble_kernel_matrix(
-            cloud, CoefficientField.isotropic(n, 2), KernelConfig(eps, eps, n, sparsify=False)
+            cloud, CoefficientField.isotropic(n, 2), KernelConfig(eps, eps, n)
         )
         return left_normalize(km)
 

@@ -26,7 +26,7 @@ def small_generator(n=6, eps=0.15, seed=0):
     pts = rng.normal(size=(n, 2))
     cloud = PointCloud(pts, None, "iid_density", ambient_cloud_manifold(2))
     km = assemble_kernel_matrix(
-        cloud, CoefficientField.isotropic(n, 2), KernelConfig(eps, eps, n, sparsify=False)
+        cloud, CoefficientField.isotropic(n, 2), KernelConfig(eps, eps, n)
     )
     return left_normalize(km)
 
