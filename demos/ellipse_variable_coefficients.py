@@ -4,7 +4,8 @@ The drift b(t) = cos t and diffusion c(t) = 1.1 + cos t vary along the
 curve; their ambient lift (B, C^-1) through the embedding Jacobian's
 pseudo-inverse is what the kernel consumes.  With a = 0 the generator is
 singular (constants are in its nullspace), so the solve is the unique
-minimum-norm least-squares solution via LSQR.
+minimum-norm least-squares solution, by pinning one point and deflating
+the left null vector (ILU-preconditioned GMRES).
 
 Equal-angle nodes are NOT equidistant on the ellipse, which is exactly the
 sampling bias the right normalization (debias) removes: the script runs
@@ -37,7 +38,7 @@ def solve(problem_id, n_points, mode="uniform_grid", seed=0):
     op_err = np.abs(generator.apply(u) - f).max()
     report = solve_min_norm(LinearProblem(generator, np.zeros(n_points), f)).with_errors(u)
     print(f"{problem_id}: operator error {op_err:.4f}, solution error {report.error_inf:.4f}, "
-          f"LSQR iterations {report.iterations}, "
+          f"GMRES iterations {report.iterations}, "
           f"null-component certificate {check_minimum_norm_certificate(report.u_hat, generator)}")
 
 

@@ -57,6 +57,7 @@ from .solver import (
     epsilon_sweep,
     error_report,
     oracle_epsilon,
+    solve,
     solve_direct,
     solve_min_norm,
 )

@@ -30,7 +30,7 @@ from .operator import (
     tune_gaussian_bandwidth,
 )
 from .problems import PROBLEM_IDS, analytic_pair, problem_coefficients
-from .solver import LinearProblem, convergence_study, solve_direct, solve_min_norm
+from .solver import LinearProblem, convergence_study, solve, solve_direct, solve_min_norm
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_solve", "run_study", "run_tune", "main"]
 
@@ -374,13 +374,13 @@ def run_solve(config: RunConfig) -> dict:
     gen = build_operator(cloud, coeffs, KernelConfig(epsilon, tilde_epsilon, k), debias=debias)
     lin = LinearProblem(gen, shift, rhs)
 
-    solver = config.solver
-    if solver == "auto":
-        solver = "direct" if shift.max() < 0 else "min_norm"
-    if solver == "direct":
+    if config.solver == "direct":
         report = solve_direct(lin)
-    else:
+    elif config.solver == "min_norm":
         report = solve_min_norm(lin)
+    else:
+        report = solve(lin)
+    solver = "direct" if report.method == "direct" else "min_norm"
 
     u_true = problem.u(cloud.intrinsic) if problem is not None else None
     if u_true is not None:
@@ -408,6 +408,7 @@ def run_solve(config: RunConfig) -> dict:
             "error_l2": report.error_l2,
             "residual_inf": report.residual_inf,
             "iterations": report.iterations,
+            "factor_nnz": report.factor_nnz,
             "d_hat": d_hat,
             "pair_evals": pair_evals,
             "wall_time_seconds": time.perf_counter() - start,

@@ -1,16 +1,38 @@
 """Linear solves for (a + L) u = f and convergence experiments.
 
-Two routes, matching the two well-posedness regimes:
+Both regimes run through one helper.  It orders the scaled system
+B = eps (a + L) = S - I + eps diag(a) by reverse Cuthill-McKee, slices it
+once in that order, takes an incomplete LU of it (``spilu``, drop
+tolerance ``ILU_DROP_TOL`` = 1e-2, natural order after the permutation)
+and solves with ILU-preconditioned GMRES (Saad & Schultz, 1986).  The
+stopping rule: one GMRES call (restart ``GMRES_RESTART`` = 100) stops
+when its residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that of
+its right-hand side, or after ``GMRES_MAX_CYCLES`` = 10 restart cycles;
+the uniform residual is then recomputed with B, and while it is above
+the route's target it is fed back as the next right-hand side, for at
+most ``REFINE_ROUNDS`` = 3 calls.
 
-* ``solve_direct`` for strictly negative a: the scaled system
-  (1 - eps a) I - S is strictly diagonally dominant, hence nonsingular with
-  inf-norm inverse bounded by 1/min(-a), so a sparse LU factorization is
-  stable and the residual contract is tight.
-* ``solve_min_norm`` for a = 0 (singular generator): the unique minimum-norm
-  least-squares solution, by LSQR from the zero vector with iterative
-  refinement (corrections stay in the row space, preserving orthogonality
-  to the nullspace), cross-checkable against a truncated-SVD pseudo-inverse
-  for moderate N.
+* ``solve_direct`` for strictly negative a: the scaled system is strictly
+  diagonally dominant, hence nonsingular with inf-norm inverse bounded by
+  1/min(-a); refinement enforces a relative uniform residual of at most
+  ``DIRECT_RESIDUAL_RTOL``.
+* ``solve_min_norm`` for a <= 0 with max(a) = 0, above all a = 0 (singular
+  generator): the minimum-norm least-squares solution (a + L)^+ f by
+  rank-one deflation.  One point q of the unique closed class of S with
+  a = 0 on it is pinned (row and column removed), which leaves a
+  nonsingular system; the left null vector w (w (a + L) = 0, w_q = 1)
+  comes from a transpose GMRES solve with the same ILU; f is projected
+  onto range(a + L) = w^perp, the pinned system is solved, and the
+  component along the right null vector is removed.  For a = 0 that
+  vector is the constant one, so the mean is subtracted; otherwise it
+  comes from one more GMRES solve.  With no such class a + L is
+  nonsingular and is solved unpinned.  A truncated-SVD pseudo-inverse is
+  available for moderate N as the cross-check.
+
+Failures are named: more than one closed class raises
+:class:`DisconnectedGraphError`; an ILU breakdown, GMRES non-convergence
+or an exhausted iteration cap raise :class:`DirectSolveError` or
+:class:`MinNormConvergenceError` with the best iterate and its residual.
 """
 
 from __future__ import annotations
@@ -34,7 +56,9 @@ __all__ = [
     "EpsilonSweep",
     "MinNormConvergenceError",
     "DirectSolveError",
+    "DisconnectedGraphError",
     "ConvergenceStudyError",
+    "solve",
     "solve_direct",
     "solve_min_norm",
     "error_report",
@@ -48,23 +72,50 @@ __all__ = [
 DIRECT_RESIDUAL_RTOL = 1e-10
 SVD_TRUNCATION_RTOL = 1e-8
 SVD_MAX_N = 3000
+ILU_DROP_TOL = 1e-2
+GMRES_RESTART = 100
+# at 1e-12 and below GMRES stalls short of the tolerance on bvp1d and the
+# half-ellipse at paper size, even with exact LU factors
+GMRES_RTOL = 1e-10
+GMRES_MAX_CYCLES = 10
+REFINE_ROUNDS = 3
 
 
 class DirectSolveError(RuntimeError):
-    """Direct factorization failed the residual contract."""
+    """The direct solve failed its residual contract or broke down."""
 
-    def __init__(self, message, residual_inf):
+    def __init__(self, message, residual_inf, best_u=None):
         super().__init__(message)
         self.residual_inf = residual_inf
+        self.best_u = best_u
 
 
 class MinNormConvergenceError(RuntimeError):
-    """LSQR did not reach tolerance within the iteration cap."""
+    """The minimum-norm solve did not converge within its iteration cap."""
 
     def __init__(self, message, best_u, residual):
         super().__init__(message)
         self.best_u = best_u
         self.residual = residual
+
+
+class DisconnectedGraphError(RuntimeError):
+    """S has more than one closed class, so L has nullity > 1.
+
+    ``n_classes`` is the number of closed classes (strongly connected
+    components of the positive pattern of S that no edge leaves) and
+    ``extra_points`` names the smallest point index of every class after
+    the first.
+    """
+
+    def __init__(self, n_classes, extra_points):
+        super().__init__(
+            f"the kNN graph has {n_classes} closed classes with a = 0, so the nullspace of "
+            f"a + L has dimension {n_classes}; points {list(extra_points)} lie in classes "
+            "beyond the first (increase k or the bandwidth)"
+        )
+        self.n_classes = n_classes
+        self.extra_points = extra_points
 
 
 class ConvergenceStudyError(RuntimeError):
@@ -100,17 +151,20 @@ class SolveReport:
     """Solution vector plus residual/error diagnostics.
 
     ``residual_inf`` is the uniform residual for the direct method and the
-    least-squares residual 2-norm for the minimum-norm method.  Error
-    fields are filled by :meth:`with_errors` when an analytic truth is
-    available; ``error_inf_best_shift`` additionally minimizes the uniform
-    error over an added constant (the solution family of the singular
-    problem).
+    least-squares residual 2-norm for the minimum-norm method.
+    ``iterations`` counts GMRES iterations (left null vector, solve and
+    refinement) and ``factor_nnz`` the stored entries of the incomplete
+    L + U; both are None where no Krylov solve runs.  Error fields are
+    filled by :meth:`with_errors` when an analytic truth is available;
+    ``error_inf_best_shift`` additionally minimizes the uniform error over
+    an added constant (the solution family of the singular problem).
     """
 
     u_hat: np.ndarray
     method: str
     residual_inf: float
     iterations: int | None = None
+    factor_nnz: int | None = None
     error_inf: float | None = None
     error_l2: float | None = None
     error_inf_best_shift: float | None = None
@@ -127,11 +181,128 @@ class SolveReport:
         )
 
 
-def solve_direct(problem: LinearProblem) -> SolveReport:
-    """Sparse LU solve of (diag(a) + L) u = f for strictly negative a.
+class _KrylovFailure(Exception):
+    """Raised by :class:`_IluGmres` with (best u, its residual) or None."""
 
-    Iterative refinement with the retained factors enforces a relative
-    uniform residual of at most 1e-10.
+    def __init__(self, message, best=None):
+        super().__init__(message)
+        self.best = best
+
+
+class _IluGmres:
+    """B = eps (diag(a) + L) in RCM order, less the ``pinned`` row and column.
+
+    B is sliced from S once, already in that order, and its diagonal is set
+    in place to (S_ii - 1) + eps a_i.  The incomplete factors are those of
+    B^T, whose CSC arrays are B's CSR arrays, so nothing is copied; B^T is
+    column diagonally dominant, the case in which elimination needs no
+    pivoting.  Every GMRES iteration, over all calls, counts against
+    ``iter_cap``.
+    """
+
+    def __init__(self, generator, shift, pinned, iter_cap):
+        # imported here so that importing lokpde does not load csgraph
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        self.s_matrix, self.epsilon = generator.s_matrix, generator.epsilon
+        self.pinned, self.iter_cap, self.iterations = pinned, iter_cap, 0
+        order = reverse_cuthill_mckee(self.s_matrix, symmetric_mode=True)
+        self.order = order if pinned is None else order[order != pinned]
+        b = self.s_matrix[self.order][:, self.order]
+        b.sort_indices()
+        b.setdiag((b.diagonal() - 1.0) + self.epsilon * shift[self.order])
+        self.matrix = b
+        try:
+            ilu = scipy.sparse.linalg.spilu(b.T, drop_tol=ILU_DROP_TOL, permc_spec="NATURAL")
+        except RuntimeError as exc:
+            raise _KrylovFailure(f"incomplete LU broke down: {exc}") from None
+        self.factor_nnz = int(ilu.L.nnz + ilu.U.nnz)
+        self._precond = scipy.sparse.linalg.LinearOperator(b.shape, lambda v: ilu.solve(v, "T"))
+        self._precond_t = scipy.sparse.linalg.LinearOperator(b.shape, ilu.solve)
+
+    def _gmres(self, matrix, precond, rhs):
+        """(x, converged): one preconditioned GMRES call from zero.
+
+        Returns (0, False) without iterating once the cap is spent.
+        """
+        budget = min(self.iter_cap - self.iterations, GMRES_MAX_CYCLES * GMRES_RESTART)
+        if budget <= 0:
+            return np.zeros_like(rhs), False
+
+        def count(_):
+            self.iterations += 1
+
+        x, info = scipy.sparse.linalg.gmres(
+            matrix, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART, maxiter=budget,
+            M=precond, callback=count, callback_type="legacy",
+        )
+        return x, info == 0
+
+    def _spent(self):
+        cap = " (the iteration cap)" if self.iterations >= self.iter_cap else ""
+        return f"after {self.iterations} GMRES iterations{cap}"
+
+    def null_vector(self, left):
+        """v with v (a + L) = 0 (``left``) or (a + L) v = 0, and v = 1 at the pin.
+
+        Off the pinned point these read B^T v_rest = -(pinned row of S) or
+        B v_rest = -(pinned column of S), both in order.
+        """
+        if left:
+            matrix, precond, coupling = self.matrix.T, self._precond_t, self.s_matrix[self.pinned]
+        else:
+            matrix, precond, coupling = self.matrix, self._precond, self.s_matrix[:, [self.pinned]].T
+        v_rest, converged = self._gmres(matrix, precond, -coupling.toarray().ravel()[self.order])
+        if not converged:
+            side = "left" if left else "right"
+            raise _KrylovFailure(f"no {side} null vector {self._spent()}")
+        v = np.ones(self.s_matrix.shape[0])
+        v[self.order] = v_rest
+        return v
+
+    def solve(self, rhs, target):
+        """(u, residual) with |rhs - (a + L) u|_inf <= target off the pinned row.
+
+        u is 0 at the pinned point, and so is the residual returned there.
+        After each GMRES call the residual is recomputed with B and fed
+        back as the next right-hand side, at most ``REFINE_ROUNDS`` times.
+        """
+        scaled = self.epsilon * rhs[self.order]
+        x, residual = np.zeros(scaled.size), scaled
+        for _ in range(REFINE_ROUNDS):
+            delta, _ = self._gmres(self.matrix, self._precond, residual)
+            x += delta
+            residual = scaled - self.matrix @ x
+            worst = np.abs(residual).max() / self.epsilon
+            if worst <= target:
+                break
+        u, full_residual = np.zeros(rhs.size), np.zeros(rhs.size)
+        u[self.order], full_residual[self.order] = x, residual / self.epsilon
+        if worst > target:
+            raise _KrylovFailure(
+                f"uniform residual {worst:.3e} above {target:.3e} {self._spent()}",
+                (u, full_residual),
+            )
+        return u, full_residual
+
+
+def solve(problem: LinearProblem) -> SolveReport:
+    """Direct solve if max(a) < 0, otherwise the minimum-norm solve."""
+    if problem.shift.max() < 0:
+        return solve_direct(problem)
+    return solve_min_norm(problem)
+
+
+def solve_direct(problem: LinearProblem) -> SolveReport:
+    """Solve (diag(a) + L) u = f for strictly negative a.
+
+    Runs the shared RCM / ILU / GMRES helper on the whole system (no
+    pinning) and refines until the relative uniform residual
+    |f - (a + L) u|_inf / |f|_inf is at most ``DIRECT_RESIDUAL_RTOL``
+    (1e-10).  Raises :class:`DirectSolveError`, with the best iterate and
+    its uniform residual, if the ILU breaks down or the contract is not
+    met within ``REFINE_ROUNDS`` GMRES calls (each at most
+    ``GMRES_MAX_CYCLES`` restart cycles).
     """
     a, f = problem.shift, problem.rhs
     if a.max() >= 0:
@@ -139,56 +310,75 @@ def solve_direct(problem: LinearProblem) -> SolveReport:
             "direct solve requires max(a) < 0 (strict diagonal dominance); "
             "use solve_min_norm for the singular case"
         )
-    A = problem.generator.shifted_matrix(a).tocsc()
-    lu = scipy.sparse.linalg.splu(A)
-    u = lu.solve(f)
+    gen = problem.generator
+    n = gen.n_points
     f_scale = max(float(np.abs(f).max()), np.finfo(float).tiny)
-    residual = f - A @ u
-    for _ in range(3):
-        if np.abs(residual).max() <= DIRECT_RESIDUAL_RTOL * f_scale:
-            break
-        u = u + lu.solve(residual)
-        residual = f - A @ u
-    res_inf = float(np.abs(residual).max())
-    if res_inf > DIRECT_RESIDUAL_RTOL * f_scale:
+    if not np.any(f):
+        return SolveReport(np.zeros(n), "direct", 0.0, iterations=0, epsilon_used=gen.epsilon)
+    try:
+        system = _IluGmres(gen, a, None, np.iinfo(np.int64).max)
+        u, residual = system.solve(f, DIRECT_RESIDUAL_RTOL * f_scale)
+    except _KrylovFailure as exc:
+        u, residual = exc.best or (np.zeros(n), f)
+        res_inf = float(np.abs(residual).max())
         raise DirectSolveError(
-            f"direct solve stalled at relative residual {res_inf / f_scale:.3e}", res_inf
-        )
-    return SolveReport(u, "direct", res_inf, epsilon_used=problem.generator.epsilon)
-
-
-def _lsqr_min_norm(A, f, tol, iter_cap):
-    """LSQR from zero with refinement; returns (u, total_iterations).
-
-    Each correction is itself an LSQR solve from zero, so every iterate
-    lies in the row space of A and the limit is the minimum-norm
-    least-squares solution.  Stops when the correction is below ``tol``
-    relative to the iterate.
-    """
-    n = A.shape[1]
-    u = np.zeros(n)
-    residual = f.copy()
-    total_itn = 0
-    for _ in range(12):
-        remaining = iter_cap - total_itn
-        if remaining <= 0:
-            raise MinNormConvergenceError(
-                f"minimum-norm solve exceeded the iteration cap {iter_cap}",
-                u,
-                float(np.linalg.norm(residual)),
-            )
-        result = scipy.sparse.linalg.lsqr(
-            A, residual, atol=tol, btol=tol, conlim=0.0, iter_lim=remaining
-        )
-        delta, itn = result[0], result[2]
-        total_itn += itn
-        u = u + delta
-        residual = f - A @ u
-        if np.linalg.norm(delta) <= tol * max(np.linalg.norm(u), 1.0):
-            return u, total_itn
-    raise MinNormConvergenceError(
-        "minimum-norm refinement failed to settle", u, float(np.linalg.norm(residual))
+            f"direct solve failed at relative residual {res_inf / f_scale:.3e}: {exc}", res_inf, u
+        ) from None
+    return SolveReport(
+        u, "direct", float(np.abs(residual).max()), iterations=system.iterations,
+        factor_nnz=system.factor_nnz, epsilon_used=gen.epsilon,
     )
+
+
+def _null_classes(s_matrix, shift):
+    """Smallest point index of each closed class of S with a = 0 on it.
+
+    A closed class is a strongly connected component of the pattern of S
+    that no edge leaves; with a <= 0, each one on which a = 0 carries one
+    null vector of a + L.  The pattern keeps the entries above float64's
+    machine epsilon: S_ii carries a rounding error of that size, so a row
+    whose other entries are all smaller is absorbing in floating point
+    (S_ii - 1 rounds to 0).
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    tiny = np.finfo(float).eps
+    pattern = s_matrix if (s_matrix.data > tiny).all() else (s_matrix > tiny).tocsr()
+    n_comp, labels = connected_components(pattern, directed=True, connection="strong")
+    tails = np.repeat(labels, np.diff(pattern.indptr))
+    heads = labels[pattern.indices]
+    leaks = np.zeros(n_comp, dtype=bool)
+    leaks[tails[tails != heads]] = True
+    leaks[labels[shift != 0]] = True
+    _, first_member = np.unique(labels, return_index=True)
+    return np.sort(first_member[~leaks])
+
+
+def _deflated_min_norm(gen, a, f, tol, iter_cap):
+    """(u, iterations, factor_nnz): (a + L)^+ f for a <= 0 by rank-one deflation."""
+    n = gen.n_points
+    classes = _null_classes(gen.s_matrix, a)
+    if classes.size > 1:
+        raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
+    pinned = int(classes[0]) if classes.size else None
+    if pinned is not None and n == 1:
+        return np.zeros(1), 0, 0
+    target = tol * float(np.abs(f).max())
+    try:
+        system = _IluGmres(gen, a, pinned, iter_cap)
+        if pinned is None:  # a + L is nonsingular
+            u, _ = system.solve(f, target)
+        else:
+            w = system.null_vector(left=True)
+            u, _ = system.solve(f - (w @ f) / (w @ w) * w, target)
+            v = system.null_vector(left=False) if a.any() else np.ones(n)
+            u -= (v @ u) / (v @ v) * v
+    except _KrylovFailure as exc:
+        u = exc.best[0] if exc.best else np.zeros(n)
+        raise MinNormConvergenceError(
+            f"minimum-norm solve failed: {exc}", u, float(np.linalg.norm(gen.apply(u) + a * u - f))
+        ) from None
+    return u, system.iterations, system.factor_nnz
 
 
 def _svd_min_norm(A, f):
@@ -207,33 +397,53 @@ def solve_min_norm(
 ) -> SolveReport:
     """Minimum-norm least-squares solution of (diag(a) + L) u = f.
 
-    ``method="iterative"`` (default) runs LSQR with refinement to relative
-    tolerance ``tol`` with an iteration cap of 20 N; ``method="svd"``
-    computes the truncated-SVD pseudo-inverse (singular values below
-    1e-8 sigma_max dropped), available for N <= 3000.  The two agree to
-    well within 10 tol where both apply.
+    ``method="iterative"`` (default) needs a <= 0 and computes
+    (a + L)^+ f by rank-one deflation: it pins the smallest-index point q
+    of the unique closed class of S with a = 0 on it, gets the left null
+    vector w from a transpose GMRES solve, projects f onto w^perp, solves
+    the pinned system with the shared RCM / ILU / GMRES helper, refining
+    until the uniform residual off q is at most ``tol`` max|f|, and
+    removes the right null vector's component (for a = 0: subtracts the
+    mean).  ``iter_cap`` (default 20 N) caps the GMRES iterations of all
+    calls together.  Raises :class:`DisconnectedGraphError` when S has
+    more than one closed class with a = 0 on it and
+    :class:`MinNormConvergenceError` (best iterate and least-squares
+    residual attached) on an ILU breakdown, GMRES non-convergence or an
+    exhausted cap.
+
+    ``method="svd"`` computes the truncated-SVD pseudo-inverse (singular
+    values below 1e-8 sigma_max dropped) of diag(a) + L, available for
+    N <= 3000.  The two agree to well within 10 tol where both apply.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     generator = problem.generator
     n = generator.n_points
-    A = generator.shifted_matrix(problem.shift)
     f = problem.rhs
+    if method not in ("iterative", "svd"):
+        raise ValueError(f"unknown min-norm method {method!r}")
     if not np.any(f):
         return SolveReport(
             np.zeros(n), f"min_norm_{method}", 0.0, iterations=0, epsilon_used=generator.epsilon
         )
+    factor_nnz = None
     if method == "iterative":
-        u, itn = _lsqr_min_norm(A.tocsr(), f, tol, 20 * n if iter_cap is None else iter_cap)
-    elif method == "svd":
+        a = problem.shift
+        if a.max() > 0:
+            raise ValueError("the iterative minimum-norm solve needs a <= 0; use method='svd'")
+        u, itn, factor_nnz = _deflated_min_norm(
+            generator, a, f, tol, 20 * n if iter_cap is None else iter_cap
+        )
+        residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
+    else:
         if n > SVD_MAX_N:
             raise ValueError(f"svd path is limited to N <= {SVD_MAX_N}, got N={n}")
+        A = generator.shifted_matrix(problem.shift)
         u, itn = _svd_min_norm(A, f), 0
-    else:
-        raise ValueError(f"unknown min-norm method {method!r}")
-    residual = float(np.linalg.norm(A @ u - f))
+        residual = float(np.linalg.norm(A @ u - f))
     return SolveReport(
-        u, f"min_norm_{method}", residual, iterations=itn, epsilon_used=generator.epsilon
+        u, f"min_norm_{method}", residual, iterations=itn, factor_nnz=factor_nnz,
+        epsilon_used=generator.epsilon,
     )
 
 
@@ -301,12 +511,7 @@ def _solve_zoo(problem, cloud, coeffs, cfg, debias, neighbors):
     gen = build_operator(cloud, coeffs, cfg, debias=debias, neighbors=neighbors)
     shift = problem.shift(cloud.intrinsic)
     rhs = problem.f(cloud.intrinsic)
-    lin = LinearProblem(gen, shift, rhs)
-    if shift.max() < 0:
-        report = solve_direct(lin)
-    else:
-        report = solve_min_norm(lin)
-    return report.with_errors(problem.u(cloud.intrinsic))
+    return solve(LinearProblem(gen, shift, rhs)).with_errors(problem.u(cloud.intrinsic))
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -334,7 +539,7 @@ def oracle_epsilon(
         cfg = KernelConfig(eps, eps, min(k, cloud.n_points))
         try:
             return _solve_zoo(problem, cloud, coeffs, cfg, debias, neighbors).error_inf
-        except (DirectSolveError, MinNormConvergenceError):
+        except (DirectSolveError, MinNormConvergenceError, DisconnectedGraphError):
             # bandwidths where the solve cannot meet its residual contract
             # (e.g. eps so small that 1/eps swamps double precision) are
             # simply not candidates

@@ -10,7 +10,7 @@ from lokpde.geometry import CoefficientField, sample_points, sample_sphere
 from lokpde.kernels import KernelConfig
 from lokpde.operator import GeneratorMatrix, build_operator
 from lokpde.problems import analytic_pair, problem_coefficients
-from lokpde.solver import LinearProblem, SolveReport, solve_direct, solve_min_norm
+from lokpde.solver import LinearProblem, SolveReport, solve, solve_min_norm
 
 
 @dataclass
@@ -41,8 +41,7 @@ def run_zoo(problem_id, n_points, k, epsilon, tilde_epsilon, debias, mode="unifo
     gen = build_operator(cloud, coeffs, cfg, debias=debias)
     x = cloud.intrinsic
     u, f, a = problem.u(x), problem.f(x), problem.shift(x)
-    lin = LinearProblem(gen, a, f)
-    report = solve_direct(lin) if a.max() < 0 else solve_min_norm(lin)
+    report = solve(LinearProblem(gen, a, f))
     elapsed = time.perf_counter() - start
     op_error = np.abs(gen.apply(u) + a * u - f)
     return ZooRun(

@@ -389,6 +389,29 @@ class TestMainEntry:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["N"] == 120
         assert record["error_inf"] is not None
+        assert isinstance(record["iterations"], int) and record["iterations"] > 0
+        assert isinstance(record["factor_nnz"], int) and record["factor_nnz"] > 0
+
+    def test_auto_solver_record(self, capsys):
+        # a = 0 on the ellipse: "auto" takes the minimum-norm route
+        code = main(
+            ["solve", "--problem", "ellipse", "--N", "200", "--k", "40", "--epsilon", "2e-3",
+             "--tilde-epsilon", "2e-3"]
+        )
+        assert code == 0
+        record = json.loads(capsys.readouterr().out.strip())
+        assert record["solver"] == "min_norm"
+        assert record["iterations"] > 0 and record["factor_nnz"] > 0
+
+    def test_disconnected_cloud_exit_code(self, tmp_path, capsys):
+        pts = np.vstack([np.eye(3) * 0.1, np.eye(3) * 0.1 + 50.0])
+        cloud_path = write_cloud(tmp_path, pts)
+        code = main(
+            ["solve", "--problem", cloud_path, "--rhs", "1", "--epsilon", "0.5",
+             "--tilde-epsilon", "0.5", "--k", "2"]
+        )
+        assert code == 2
+        assert "closed classes" in capsys.readouterr().err
 
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(

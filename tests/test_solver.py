@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lokpde.geometry import CoefficientField, PointCloud, ambient_cloud_manifold, sample_points
 from lokpde.kernels import KernelConfig, assemble_kernel_matrix
 from lokpde.operator import build_operator, left_normalize
 from lokpde.problems import analytic_pair, problem_coefficients
+from lokpde.operator import GeneratorMatrix
 from lokpde.solver import (
     ConvergenceStudyError,
     DirectSolveError,
+    DisconnectedGraphError,
     LinearProblem,
     MinNormConvergenceError,
+    _null_classes,
+    _IluGmres,
     best_shift_error,
     check_minimum_norm_certificate,
     convergence_study,
     epsilon_sweep,
     error_report,
+    solve,
     solve_direct,
     solve_min_norm,
 )
@@ -129,6 +137,256 @@ class TestMinNorm:
             solve_min_norm(lin, iter_cap=3)
         assert info.value.best_u.shape == (1000,)
         assert np.isfinite(info.value.residual)
+
+
+def lsqr_min_norm(A, f, tol=1e-8):
+    """Minimum-norm oracle for N past SVD_MAX_N: LSQR from zero with
+    refinement (every correction starts from zero, so every iterate stays
+    in the row space of A)."""
+    u = np.zeros(A.shape[1])
+    residual = f.copy()
+    for _ in range(12):
+        delta = scipy.sparse.linalg.lsqr(
+            A, residual, atol=tol, btol=tol, conlim=0.0, iter_lim=20 * A.shape[1]
+        )[0]
+        u = u + delta
+        residual = f - A @ u
+        if np.linalg.norm(delta) <= tol * max(np.linalg.norm(u), 1.0):
+            return u
+    raise AssertionError("LSQR oracle did not settle")
+
+
+def splu_solve(generator, a, f):
+    """Direct oracle: sparse LU of diag(a) + L."""
+    return scipy.sparse.linalg.splu(generator.shifted_matrix(a).tocsc()).solve(f)
+
+
+def cloud_generator(pts, k, eps, debias=False, drift=None):
+    n, dim = pts.shape
+    coeffs = CoefficientField.isotropic(n, dim)
+    if drift is not None:
+        coeffs = CoefficientField(drift, coeffs.diffusion_inv)
+    cloud = PointCloud(pts, None, "iid_density", ambient_cloud_manifold(dim))
+    return build_operator(cloud, coeffs, KernelConfig(eps, eps, k), debias=debias)
+
+
+def fake_generator(s_rows, eps=1.0):
+    s = scipy.sparse.csr_matrix(np.array(s_rows, dtype=float))
+    return GeneratorMatrix(s, eps, False, np.ones(s.shape[0]))
+
+
+class TestSolveDispatch:
+    def test_routes_on_the_sign_of_a(self):
+        gen = small_generator(n=20, seed=4)
+        f = gen.apply(np.random.default_rng(4).normal(size=20))
+        assert solve(LinearProblem(gen, np.full(20, -1.0), f)).method == "direct"
+        assert solve(LinearProblem(gen, np.zeros(20), f)).method == "min_norm_iterative"
+
+    def test_iterative_min_norm_needs_nonpositive_shift(self):
+        gen = small_generator()
+        with pytest.raises(ValueError, match="a <= 0"):
+            solve_min_norm(LinearProblem(gen, np.full(6, 0.5), np.ones(6)))
+
+    def test_counters(self, ellipse_paper):
+        rep = ellipse_paper.report
+        assert 0 < rep.iterations <= 20 * 1000
+        assert rep.factor_nnz > 0
+
+
+class TestNamedFailures:
+    def test_two_clusters_are_disconnected(self):
+        # k = 5 below the cluster size 10: no kNN edge joins the clusters
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(scale=0.1, size=(10, 2)),
+                         rng.normal(scale=0.1, size=(10, 2)) + [50.0, 0.0]])
+        gen = cloud_generator(pts, 5, 0.05)
+        with pytest.raises(DisconnectedGraphError) as info:
+            solve(LinearProblem(gen, np.zeros(20), rng.normal(size=20)))
+        assert info.value.n_classes == 2
+        assert info.value.extra_points == [10]
+        assert "2 closed classes" in str(info.value)
+
+    def test_underflowing_links_are_disconnected(self):
+        # the clusters are joined only by kernel values ~ e^-500 > 0, below
+        # the rounding error of S_ii: in floating point they are separate
+        pts = np.array([[0.0], [0.05], [1.0], [1.05]])
+        gen = cloud_generator(pts, 4, 1e-3)
+        assert 0 < gen.s_matrix[0, 2] < np.finfo(float).eps
+        with pytest.raises(DisconnectedGraphError) as info:
+            solve_min_norm(LinearProblem(gen, np.zeros(4), np.array([1.0, 0.0, 0.0, -1.0])))
+        assert (info.value.n_classes, info.value.extra_points) == (2, [2])
+
+    def test_transient_point_is_not_a_class(self):
+        # point 0 sits far out: its neighbours are cluster points, but no
+        # cluster point has it as a neighbour, so it is transient and the
+        # pinned point must come from the cluster
+        rng = np.random.default_rng(1)
+        pts = np.vstack([[3.0, 0.0], rng.normal(scale=0.3, size=(15, 2))])
+        gen = cloud_generator(pts, 4, 1.0)
+        assert _null_classes(gen.s_matrix, np.zeros(16)).tolist() == [1]
+        f = rng.normal(size=16)
+        # a < 0 at the transient point only: the class stays singular, but
+        # the right null vector is no longer constant
+        for a0 in (0.0, -1.0):
+            a = np.zeros(16)
+            a[0] = a0
+            rep = solve_min_norm(LinearProblem(gen, a, f))
+            dense = gen.matrix().toarray() + np.diag(a)
+            np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
+
+    def test_forced_iteration_cap(self, ellipse_paper):
+        lin = LinearProblem(ellipse_paper.generator, ellipse_paper.shift, ellipse_paper.rhs)
+        cap = ellipse_paper.report.iterations // 2
+        with pytest.raises(MinNormConvergenceError, match="cap") as info:
+            solve_min_norm(lin, iter_cap=cap)
+        assert info.value.best_u.shape == (1000,)
+        assert np.isfinite(info.value.residual)
+
+    def test_ilu_breakdown_min_norm(self):
+        # not row-stochastic: pinning point 0 leaves B = S_11 - 1 = 0
+        gen = fake_generator([[0.5, 0.5], [0.5, 1.0]])
+        with pytest.raises(MinNormConvergenceError, match="incomplete LU") as info:
+            solve_min_norm(LinearProblem(gen, np.zeros(2), np.array([1.0, -1.0])))
+        assert info.value.best_u.tolist() == [0.0, 0.0]
+
+    def test_ilu_breakdown_direct(self):
+        # B = S_00 - 1 + eps a = 2 - 1 - 1 = 0
+        gen = fake_generator([[2.0]])
+        with pytest.raises(DirectSolveError, match="incomplete LU") as info:
+            solve_direct(LinearProblem(gen, np.array([-1.0]), np.array([1.0])))
+        assert info.value.residual_inf == 1.0
+        assert info.value.best_u.tolist() == [0.0]
+
+    def test_oracle_epsilon_skips_disconnected(self, monkeypatch):
+        import lokpde.solver as solver_module
+
+        real = solver_module.solve_direct
+
+        def disconnected_below(problem):
+            if problem.generator.epsilon < 1e-4:
+                raise DisconnectedGraphError(2, [1])
+            return real(problem)
+
+        monkeypatch.setattr(solver_module, "solve_direct", disconnected_below)
+        problem = analytic_pair("bvp1d")
+        cloud = sample_points(problem.manifold, 100, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        eps, err = solver_module.oracle_epsilon(
+            problem, cloud, coeffs, 20, n_coarse=5, n_refine=2, debias=False
+        )
+        assert eps >= 1e-4 and np.isfinite(err)
+
+
+@st.composite
+def small_systems(draw):
+    """A random 1-3-D cloud in the unit cube with drift, a bandwidth, k in
+    [N/3, N], a random f, a random negative shift and a permutation."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(10, 60))
+    k = draw(st.integers(-(-n // 3), n))
+    eps = draw(st.floats(0.02, 0.3))
+    debias = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(size=(n, dim))
+    drift = rng.uniform(-1.0, 1.0, size=(n, dim))
+    gen = cloud_generator(pts, k, eps, debias, drift)
+    a = -rng.uniform(0.5, 2.0, size=n)
+    return pts, drift, k, eps, debias, gen, rng.normal(size=n), a, rng.permutation(n)
+
+
+class TestSolverProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
+    def test_min_norm_is_the_pseudo_inverse(self, system):
+        _, _, _, _, _, gen, f, a, perm = system
+        n = gen.n_points
+        assume(_null_classes(gen.s_matrix, np.zeros(n)).size == 1)
+        dense = gen.matrix().toarray()
+        rep = solve_min_norm(LinearProblem(gen, np.zeros(n), f))
+        np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
+        assert check_minimum_norm_certificate(rep.u_hat, gen)
+        # a = 0 on half the points, negative elsewhere: nonsingular
+        mixed = np.where(perm < n // 2, 0.0, a)
+        rep = solve_min_norm(LinearProblem(gen, mixed, f))
+        np.testing.assert_allclose(
+            rep.u_hat, np.linalg.solve(dense + np.diag(mixed), f), atol=1e-8
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
+    def test_null_vectors(self, system):
+        _, _, _, _, _, gen, _, _, _ = system
+        n = gen.n_points
+        classes = _null_classes(gen.s_matrix, np.zeros(n))
+        assume(classes.size == 1)
+        helper = _IluGmres(gen, np.zeros(n), int(classes[0]), 20 * n)
+        dense = gen.matrix().toarray()
+        w = helper.null_vector(left=True)
+        assert np.abs(w @ dense).max() <= 1e-9 * np.abs(w).sum() * np.abs(dense).max()
+        np.testing.assert_allclose(helper.null_vector(left=False), 1.0, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
+    def test_direct_is_the_inverse(self, system):
+        _, _, _, _, _, gen, f, a, _ = system
+        rep = solve_direct(LinearProblem(gen, a, f))
+        dense = gen.matrix().toarray() + np.diag(a)
+        np.testing.assert_allclose(rep.u_hat, np.linalg.solve(dense, f), atol=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
+    def test_permutation_equivariance(self, system):
+        pts, drift, k, eps, debias, gen, f, a, perm = system
+        assume(_null_classes(gen.s_matrix, np.zeros(gen.n_points)).size == 1)
+        n = gen.n_points
+        gen_p = cloud_generator(pts[perm], k, eps, debias, drift[perm])
+        for shift in (np.zeros(n), a):
+            u = solve(LinearProblem(gen, shift, f)).u_hat
+            u_p = solve(LinearProblem(gen_p, shift[perm], f[perm])).u_hat
+            np.testing.assert_allclose(u_p, u[perm], atol=1e-9)
+
+
+class TestOraclePins:
+    def test_torus_matches_lsqr(self, torus_paper):
+        run = torus_paper
+        oracle = lsqr_min_norm(run.generator.shifted_matrix(run.shift), run.rhs)
+        assert np.abs(run.report.u_hat - oracle).max() <= 1e-7
+
+    def test_sphere_direct_matches_splu(self, sphere_run):
+        gen = sphere_run.generator
+        a = np.full(3000, -1.0)
+        f = -7.0 * sphere_run.u_true
+        rep = solve_direct(LinearProblem(gen, a, f))
+        assert rep.residual_inf <= 1e-10 * np.abs(f).max()
+        oracle = splu_solve(gen, a, f)
+        assert np.abs(rep.u_hat - oracle).max() <= 1e-9 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7])
+    def test_narrow_bandwidth_direct_matches_splu(self, eps):
+        # S is nearly I here: B's diagonal (S_ii - 1) + eps a_i must keep
+        # its relative accuracy, which S_ii + (eps a_i - 1) loses
+        problem = analytic_pair("bvp1d")
+        cloud = sample_points(problem.manifold, 1000, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        gen = build_operator(cloud, coeffs, KernelConfig(eps, eps, 100), debias=False)
+        x = cloud.intrinsic
+        a, f = problem.shift(x), problem.f(x)
+        oracle = splu_solve(gen, a, f)
+        u = solve_direct(LinearProblem(gen, a, f)).u_hat
+        assert np.abs(u - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("b", [1.0, 10.0, 100.0, 1000.0])
+    def test_bvp1d_drift_sweep_direct_matches_splu(self, b):
+        problem = analytic_pair("bvp1d", b=b)
+        cloud = sample_points(problem.manifold, 1000, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        gen = build_operator(cloud, coeffs, KernelConfig(2e-6, 2e-6, 100), debias=False)
+        x = cloud.intrinsic
+        a, f = problem.shift(x), problem.f(x)
+        rep = solve_direct(LinearProblem(gen, a, f))
+        assert rep.residual_inf <= 1e-10 * np.abs(f).max()
+        oracle = splu_solve(gen, a, f)
+        assert np.abs(rep.u_hat - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
 
 class TestErrorReport:
