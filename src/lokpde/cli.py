@@ -336,10 +336,11 @@ def _build_system(config: RunConfig, cloud, problem):
 
 
 def _resolve_bandwidths(config: RunConfig, cloud, coeffs):
-    """(epsilon, tilde_epsilon, d_hat, pair_evals); the last two are None
-    unless a bandwidth is "auto"."""
+    """(epsilon, tilde_epsilon, d_hat, pair_evals, tune_seconds); d_hat and
+    pair_evals are None and tune_seconds 0.0 unless a bandwidth is "auto"."""
     eps, tilde = config.epsilon, config.tilde_epsilon
     d_hat = pair_evals = None
+    start = time.perf_counter()
     if eps == "auto":
         report = tune_bandwidth(cloud, coeffs)
         eps, d_hat, pair_evals = report.epsilon_star, report.d_hat, report.pair_evals
@@ -349,7 +350,8 @@ def _resolve_bandwidths(config: RunConfig, cloud, coeffs):
         if d_hat is None:
             d_hat = report.d_hat
         pair_evals = (pair_evals or 0) + report.pair_evals
-    return float(eps), float(tilde), d_hat, pair_evals
+    tune_seconds = 0.0 if pair_evals is None else time.perf_counter() - start
+    return float(eps), float(tilde), d_hat, pair_evals, tune_seconds
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -365,15 +367,25 @@ def _fmt(value) -> str:
 
 
 def run_solve(config: RunConfig) -> dict:
-    """Full pipeline for one solve; returns the result record."""
+    """Full pipeline for one solve; returns the result record.
+
+    The record's ``stages`` holds the seconds of the bandwidth scans
+    (``operator.tune_s``, 0.0 when no bandwidth is "auto"), the operator
+    build, the solve (``solver.direct_s`` or ``solver.min_norm_s``) and
+    the CSV output.
+    """
     start = time.perf_counter()
     cloud, coeffs, problem, debias = _build_cloud(config)
     shift, rhs = _build_system(config, cloud, problem)
-    epsilon, tilde_epsilon, d_hat, pair_evals = _resolve_bandwidths(config, cloud, coeffs)
+    epsilon, tilde_epsilon, d_hat, pair_evals, tune_s = _resolve_bandwidths(config, cloud, coeffs)
+    stages = {"operator.tune_s": tune_s}
     k = min(config.k, cloud.n_points)
+    mark = time.perf_counter()
     gen = build_operator(cloud, coeffs, KernelConfig(epsilon, tilde_epsilon, k), debias=debias)
     lin = LinearProblem(gen, shift, rhs)
+    stages["operator.build_s"] = time.perf_counter() - mark
 
+    mark = time.perf_counter()
     if config.solver == "direct":
         report = solve_direct(lin)
     elif config.solver == "min_norm":
@@ -381,11 +393,13 @@ def run_solve(config: RunConfig) -> dict:
     else:
         report = solve(lin)
     solver = "direct" if report.method == "direct" else "min_norm"
+    stages[f"solver.{solver}_s"] = time.perf_counter() - mark
 
     u_true = problem.u(cloud.intrinsic) if problem is not None else None
     if u_true is not None:
         report = report.with_errors(u_true)
 
+    mark = time.perf_counter()
     if config.output is not None:
         dim = cloud.ambient_dim
         header = [f"x{i + 1}" for i in range(dim)] + ["u_hat"]
@@ -395,6 +409,7 @@ def run_solve(config: RunConfig) -> dict:
             columns += [u_true, np.abs(report.u_hat - u_true)]
         rows = [[_fmt(col[i]) for col in columns] for i in range(cloud.n_points)]
         _write_csv(config.output, header, rows)
+    stages["cli.output_s"] = time.perf_counter() - mark
 
     record = dataclasses.asdict(config)
     record.update(
@@ -411,6 +426,7 @@ def run_solve(config: RunConfig) -> dict:
             "factor_nnz": report.factor_nnz,
             "d_hat": d_hat,
             "pair_evals": pair_evals,
+            "stages": stages,
             "wall_time_seconds": time.perf_counter() - start,
         }
     )

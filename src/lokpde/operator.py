@@ -20,8 +20,11 @@ for positive semidefinite C^-1 (checked; the first bad point is named)
 the quadratic form is bounded below by (sqrt(q0) - eps sqrt(q2))^2, and
 a term is skipped only if that bound, less a rounding margin, keeps the
 exponent above 750, past float64's underflow point 1075 ln 2 = 745.13.
-Row blocks run on at most ``len(os.sched_getaffinity(0))`` threads and
-are summed in block order, so the result is the same for any worker count.
+When the kernel is symmetric to the bit (zero drift and one C^-1 = c I
+for every point, as in the Gaussian scan) each pair is visited once and
+counted twice.  Blocks of 32 rows run on at most
+``len(os.sched_getaffinity(0))`` threads and are summed in block order,
+so the result is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ __all__ = [
     "default_epsilon_grid",
 ]
 
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 32
 # exp(-x) is exactly 0.0 in float64 for x > 1075 ln 2 = 745.13...; the
 # scan skips a term only if its certified bound puts x above this
 _UNDERFLOW_EXPONENT = 750.0
@@ -184,8 +187,10 @@ class TuningReport:
     Q is computed over all N^2 kernel pairs (dense), so Q -> 1 as
     eps -> infinity for drift-free kernels and Q -> 1/N as eps -> 0.
     ``d_hat`` is twice the maximal slope; ``epsilon_star`` the grid point
-    attaining it.  ``pair_evals`` counts the (grid point, i, j) terms that
-    were passed to ``exp``; the rest are certified to be exactly 0.0.
+    attaining it.  ``pair_evals`` counts the ``exp`` evaluations; a term
+    that stands for its mirror (j, i) as well, on the symmetric route of
+    :func:`tune_bandwidth`, counts once.  The terms not evaluated are
+    certified to be exactly 0.0.
     """
 
     epsilon_grid: np.ndarray
@@ -243,6 +248,59 @@ def _q0_window(pts, coeffs, eig, q2, grid):
     return low, (center + radius) ** 2
 
 
+def _isotropic_scale(coeffs: CoefficientField) -> float | None:
+    """c when the drift is zero and every C^-1 is the same c I, else None.
+
+    Such a kernel is symmetric to the bit: x_j - x_i is exactly
+    -(x_i - x_j), so q0_ji and q0_ij are the same double, and C^-1 v is
+    c v, the same double as the einsum with c I gives.
+    """
+    ci = coeffs.diffusion_inv
+    c = float(ci[0, 0, 0])
+    if coeffs.drift.any() or not (ci == c * np.eye(ci.shape[1])).all():
+        return None
+    return c
+
+
+def _carve(shape, size):
+    """A C-contiguous float array of ``shape`` at the front of a new buffer
+    of ``size`` >= its element count."""
+    return np.empty(size)[: int(np.prod(shape))].reshape(shape)
+
+
+def _window_sums(q0, q1, q2_rows, low, high, grid):
+    """Sum each grid point's terms over the window of row-sorted q0.
+
+    ``q1`` is in q0's order (None without drift, then ``q2_rows`` is
+    unused); ``low``/``high`` are the rows' bounds from :func:`_q0_window`.
+    Every row evaluates the union of the rows' windows, one contiguous
+    column range per grid point.  Returns (sums, terms evaluated).
+    """
+    los = [np.searchsorted(row, lo, side="right") for row, lo in zip(q0, low)]
+    his = [np.searchsorted(row, hi, side="left") for row, hi in zip(q0, high)]
+    los, his = np.min(los, axis=0), np.max(his, axis=0)
+    buf = np.empty(q0.size)
+    sums = np.zeros(grid.size)
+    evals = 0
+    for idx, eps in enumerate(grid):
+        lo, hi = los[idx], his[idx]
+        if lo >= hi:
+            continue
+        # quad / (-2 eps) == -quad / (2 eps) bit for bit
+        out = buf[: q0.shape[0] * (hi - lo)].reshape(q0.shape[0], hi - lo)
+        if q1 is not None:
+            np.multiply(q1[:, lo:hi], 2.0 * eps, out=out)
+            np.add(q0[:, lo:hi], out, out=out)
+            np.add(out, (eps * eps) * q2_rows, out=out)
+            np.divide(out, -2.0 * eps, out=out)
+        else:
+            np.divide(q0[:, lo:hi], -2.0 * eps, out=out)
+        np.exp(out, out=out)
+        sums[idx] = out.sum()
+        evals += out.size
+    return sums, evals
+
+
 def tune_bandwidth(
     cloud: PointCloud,
     coeffs: CoefficientField,
@@ -263,22 +321,31 @@ def tune_bandwidth(
     bound, less a margin for the rounding of q0, q1, q2 and of the form,
     still puts quad / (2 eps) above 750, beyond the 745.13 at which
     exp(-x) underflows to 0.0 in float64.  Rows are processed in blocks of
-    64 with their q0 sorted, so each grid point evaluates one contiguous
-    column range per block.  Blocks run on a thread pool of
-    ``len(os.sched_getaffinity(0))`` workers, never more; their partial
-    sums are added in block order, so the result does not depend on the
-    worker count.
+    32 with their q0 sorted, so each grid point evaluates one contiguous
+    column range per block.
 
-    Raises ValueError for non-finite input and names the first point
-    whose C^-1 has an eigenvalue below -1e-12 max|eig|.
+    When the drift is zero and every C^-1 is the same c I (the Gaussian
+    scan, isotropic and Laplace-Beltrami fields), the kernel is symmetric
+    to the bit and each pair is visited once: the block of rows
+    [s, s + 32) visits only the columns j >= s, adds its diagonal square
+    once and the columns past it twice, and forms C^-1 v as c v.  A
+    skipped term's mirror is the same 0.0.
+
+    Blocks run on a thread pool of ``len(os.sched_getaffinity(0))``
+    workers, never more; their partial sums are added in block order, so
+    the result does not depend on the worker count.
+
+    Raises ValueError for a grid that is not finite, positive and strictly
+    increasing, for non-finite input, and names the first point whose
+    C^-1 has an eigenvalue below -1e-12 max|eig|.
     """
     grid = default_epsilon_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("bandwidth grid needs at least 3 points")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("bandwidth grid must be positive and strictly increasing")
+    if not np.isfinite(grid).all() or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        raise ValueError("bandwidth grid must be finite, positive and strictly increasing")
     pts = cloud.ambient
-    n = pts.shape[0]
+    n, dim = pts.shape
     if coeffs.n_points != n:
         raise ValueError("coefficient field size does not match cloud")
     ci, drift = coeffs.diffusion_inv, coeffs.drift
@@ -293,47 +360,49 @@ def tune_bandwidth(
     has_drift = bool(drift.any())
     q2 = np.einsum("mn,mnp,mp->m", drift, ci, drift)
     low, high = _q0_window(pts, coeffs, eig, q2, grid)
+    scale = _isotropic_scale(coeffs)
+
+    def scan_symmetric(start):
+        stop = min(start + _BLOCK_ROWS, n)
+        pairs = (stop - start, n - start)
+        # cut from buffers of the first block's size: ever smaller blocks
+        # leave freed chunks that malloc keeps (10 MB more peak RSS when
+        # the half-torus solve at N = 3200 builds its operator after this)
+        diff = _carve(pairs + (dim,), _BLOCK_ROWS * n * dim)
+        np.subtract(pts[start:stop, None, :], pts[None, start:, :], out=diff)
+        civ = np.multiply(diff, scale, out=_carve(diff.shape, _BLOCK_ROWS * n * dim))
+        q0 = np.einsum("mjn,mjn->mj", diff, civ, out=_carve(pairs, _BLOCK_ROWS * n))
+        del diff, civ
+        square = np.sort(q0[:, : stop - start], axis=1)
+        tail = np.sort(q0[:, stop - start :], axis=1)
+        del q0
+        rows = slice(start, stop)
+        own, own_evals = _window_sums(square, None, None, low[rows], high[rows], grid)
+        mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid)
+        return own + 2.0 * mirrored, own_evals + mirrored_evals
 
     def scan_block(start):
         rows = slice(start, min(start + _BLOCK_ROWS, n))
         diff = pts[rows, None, :] - pts[None, :, :]
         civ = np.einsum("mnp,mjp->mjn", ci[rows], diff)
         q0 = np.einsum("mjn,mjn->mj", diff, civ)
-        order = np.argsort(q0, axis=1)
-        q0 = np.take_along_axis(q0, order, axis=1)
+        q1 = None
         if has_drift:
-            q1 = np.einsum("mn,mjn->mj", drift[rows], civ)
-            q1 = np.take_along_axis(q1, order, axis=1)
-            q2_rows = q2[rows, None]
-        los = [np.searchsorted(row, lo, side="right") for row, lo in zip(q0, low[rows])]
-        his = [np.searchsorted(row, hi, side="left") for row, hi in zip(q0, high[rows])]
-        los, his = np.min(los, axis=0), np.max(his, axis=0)
-        buf = np.empty(q0.size)
-        partial = np.zeros(grid.size)
-        evals = 0
-        for idx, eps in enumerate(grid):
-            lo, hi = los[idx], his[idx]
-            if lo >= hi:
-                continue
-            # quad / (-2 eps) == -quad / (2 eps) bit for bit
-            out = buf[: q0.shape[0] * (hi - lo)].reshape(q0.shape[0], hi - lo)
-            if has_drift:
-                np.multiply(q1[:, lo:hi], 2.0 * eps, out=out)
-                np.add(q0[:, lo:hi], out, out=out)
-                np.add(out, (eps * eps) * q2_rows, out=out)
-                np.divide(out, -2.0 * eps, out=out)
-            else:
-                np.divide(q0[:, lo:hi], -2.0 * eps, out=out)
-            np.exp(out, out=out)
-            partial[idx] = out.sum()
-            evals += out.size
-        return partial, evals
+            order = np.argsort(q0, axis=1)
+            q0 = np.take_along_axis(q0, order, axis=1)
+            q1 = np.take_along_axis(np.einsum("mn,mjn->mj", drift[rows], civ), order, axis=1)
+            del order
+        else:
+            q0.sort(axis=1)
+        del diff, civ
+        return _window_sums(q0, q1, q2[rows, None], low[rows], high[rows], grid)
 
     totals = np.zeros(grid.size)
     pair_evals = 0
+    scan = scan_block if scale is None else scan_symmetric
     # the thread module loads on first use, not at import
     with concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        for partial, evals in pool.map(scan_block, range(0, n, _BLOCK_ROWS)):
+        for partial, evals in pool.map(scan, range(0, n, _BLOCK_ROWS)):
             totals += partial
             pair_evals += evals
     with np.errstate(divide="ignore"):

@@ -33,6 +33,14 @@ def write_cloud(tmp_path, points, name="cloud.txt"):
     return str(path)
 
 
+def assert_stages(record, solve_stage):
+    """The record times each stage, and the stages fit inside the run."""
+    stages = record["stages"]
+    assert set(stages) == {"operator.tune_s", "operator.build_s", solve_stage, "cli.output_s"}
+    assert all(seconds >= 0.0 for seconds in stages.values())
+    assert sum(stages.values()) <= record["wall_time_seconds"]
+
+
 class TestConfigValidation:
     def test_minimal_paper_config(self, tmp_path):
         path = write_config(
@@ -193,6 +201,8 @@ class TestRunSolve:
         assert isinstance(record["tilde_epsilon"], float) and record["tilde_epsilon"] > 0
         assert record["d_hat"] is not None
         assert 0 < record["pair_evals"] < 2 * 41 * 200**2  # both scans ran
+        assert_stages(record, "solver.min_norm_s")
+        assert record["stages"]["operator.tune_s"] > 0.0
 
     def test_bvp1d_paper_configuration(self):
         cfg = validate_config(
@@ -391,6 +401,8 @@ class TestMainEntry:
         assert record["error_inf"] is not None
         assert isinstance(record["iterations"], int) and record["iterations"] > 0
         assert isinstance(record["factor_nnz"], int) and record["factor_nnz"] > 0
+        assert_stages(record, "solver.direct_s")
+        assert record["stages"]["operator.tune_s"] == 0.0  # pinned bandwidths
 
     def test_auto_solver_record(self, capsys):
         # a = 0 on the ellipse: "auto" takes the minimum-norm route

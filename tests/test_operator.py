@@ -324,6 +324,12 @@ class TestTuning:
         with pytest.raises(ValueError, match="increasing"):
             tune_bandwidth(cloud, coeffs, np.array([1.0, 0.5, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        grid = [0.01, bad, 1.0, 2.0] if np.isnan(bad) else [0.01, 0.1, 1.0, bad]
+        with pytest.raises(ValueError, match="must be finite, positive and strictly increasing"):
+            tune_bandwidth(circle_cloud(50), CoefficientField.isotropic(50, 2), np.array(grid))
+
     def test_default_grid(self):
         grid = default_epsilon_grid()
         assert grid.size == 41
@@ -374,6 +380,24 @@ def tuning_inputs(draw):
     return cloud, CoefficientField(drift, diff_inv)
 
 
+@st.composite
+def isotropic_inputs(draw):
+    """Clouds in 1-3 dimensions with duplicate points, zero drift and one
+    C^-1 = c I for every point; N up to 200 spans several row blocks and a
+    ragged last one.  Returns (cloud, coeffs, c)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 200))
+    dim = draw(st.integers(1, 3))
+    pts = rng.normal(size=(n, dim)) * 10.0 ** draw(st.floats(-3, 1))
+    copies = rng.integers(0, n, size=draw(st.integers(1, max(1, n // 4))))
+    pts[rng.integers(0, n, size=copies.size)] = pts[copies]
+    c = draw(st.sampled_from([0.5, 1.0, "random"]))
+    c = 10.0 ** rng.uniform(-2.0, 2.0) if c == "random" else c
+    diff_inv = np.broadcast_to(c * np.eye(dim), (n, dim, dim)).copy()
+    cloud = PointCloud(pts, None, "iid_density", ambient_cloud_manifold(dim))
+    return cloud, CoefficientField(np.zeros((n, dim)), diff_inv), c
+
+
 class TestTuningExactness:
     """The scan equals the dense oracle: skipped terms are exactly 0.0."""
 
@@ -388,6 +412,33 @@ class TestTuningExactness:
                 tune_bandwidth(cloud, coeffs, grid)
             return
         assert_matches_oracle(tune_bandwidth(cloud, coeffs, grid), oracle)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(isotropic_inputs())
+    def test_symmetric_route_matches_dense_oracle(self, inputs):
+        cloud, coeffs, c = inputs
+        assert operator._isotropic_scale(coeffs) == c
+        grid = default_epsilon_grid()
+        rep = tune_bandwidth(cloud, coeffs, grid)
+        assert_matches_oracle(rep, dense_tuning(cloud, coeffs, grid))
+        # each pair once: the row blocks visit the upper triangle and their squares
+        n = cloud.n_points
+        assert rep.pair_evals <= grid.size * (n * n + n * operator._BLOCK_ROWS) / 2
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(isotropic_inputs(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_one_asymmetric_point_takes_the_general_route(self, inputs, seed, scale_one):
+        cloud, coeffs, _ = inputs
+        rng = np.random.default_rng(seed)
+        point = rng.integers(cloud.n_points)
+        if scale_one:
+            coeffs.diffusion_inv[point] *= 1.0 + rng.uniform(0.01, 1.0)
+        else:
+            coeffs.drift[point, rng.integers(cloud.ambient_dim)] = rng.normal()
+        assert operator._isotropic_scale(coeffs) is None
+        grid = default_epsilon_grid()
+        rep = tune_bandwidth(cloud, coeffs, grid)
+        assert_matches_oracle(rep, dense_tuning(cloud, coeffs, grid))
 
     @pytest.mark.parametrize("exponent,q_positive", [(742.0, True), (744.0, True), (745.2, False)])
     def test_terms_at_the_underflow_edge(self, exponent, q_positive):
@@ -446,11 +497,13 @@ class TestTuningExactness:
         problem = analytic_pair("half_ellipse")
         cloud = sample_points(problem.manifold, 700, "uniform_grid")
         coeffs = problem_coefficients(problem, cloud)
-        pooled = tune_bandwidth(cloud, coeffs)
+        # the general route, then the symmetric one (the Gaussian scan)
+        pooled = [tune_bandwidth(cloud, coeffs), tune_gaussian_bandwidth(cloud)]
         monkeypatch.setattr(operator.os, "sched_getaffinity", lambda pid: {0})
-        single = tune_bandwidth(cloud, coeffs)
-        np.testing.assert_array_equal(single.log_q, pooled.log_q)
-        assert single.pair_evals == pooled.pair_evals
+        single = [tune_bandwidth(cloud, coeffs), tune_gaussian_bandwidth(cloud)]
+        for one, many in zip(single, pooled):
+            np.testing.assert_array_equal(one.log_q, many.log_q)
+            assert one.pair_evals == many.pair_evals
 
     def test_indefinite_diffusion_rejected(self):
         coeffs = CoefficientField.isotropic(5, 2)
