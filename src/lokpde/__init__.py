@@ -45,7 +45,7 @@ from .operator import (
     tune_bandwidth,
     tune_gaussian_bandwidth,
 )
-from .problems import AnalyticProblem, analytic_pair, apply_kolmogorov_fd, problem_coefficients
+from .problems import AnalyticProblem, analytic_pair, problem_coefficients
 from .solver import (
     ConvergenceStudy,
     EpsilonSweep,

@@ -314,52 +314,44 @@ class CoefficientField:
 _JACOBIAN_RANK_RTOL = 1e-10
 
 
+def _lift(manifold: Manifold, intrinsic, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Lift (b, c) at the (N, d) ``intrinsic`` points to ambient (B, C^-1).
+
+    B = pinv(J)^T b and C^-1 = pinv(J c J^T), with J the embedding Jacobian.
+    C^-1 comes out symmetric positive semi-definite of rank d.
+    """
+    jac = embedding_jacobian(manifold, intrinsic)
+    sing = np.linalg.svd(jac, compute_uv=False)
+    bad = np.flatnonzero(sing[:, -1] <= sing[:, 0] * _JACOBIAN_RANK_RTOL)
+    if bad.size:
+        raise ValueError(f"embedding Jacobian is rank-deficient at point {bad[0]}")
+    drift = np.einsum("ndk,nd->nk", np.linalg.pinv(jac), b)
+    lifted = np.einsum("nik,nkl,njl->nij", jac, c, jac)
+    diff_inv = np.linalg.pinv(lifted, hermitian=True)
+    return drift, 0.5 * (diff_inv + np.transpose(diff_inv, (0, 2, 1)))
+
+
 def lift_coefficients(
     manifold: Manifold,
     intrinsic_b: np.ndarray,
     intrinsic_c: np.ndarray,
     intrinsic: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lift intrinsic (b, c) at one point to ambient (B, C^-1).
-
-    B = pinv(J)^T b and C^-1 = pinv(J c J^T), with J the embedding Jacobian.
-    C^-1 comes out symmetric positive semi-definite of rank d.
-    """
+    """Lift intrinsic (b, c) at one point to ambient (B, C^-1), as :func:`lift_field` does."""
     b = np.atleast_1d(np.asarray(intrinsic_b, dtype=float))
     c = np.atleast_2d(np.asarray(intrinsic_c, dtype=float))
-    jac = embedding_jacobian(manifold, intrinsic)
-    sing = np.linalg.svd(jac, compute_uv=False)
-    if sing[-1] <= sing[0] * _JACOBIAN_RANK_RTOL:
-        raise ValueError("embedding Jacobian is rank-deficient at this point")
-    jac_pinv = np.linalg.pinv(jac)
-    drift = jac_pinv.T @ b
-    lifted = jac @ c @ jac.T
-    diff_inv = np.linalg.pinv(lifted, hermitian=True)
-    return drift, 0.5 * (diff_inv + diff_inv.T)
+    drift, diff_inv = _lift(manifold, np.atleast_2d(intrinsic), b[None], c[None])
+    return drift[0], diff_inv[0]
 
 
-def lift_field(
-    manifold: Manifold,
-    cloud: PointCloud,
-    b_fn,
-    c_fn,
-) -> CoefficientField:
+def lift_field(manifold: Manifold, cloud: PointCloud, b_fn, c_fn) -> CoefficientField:
     """Vectorized coefficient lift over a whole cloud with known parametrization."""
     if cloud.intrinsic is None:
         raise ValueError("cloud has no intrinsic coordinates to lift from")
     pts = cloud.intrinsic
     b = np.asarray(b_fn(pts), dtype=float)
     c = np.asarray(c_fn(pts), dtype=float)
-    jac = embedding_jacobian(manifold, pts)
-    sing = np.linalg.svd(jac, compute_uv=False)
-    if np.any(sing[:, -1] <= sing[:, 0] * _JACOBIAN_RANK_RTOL):
-        raise ValueError("embedding Jacobian is rank-deficient at some cloud point")
-    jac_pinv = np.linalg.pinv(jac)
-    drift = np.einsum("ndk,nd->nk", jac_pinv, b)
-    lifted = np.einsum("nik,nkl,njl->nij", jac, c, jac)
-    diff_inv = np.linalg.pinv(lifted, hermitian=True)
-    diff_inv = 0.5 * (diff_inv + np.transpose(diff_inv, (0, 2, 1)))
-    return CoefficientField(drift, diff_inv, b, c)
+    return CoefficientField(*_lift(manifold, pts, b, c), b, c)
 
 
 def load_cloud(path) -> PointCloud:

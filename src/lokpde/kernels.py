@@ -92,6 +92,13 @@ def _check_finite(*arrays):
             raise ValueError("non-finite kernel input")
 
 
+def _check_neighbors(neighbors, n, k):
+    """Name the shapes unless both arrays of an ``(indices, d2)`` pair are (n, k)."""
+    shapes = [np.shape(a) for a in neighbors]
+    if shapes != [(n, k)] * 2:
+        raise ValueError(f"neighbors (indices, d2) must both be ({n}, {k}), got {shapes}")
+
+
 def _quad_form(v: np.ndarray, diff_inv: np.ndarray) -> np.ndarray:
     """v^T C^-1 v for v of shape (m, k, n) and C^-1 of shape (m, n, n).
 
@@ -213,6 +220,7 @@ def assemble_kernel_matrix(
     _check_finite(pts, coeffs.drift, coeffs.diffusion_inv)
     if neighbors is None:
         neighbors = build_knn_graph(cloud, cfg.k_neighbors)
+    _check_neighbors(neighbors, n, cfg.k_neighbors)
     cols = np.sort(neighbors[0], axis=1)
     k = cols.shape[1]
     data = np.empty((n, k))

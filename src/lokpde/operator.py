@@ -22,22 +22,28 @@ a term is skipped only if that bound, less a rounding margin, keeps the
 exponent above 750, past float64's underflow point 1075 ln 2 = 745.13.
 When the kernel is symmetric to the bit (zero drift and one C^-1 = c I
 for every point, as in the Gaussian scan) each pair is visited once and
-counted twice.  Blocks of 32 rows run on at most
-``len(os.sched_getaffinity(0))`` threads and are summed in block order,
-so the result is the same for any worker count.
+counted twice.  A block of 32 rows takes v = x_i - x_j as ``dim``
+contiguous (rows x columns) coordinate planes of pts.T and forms C^-1 v,
+q0 and q1 from them with elementwise ufuncs, each sum in ascending index
+order, the order the dense oracle in the tests uses too.  These ufuncs,
+the sorts and the window sums release the GIL, so the blocks overlap on
+at most ``len(os.sched_getaffinity(0))`` threads; they are summed in block
+order, so the result is the same for any worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import mmap
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
 from .geometry import CoefficientField, PointCloud
-from .kernels import KernelConfig, SparseKernelMatrix, assemble_kernel_matrix, build_knn_graph
+from .kernels import KernelConfig, SparseKernelMatrix, _check_neighbors, assemble_kernel_matrix, build_knn_graph
 
 __all__ = [
     "DensityEstimate",
@@ -124,8 +130,10 @@ def estimate_density(
     """
     if tilde_epsilon <= 0:
         raise ValueError("tilde_epsilon must be positive")
+    k = min(k, cloud.n_points)
     if neighbors is None:
-        neighbors = build_knn_graph(cloud, min(k, cloud.n_points))
+        neighbors = build_knn_graph(cloud, k)
+    _check_neighbors(neighbors, cloud.n_points, k)
     d2 = neighbors[1]
     return DensityEstimate(np.exp(-d2 / (2.0 * tilde_epsilon)).sum(axis=1), tilde_epsilon)
 
@@ -253,7 +261,8 @@ def _isotropic_scale(coeffs: CoefficientField) -> float | None:
 
     Such a kernel is symmetric to the bit: x_j - x_i is exactly
     -(x_i - x_j), so q0_ji and q0_ij are the same double, and C^-1 v is
-    c v, the same double as the einsum with c I gives.
+    c v, the same double as the ascending sum with c I gives (up to the
+    sign of a zero).
     """
     ci = coeffs.diffusion_inv
     c = float(ci[0, 0, 0])
@@ -262,10 +271,41 @@ def _isotropic_scale(coeffs: CoefficientField) -> float | None:
     return c
 
 
-def _carve(shape, size):
-    """A C-contiguous float array of ``shape`` at the front of a new buffer
-    of ``size`` >= its element count."""
-    return np.empty(size)[: int(np.prod(shape))].reshape(shape)
+def _scratch(planes, size):
+    """``planes`` float rows of ``size`` on an anonymous memory map, whose
+    pages go back to the OS when it is dropped; malloc keeps what a worker
+    frees in its arena (up to 10 MB more peak RSS on the half-torus solve)."""
+    return np.frombuffer(mmap.mmap(-1, planes * size * 8)).reshape(planes, size)
+
+
+def _pair_forms(ci, v, drift, scale, work):
+    """q0 = sum_a v_a (C^-1 v)_a and q1 = sum_a B_a (C^-1 v)_a, elementwise.
+
+    ``v`` is a list of ``dim`` coordinate planes (one row per row of ``ci``
+    and ``drift``), and (C^-1 v)_a = sum_p C^-1_ap v_p, or ``scale`` v_a
+    when every C^-1 is ``scale`` I.  Each sum runs in ascending index order,
+    one multiply and one add per term, so the result is fixed to the bit,
+    and every step is a ufunc that releases the GIL.  C^-1 v, a product and
+    q0, q1 are written to the first four rows of ``work``; q1 is None when
+    ``drift`` is None.
+    """
+    civ, tmp, q0, q1 = (w[: v[0].size].reshape(v[0].shape) for w in work[:4])
+
+    def add(acc, x, y, first):  # acc = x * y, or acc += x * y
+        np.multiply(x, y, out=acc if first else tmp)
+        if not first:
+            np.add(acc, tmp, out=acc)
+
+    for a, va in enumerate(v):
+        if scale is None:
+            for p, vp in enumerate(v):
+                add(civ, ci[:, a, p, None], vp, p == 0)
+        else:
+            np.multiply(va, scale, out=civ)
+        add(q0, va, civ, a == 0)
+        if drift is not None:
+            add(q1, drift[:, a, None], civ, a == 0)
+    return q0, None if drift is None else q1
 
 
 def _window_sums(q0, q1, q2_rows, low, high, grid):
@@ -324,6 +364,14 @@ def tune_bandwidth(
     32 with their q0 sorted, so each grid point evaluates one contiguous
     column range per block.
 
+    Each block takes v as ``dim`` contiguous (rows x columns) coordinate
+    planes cut from pts.T and forms (C^-1 v)_a = sum_p C^-1_ap v_p,
+    q0 = sum_a v_a (C^-1 v)_a and q1 = sum_a B_a (C^-1 v)_a with one
+    elementwise multiply and add per term, in ascending index order (q2
+    likewise).  The order is fixed: where C^-1 is rank deficient and v lies
+    along its null direction, q0 is pure rounding noise, so the dense
+    oracle in the tests sums in the same order to agree to 1e-12.
+
     When the drift is zero and every C^-1 is the same c I (the Gaussian
     scan, isotropic and Laplace-Beltrami fields), the kernel is symmetric
     to the bit and each pair is visited once: the block of rows
@@ -332,8 +380,12 @@ def tune_bandwidth(
     skipped term's mirror is the same 0.0.
 
     Blocks run on a thread pool of ``len(os.sched_getaffinity(0))``
-    workers, never more; their partial sums are added in block order, so
-    the result does not depend on the worker count.
+    workers, never more, each cutting its planes from its own scratch rows
+    (:func:`_scratch`).  The subtractions, multiplies and adds, the sorts
+    and gathers, and the window sums' divides, exp and sums release the
+    GIL; only the Python loops over rows and grid points hold it.  Partial
+    sums are added in block order, so the result does not depend on the
+    worker count.
 
     Raises ValueError for a grid that is not finite, positive and strictly
     increasing, for non-finite input, and names the first point whose
@@ -358,43 +410,41 @@ def tune_bandwidth(
             f"(smallest eigenvalue {eig[bad_point, 0]!r})"
         )
     has_drift = bool(drift.any())
-    q2 = np.einsum("mn,mnp,mp->m", drift, ci, drift)
+    q2 = _pair_forms(ci, [drift[:, p, None] for p in range(dim)], None, None, np.empty((4, n)))[0][:, 0]
     low, high = _q0_window(pts, coeffs, eig, q2, grid)
     scale = _isotropic_scale(coeffs)
+    planes = np.ascontiguousarray(pts.T)
+    local = threading.local()  # each worker's scratch rows, reused by its blocks
+
+    def block_forms(rows, first):
+        if not hasattr(local, "work"):
+            local.work = _scratch(dim + 4, _BLOCK_ROWS * n)
+        shape = (rows.stop - rows.start, n - first)
+        v = [w[: shape[0] * shape[1]].reshape(shape) for w in local.work[4:]]
+        for x, va in zip(planes, v):
+            np.subtract(x[rows, None], x[None, first:], out=va)
+        return _pair_forms(ci[rows], v, drift[rows] if has_drift else None, scale, local.work)
 
     def scan_symmetric(start):
-        stop = min(start + _BLOCK_ROWS, n)
-        pairs = (stop - start, n - start)
-        # cut from buffers of the first block's size: ever smaller blocks
-        # leave freed chunks that malloc keeps (10 MB more peak RSS when
-        # the half-torus solve at N = 3200 builds its operator after this)
-        diff = _carve(pairs + (dim,), _BLOCK_ROWS * n * dim)
-        np.subtract(pts[start:stop, None, :], pts[None, start:, :], out=diff)
-        civ = np.multiply(diff, scale, out=_carve(diff.shape, _BLOCK_ROWS * n * dim))
-        q0 = np.einsum("mjn,mjn->mj", diff, civ, out=_carve(pairs, _BLOCK_ROWS * n))
-        del diff, civ
-        square = np.sort(q0[:, : stop - start], axis=1)
-        tail = np.sort(q0[:, stop - start :], axis=1)
-        del q0
-        rows = slice(start, stop)
+        rows = slice(start, min(start + _BLOCK_ROWS, n))
+        q0, _ = block_forms(rows, start)
+        square, tail = q0[:, : rows.stop - start], q0[:, rows.stop - start :]
+        square.sort(axis=1)
+        tail.sort(axis=1)
         own, own_evals = _window_sums(square, None, None, low[rows], high[rows], grid)
         mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid)
         return own + 2.0 * mirrored, own_evals + mirrored_evals
 
     def scan_block(start):
         rows = slice(start, min(start + _BLOCK_ROWS, n))
-        diff = pts[rows, None, :] - pts[None, :, :]
-        civ = np.einsum("mnp,mjp->mjn", ci[rows], diff)
-        q0 = np.einsum("mjn,mjn->mj", diff, civ)
-        q1 = None
-        if has_drift:
+        q0, q1 = block_forms(rows, 0)
+        if q1 is not None:
             order = np.argsort(q0, axis=1)
             q0 = np.take_along_axis(q0, order, axis=1)
-            q1 = np.take_along_axis(np.einsum("mn,mjn->mj", drift[rows], civ), order, axis=1)
+            q1 = np.take_along_axis(q1, order, axis=1)
             del order
         else:
             q0.sort(axis=1)
-        del diff, civ
         return _window_sums(q0, q1, q2[rows, None], low[rows], high[rows], grid)
 
     totals = np.zeros(grid.size)

@@ -8,9 +8,8 @@ f = (a + L)u for the backward Kolmogorov operator
 
 together with the intrinsic coefficients (b, c), the Riemannian metric and
 Christoffel symbols of the parametrization, and the zeroth-order shift a.
-The f formulas are hard-coded in closed form; :func:`apply_kolmogorov_fd`
-applies (a + L) to u by central finite differences instead and serves as
-the independent cross-check.
+The f formulas are hard-coded in closed form; the tests cross-check them
+against (a + L) u by central finite differences.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "AnalyticProblem",
     "PROBLEM_IDS",
     "analytic_pair",
-    "apply_kolmogorov_fd",
     "problem_coefficients",
 ]
 
@@ -251,51 +249,3 @@ def analytic_pair(problem_id: str, **params) -> AnalyticProblem:
 def problem_coefficients(problem: AnalyticProblem, cloud: PointCloud) -> CoefficientField:
     """Lift a problem's intrinsic (b, c) to ambient (B, C^-1) on a cloud."""
     return lift_field(problem.manifold, cloud, problem.drift, problem.diffusion)
-
-
-def apply_kolmogorov_fd(problem: AnalyticProblem, x: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Apply (a + L) to the problem's u by central finite differences.
-
-    Partial derivatives of u are taken with symmetric stencils of width
-    ``h`` (default 1e-5 of the largest parameter-domain length, balancing
-    truncation against round-off at double precision); the metric,
-    Christoffel symbols and coefficients are evaluated analytically.  Serves
-    as the independent oracle for the closed-form f evaluators.
-    """
-    d = problem.manifold.intrinsic_dim
-    pts = _pts(x, d)
-    if h is None:
-        lengths = [hi - lo for lo, hi in problem.manifold.parameter_domain]
-        h = 1e-5 * max(lengths)
-    npts = pts.shape[0]
-
-    grad = np.empty((npts, d))
-    hess = np.empty((npts, d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        up = problem.u(pts + ei)
-        dn = problem.u(pts - ei)
-        grad[:, i] = (up - dn) / (2.0 * h)
-        hess[:, i, i] = (up - 2.0 * problem.u(pts) + dn) / h**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            mixed = (
-                problem.u(pts + ei + ej)
-                - problem.u(pts + ei - ej)
-                - problem.u(pts - ei + ej)
-                + problem.u(pts - ei - ej)
-            ) / (4.0 * h**2)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
-
-    g_inv = np.linalg.inv(problem.metric(pts))
-    b = problem.drift(pts)
-    c = problem.diffusion(pts)
-    gamma = problem.christoffel(pts)
-
-    drift_term = np.einsum("nij,ni,nj->n", g_inv, b, grad)
-    cov_hess = hess - np.einsum("nkij,nk->nij", gamma, grad)
-    hessian_term = 0.5 * np.einsum("nij,nij->n", c, cov_hess)
-    return drift_term + hessian_term + problem.shift(pts) * problem.u(pts)

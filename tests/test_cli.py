@@ -1,12 +1,19 @@
 import csv
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lokpde
 from lokpde.cli import (
+    _SCHEMA,
     ConfigError,
     load_coefficient_file,
     main,
@@ -18,7 +25,7 @@ from lokpde.cli import (
 )
 from lokpde.geometry import sample_points, sample_sphere
 from lokpde.operator import tune_bandwidth
-from lokpde.problems import analytic_pair, problem_coefficients
+from lokpde.problems import PROBLEM_IDS, analytic_pair, problem_coefficients
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -41,7 +48,41 @@ def assert_stages(record, solve_stage):
     assert sum(stages.values()) <= record["wall_time_seconds"]
 
 
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+_BANDWIDTHS = st.one_of(st.just("auto"), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_PATHS = st.text(min_size=1)
+# one strategy of valid values per _SCHEMA key
+CONFIG_VALUES = {
+    "problem": st.one_of(st.sampled_from(PROBLEM_IDS), _PATHS),
+    "N": st.one_of(st.none(), st.integers(2, 10**7)),
+    "mode": st.sampled_from(["uniform_grid", "iid_density"]),
+    "seed": st.integers(-(2**63), 2**63 - 1),
+    "k": st.integers(2, 10**6),
+    "epsilon": _BANDWIDTHS,
+    "tilde_epsilon": _BANDWIDTHS,
+    "debias": st.booleans(),
+    "solver": st.sampled_from(["direct", "min_norm", "auto"]),
+    "shift_a": st.one_of(st.just("problem-default"), _REALS),
+    "rhs": st.one_of(st.just("problem"), _REALS, _PATHS),
+    "coefficients": st.one_of(st.none(), _PATHS),
+    "output": st.one_of(st.none(), _PATHS),
+}
+
+
 class TestConfigValidation:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.fixed_dictionaries(CONFIG_VALUES))
+    def test_every_schema_key_round_trips(self, raw):
+        assert set(raw) == set(_SCHEMA)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+            cfg = parse_config(path)
+        assert dataclasses.asdict(cfg) == raw
+        assert validate_config(dataclasses.asdict(cfg)) == cfg
+
+
     def test_minimal_paper_config(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -162,7 +203,7 @@ class TestRunSolve:
         from lokpde.geometry import sample_points
         from lokpde.kernels import KernelConfig
         from lokpde.operator import build_operator
-        from lokpde.problems import analytic_pair, problem_coefficients
+        from lokpde.problems import PROBLEM_IDS, analytic_pair, problem_coefficients
         from lokpde.solver import LinearProblem, solve_direct
 
         problem = analytic_pair("bvp1d")
@@ -424,6 +465,19 @@ class TestMainEntry:
         )
         assert code == 2
         assert "closed classes" in capsys.readouterr().err
+
+    def test_import_defers_kd_tree_and_thread_pool(self):
+        # both load on first use, in build_knn_graph and tune_bandwidth; at
+        # import they would add to the start-up time of every solve
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, lokpde.cli; "
+            "print([m for m in ('scipy.spatial', 'concurrent.futures.thread') if m in sys.modules])"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(

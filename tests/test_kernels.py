@@ -307,6 +307,20 @@ class TestAssembly:
         with pytest.raises(ValueError, match="does not match"):
             assemble_kernel_matrix(cloud, CoefficientField.isotropic(2, 1), KernelConfig(0.1, 0.1, 2))
 
+    @pytest.mark.parametrize("n_rows,k_search", [(30, 8), (20, 5), (20, 8)])
+    def test_neighbors_of_the_wrong_shape_rejected(self, n_rows, k_search):
+        # a pair searched with another k, or for another cloud, names both shapes
+        rng = np.random.default_rng(10)
+        cloud = make_cloud(rng.normal(size=(20, 2)))
+        other = make_cloud(rng.normal(size=(30, 2)))
+        neighbors = build_knn_graph(cloud if n_rows == 20 else other, k_search)
+        if (n_rows, k_search) == (20, 8):
+            neighbors = (neighbors[0], neighbors[1][:, :5])
+        with pytest.raises(ValueError, match=r"must both be \(20, 8\), got \[\("):
+            assemble_kernel_matrix(
+                cloud, CoefficientField.isotropic(20, 2), KernelConfig(0.1, 0.1, 8), neighbors=neighbors
+            )
+
 
 class TestMoments:
     def test_exact_normalization_constants(self):

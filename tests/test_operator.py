@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lokpde import operator
@@ -32,24 +34,36 @@ def make_cloud(points):
     return PointCloud(pts, None, "iid_density", ambient_cloud_manifold(pts.shape[1]))
 
 
+def ordered_sum(terms):
+    """Left-to-right sum, starting from the first term (not from 0)."""
+    return functools.reduce(np.add, terms)
+
+
 def dense_tuning(cloud, coeffs, grid):
     """Dense oracle: every (grid point, i, j) term, 512-row chunks.
+
+    C^-1 v, q0 = v^T C^-1 v, q1 = B^T C^-1 v and q2 = B^T C^-1 B are summed
+    in ascending index order, as the scan sums them: where C^-1 is rank
+    deficient and v lies along its null direction, q0 is pure rounding
+    noise (about 1e-17), and another order moves log Q at eps = 2^-30 by
+    more than the 1e-12 the comparison allows.
 
     Returns (log_q, epsilon_star, d_hat); the last two are None when no
     slope is usable.
     """
     pts = cloud.ambient
-    n = pts.shape[0]
+    n, dim = pts.shape
     totals = np.zeros(grid.size)
     for start in range(0, n, 512):
         stop = min(start + 512, n)
         diff = pts[start:stop, None, :] - pts[None, :, :]
         ci = coeffs.diffusion_inv[start:stop]
         b = coeffs.drift[start:stop]
-        civ = np.einsum("mnp,mjp->mjn", ci, diff)
-        q0 = np.einsum("mjn,mjn->mj", diff, civ)
-        q1 = np.einsum("mn,mjn->mj", b, civ)
-        q2 = np.einsum("mn,mnp,mp->m", b, ci, b)[:, None]
+        civ = [ordered_sum(ci[:, None, a, p] * diff[..., p] for p in range(dim)) for a in range(dim)]
+        q0 = ordered_sum(diff[..., a] * civ[a] for a in range(dim))
+        q1 = ordered_sum(b[:, None, a] * civ[a] for a in range(dim))
+        cib = [ordered_sum(ci[:, a, p] * b[:, p] for p in range(dim)) for a in range(dim)]
+        q2 = ordered_sum(b[:, a] * cib[a] for a in range(dim))[:, None]
         for idx, eps in enumerate(grid):
             quad = q0 + (2.0 * eps) * q1 + (eps * eps) * q2
             totals[idx] += np.exp(-quad / (2.0 * eps)).sum()
@@ -125,6 +139,15 @@ class TestDensityEstimate:
     def test_positive_validation(self):
         with pytest.raises(ValueError, match="strictly positive"):
             DensityEstimate(np.array([1.0, 0.0]), 0.1)
+
+    def test_neighbors_of_the_wrong_shape_rejected(self):
+        rng = np.random.default_rng(2)
+        cloud = make_cloud(rng.normal(size=(200, 2)))
+        indices, d2 = build_knn_graph(cloud, 20)
+        with pytest.raises(ValueError, match=r"must both be \(200, 20\), got \[\(150, 20\), \(150, 20\)\]"):
+            estimate_density(cloud, 0.1, 20, (indices[:150], d2[:150]))
+        with pytest.raises(ValueError, match=r"must both be \(200, 30\)"):
+            estimate_density(cloud, 0.1, 30, (indices, d2))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(tie_clouds(), st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
@@ -261,6 +284,37 @@ class TestBuildOperator:
     def test_constant_nullspace_for_zoo_runs(self, bvp1d_paper, ellipse_paper):
         for run in (bvp1d_paper, ellipse_paper):
             assert np.abs(run.generator.apply(np.ones(run.generator.n_points))).max() <= 1e-8
+
+    def test_neighbors_searched_with_another_k_rejected(self):
+        # a 5-NN pair must not build an operator with 5 entries per row
+        cloud = circle_cloud(200)
+        coeffs = CoefficientField.isotropic(200, 2)
+        with pytest.raises(ValueError, match=r"must both be \(200, 20\), got \[\(200, 5\)"):
+            build_operator(cloud, coeffs, KernelConfig(1e-3, 1e-3, 20), neighbors=build_knn_graph(cloud, 5))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(3, 60), st.booleans())
+    def test_rigid_motion_invariance(self, seed, dim, n, debias):
+        # isotropic C^-1 = I / c and zero drift see only |x_i - x_j|, which a
+        # rotation plus translation keeps up to rounding
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-2, 2)
+        pts = rng.normal(size=(n, dim)) * scale
+        rotation, upper = np.linalg.qr(rng.normal(size=(dim, dim)))
+        rotation = rotation * np.sign(np.diag(upper))
+        if np.linalg.det(rotation) < 0:
+            rotation[:, 0] = -rotation[:, 0]
+        moved = pts @ rotation.T + rng.normal(size=dim) * 10.0 * scale
+        k = int(rng.integers(2, n + 1))
+        d2 = np.sort(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2), axis=1)
+        # the k-NN sets are the same only where the k-th neighbour is not a near tie
+        assume(k == n or (d2[:, k] - d2[:, k - 1] > 1e-9 * d2[:, k]).all())
+        coeffs = CoefficientField.isotropic(n, dim, c=rng.uniform(0.5, 2.0))
+        cfg = KernelConfig(*(scale**2 * 10.0 ** rng.uniform(-1, 1, size=2)), k)
+        before = build_operator(make_cloud(pts), coeffs, cfg, debias)
+        after = build_operator(make_cloud(moved), coeffs, cfg, debias)
+        np.testing.assert_array_equal(before.s_matrix.indices, after.s_matrix.indices)
+        np.testing.assert_allclose(after.s_matrix.data, before.s_matrix.data, rtol=1e-9, atol=1e-300)
 
     def test_debias_noop_on_manifold_uniform_cloud(self):
         # on the circle the grid is uniform on the manifold, so debiasing
@@ -453,6 +507,35 @@ class TestTuningExactness:
         assert_matches_oracle(rep, dense_tuning(cloud, coeffs, grid))
         assert np.isfinite(rep.log_q[grid == 1.0][0]) == q_positive
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(tuning_inputs(), isotropic_inputs().map(lambda inputs: inputs[:2])))
+    def test_rounding_margin_covers_the_pair_forms(self, inputs):
+        # _q0_window allows the float64 quad = q0 + 2 eps q1 + eps^2 q2 to be
+        # off by 2 gamma |C^-1|_F (|v| + eps |B|)^2, with gamma from its comment
+        cloud, coeffs = inputs
+        pts, ci, drift = cloud.ambient, coeffs.diffusion_inv, coeffs.drift
+        n, dim = pts.shape
+        gamma = 4.0 * (2 * dim + 8) * np.finfo(float).eps / 2.0
+        scale = operator._isotropic_scale(coeffs)
+        v = [x[:, None] - x[None, :] for x in pts.T]
+        q0, q1 = operator._pair_forms(ci, v, drift if scale is None else None, scale, np.empty((4, n * n)))
+        q1 = np.zeros_like(q0) if q1 is None else q1
+        q2 = operator._pair_forms(ci, [drift[:, p, None] for p in range(dim)], None, None, np.empty((4, n)))[0]
+        ld = np.longdouble
+        v_ld = pts.astype(ld)[:, None, :] - pts.astype(ld)[None, :, :]
+        civ_ld = np.einsum("inp,ijp->ijn", ci.astype(ld), v_ld)
+        q0_ld = np.einsum("ijn,ijn->ij", v_ld, civ_ld)
+        q1_ld = np.einsum("in,ijn->ij", drift.astype(ld), civ_ld)
+        q2_ld = np.einsum("in,inp,ip->i", drift.astype(ld), ci.astype(ld), drift.astype(ld))[:, None]
+        v_norm = np.sqrt(sum(va * va for va in v))
+        b_norm = np.linalg.norm(drift, axis=1)[:, None]
+        norm_c = np.linalg.norm(ci, axis=(1, 2))[:, None]
+        for eps in default_epsilon_grid():
+            quad = (q0 + q1 * (2.0 * eps)) + (eps * eps) * q2  # as _window_sums forms it
+            quad_ld = q0_ld + (2.0 * eps) * q1_ld + (eps * eps) * q2_ld
+            bound = 2.0 * gamma * norm_c * (v_norm + eps * b_norm) ** 2
+            assert (np.abs(quad - quad_ld) <= bound).all()
+
     def test_drift_problem_matches_dense_oracle(self):
         problem = analytic_pair("bvp1d")
         cloud = sample_points(problem.manifold, 1000, "uniform_grid")
@@ -499,11 +582,13 @@ class TestTuningExactness:
         coeffs = problem_coefficients(problem, cloud)
         # the general route, then the symmetric one (the Gaussian scan)
         pooled = [tune_bandwidth(cloud, coeffs), tune_gaussian_bandwidth(cloud)]
-        monkeypatch.setattr(operator.os, "sched_getaffinity", lambda pid: {0})
-        single = [tune_bandwidth(cloud, coeffs), tune_gaussian_bandwidth(cloud)]
-        for one, many in zip(single, pooled):
-            np.testing.assert_array_equal(one.log_q, many.log_q)
-            assert one.pair_evals == many.pair_evals
+        # one worker, and more workers than cores, each with its own scratch rows
+        for cpus in ({0}, set(range(4))):
+            monkeypatch.setattr(operator.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            single = [tune_bandwidth(cloud, coeffs), tune_gaussian_bandwidth(cloud)]
+            for one, many in zip(single, pooled):
+                np.testing.assert_array_equal(one.log_q, many.log_q)
+                assert one.pair_evals == many.pair_evals
 
     def test_indefinite_diffusion_rejected(self):
         coeffs = CoefficientField.isotropic(5, 2)

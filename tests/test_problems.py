@@ -1,7 +1,55 @@
 import numpy as np
 import pytest
 
-from lokpde.problems import PROBLEM_IDS, analytic_pair, apply_kolmogorov_fd
+from lokpde.problems import PROBLEM_IDS, analytic_pair
+
+
+def apply_kolmogorov_fd(problem, x, h=None):
+    """Apply (a + L) to the problem's u by central finite differences.
+
+    Partial derivatives of u are taken with symmetric stencils of width
+    ``h`` (default 1e-5 of the largest parameter-domain length, balancing
+    truncation against round-off at double precision); the metric,
+    Christoffel symbols and coefficients are evaluated analytically.  Serves
+    as the independent oracle for the closed-form f evaluators.
+    """
+    d = problem.manifold.intrinsic_dim
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if h is None:
+        lengths = [hi - lo for lo, hi in problem.manifold.parameter_domain]
+        h = 1e-5 * max(lengths)
+    npts = pts.shape[0]
+
+    grad = np.empty((npts, d))
+    hess = np.empty((npts, d, d))
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h
+        up = problem.u(pts + ei)
+        dn = problem.u(pts - ei)
+        grad[:, i] = (up - dn) / (2.0 * h)
+        hess[:, i, i] = (up - 2.0 * problem.u(pts) + dn) / h**2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h
+            mixed = (
+                problem.u(pts + ei + ej)
+                - problem.u(pts + ei - ej)
+                - problem.u(pts - ei + ej)
+                + problem.u(pts - ei - ej)
+            ) / (4.0 * h**2)
+            hess[:, i, j] = mixed
+            hess[:, j, i] = mixed
+
+    g_inv = np.linalg.inv(problem.metric(pts))
+    b = problem.drift(pts)
+    c = problem.diffusion(pts)
+    gamma = problem.christoffel(pts)
+
+    drift_term = np.einsum("nij,ni,nj->n", g_inv, b, grad)
+    cov_hess = hess - np.einsum("nkij,nk->nij", gamma, grad)
+    hessian_term = 0.5 * np.einsum("nij,nij->n", c, cov_hess)
+    return drift_term + hessian_term + problem.shift(pts) * problem.u(pts)
 
 
 def interior_points(problem, n, margin=0.05, seed=0):
