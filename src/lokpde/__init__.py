@@ -29,7 +29,6 @@ from .kernels import (
     SparseKernelMatrix,
     assemble_kernel_matrix,
     build_knn_graph,
-    eval_gaussian_kernel,
     eval_prototypical_kernel,
     moment_check,
 )

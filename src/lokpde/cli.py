@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 
 
 _SCHEMA = {
-    # key: (type description, validator); validators raise ConfigError
+    # key: what it holds; also the help of the flag --<key with - for _>
     "problem": "problem id or point-cloud file path (string)",
     "N": "positive integer >= 2",
     "mode": '"uniform_grid" or "iid_density"',
@@ -165,9 +165,9 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config key 'solver' must be 'direct', 'min_norm' or 'auto', got {solver!r}")
     shift = _as_real_or("shift_a", merged["shift_a"], "problem-default")
     rhs = merged["rhs"]
-    if not (isinstance(rhs, str) or isinstance(rhs, (int, float))):
+    if isinstance(rhs, bool) or not isinstance(rhs, (str, int, float)):
         raise ConfigError(f"config key 'rhs' must be a real, a file path, or 'problem', got {rhs!r}")
-    if isinstance(rhs, (int, float)) and not isinstance(rhs, bool):
+    if not isinstance(rhs, str):
         rhs = _as_real_or("rhs", rhs)
     coeff = merged["coefficients"]
     if coeff is not None and not isinstance(coeff, str):
@@ -407,7 +407,7 @@ def run_solve(config: RunConfig) -> dict:
         if u_true is not None:
             header += ["u_true", "abs_error"]
             columns += [u_true, np.abs(report.u_hat - u_true)]
-        rows = [[_fmt(col[i]) for col in columns] for i in range(cloud.n_points)]
+        rows = (map(repr, row) for row in np.column_stack(columns).tolist())
         _write_csv(config.output, header, rows)
     stages["cli.output_s"] = time.perf_counter() - mark
 
@@ -498,42 +498,21 @@ def run_tune(config: RunConfig) -> dict:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--problem", help="problem id or point-cloud file")
-    parser.add_argument("--N", help="number of points")
-    parser.add_argument("--mode", help="uniform_grid or iid_density")
-    parser.add_argument("--seed", help="RNG seed for iid sampling")
-    parser.add_argument("--k", help="number of nearest neighbors")
-    parser.add_argument("--epsilon", help="kernel bandwidth or 'auto'")
-    parser.add_argument("--tilde-epsilon", dest="tilde_epsilon", help="density bandwidth or 'auto'")
-    parser.add_argument("--debias", help="true/false")
-    parser.add_argument("--solver", help="direct, min_norm or auto")
-    parser.add_argument("--shift-a", dest="shift_a", help="zeroth-order shift or 'problem-default'")
-    parser.add_argument("--rhs", help="constant, values file, or 'problem'")
-    parser.add_argument("--coefficients", help="per-point coefficient CSV")
-    parser.add_argument("--output", help="output CSV path")
+    for key, meaning in _SCHEMA.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=meaning)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key in _SCHEMA:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key in ("N", "seed", "k"):
-            try:
-                value = int(value)
-            except ValueError:
-                raise ConfigError(f"config key {key!r} must be an integer, got {value!r}") from None
-        elif key == "debias":
-            value = _as_bool(key, value)
-        elif key == "rhs":
-            # a numeric flag value means a constant right-hand side; a file
-            # literally named like a number can be passed as "./<name>"
-            try:
-                value = float(value)
-            except ValueError:
-                pass
-        overrides[key] = value
+    """The flags given, as strings for :func:`validate_config` to coerce.
+
+    A numeric ``--rhs`` means a constant right-hand side; a file literally
+    named like a number can be passed as "./<name>".
+    """
+    overrides = {key: getattr(args, key) for key in _SCHEMA if getattr(args, key) is not None}
+    try:
+        overrides["rhs"] = float(overrides["rhs"])
+    except (KeyError, ValueError):
+        pass
     return overrides
 
 

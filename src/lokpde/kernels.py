@@ -32,7 +32,6 @@ __all__ = [
     "SparseKernelMatrix",
     "MomentReport",
     "eval_prototypical_kernel",
-    "eval_gaussian_kernel",
     "build_knn_graph",
     "assemble_kernel_matrix",
     "moment_check",
@@ -120,16 +119,6 @@ def eval_prototypical_kernel(x, y, drift, diffusion_inv, epsilon: float) -> floa
     v = x - y + epsilon * B
     quad = _quad_form(v[None, None, :], Ci[None, :, :])[0, 0]
     return float(np.exp(-quad / (2.0 * epsilon)))
-
-
-def eval_gaussian_kernel(x, y, tilde_epsilon: float) -> float:
-    """Isotropic Gaussian kernel exp(-|x - y|^2 / (2 eps~)).
-
-    Identical, bit for bit, to the prototypical kernel with zero drift and
-    identity diffusion.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return eval_prototypical_kernel(x, y, np.zeros(x.shape[0]), np.eye(x.shape[0]), tilde_epsilon)
 
 
 def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

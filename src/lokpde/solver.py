@@ -1,16 +1,21 @@
 """Linear solves for (a + L) u = f and convergence experiments.
 
-Both regimes run through one helper.  It orders the scaled system
-B = eps (a + L) = S - I + eps diag(a) by reverse Cuthill-McKee, slices it
-once in that order, takes an incomplete LU of it (``spilu``, drop
-tolerance ``ILU_DROP_TOL`` = 1e-2, natural order after the permutation)
-and solves with ILU-preconditioned GMRES (Saad & Schultz, 1986).  The
-stopping rule: one GMRES call (restart ``GMRES_RESTART`` = 100) stops
-when its residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that of
-its right-hand side, or after ``GMRES_MAX_CYCLES`` = 10 restart cycles;
-the uniform residual is then recomputed with B, and while it is above
-the route's target it is fed back as the next right-hand side, for at
-most ``REFINE_ROUNDS`` = 3 calls.
+Both regimes run through one helper: GMRES (Saad & Schultz, 1986) on
+B = eps (a + L) = S - I + eps diag(a) in natural order, preconditioned by
+an incomplete LU (``spilu``, drop tolerance ``ILU_DROP_TOL`` = 1e-2) of a
+pruned copy P in reverse Cuthill-McKee order.  P drops B's off-diagonals
+below ``ILU_DROP_TOL`` |B_ii| and adds (1 - ``ILU_DROP_TOL``) of each
+row's dropped sum to its diagonal, a row-sum compensation as in modified
+ILU (Gustafsson, 1978) that keeps the smooth modes.  -B is a Z-matrix
+(off-diagonals -S_ij <= 0) and every row of -P keeps a diagonal margin of
+at least ``ILU_DROP_TOL`` times its dropped mass, so -P is a nonsingular
+M-matrix whenever -B is one, and its incomplete LU exists for any
+dropping pattern (Meijerink & van der Vorst, 1977).  One GMRES call
+(restart ``GMRES_RESTART`` = 100) stops when its residual 2-norm is at
+most ``GMRES_RTOL`` = 1e-10 times that of its right-hand side, or after
+``GMRES_MAX_CYCLES`` = 10 restart cycles; the uniform residual is then
+recomputed with B, and while it is above the route's target it is fed
+back as the next right-hand side, for at most ``REFINE_ROUNDS`` = 3 calls.
 
 * ``solve_direct`` for strictly negative a: the scaled system is strictly
   diagonally dominant, hence nonsingular with inf-norm inverse bounded by
@@ -189,12 +194,39 @@ class _KrylovFailure(Exception):
         self.best = best
 
 
-class _IluGmres:
-    """B = eps (diag(a) + L) in RCM order, less the ``pinned`` row and column.
+def _pruned(b):
+    """P: B less its off-diagonals below ``ILU_DROP_TOL`` |B_ii|, plus
+    (1 - ``ILU_DROP_TOL``) of each row's removed sum on its diagonal.
 
-    B is sliced from S once, already in that order, and its diagonal is set
-    in place to (S_ii - 1) + eps a_i.  The incomplete factors are those of
-    B^T, whose CSC arrays are B's CSR arrays, so nothing is copied; B^T is
+    Rows meet their thresholds in blocks of about 2^16 entries, so the
+    kept-entry mask is the only temporary as long as nnz(B).
+    """
+    n = b.shape[0]
+    thresholds = ILU_DROP_TOL * np.abs(b.diagonal())
+    keep, kept, removed = np.empty(b.nnz, dtype=bool), np.empty(n, dtype=np.intp), np.empty(n)
+    step = max(1, (n << 16) // max(b.nnz, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        span = slice(b.indptr[lo], b.indptr[hi])
+        row = np.repeat(np.arange(hi - lo), np.diff(b.indptr[lo : hi + 1]))
+        keep[span] = np.abs(b.data[span]) >= thresholds[lo:hi][row]
+        kept[lo:hi] = np.bincount(row, keep[span], hi - lo)
+        removed[lo:hi] = np.bincount(row, np.where(keep[span], 0.0, b.data[span]), hi - lo)
+    indptr = np.concatenate(([0], np.cumsum(kept)))
+    p = scipy.sparse.csr_matrix((b.data[keep], b.indices[keep], indptr), shape=b.shape)
+    p.setdiag(p.diagonal() + (1.0 - ILU_DROP_TOL) * removed)
+    return p
+
+
+class _IluGmres:
+    """B = eps (diag(a) + L) on every point but the ``pinned`` one.
+
+    B is one copy of S's data on S's index arrays, with the diagonal set to
+    (S_ii - 1) + eps a_i.  ``matrix`` applies B to vectors over ``order``,
+    the points in natural order less the pin, by inserting a 0 at the pin.
+    The preconditioner factors the pruned P of :func:`_pruned`, which alone
+    is ordered by reverse Cuthill-McKee on its own pattern and sliced.  The
+    factors are those of P^T, whose CSC arrays are P's CSR arrays; P^T is
     column diagonally dominant, the case in which elimination needs no
     pivoting.  Every GMRES iteration, over all calls, counts against
     ``iter_cap``.
@@ -204,21 +236,37 @@ class _IluGmres:
         # imported here so that importing lokpde does not load csgraph
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        self.s_matrix, self.epsilon = generator.s_matrix, generator.epsilon
+        s, self.epsilon = generator.s_matrix, generator.epsilon
         self.pinned, self.iter_cap, self.iterations = pinned, iter_cap, 0
-        order = reverse_cuthill_mckee(self.s_matrix, symmetric_mode=True)
-        self.order = order if pinned is None else order[order != pinned]
-        b = self.s_matrix[self.order][:, self.order]
-        b.sort_indices()
-        b.setdiag((b.diagonal() - 1.0) + self.epsilon * shift[self.order])
-        self.matrix = b
+        self.b = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
+        self.b.setdiag((s.diagonal() - 1.0) + self.epsilon * shift)
+        pin = [] if pinned is None else [pinned]
+        self.order = np.delete(np.arange(s.shape[0]), pin)
+        p = _pruned(self.b)
+        rcm = reverse_cuthill_mckee(p, symmetric_mode=True)
+        rcm = rcm[np.isin(rcm, pin, invert=True)]
+        p = p[rcm][:, rcm]
+        p.sort_indices()
         try:
-            ilu = scipy.sparse.linalg.spilu(b.T, drop_tol=ILU_DROP_TOL, permc_spec="NATURAL")
+            ilu = scipy.sparse.linalg.spilu(p.T, drop_tol=ILU_DROP_TOL, permc_spec="NATURAL")
         except RuntimeError as exc:
             raise _KrylovFailure(f"incomplete LU broke down: {exc}") from None
         self.factor_nnz = int(ilu.L.nnz + ilu.U.nnz)
-        self._precond = scipy.sparse.linalg.LinearOperator(b.shape, lambda v: ilu.solve(v, "T"))
-        self._precond_t = scipy.sparse.linalg.LinearOperator(b.shape, ilu.solve)
+        perm = np.searchsorted(self.order, rcm)  # where P's rows sit in a vector
+
+        def ilu_solve(v, trans):
+            z = np.empty_like(v)
+            z[perm] = ilu.solve(v[perm], trans)
+            return z
+
+        def operator(apply, apply_t):
+            return scipy.sparse.linalg.LinearOperator((rcm.size,) * 2, apply, apply_t, dtype=float)
+
+        self.matrix = operator(
+            lambda v: np.delete(self.b @ np.insert(v, pin, 0.0), pin),
+            lambda v: np.delete(self.b.T @ np.insert(v, pin, 0.0), pin),
+        )
+        self._precond = operator(lambda v: ilu_solve(v, "T"), lambda v: ilu_solve(v, "N"))
 
     def _gmres(self, matrix, precond, rhs):
         """(x, converged): one preconditioned GMRES call from zero.
@@ -245,20 +293,17 @@ class _IluGmres:
     def null_vector(self, left):
         """v with v (a + L) = 0 (``left``) or (a + L) v = 0, and v = 1 at the pin.
 
-        Off the pinned point these read B^T v_rest = -(pinned row of S) or
-        B v_rest = -(pinned column of S), both in order.
+        Off the pinned point these read B^T v_rest = -(pinned row of B) or
+        B v_rest = -(pinned column of B).
         """
-        if left:
-            matrix, precond, coupling = self.matrix.T, self._precond_t, self.s_matrix[self.pinned]
-        else:
-            matrix, precond, coupling = self.matrix, self._precond, self.s_matrix[:, [self.pinned]].T
-        v_rest, converged = self._gmres(matrix, precond, -coupling.toarray().ravel()[self.order])
+        matrix, precond = (self.matrix.T, self._precond.T) if left else (self.matrix, self._precond)
+        pin = np.insert(np.zeros(self.order.size), self.pinned, 1.0)
+        coupling = (self.b.T if left else self.b) @ pin
+        v_rest, converged = self._gmres(matrix, precond, -coupling[self.order])
         if not converged:
             side = "left" if left else "right"
             raise _KrylovFailure(f"no {side} null vector {self._spent()}")
-        v = np.ones(self.s_matrix.shape[0])
-        v[self.order] = v_rest
-        return v
+        return np.insert(v_rest, self.pinned, 1.0)
 
     def solve(self, rhs, target):
         """(u, residual) with |rhs - (a + L) u|_inf <= target off the pinned row.

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import lokpde
 from lokpde.cli import (
     _SCHEMA,
     ConfigError,
+    _fmt,
     load_coefficient_file,
     main,
     parse_config,
@@ -123,6 +125,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config({"problem": "bvp1d", "N": 100, **overrides})
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_rhs_rejected(self, flag):
+        # bool is an int subtype; taken as a path, open(True) would read fd 1
+        with pytest.raises(ConfigError, match="'rhs'"):
+            validate_config({"problem": "bvp1d", "rhs": flag})
+
     @pytest.mark.parametrize("token", ["nan", "-inf"])
     @pytest.mark.parametrize("key", ["epsilon", "tilde_epsilon", "shift_a", "rhs"])
     def test_non_finite_real_named(self, key, token, capsys):
@@ -164,6 +172,24 @@ class TestRunSolve:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert all(float(r["u_hat"]) == 0.0 for r in rows)
+
+    def test_csv_bytes_are_per_cell_fmt(self, tmp_path):
+        out = tmp_path / "ellipse.csv"
+        cfg = validate_config(
+            {"problem": "ellipse", "N": 120, "k": 30, "epsilon": 1e-3,
+             "tilde_epsilon": 1e-3, "output": str(out)}
+        )
+        run_solve(cfg)
+        written = out.read_bytes()
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["x1", "x2", "u_hat", "u_true", "abs_error"] and len(rows) == 120
+        # repr round-trips, so re-formatting each parsed cell must give the file
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows([[_fmt(float(cell)) for cell in row] for row in rows])
+        assert written == expected.getvalue().encode()
 
     def test_bvp1d_record_and_csv_round_trip(self, tmp_path):
         out = str(tmp_path / "bvp.csv")
@@ -467,13 +493,15 @@ class TestMainEntry:
         assert "closed classes" in capsys.readouterr().err
 
     def test_import_defers_kd_tree_and_thread_pool(self):
-        # both load on first use, in build_knn_graph and tune_bandwidth; at
-        # import they would add to the start-up time of every solve
+        # each loads on first use (build_knn_graph, the solver's RCM and
+        # closed-class search, tune_bandwidth); at import they would add to
+        # the start-up time of every solve
         src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = (
             "import sys, lokpde.cli; "
-            "print([m for m in ('scipy.spatial', 'concurrent.futures.thread') if m in sys.modules])"
+            "print([m for m in ('scipy.spatial', 'scipy.sparse.csgraph', 'concurrent.futures.thread') "
+            "if m in sys.modules])"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr

@@ -15,11 +15,17 @@ from lokpde.kernels import (
     KernelConfig,
     assemble_kernel_matrix,
     build_knn_graph,
-    eval_gaussian_kernel,
     eval_prototypical_kernel,
     moment_check,
 )
 from lokpde.problems import analytic_pair
+
+
+def eval_gaussian_kernel(x, y, tilde_epsilon):
+    """Isotropic Gaussian kernel exp(-|x - y|^2 / (2 eps~)): the prototypical
+    kernel with zero drift and identity diffusion, bit for bit."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return eval_prototypical_kernel(x, y, np.zeros(x.shape[0]), np.eye(x.shape[0]), tilde_epsilon)
 
 
 def make_cloud(points):

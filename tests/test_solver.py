@@ -11,6 +11,7 @@ from lokpde.operator import build_operator, left_normalize
 from lokpde.problems import analytic_pair, problem_coefficients
 from lokpde.operator import GeneratorMatrix
 from lokpde.solver import (
+    ILU_DROP_TOL,
     ConvergenceStudyError,
     DirectSolveError,
     DisconnectedGraphError,
@@ -18,6 +19,7 @@ from lokpde.solver import (
     MinNormConvergenceError,
     _null_classes,
     _IluGmres,
+    _pruned,
     best_shift_error,
     check_minimum_norm_certificate,
     convergence_study,
@@ -344,6 +346,74 @@ class TestSolverProperties:
             u = solve(LinearProblem(gen, shift, f)).u_hat
             u_p = solve(LinearProblem(gen_p, shift[perm], f[perm])).u_hat
             np.testing.assert_allclose(u_p, u[perm], atol=1e-9)
+
+
+def dense_b(gen, shift):
+    """B = eps (diag(a) + L) = S - I + eps diag(a), dense."""
+    return gen.s_matrix.toarray() - np.eye(gen.n_points) + gen.epsilon * np.diag(shift)
+
+
+class TestPrunedPreconditioner:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
+    def test_pruned_copy_is_a_compensated_z_matrix(self, system):
+        _, _, _, _, _, gen, _, a, _ = system
+        for shift in (np.zeros(gen.n_points), a):
+            b = dense_b(gen, shift)
+            p = _pruned(scipy.sparse.csr_matrix(b)).toarray()
+            off = ~np.eye(gen.n_points, dtype=bool)
+            # -P is a Z-matrix, and P only drops off-diagonals of B
+            assert (p[off] >= 0.0).all()
+            assert ((p == b) | (p == 0.0))[off].all()
+            removed = np.where(off, b - p, 0.0).sum(axis=1)
+            dropped = off & (p == 0.0) & (b != 0.0)
+            assert (b[dropped] < ILU_DROP_TOL * np.abs(np.diag(b))[np.nonzero(dropped)[0]]).all()
+            margin = -np.diag(p) - np.where(off, p, 0.0).sum(axis=1)
+            slack = 1e-13 * np.abs(np.diag(b))
+            assert (margin >= ILU_DROP_TOL * removed - slack).all()
+            np.testing.assert_allclose(
+                np.diag(p), np.diag(b) + (1.0 - ILU_DROP_TOL) * removed, rtol=1e-14, atol=1e-15
+            )
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
+    def test_matrix_is_b_in_natural_order(self, system):
+        _, _, _, _, _, gen, f, a, _ = system
+        n = gen.n_points
+        classes = _null_classes(gen.s_matrix, np.zeros(n))
+        for shift, pinned in ((a, None), (np.zeros(n), int(classes[0]) if classes.size else None)):
+            helper = _IluGmres(gen, shift, pinned, 20 * n)
+            keep = np.arange(n) != pinned
+            assert helper.order.tolist() == np.flatnonzero(keep).tolist()
+            b = dense_b(gen, shift)[helper.order][:, helper.order]
+            x = f[keep]
+            np.testing.assert_allclose(helper.matrix @ x, b @ x, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(helper.matrix.T @ x, b.T @ x, rtol=1e-13, atol=1e-13)
+
+    def test_flat_rows_prune_every_off_diagonal(self):
+        # k = N and eps far above the squared diameter: every S_ij is about
+        # 1/N, below 1e-2 |B_ii|, so P is diagonal and GMRES gets no help
+        n = 150
+        rng = np.random.default_rng(3)
+        gen = cloud_generator(rng.uniform(size=(n, 2)), n, 100.0)
+        f = rng.normal(size=n)
+        for shift in (np.zeros(n), np.full(n, -1.0)):
+            assert _pruned(scipy.sparse.csr_matrix(dense_b(gen, shift))).nnz == n
+        dense = gen.matrix().toarray()
+        rep = solve_direct(LinearProblem(gen, np.full(n, -1.0), f))
+        np.testing.assert_allclose(rep.u_hat, np.linalg.solve(dense - np.eye(n), f), atol=1e-9)
+        rep = solve_min_norm(LinearProblem(gen, np.zeros(n), f))
+        np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
+
+    def test_bvp1d_paper_bandwidth_needs_few_iterations(self):
+        # N = 4000, eps = 2e-6: the unpruned ILU(1e-2) needed 99 iterations
+        problem = analytic_pair("bvp1d")
+        cloud = sample_points(problem.manifold, 4000, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        gen = build_operator(cloud, coeffs, KernelConfig(2e-6, 2e-6, 100), debias=False)
+        x = cloud.intrinsic
+        rep = solve_direct(LinearProblem(gen, problem.shift(x), problem.f(x)))
+        assert rep.iterations < 60
 
 
 class TestOraclePins:
