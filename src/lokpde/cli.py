@@ -30,7 +30,7 @@ from .operator import (
     tune_gaussian_bandwidth,
 )
 from .problems import PROBLEM_IDS, analytic_pair, problem_coefficients
-from .solver import LinearProblem, convergence_study, solve, solve_direct, solve_min_norm
+from .solver import LinearProblem, convergence_study, solve
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_solve", "run_study", "run_tune", "main"]
 
@@ -49,7 +49,6 @@ _SCHEMA = {
     "epsilon": 'positive real or "auto"',
     "tilde_epsilon": 'positive real or "auto"',
     "debias": "boolean",
-    "solver": '"direct", "min_norm" or "auto"',
     "shift_a": 'real or "problem-default"',
     "rhs": 'real, values-file path, or "problem"',
     "coefficients": "per-point coefficient CSV path or null",
@@ -64,7 +63,6 @@ _DEFAULTS = {
     "epsilon": "auto",
     "tilde_epsilon": "auto",
     "debias": True,
-    "solver": "auto",
     "shift_a": "problem-default",
     "rhs": "problem",
     "coefficients": None,
@@ -82,7 +80,6 @@ class RunConfig:
     epsilon: float | str
     tilde_epsilon: float | str
     debias: bool
-    solver: str
     shift_a: float | str
     rhs: float | str
     coefficients: str | None
@@ -160,9 +157,6 @@ def validate_config(raw: dict) -> RunConfig:
     if isinstance(tilde, float) and tilde <= 0:
         raise ConfigError(f"config key 'tilde_epsilon' must be positive, got {tilde}")
     debias = _as_bool("debias", merged["debias"])
-    solver = merged["solver"]
-    if solver not in ("direct", "min_norm", "auto"):
-        raise ConfigError(f"config key 'solver' must be 'direct', 'min_norm' or 'auto', got {solver!r}")
     shift = _as_real_or("shift_a", merged["shift_a"], "problem-default")
     rhs = merged["rhs"]
     if isinstance(rhs, bool) or not isinstance(rhs, (str, int, float)):
@@ -182,7 +176,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config key 'problem' must be a non-empty string, got {problem!r}")
 
     return RunConfig(
-        problem, n, mode, seed, k, epsilon, tilde, debias, solver, shift, rhs, coeff, output
+        problem, n, mode, seed, k, epsilon, tilde, debias, shift, rhs, coeff, output
     )
 
 
@@ -250,6 +244,10 @@ def load_coefficient_file(path: str, n_points: int, ambient_dim: int) -> Coeffic
             idx = int(values[0])
             if not 0 <= idx < n_points:
                 raise ConfigError(f"{path}: line {lineno}: point index {idx} out of range")
+            if line_of[idx]:
+                raise ConfigError(
+                    f"{path}: line {lineno}: point index {idx} already given on line {line_of[idx]}"
+                )
             line_of[idx] = lineno
             drift[idx] = values[1 : 1 + ambient_dim]
             tri = values[1 + ambient_dim :]
@@ -298,17 +296,17 @@ def _load_rhs(rhs, n_points: int, path_hint: str) -> np.ndarray:
 def _build_cloud(config: RunConfig):
     """Resolve a config into (cloud, coeffs, problem-or-None, debias)."""
     if config.is_cloud_file:
-        cloud = load_cloud(config.problem)
-        n, dim = cloud.n_points, cloud.ambient_dim
-        if config.coefficients is not None:
-            coeffs = load_coefficient_file(config.coefficients, n, dim)
-            debias = config.debias
-        else:
-            # unknown embedding: Laplace-Beltrami operator on i.i.d. samples,
-            # so the debiasing normalization is forced on
-            coeffs = CoefficientField.laplace_beltrami(n, dim)
-            debias = True
-        return cloud, coeffs, None, debias
+        try:
+            cloud = load_cloud(config.problem)
+            n, dim = cloud.n_points, cloud.ambient_dim
+            coeffs = None if config.coefficients is None else load_coefficient_file(config.coefficients, n, dim)
+        except (OSError, ValueError) as exc:  # an unreadable or malformed input file
+            raise ConfigError(str(exc)) from exc
+        if coeffs is not None:
+            return cloud, coeffs, None, config.debias
+        # unknown embedding: Laplace-Beltrami operator on i.i.d. samples,
+        # so the debiasing normalization is forced on
+        return cloud, CoefficientField.laplace_beltrami(n, dim), None, True
     problem = analytic_pair(config.problem)
     if config.N is None:
         raise ConfigError(f"config key 'N' is required for zoo problem {config.problem!r}")
@@ -371,8 +369,9 @@ def run_solve(config: RunConfig) -> dict:
 
     The record's ``stages`` holds the seconds of the bandwidth scans
     (``operator.tune_s``, 0.0 when no bandwidth is "auto"), the operator
-    build, the solve (``solver.direct_s`` or ``solver.min_norm_s``) and
-    the CSV output.
+    build, the solve (``solver.direct_s`` or ``solver.min_norm_s``, as
+    the record's ``solver`` names the route :func:`solve` took) and the CSV
+    output.
     """
     start = time.perf_counter()
     cloud, coeffs, problem, debias = _build_cloud(config)
@@ -386,12 +385,7 @@ def run_solve(config: RunConfig) -> dict:
     stages["operator.build_s"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
-    if config.solver == "direct":
-        report = solve_direct(lin)
-    elif config.solver == "min_norm":
-        report = solve_min_norm(lin)
-    else:
-        report = solve(lin)
+    report = solve(lin)
     solver = "direct" if report.method == "direct" else "min_norm"
     stages[f"solver.{solver}_s"] = time.perf_counter() - mark
 

@@ -46,16 +46,12 @@ class Manifold:
         intrinsic_dim: dimension d of the manifold.
         ambient_dim: dimension n of the embedding space.
         parameter_domain: per-coordinate closed intervals (radians for angles).
-        has_boundary: whether the parameter domain has genuine endpoints.
-        periodic: per-coordinate flag, True for closed angular coordinates.
     """
 
     id: str
     intrinsic_dim: int
     ambient_dim: int
     parameter_domain: tuple[tuple[float, float], ...]
-    has_boundary: bool
-    periodic: tuple[bool, ...]
     # per-coordinate uniform-grid convention: "closed" excludes the period
     # endpoint, "endpoints" includes both, "centered" uses cell centers.
     # Bounded angular coordinates are cell-centered: with nodes exactly on
@@ -73,15 +69,11 @@ class Manifold:
 
 
 _ZOO = {
-    "interval": Manifold("interval", 1, 1, ((0.0, 1.0),), True, (False,), ("endpoints",)),
-    "ellipse": Manifold("ellipse", 1, 2, ((0.0, TWO_PI),), False, (True,), ("closed",)),
-    "half_ellipse": Manifold("half_ellipse", 1, 2, ((0.0, np.pi),), True, (False,), ("centered",)),
-    "torus": Manifold(
-        "torus", 2, 3, ((0.0, TWO_PI), (0.0, TWO_PI)), False, (True, True), ("closed", "closed")
-    ),
-    "half_torus": Manifold(
-        "half_torus", 2, 3, ((0.0, TWO_PI), (0.0, np.pi)), True, (True, False), ("closed", "centered")
-    ),
+    "interval": Manifold("interval", 1, 1, ((0.0, 1.0),), ("endpoints",)),
+    "ellipse": Manifold("ellipse", 1, 2, ((0.0, TWO_PI),), ("closed",)),
+    "half_ellipse": Manifold("half_ellipse", 1, 2, ((0.0, np.pi),), ("centered",)),
+    "torus": Manifold("torus", 2, 3, ((0.0, TWO_PI), (0.0, TWO_PI)), ("closed", "closed")),
+    "half_torus": Manifold("half_torus", 2, 3, ((0.0, TWO_PI), (0.0, np.pi)), ("closed", "centered")),
 }
 
 
@@ -103,7 +95,7 @@ def ambient_cloud_manifold(ambient_dim: int, intrinsic_dim: int | None = None) -
     """
     d = ambient_dim - 1 if intrinsic_dim is None else intrinsic_dim
     d = max(d, 1)
-    return Manifold("ambient_cloud", d, ambient_dim, (), False, ())
+    return Manifold("ambient_cloud", d, ambient_dim, ())
 
 
 def embed(manifold: Manifold, intrinsic: np.ndarray) -> np.ndarray:
@@ -272,16 +264,10 @@ def sample_points(manifold: Manifold, n_points: int, mode: str, seed: int = 0) -
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Ambient drift B (N x n) and diffusion pseudo-inverse C^-1 (N x n x n).
-
-    When the field came from intrinsic data, the original b (N x d) and
-    c (N x d x d) are kept alongside.
-    """
+    """Ambient drift B (N x n) and diffusion pseudo-inverse C^-1 (N x n x n)."""
 
     drift: np.ndarray
     diffusion_inv: np.ndarray
-    intrinsic_b: np.ndarray | None = None
-    intrinsic_c: np.ndarray | None = None
 
     def __post_init__(self):
         B = np.asarray(self.drift, dtype=float)
@@ -351,7 +337,7 @@ def lift_field(manifold: Manifold, cloud: PointCloud, b_fn, c_fn) -> Coefficient
     pts = cloud.intrinsic
     b = np.asarray(b_fn(pts), dtype=float)
     c = np.asarray(c_fn(pts), dtype=float)
-    return CoefficientField(*_lift(manifold, pts, b, c), b, c)
+    return CoefficientField(*_lift(manifold, pts, b, c))
 
 
 def load_cloud(path) -> PointCloud:

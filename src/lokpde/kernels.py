@@ -85,6 +85,11 @@ class SparseKernelMatrix:
         return self.matrix.shape[0]
 
 
+def row_blocks(n: int, size: int) -> list[slice]:
+    """The row slices [s, min(s + size, n)) for s = 0, size, 2 size, ... below n."""
+    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
+
+
 def _check_finite(*arrays):
     for a in arrays:
         if not np.all(np.isfinite(a)):
@@ -156,8 +161,8 @@ def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray,
     shrink = 1.0 - 8.0 * (pts.shape[1] + 2) * np.finfo(float).eps
     indices = np.empty((n, k), dtype=np.intp)
     d2 = np.empty((n, k))
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, n))
+    for block in row_blocks(n, _CHUNK_ROWS):
+        rows = np.arange(block.start, block.stop)
         m = min(k + 8, n)
         while rows.size:
             dist, cand = tree.query(pts[rows], k=m)
@@ -213,15 +218,9 @@ def assemble_kernel_matrix(
     cols = np.sort(neighbors[0], axis=1)
     k = cols.shape[1]
     data = np.empty((n, k))
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        data[start:stop] = _kernel_rows(
-            pts[start:stop],
-            pts,
-            cols[start:stop],
-            coeffs.drift[start:stop],
-            coeffs.diffusion_inv[start:stop],
-            cfg.epsilon,
+    for rows in row_blocks(n, _CHUNK_ROWS):
+        data[rows] = _kernel_rows(
+            pts[rows], pts, cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], cfg.epsilon
         )
     indptr = np.arange(0, n * k + 1, k, dtype=np.intp)
     mat = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))

@@ -43,7 +43,9 @@ import numpy as np
 import scipy.sparse
 
 from .geometry import CoefficientField, PointCloud
-from .kernels import KernelConfig, SparseKernelMatrix, _check_neighbors, assemble_kernel_matrix, build_knn_graph
+from .kernels import (
+    KernelConfig, SparseKernelMatrix, _check_neighbors, assemble_kernel_matrix, build_knn_graph, row_blocks,
+)
 
 __all__ = [
     "DensityEstimate",
@@ -425,18 +427,16 @@ def tune_bandwidth(
             np.subtract(x[rows, None], x[None, first:], out=va)
         return _pair_forms(ci[rows], v, drift[rows] if has_drift else None, scale, local.work)
 
-    def scan_symmetric(start):
-        rows = slice(start, min(start + _BLOCK_ROWS, n))
-        q0, _ = block_forms(rows, start)
-        square, tail = q0[:, : rows.stop - start], q0[:, rows.stop - start :]
+    def scan_symmetric(rows):
+        q0, _ = block_forms(rows, rows.start)
+        square, tail = q0[:, : rows.stop - rows.start], q0[:, rows.stop - rows.start :]
         square.sort(axis=1)
         tail.sort(axis=1)
         own, own_evals = _window_sums(square, None, None, low[rows], high[rows], grid)
         mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid)
         return own + 2.0 * mirrored, own_evals + mirrored_evals
 
-    def scan_block(start):
-        rows = slice(start, min(start + _BLOCK_ROWS, n))
+    def scan_block(rows):
         q0, q1 = block_forms(rows, 0)
         if q1 is not None:
             order = np.argsort(q0, axis=1)
@@ -452,7 +452,7 @@ def tune_bandwidth(
     scan = scan_block if scale is None else scan_symmetric
     # the thread module loads on first use, not at import
     with concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        for partial, evals in pool.map(scan, range(0, n, _BLOCK_ROWS)):
+        for partial, evals in pool.map(scan, row_blocks(n, _BLOCK_ROWS)):
             totals += partial
             pair_evals += evals
     with np.errstate(divide="ignore"):

@@ -1,38 +1,40 @@
 """Linear solves for (a + L) u = f and convergence experiments.
 
-Both regimes run through one helper: GMRES (Saad & Schultz, 1986) on
-B = eps (a + L) = S - I + eps diag(a) in natural order, preconditioned by
-an incomplete LU (``spilu``, drop tolerance ``ILU_DROP_TOL`` = 1e-2) of a
-pruned copy P in reverse Cuthill-McKee order.  P drops B's off-diagonals
-below ``ILU_DROP_TOL`` |B_ii| and adds (1 - ``ILU_DROP_TOL``) of each
-row's dropped sum to its diagonal, a row-sum compensation as in modified
-ILU (Gustafsson, 1978) that keeps the smooth modes.  -B is a Z-matrix
-(off-diagonals -S_ij <= 0) and every row of -P keeps a diagonal margin of
-at least ``ILU_DROP_TOL`` times its dropped mass, so -P is a nonsingular
-M-matrix whenever -B is one, and its incomplete LU exists for any
-dropping pattern (Meijerink & van der Vorst, 1977).  One GMRES call
-(restart ``GMRES_RESTART`` = 100) stops when its residual 2-norm is at
-most ``GMRES_RTOL`` = 1e-10 times that of its right-hand side, or after
-``GMRES_MAX_CYCLES`` = 10 restart cycles; the uniform residual is then
-recomputed with B, and while it is above the route's target it is fed
-back as the next right-hand side, for at most ``REFINE_ROUNDS`` = 3 calls.
+Both regimes are one computation, (a + L)^+ f for a <= 0, and run through
+one driver: GMRES (Saad & Schultz, 1986) on B = eps (a + L) =
+S - I + eps diag(a) in the points' own numbering, preconditioned by an
+incomplete LU (``spilu``, drop tolerance ``ILU_DROP_TOL`` = 1e-2) of a
+pruned copy P permuted by reverse Cuthill-McKee.  P drops B's
+off-diagonals below ``ILU_DROP_TOL`` |B_ii| and adds (1 -
+``ILU_DROP_TOL``) of each row's dropped sum to its diagonal, a row-sum
+compensation as in modified ILU (Gustafsson, 1978) that keeps the smooth
+modes.  -B is a Z-matrix (off-diagonals -S_ij <= 0) and every row of -P
+keeps a diagonal margin of at least ``ILU_DROP_TOL`` times its dropped
+mass, so -P is a nonsingular M-matrix whenever -B is one, and its
+incomplete LU exists for any dropping pattern (Meijerink & van der Vorst,
+1977).  One GMRES call (restart ``GMRES_RESTART`` = 100) stops when its
+residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that of its
+right-hand side, or after ``GMRES_MAX_CYCLES`` = 10 restart cycles; the
+uniform residual is then recomputed with B, and while it is above the
+caller's target it is fed back as the next right-hand side, for at most
+``REFINE_ROUNDS`` = 3 calls.
 
-* ``solve_direct`` for strictly negative a: the scaled system is strictly
-  diagonally dominant, hence nonsingular with inf-norm inverse bounded by
-  1/min(-a); refinement enforces a relative uniform residual of at most
-  ``DIRECT_RESIDUAL_RTOL``.
-* ``solve_min_norm`` for a <= 0 with max(a) = 0, above all a = 0 (singular
-  generator): the minimum-norm least-squares solution (a + L)^+ f by
-  rank-one deflation.  One point q of the unique closed class of S with
-  a = 0 on it is pinned (row and column removed), which leaves a
-  nonsingular system; the left null vector w (w (a + L) = 0, w_q = 1)
-  comes from a transpose GMRES solve with the same ILU; f is projected
-  onto range(a + L) = w^perp, the pinned system is solved, and the
-  component along the right null vector is removed.  For a = 0 that
-  vector is the constant one, so the mean is subtracted; otherwise it
-  comes from one more GMRES solve.  With no such class a + L is
-  nonsingular and is solved unpinned.  A truncated-SVD pseudo-inverse is
-  available for moderate N as the cross-check.
+A closed class of S with a = 0 on it makes a + L singular; the driver
+then deflates by rank one.  Its smallest point q is pinned: row and
+column q of B become -e_q, so -B stays a Z-matrix with a positive
+diagonal, and the pinned system is nonsingular with solutions 0 at q.
+The left null vector w (w (a + L) = 0, w_q = 1) comes from a transpose
+GMRES solve with the same ILU; f is projected onto w^perp, the pinned
+system is solved, and the component along the right null vector is
+removed (for a = 0 the constant one, else one more GMRES solve).
+
+* ``solve_direct`` for strictly negative a, where nothing is pinned: the
+  scaled system is strictly diagonally dominant, hence nonsingular with
+  inf-norm inverse bounded by 1/min(-a); refinement enforces a relative
+  uniform residual of at most ``DIRECT_RESIDUAL_RTOL``.
+* ``solve_min_norm`` for a <= 0, above all a = 0 (singular generator).  A
+  truncated-SVD pseudo-inverse is available for moderate N as the
+  cross-check.
 
 Failures are named: more than one closed class raises
 :class:`DisconnectedGraphError`; an ILU breakdown, GMRES non-convergence
@@ -50,7 +52,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .geometry import sample_points
-from .kernels import KernelConfig, build_knn_graph
+from .kernels import KernelConfig, build_knn_graph, row_blocks
 from .operator import GeneratorMatrix, build_operator, tune_bandwidth, tune_gaussian_bandwidth
 from .problems import analytic_pair, problem_coefficients
 
@@ -173,8 +175,6 @@ class SolveReport:
     error_inf: float | None = None
     error_l2: float | None = None
     error_inf_best_shift: float | None = None
-    epsilon_used: float | None = None
-    tilde_epsilon_used: float | None = None
 
     def with_errors(self, u_true: np.ndarray) -> "SolveReport":
         inf_err, l2_err = error_report(self.u_hat, u_true)
@@ -205,8 +205,8 @@ def _pruned(b):
     thresholds = ILU_DROP_TOL * np.abs(b.diagonal())
     keep, kept, removed = np.empty(b.nnz, dtype=bool), np.empty(n, dtype=np.intp), np.empty(n)
     step = max(1, (n << 16) // max(b.nnz, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for rows in row_blocks(n, step):
+        lo, hi = rows.start, rows.stop
         span = slice(b.indptr[lo], b.indptr[hi])
         row = np.repeat(np.arange(hi - lo), np.diff(b.indptr[lo : hi + 1]))
         keep[span] = np.abs(b.data[span]) >= thresholds[lo:hi][row]
@@ -219,17 +219,18 @@ def _pruned(b):
 
 
 class _IluGmres:
-    """B = eps (diag(a) + L) on every point but the ``pinned`` one.
+    """B = eps (diag(a) + L), with row and column ``pinned`` replaced by -e_q.
 
-    B is one copy of S's data on S's index arrays, with the diagonal set to
-    (S_ii - 1) + eps a_i.  ``matrix`` applies B to vectors over ``order``,
-    the points in natural order less the pin, by inserting a 0 at the pin.
-    The preconditioner factors the pruned P of :func:`_pruned`, which alone
-    is ordered by reverse Cuthill-McKee on its own pattern and sliced.  The
-    factors are those of P^T, whose CSC arrays are P's CSR arrays; P^T is
-    column diagonally dominant, the case in which elimination needs no
-    pivoting.  Every GMRES iteration, over all calls, counts against
-    ``iter_cap``.
+    ``matrix`` is B: one copy of S's data on S's index arrays, with the
+    diagonal set to (S_ii - 1) + eps a_i.  A pin q keeps q's original row
+    and column of B as the right-hand sides of :meth:`null_vector` before
+    they are zeroed.  B and the factors below map vectors that are 0 at q
+    to vectors that are 0 at q, so every Krylov vector stays exactly 0
+    there.  The preconditioner factors the pruned P of :func:`_pruned`,
+    permuted by reverse Cuthill-McKee on its own pattern.  The factors are
+    those of P^T, whose CSC arrays are P's CSR arrays; P^T is column
+    diagonally dominant, the case in which elimination needs no pivoting.
+    Every GMRES iteration, over all calls, counts against ``iter_cap``.
     """
 
     def __init__(self, generator, shift, pinned, iter_cap):
@@ -238,13 +239,18 @@ class _IluGmres:
 
         s, self.epsilon = generator.s_matrix, generator.epsilon
         self.pinned, self.iter_cap, self.iterations = pinned, iter_cap, 0
-        self.b = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
-        self.b.setdiag((s.diagonal() - 1.0) + self.epsilon * shift)
-        pin = [] if pinned is None else [pinned]
-        self.order = np.delete(np.arange(s.shape[0]), pin)
-        p = _pruned(self.b)
+        b = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
+        b.setdiag((s.diagonal() - 1.0) + self.epsilon * shift)
+        if pinned is not None:
+            e_q = np.zeros(s.shape[0])
+            e_q[pinned] = 1.0
+            self._pin_row, self._pin_column = b.T @ e_q, b @ e_q
+            b.data[b.indices == pinned] = 0.0
+            row = slice(b.indptr[pinned], b.indptr[pinned + 1])
+            b.data[row] = np.where(b.indices[row] == pinned, -1.0, 0.0)
+        self.matrix = b
+        p = _pruned(b)
         rcm = reverse_cuthill_mckee(p, symmetric_mode=True)
-        rcm = rcm[np.isin(rcm, pin, invert=True)]
         p = p[rcm][:, rcm]
         p.sort_indices()
         try:
@@ -252,21 +258,15 @@ class _IluGmres:
         except RuntimeError as exc:
             raise _KrylovFailure(f"incomplete LU broke down: {exc}") from None
         self.factor_nnz = int(ilu.L.nnz + ilu.U.nnz)
-        perm = np.searchsorted(self.order, rcm)  # where P's rows sit in a vector
 
         def ilu_solve(v, trans):
             z = np.empty_like(v)
-            z[perm] = ilu.solve(v[perm], trans)
+            z[rcm] = ilu.solve(v[rcm], trans)
             return z
 
-        def operator(apply, apply_t):
-            return scipy.sparse.linalg.LinearOperator((rcm.size,) * 2, apply, apply_t, dtype=float)
-
-        self.matrix = operator(
-            lambda v: np.delete(self.b @ np.insert(v, pin, 0.0), pin),
-            lambda v: np.delete(self.b.T @ np.insert(v, pin, 0.0), pin),
+        self._precond = scipy.sparse.linalg.LinearOperator(
+            s.shape, lambda v: ilu_solve(v, "T"), lambda v: ilu_solve(v, "N"), dtype=float
         )
-        self._precond = operator(lambda v: ilu_solve(v, "T"), lambda v: ilu_solve(v, "N"))
 
     def _gmres(self, matrix, precond, rhs):
         """(x, converged): one preconditioned GMRES call from zero.
@@ -293,26 +293,31 @@ class _IluGmres:
     def null_vector(self, left):
         """v with v (a + L) = 0 (``left``) or (a + L) v = 0, and v = 1 at the pin.
 
-        Off the pinned point these read B^T v_rest = -(pinned row of B) or
-        B v_rest = -(pinned column of B).
+        Off the pinned point these read B^T v = -(pinned row of B) or
+        B v = -(pinned column of B), with B pinned and the right-hand side
+        0 at the pin.
         """
         matrix, precond = (self.matrix.T, self._precond.T) if left else (self.matrix, self._precond)
-        pin = np.insert(np.zeros(self.order.size), self.pinned, 1.0)
-        coupling = (self.b.T if left else self.b) @ pin
-        v_rest, converged = self._gmres(matrix, precond, -coupling[self.order])
+        rhs = -(self._pin_row if left else self._pin_column)
+        rhs[self.pinned] = 0.0
+        v, converged = self._gmres(matrix, precond, rhs)
         if not converged:
             side = "left" if left else "right"
             raise _KrylovFailure(f"no {side} null vector {self._spent()}")
-        return np.insert(v_rest, self.pinned, 1.0)
+        v[self.pinned] = 1.0
+        return v
 
     def solve(self, rhs, target):
         """(u, residual) with |rhs - (a + L) u|_inf <= target off the pinned row.
 
-        u is 0 at the pinned point, and so is the residual returned there.
-        After each GMRES call the residual is recomputed with B and fed
-        back as the next right-hand side, at most ``REFINE_ROUNDS`` times.
+        The right-hand side is set to 0 at the pinned point, so u and the
+        residual returned are 0 there.  After each GMRES call the residual
+        is recomputed with B and fed back as the next right-hand side, at
+        most ``REFINE_ROUNDS`` times.
         """
-        scaled = self.epsilon * rhs[self.order]
+        scaled = self.epsilon * rhs
+        if self.pinned is not None:
+            scaled[self.pinned] = 0.0
         x, residual = np.zeros(scaled.size), scaled
         for _ in range(REFINE_ROUNDS):
             delta, _ = self._gmres(self.matrix, self._precond, residual)
@@ -321,14 +326,12 @@ class _IluGmres:
             worst = np.abs(residual).max() / self.epsilon
             if worst <= target:
                 break
-        u, full_residual = np.zeros(rhs.size), np.zeros(rhs.size)
-        u[self.order], full_residual[self.order] = x, residual / self.epsilon
+        residual /= self.epsilon
         if worst > target:
             raise _KrylovFailure(
-                f"uniform residual {worst:.3e} above {target:.3e} {self._spent()}",
-                (u, full_residual),
+                f"uniform residual {worst:.3e} above {target:.3e} {self._spent()}", (x, residual)
             )
-        return u, full_residual
+        return x, residual
 
 
 def solve(problem: LinearProblem) -> SolveReport:
@@ -336,43 +339,6 @@ def solve(problem: LinearProblem) -> SolveReport:
     if problem.shift.max() < 0:
         return solve_direct(problem)
     return solve_min_norm(problem)
-
-
-def solve_direct(problem: LinearProblem) -> SolveReport:
-    """Solve (diag(a) + L) u = f for strictly negative a.
-
-    Runs the shared RCM / ILU / GMRES helper on the whole system (no
-    pinning) and refines until the relative uniform residual
-    |f - (a + L) u|_inf / |f|_inf is at most ``DIRECT_RESIDUAL_RTOL``
-    (1e-10).  Raises :class:`DirectSolveError`, with the best iterate and
-    its uniform residual, if the ILU breaks down or the contract is not
-    met within ``REFINE_ROUNDS`` GMRES calls (each at most
-    ``GMRES_MAX_CYCLES`` restart cycles).
-    """
-    a, f = problem.shift, problem.rhs
-    if a.max() >= 0:
-        raise ValueError(
-            "direct solve requires max(a) < 0 (strict diagonal dominance); "
-            "use solve_min_norm for the singular case"
-        )
-    gen = problem.generator
-    n = gen.n_points
-    f_scale = max(float(np.abs(f).max()), np.finfo(float).tiny)
-    if not np.any(f):
-        return SolveReport(np.zeros(n), "direct", 0.0, iterations=0, epsilon_used=gen.epsilon)
-    try:
-        system = _IluGmres(gen, a, None, np.iinfo(np.int64).max)
-        u, residual = system.solve(f, DIRECT_RESIDUAL_RTOL * f_scale)
-    except _KrylovFailure as exc:
-        u, residual = exc.best or (np.zeros(n), f)
-        res_inf = float(np.abs(residual).max())
-        raise DirectSolveError(
-            f"direct solve failed at relative residual {res_inf / f_scale:.3e}: {exc}", res_inf, u
-        ) from None
-    return SolveReport(
-        u, "direct", float(np.abs(residual).max()), iterations=system.iterations,
-        factor_nnz=system.factor_nnz, epsilon_used=gen.epsilon,
-    )
 
 
 def _null_classes(s_matrix, shift):
@@ -383,8 +349,11 @@ def _null_classes(s_matrix, shift):
     null vector of a + L.  The pattern keeps the entries above float64's
     machine epsilon: S_ii carries a rounding error of that size, so a row
     whose other entries are all smaller is absorbing in floating point
-    (S_ii - 1 rounds to 0).
+    (S_ii - 1 rounds to 0).  With a != 0 at every point every class leaks,
+    and the connectivity pass is skipped.
     """
+    if shift.all():
+        return np.empty(0, dtype=np.intp)
     from scipy.sparse.csgraph import connected_components
 
     tiny = np.finfo(float).eps
@@ -399,31 +368,62 @@ def _null_classes(s_matrix, shift):
     return np.sort(first_member[~leaks])
 
 
-def _deflated_min_norm(gen, a, f, tol, iter_cap):
-    """(u, iterations, factor_nnz): (a + L)^+ f for a <= 0 by rank-one deflation."""
-    n = gen.n_points
+def _krylov_solve(gen, a, f, target, iter_cap):
+    """(u, residual, system): (a + L)^+ f for a <= 0, by rank-one deflation
+    where S has a closed class with a = 0 on it.
+
+    ``residual`` is f, or its projection onto range(a + L), less (a + L) u
+    before the null vector is removed; its uniform norm is at most
+    ``target``.  Raises :class:`DisconnectedGraphError` for more than one
+    such class and :class:`_KrylovFailure` when the Krylov solve fails.
+    """
     classes = _null_classes(gen.s_matrix, a)
     if classes.size > 1:
         raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
     pinned = int(classes[0]) if classes.size else None
-    if pinned is not None and n == 1:
-        return np.zeros(1), 0, 0
-    target = tol * float(np.abs(f).max())
+    system = _IluGmres(gen, a, pinned, iter_cap)
+    if pinned is None:  # a + L is nonsingular
+        u, residual = system.solve(f, target)
+        return u, residual, system
+    w = system.null_vector(left=True)
+    u, residual = system.solve(f - (w @ f) / (w @ w) * w, target)
+    v = system.null_vector(left=False) if a.any() else np.ones(f.size)
+    u -= (v @ u) / (v @ v) * v
+    return u, residual, system
+
+
+def solve_direct(problem: LinearProblem) -> SolveReport:
+    """Solve (diag(a) + L) u = f for strictly negative a.
+
+    Runs the shared RCM / ILU / GMRES driver on the whole system (no
+    pinning) and refines until the relative uniform residual
+    |f - (a + L) u|_inf / |f|_inf is at most ``DIRECT_RESIDUAL_RTOL``
+    (1e-10).  Raises :class:`DirectSolveError`, with the best iterate and
+    its uniform residual, if the ILU breaks down or the contract is not
+    met within ``REFINE_ROUNDS`` GMRES calls (each at most
+    ``GMRES_MAX_CYCLES`` restart cycles).
+    """
+    a, f = problem.shift, problem.rhs
+    if a.max() >= 0:
+        raise ValueError(
+            "direct solve requires max(a) < 0 (strict diagonal dominance); "
+            "use solve_min_norm for the singular case"
+        )
+    n = problem.generator.n_points
+    f_scale = max(float(np.abs(f).max()), np.finfo(float).tiny)
+    if not np.any(f):
+        return SolveReport(np.zeros(n), "direct", 0.0, iterations=0)
     try:
-        system = _IluGmres(gen, a, pinned, iter_cap)
-        if pinned is None:  # a + L is nonsingular
-            u, _ = system.solve(f, target)
-        else:
-            w = system.null_vector(left=True)
-            u, _ = system.solve(f - (w @ f) / (w @ w) * w, target)
-            v = system.null_vector(left=False) if a.any() else np.ones(n)
-            u -= (v @ u) / (v @ v) * v
+        u, residual, system = _krylov_solve(
+            problem.generator, a, f, DIRECT_RESIDUAL_RTOL * f_scale, np.iinfo(np.int64).max
+        )
     except _KrylovFailure as exc:
-        u = exc.best[0] if exc.best else np.zeros(n)
-        raise MinNormConvergenceError(
-            f"minimum-norm solve failed: {exc}", u, float(np.linalg.norm(gen.apply(u) + a * u - f))
+        u, residual = exc.best or (np.zeros(n), f)
+        res_inf = float(np.abs(residual).max())
+        raise DirectSolveError(
+            f"direct solve failed at relative residual {res_inf / f_scale:.3e}: {exc}", res_inf, u
         ) from None
-    return u, system.iterations, system.factor_nnz
+    return SolveReport(u, "direct", float(np.abs(residual).max()), system.iterations, system.factor_nnz)
 
 
 def _svd_min_norm(A, f):
@@ -443,18 +443,14 @@ def solve_min_norm(
     """Minimum-norm least-squares solution of (diag(a) + L) u = f.
 
     ``method="iterative"`` (default) needs a <= 0 and computes
-    (a + L)^+ f by rank-one deflation: it pins the smallest-index point q
-    of the unique closed class of S with a = 0 on it, gets the left null
-    vector w from a transpose GMRES solve, projects f onto w^perp, solves
-    the pinned system with the shared RCM / ILU / GMRES helper, refining
-    until the uniform residual off q is at most ``tol`` max|f|, and
-    removes the right null vector's component (for a = 0: subtracts the
-    mean).  ``iter_cap`` (default 20 N) caps the GMRES iterations of all
-    calls together.  Raises :class:`DisconnectedGraphError` when S has
-    more than one closed class with a = 0 on it and
-    :class:`MinNormConvergenceError` (best iterate and least-squares
-    residual attached) on an ILU breakdown, GMRES non-convergence or an
-    exhausted cap.
+    (a + L)^+ f with the shared RCM / ILU / GMRES driver, refining until
+    the uniform residual (off the pin, if S has a closed class with a = 0
+    on it) is at most ``tol`` max|f|.  ``iter_cap`` (default 20 N) caps
+    the GMRES iterations of all calls together.  Raises
+    :class:`DisconnectedGraphError` when S has more than one closed class
+    with a = 0 on it and :class:`MinNormConvergenceError` (best iterate
+    and least-squares residual attached) on an ILU breakdown, GMRES
+    non-convergence or an exhausted cap.
 
     ``method="svd"`` computes the truncated-SVD pseudo-inverse (singular
     values below 1e-8 sigma_max dropped) of diag(a) + L, available for
@@ -464,32 +460,31 @@ def solve_min_norm(
         raise ValueError("tol must be positive")
     generator = problem.generator
     n = generator.n_points
-    f = problem.rhs
+    a, f = problem.shift, problem.rhs
     if method not in ("iterative", "svd"):
         raise ValueError(f"unknown min-norm method {method!r}")
     if not np.any(f):
-        return SolveReport(
-            np.zeros(n), f"min_norm_{method}", 0.0, iterations=0, epsilon_used=generator.epsilon
-        )
+        return SolveReport(np.zeros(n), f"min_norm_{method}", 0.0, iterations=0)
     factor_nnz = None
     if method == "iterative":
-        a = problem.shift
         if a.max() > 0:
             raise ValueError("the iterative minimum-norm solve needs a <= 0; use method='svd'")
-        u, itn, factor_nnz = _deflated_min_norm(
-            generator, a, f, tol, 20 * n if iter_cap is None else iter_cap
-        )
+        cap = 20 * n if iter_cap is None else iter_cap
+        try:
+            u, _, system = _krylov_solve(generator, a, f, tol * float(np.abs(f).max()), cap)
+        except _KrylovFailure as exc:
+            u = exc.best[0] if exc.best else np.zeros(n)
+            residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
+            raise MinNormConvergenceError(f"minimum-norm solve failed: {exc}", u, residual) from None
+        itn, factor_nnz = system.iterations, system.factor_nnz
         residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
     else:
         if n > SVD_MAX_N:
             raise ValueError(f"svd path is limited to N <= {SVD_MAX_N}, got N={n}")
-        A = generator.shifted_matrix(problem.shift)
+        A = generator.shifted_matrix(a)
         u, itn = _svd_min_norm(A, f), 0
         residual = float(np.linalg.norm(A @ u - f))
-    return SolveReport(
-        u, f"min_norm_{method}", residual, iterations=itn, factor_nnz=factor_nnz,
-        epsilon_used=generator.epsilon,
-    )
+    return SolveReport(u, f"min_norm_{method}", residual, iterations=itn, factor_nnz=factor_nnz)
 
 
 def error_report(u_hat: np.ndarray, u_true: np.ndarray) -> tuple[float, float]:

@@ -26,7 +26,8 @@ from lokpde.cli import (
     validate_config,
 )
 from lokpde.geometry import sample_points, sample_sphere
-from lokpde.operator import tune_bandwidth
+from lokpde.kernels import KernelConfig
+from lokpde.operator import build_operator, tune_bandwidth
 from lokpde.problems import PROBLEM_IDS, analytic_pair, problem_coefficients
 
 
@@ -63,7 +64,6 @@ CONFIG_VALUES = {
     "epsilon": _BANDWIDTHS,
     "tilde_epsilon": _BANDWIDTHS,
     "debias": st.booleans(),
-    "solver": st.sampled_from(["direct", "min_norm", "auto"]),
     "shift_a": st.one_of(st.just("problem-default"), _REALS),
     "rhs": st.one_of(st.just("problem"), _REALS, _PATHS),
     "coefficients": st.one_of(st.none(), _PATHS),
@@ -88,7 +88,7 @@ class TestConfigValidation:
     def test_minimal_paper_config(self, tmp_path):
         path = write_config(
             tmp_path,
-            {"problem": "bvp1d", "N": 1000, "k": 100, "epsilon": 2e-6, "solver": "direct"},
+            {"problem": "bvp1d", "N": 1000, "k": 100, "epsilon": 2e-6},
         )
         cfg = parse_config(path)
         assert cfg.problem == "bvp1d" and cfg.N == 1000 and cfg.k == 100
@@ -114,7 +114,7 @@ class TestConfigValidation:
         "overrides",
         [
             {"mode": "random"},
-            {"solver": "cg"},
+            {"shift_a": "zero"},
             {"epsilon": -1.0},
             {"epsilon": "tiny"},
             {"k": 1},
@@ -140,6 +140,12 @@ class TestConfigValidation:
         assert main(argv) == 1
         assert f"config key {key!r} must be finite" in capsys.readouterr().err
 
+    def test_solver_key_rejected(self, tmp_path, capsys):
+        # solve() picks the route from the sign of a; there is no key for it
+        path = write_config(tmp_path, {"problem": "bvp1d", "N": 100, "solver": "direct"})
+        assert main(["solve", "--config", path]) == 1
+        assert "unknown config key 'solver'" in capsys.readouterr().err
+
     def test_flag_overrides_beat_file(self, tmp_path):
         path = write_config(tmp_path, {"problem": "bvp1d", "N": 100, "epsilon": 1e-5})
         cfg = parse_config(path, {"epsilon": 2e-5})
@@ -157,7 +163,6 @@ class TestRunSolve:
         cfg = validate_config(
             {
                 "problem": cloud_path,
-                "solver": "direct",
                 "shift_a": -1.0,
                 "rhs": 0.0,
                 "epsilon": 0.5,
@@ -201,7 +206,6 @@ class TestRunSolve:
                 "epsilon": 1e-5,
                 "tilde_epsilon": 1e-5,
                 "debias": False,
-                "solver": "direct",
                 "output": out,
             }
         )
@@ -222,7 +226,6 @@ class TestRunSolve:
                 "epsilon": 1e-5,
                 "tilde_epsilon": 1e-5,
                 "debias": False,
-                "solver": "direct",
             }
         )
         # reproducibility of the pipeline itself
@@ -252,7 +255,6 @@ class TestRunSolve:
                     "k": 40,
                     "epsilon": 0.01,
                     "tilde_epsilon": 0.01,
-                    "solver": "min_norm",
                     "output": str(tmp_path / name),
                 }
             )
@@ -261,7 +263,7 @@ class TestRunSolve:
 
     def test_auto_bandwidths_echoed(self, tmp_path):
         cfg = validate_config(
-            {"problem": "ellipse", "N": 200, "k": 40, "solver": "min_norm"}
+            {"problem": "ellipse", "N": 200, "k": 40}
         )
         record = run_solve(cfg)
         assert isinstance(record["epsilon"], float) and record["epsilon"] > 0
@@ -280,7 +282,6 @@ class TestRunSolve:
                 "epsilon": 2e-6,
                 "tilde_epsilon": 2e-6,
                 "debias": False,
-                "solver": "direct",
             }
         )
         record = run_solve(cfg)
@@ -294,7 +295,6 @@ class TestRunSolve:
                 "k": 128,
                 "epsilon": 0.0026,
                 "tilde_epsilon": 0.0179,
-                "solver": "min_norm",
             }
         )
         record = run_solve(cfg)
@@ -356,6 +356,15 @@ class TestCoefficientFile:
         code = main(["tune", "--problem", cloud_path, "--coefficients", str(path)])
         assert code == 1
         assert "line 1: point index '1.5' is not an integer" in capsys.readouterr().err
+
+    def test_duplicate_index_names_both_lines(self, tmp_path, capsys):
+        cloud_path = write_cloud(tmp_path, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        path = tmp_path / "coeffs.csv"
+        rows = [f"{i},0.0,0.0,1.0,0.0,1.0" for i in (0, 1, 2, 3, 3)]
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["tune", "--problem", cloud_path, "--coefficients", str(path)])
+        assert code == 1
+        assert "line 5: point index 3 already given on line 4" in capsys.readouterr().err
 
     def test_indefinite_diffusion_exit_code(self, tmp_path, capsys):
         cloud_path = write_cloud(tmp_path, np.eye(2))
@@ -444,23 +453,34 @@ class TestRunTune:
 
 
 class TestMainEntry:
-    def test_exit_codes(self, tmp_path, capsys):
+    def test_exit_codes(self, capsys):
         assert main(["solve", "--problem", "bvp1d"]) == 1  # missing N
         err = capsys.readouterr().err
         assert "'N'" in err
 
-        cloud_path = write_cloud(tmp_path, np.eye(3))
-        # direct solve demands a strictly negative shift: numerical failure
-        code = main(
-            ["solve", "--problem", cloud_path, "--rhs", "1", "--solver", "direct",
-             "--epsilon", "0.5", "--tilde-epsilon", "0.5", "--k", "2"]
-        )
-        assert code == 2
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--problem", "{tmp}/nofile.txt", "--rhs", "1"], "nofile.txt"),
+            (["--problem", "{cloud}", "--rhs", "1", "--coefficients", "{tmp}/nocoef.csv"], "nocoef.csv"),
+            (["--problem", "{tmp}/bad.txt", "--rhs", "1"], "line 2: non-numeric token"),
+            (["--problem", "{cloud}", "--rhs", "{tmp}/norhs.txt"], "norhs.txt"),
+        ],
+        ids=["missing-cloud", "missing-coefficients", "malformed-cloud-line", "missing-rhs"],
+    )
+    def test_bad_input_file_is_a_usage_error(self, tmp_path, capsys, flags, named):
+        # exit 2 means a numerical failure; an input file that cannot be read is exit 1
+        cloud = write_cloud(tmp_path, np.eye(3))
+        (tmp_path / "bad.txt").write_text("0 0 1\n0 x 1\n1 0 0\n")
+        flags = [f.format(tmp=tmp_path, cloud=cloud) for f in flags]
+        code = main(["solve", *flags, "--epsilon", "0.5", "--tilde-epsilon", "0.5", "--k", "2"])
+        assert code == 1
+        assert named in capsys.readouterr().err
 
     def test_solve_stdout_record(self, tmp_path, capsys):
         code = main(
             ["solve", "--problem", "bvp1d", "--N", "120", "--k", "40", "--epsilon", "2e-5",
-             "--tilde-epsilon", "2e-5", "--debias", "false", "--solver", "direct"]
+             "--tilde-epsilon", "2e-5", "--debias", "false"]
         )
         assert code == 0
         record = json.loads(capsys.readouterr().out.strip())
@@ -511,7 +531,7 @@ class TestMainEntry:
         result = subprocess.run(
             [sys.executable, "-m", "lokpde.cli", "solve", "--problem", "bvp1d", "--N", "80",
              "--k", "20", "--epsilon", "5e-5", "--tilde-epsilon", "5e-5",
-             "--debias", "false", "--solver", "direct"],
+             "--debias", "false"],
             capture_output=True,
             text=True,
         )
@@ -534,9 +554,44 @@ class TestSphereCloudPathway:
                 "epsilon": 0.1,
                 "tilde_epsilon": 0.05,
                 "k": 80,
-                "solver": "min_norm",
             }
         )
         record = run_solve(cfg)
         assert record["debias"] is True  # forced on the ambient pathway
         assert record["solver"] == "min_norm"
+
+
+class TestBenchmarkSpans:
+    """The benchmark times ``solver.direct_s`` and ``solver.min_norm_s`` as
+    spans of ``solve_direct`` and ``solve_min_norm``: one solve must pass
+    through exactly one of them, once."""
+
+    @pytest.mark.parametrize("shift, route", [(-1.0, "direct"), (0.0, "min_norm")])
+    def test_each_solve_reaches_its_route_once(self, monkeypatch, shift, route):
+        import lokpde.solver as solver_module
+
+        calls = {"direct": 0, "min_norm": 0}
+        for name in calls:
+            real = getattr(solver_module, f"solve_{name}")
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(solver_module, f"solve_{name}", counted)
+        expected = {"direct": 0, "min_norm": 0, route: 1}
+
+        problem = analytic_pair("ellipse")
+        cloud = sample_points(problem.manifold, 120, "uniform_grid")
+        gen = build_operator(cloud, problem_coefficients(problem, cloud), KernelConfig(1e-3, 1e-3, 30))
+        f = problem.f(cloud.intrinsic)
+        solver_module.solve(solver_module.LinearProblem(gen, np.full(120, shift), f))
+        assert calls == expected
+
+        calls.update(direct=0, min_norm=0)
+        record = run_solve(validate_config(
+            {"problem": "ellipse", "N": 120, "k": 30, "epsilon": 1e-3, "tilde_epsilon": 1e-3,
+             "shift_a": shift}
+        ))
+        assert calls == expected
+        assert record["solver"] == route

@@ -17,6 +17,7 @@ from lokpde.kernels import (
     build_knn_graph,
     eval_prototypical_kernel,
     moment_check,
+    row_blocks,
 )
 from lokpde.problems import analytic_pair
 
@@ -89,6 +90,15 @@ PAPER_GRIDS = {
 def random_spd(rng, n, floor=0.2):
     a = rng.normal(size=(n, n))
     return a @ a.T + floor * np.eye(n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 300), st.integers(1, 40))
+def test_row_blocks_tile_the_rows_in_order(n, size):
+    blocks = row_blocks(n, size)
+    assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
+    assert all(0 < rows.stop - rows.start <= size for rows in blocks)
+    assert all(rows.stop - rows.start == size for rows in blocks[:-1])
 
 
 class TestKernelConfig:
