@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CoefficientField, PointCloud, load_cloud, sample_points
-from .kernels import KernelConfig
+from .kernels import KernelConfig, build_knn_graph
 from .operator import (
     build_operator,
     default_epsilon_grid,
@@ -310,7 +310,10 @@ def _build_cloud(config: RunConfig):
     problem = analytic_pair(config.problem)
     if config.N is None:
         raise ConfigError(f"config key 'N' is required for zoo problem {config.problem!r}")
-    cloud = sample_points(problem.manifold, config.N, config.mode, config.seed)
+    try:
+        cloud = sample_points(problem.manifold, config.N, config.mode, config.seed)
+    except ValueError as exc:  # an N the grid cannot take, or a seed numpy rejects
+        raise ConfigError(str(exc)) from exc
     return cloud, problem_coefficients(problem, cloud), problem, config.debias
 
 
@@ -368,10 +371,10 @@ def run_solve(config: RunConfig) -> dict:
     """Full pipeline for one solve; returns the result record.
 
     The record's ``stages`` holds the seconds of the bandwidth scans
-    (``operator.tune_s``, 0.0 when no bandwidth is "auto"), the operator
-    build, the solve (``solver.direct_s`` or ``solver.min_norm_s``, as
-    the record's ``solver`` names the route :func:`solve` took) and the CSV
-    output.
+    (``operator.tune_s``, 0.0 when no bandwidth is "auto"), the kNN search
+    (``kernels.knn_s``), the rest of the operator build, the solve
+    (``solver.direct_s`` or ``solver.min_norm_s``, as the record's
+    ``solver`` names the route :func:`solve` took) and the CSV output.
     """
     start = time.perf_counter()
     cloud, coeffs, problem, debias = _build_cloud(config)
@@ -380,7 +383,13 @@ def run_solve(config: RunConfig) -> dict:
     stages = {"operator.tune_s": tune_s}
     k = min(config.k, cloud.n_points)
     mark = time.perf_counter()
-    gen = build_operator(cloud, coeffs, KernelConfig(epsilon, tilde_epsilon, k), debias=debias)
+    neighbors = build_knn_graph(cloud, k)
+    stages["kernels.knn_s"] = time.perf_counter() - mark
+
+    mark = time.perf_counter()
+    cfg = KernelConfig(epsilon, tilde_epsilon, k)
+    gen = build_operator(cloud, coeffs, cfg, debias=debias, neighbors=neighbors)
+    del neighbors  # 2 N k words that would stay resident through the solve
     lin = LinearProblem(gen, shift, rhs)
     stages["operator.build_s"] = time.perf_counter() - mark
 

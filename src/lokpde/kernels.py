@@ -9,17 +9,24 @@ diffusion coefficients; :func:`moment_check` verifies that numerically.
 The isotropic Gaussian kernel (B = 0, C = I) doubles as the density
 estimator used by the debiasing normalization.
 
+The kNN d^2, the kernel entries (matrix and scalar alike) and the Q(eps)
+scan in ``operator`` take their quadratic forms from one helper,
+:func:`_pair_forms`, over ``dim`` coordinate planes of the pair vectors,
+summed in ascending coordinate order with GIL-free ufuncs.
+
 The kernel is evaluated only on each point's k nearest neighbours.
 :func:`build_knn_graph` takes candidates from a k-d tree
 (``scipy.spatial``, imported on the first search, not with this module),
-recomputes their squared distances with the exact formula, orders them by
-(d^2, index) and widens the candidate set until no left-out point can tie
-with the k-th.  Its (indices, d^2) pair equals a brute-force search over
-all N^2 pairs bit for bit, and the d^2 feed the density estimate.
+recomputes their d^2, sorts the rows the tree returned out of
+(d^2, index) order and widens the candidate set until no left-out point
+can tie with the k-th.  Its (indices, d^2) pair equals a brute-force
+search over all N^2 pairs bit for bit, and the d^2 feed the density
+estimate.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +110,83 @@ def _check_neighbors(neighbors, n, k):
         raise ValueError(f"neighbors (indices, d2) must both be ({n}, {k}), got {shapes}")
 
 
-def _quad_form(v: np.ndarray, diff_inv: np.ndarray) -> np.ndarray:
-    """v^T C^-1 v for v of shape (m, k, n) and C^-1 of shape (m, n, n).
+def _scratch(planes, size):
+    """``planes`` float rows of ``size`` on an anonymous memory map, whose
+    pages go back to the OS when it is dropped.  malloc keeps freed blocks
+    in its arena and, once it has freed a large block, serves blocks up to
+    that size from the arena too, so later (N, k) arrays stay resident (up
+    to 10 MB more peak RSS on the half-torus solve, 1 MB on the ellipse)."""
+    return np.frombuffer(mmap.mmap(-1, planes * size * 8)).reshape(planes, size)
 
-    Single shared contraction so the scalar kernel evaluation and the matrix
-    assembly produce bit-identical values.
+
+def _identity_scale(ci: np.ndarray) -> float | None:
+    """c when every C^-1 in ``ci`` is the same c I, else None; c v is then
+    the ascending sum of C^-1 v to the bit, up to the sign of a zero."""
+    c = float(ci[0, 0, 0])
+    return c if (ci == c * np.eye(ci.shape[1])).all() else None
+
+
+def _pair_forms(ci, v, drift, scale, work):
+    """q0 = sum_a v_a (C^-1 v)_a and q1 = sum_a B_a (C^-1 v)_a, elementwise.
+
+    ``v`` is a sequence of ``dim`` coordinate planes (one row per row of
+    ``ci`` and ``drift``), and (C^-1 v)_a = sum_p C^-1_ap v_p, or ``scale``
+    v_a when every C^-1 is ``scale`` I (v_a itself for the identity, so q0
+    is |v|^2 and ``ci`` is unused).  Each sum runs in ascending index order,
+    one multiply and one add per term, so the result is fixed to the bit,
+    and every step is a ufunc that releases the GIL.  C^-1 v, a product and
+    q0, q1 are written to the first four rows of ``work``; q1 is None when
+    ``drift`` is None.
     """
-    return np.einsum("mkn,mnp,mkp->mk", v, diff_inv, v)
+    civ, tmp, q0, q1 = (w[: v[0].size].reshape(v[0].shape) for w in work[:4])
+
+    def add(acc, x, y, first):  # acc = x * y, or acc += x * y
+        np.multiply(x, y, out=acc if first else tmp)
+        if not first:
+            np.add(acc, tmp, out=acc)
+
+    for a, va in enumerate(v):
+        if scale is None:
+            for p, vp in enumerate(v):
+                add(civ, ci[:, a, p, None], vp, p == 0)
+            civ_a = civ
+        elif scale == 1.0:
+            civ_a = va
+        else:
+            civ_a = np.multiply(va, scale, out=civ)
+        add(q0, va, civ_a, a == 0)
+        if drift is not None:
+            add(q1, drift[:, a, None], civ_a, a == 0)
+    return q0, None if drift is None else q1
+
+
+def _plane_differences(planes, rows, cols, out):
+    """The coordinate planes of x_i - x_j for the points i = ``rows`` against
+    their columns ``cols`` (one row each), cut from the rows of ``out``."""
+    v = [w[: cols.size].reshape(cols.shape) for w in out]
+    for x, va in zip(planes, v):
+        np.take(x, cols, out=va, mode="clip")  # "clip" writes to out unbuffered
+        np.subtract(x[rows, None], va, out=va)
+    return v
+
+
+def _kernel_rows(planes, rows, cols, drift, ci, scale, epsilon, work, out):
+    """K(eps, x_i, x_j) into ``out`` for the points i of the slice ``rows``
+    against their columns ``cols``, with the row points' B and C^-1
+    (``drift``, ``ci``); v = (x_i - x_j) + eps B_i goes to the rows of
+    ``work`` past the four that :func:`_pair_forms` uses."""
+    v = _plane_differences(planes, rows, cols, work[4:])
+    for a, va in enumerate(v):
+        np.add(va, epsilon * drift[:, a, None], out=va)
+    q0, _ = _pair_forms(ci, v, None, scale, work)
+    # quad / (-2 eps) == -quad / (2 eps) bit for bit
+    np.divide(q0, -2.0 * epsilon, out=out)
+    np.exp(out, out=out)
 
 
 def eval_prototypical_kernel(x, y, drift, diffusion_inv, epsilon: float) -> float:
-    """Scalar reference evaluation of the prototypical local kernel."""
+    """Scalar reference evaluation of the prototypical local kernel: the
+    one-entry case of the matrix assembly, equal to its entries bit for bit."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     B = np.atleast_1d(np.asarray(drift, dtype=float))
@@ -121,9 +194,15 @@ def eval_prototypical_kernel(x, y, drift, diffusion_inv, epsilon: float) -> floa
     _check_finite(x, y, B, Ci)
     if not (epsilon > 0 and np.isfinite(epsilon)):
         raise ValueError("epsilon must be positive and finite")
-    v = x - y + epsilon * B
-    quad = _quad_form(v[None, None, :], Ci[None, :, :])[0, 0]
-    return float(np.exp(-quad / (2.0 * epsilon)))
+    dim = x.shape[0]
+    if y.shape != x.shape or B.shape != x.shape or Ci.shape != (dim, dim):
+        raise ValueError(f"x, y and drift must be ({dim},) and diffusion_inv ({dim}, {dim})")
+    out = np.empty((1, 1))
+    _kernel_rows(
+        np.stack([x, y], axis=1), slice(0, 1), np.ones((1, 1), dtype=np.intp), B[None], Ci[None],
+        _identity_scale(Ci[None]), epsilon, np.empty((4 + dim, 1)), out,
+    )
+    return float(out[0, 0])
 
 
 def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,24 +210,25 @@ def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray,
 
     Returns ``(indices, d2)``, both (N, k), ordered by (d^2, index): distance
     ties break toward the smaller index, so the result is deterministic.
-    ``d2[i, c]`` is |x_i - x_j|^2 for j = ``indices[i, c]``, computed as
-    ``diff = x_i - x_j`` then ``einsum("mjn,mjn->mj", diff, diff)``.
+    ``d2[i, c]`` is |x_i - x_j|^2 for j = ``indices[i, c]``, summed over the
+    coordinate planes of x_i - x_j in ascending order by :func:`_pair_forms`.
 
     A k-d tree (``scipy.spatial.cKDTree``, imported on first call) proposes
     m = k + 8 candidates per row, in blocks of rows.  Their d^2 is
-    recomputed with the exact formula above and the candidates are sorted
-    by (d^2, index).  Every point the tree left out is at least the tree's
-    m-th distance away; if that distance squared, less a rounding margin,
-    is not strictly above the k-th exact d^2, a left-out point could tie
-    with or beat the k-th candidate, so m doubles for those rows (up to N)
-    and the tree is queried again.  The result equals the brute-force
-    search over all N points exactly.
+    recomputed with the exact formula above.  The tree returns most rows
+    already in (d^2, index) order (every row of an i.i.d. sphere cloud);
+    only the rows it did not are sorted.  Every point the tree left out is
+    at least the tree's m-th distance away; if that distance squared, less
+    a rounding margin, is not strictly above the k-th exact d^2, a left-out
+    point could tie with or beat the k-th candidate, so m doubles for those
+    rows (up to N) and the tree is queried again.  The result equals the
+    brute-force search over all N points exactly.
 
     Raises ValueError for k outside [1, N] and names the first point with
     a non-finite coordinate.
     """
     pts = cloud.ambient if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    n = pts.shape[0]
+    n, dim = pts.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and N={n}, got {k}")
     finite = np.isfinite(pts).all(axis=1)
@@ -157,27 +237,26 @@ def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray,
     import scipy.spatial  # ~0.1 s to import, so only when a search runs
 
     tree = scipy.spatial.cKDTree(pts)
+    planes = np.ascontiguousarray(pts.T)
     # the tree's distances and the exact d^2 each carry a few ulps of rounding
-    shrink = 1.0 - 8.0 * (pts.shape[1] + 2) * np.finfo(float).eps
+    shrink = 1.0 - 8.0 * (dim + 2) * np.finfo(float).eps
     indices = np.empty((n, k), dtype=np.intp)
     d2 = np.empty((n, k))
+    work = _scratch(4 + dim, min(n, _CHUNK_ROWS) * min(k + 8, n))
     for block in row_blocks(n, _CHUNK_ROWS):
         rows = np.arange(block.start, block.stop)
         m = min(k + 8, n)
         while rows.size:
             dist, cand = tree.query(pts[rows], k=m)
             dist, cand = dist.reshape(rows.size, m), cand.reshape(rows.size, m)
-            diff = pts[rows, None, :] - pts[cand]
-            cand_d2 = np.einsum("mjn,mjn->mj", diff, diff)
-            order = np.argsort(cand_d2, axis=1, kind="stable")
-            cand = np.take_along_axis(cand, order, axis=1)
-            cand_d2 = np.take_along_axis(cand_d2, order, axis=1)
-            # equal d^2 put the smaller index first: sort by (rank of d^2, index)
-            rank = np.zeros(cand.shape, dtype=np.intp)
-            np.cumsum(cand_d2[:, 1:] != cand_d2[:, :-1], axis=1, out=rank[:, 1:])
-            order = np.argsort(rank * n + cand, axis=1, kind="stable")[:, :k]
-            cand = np.take_along_axis(cand, order, axis=1)
-            cand_d2 = np.take_along_axis(cand_d2, order, axis=1)
+            if cand.size > work.shape[1]:  # a widened search of many rows
+                work = _scratch(4 + dim, cand.size)
+            cand_d2 = _pair_forms(None, _plane_differences(planes, rows, cand, work[4:]), None, 1.0, work)[0]
+            step = np.diff(cand_d2, axis=1)
+            late = ((step < 0) | ((step == 0) & (cand[:, 1:] < cand[:, :-1]))).any(axis=1)
+            if late.any():
+                cand[late], cand_d2[late] = _sort_by_d2_index(cand[late], cand_d2[late], n)
+            cand, cand_d2 = cand[:, :k], cand_d2[:, :k]
             done = (m == n) | (dist[:, -1] ** 2 * shrink > cand_d2[:, -1])
             indices[rows[done]] = cand[done]
             d2[rows[done]] = cand_d2[done]
@@ -186,11 +265,17 @@ def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray,
     return indices, d2
 
 
-def _kernel_rows(x_rows, pts, cols, drift_rows, diff_inv_rows, epsilon):
-    """Kernel values for rows x_rows against pts[cols], row coefficients."""
-    nbr = pts[cols]                                   # (m, k, n)
-    v = x_rows[:, None, :] - nbr + epsilon * drift_rows[:, None, :]
-    return np.exp(-_quad_form(v, diff_inv_rows) / (2.0 * epsilon))
+def _sort_by_d2_index(cand, cand_d2, n):
+    """Each row of (cand, cand_d2) reordered by (d^2, index): a stable sort
+    by d^2, then one by (rank of d^2, index), which is much faster than
+    ``np.lexsort`` on such rows."""
+    order = np.argsort(cand_d2, axis=1, kind="stable")
+    cand = np.take_along_axis(cand, order, axis=1)
+    cand_d2 = np.take_along_axis(cand_d2, order, axis=1)
+    rank = np.zeros(cand.shape, dtype=np.intp)
+    np.cumsum(cand_d2[:, 1:] != cand_d2[:, :-1], axis=1, out=rank[:, 1:])
+    order = np.argsort(rank * n + cand, axis=1, kind="stable")
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(cand_d2, order, axis=1)
 
 
 def assemble_kernel_matrix(
@@ -217,10 +302,14 @@ def assemble_kernel_matrix(
     _check_neighbors(neighbors, n, cfg.k_neighbors)
     cols = np.sort(neighbors[0], axis=1)
     k = cols.shape[1]
+    planes = np.ascontiguousarray(pts.T)
+    scale = _identity_scale(coeffs.diffusion_inv)
+    work = _scratch(4 + pts.shape[1], min(n, _CHUNK_ROWS) * k)
     data = np.empty((n, k))
     for rows in row_blocks(n, _CHUNK_ROWS):
-        data[rows] = _kernel_rows(
-            pts[rows], pts, cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], cfg.epsilon
+        _kernel_rows(
+            planes, rows, cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale, cfg.epsilon,
+            work, data[rows],
         )
     indptr = np.arange(0, n * k + 1, k, dtype=np.intp)
     mat = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))

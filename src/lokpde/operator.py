@@ -24,17 +24,18 @@ When the kernel is symmetric to the bit (zero drift and one C^-1 = c I
 for every point, as in the Gaussian scan) each pair is visited once and
 counted twice.  A block of 32 rows takes v = x_i - x_j as ``dim``
 contiguous (rows x columns) coordinate planes of pts.T and forms C^-1 v,
-q0 and q1 from them with elementwise ufuncs, each sum in ascending index
-order, the order the dense oracle in the tests uses too.  These ufuncs,
-the sorts and the window sums release the GIL, so the blocks overlap on
-at most ``len(os.sched_getaffinity(0))`` threads; they are summed in block
-order, so the result is the same for any worker count.
+q0 and q1 from them with ``kernels._pair_forms`` (which also forms the
+kNN d^2 and the kernel entries): elementwise ufuncs, each sum in
+ascending index order, the order the dense oracle in the tests uses.
+These ufuncs, the sorts and the window sums release the GIL, so the
+blocks overlap on at most ``len(os.sched_getaffinity(0))`` threads;
+they are summed in block order, so the result is the same for any
+worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -44,7 +45,8 @@ import scipy.sparse
 
 from .geometry import CoefficientField, PointCloud
 from .kernels import (
-    KernelConfig, SparseKernelMatrix, _check_neighbors, assemble_kernel_matrix, build_knn_graph, row_blocks,
+    KernelConfig, SparseKernelMatrix, _check_neighbors, _identity_scale, _pair_forms, _scratch,
+    assemble_kernel_matrix, build_knn_graph, row_blocks,
 )
 
 __all__ = [
@@ -260,68 +262,23 @@ def _q0_window(pts, coeffs, eig, q2, grid):
 
 def _isotropic_scale(coeffs: CoefficientField) -> float | None:
     """c when the drift is zero and every C^-1 is the same c I, else None.
-
-    Such a kernel is symmetric to the bit: x_j - x_i is exactly
-    -(x_i - x_j), so q0_ji and q0_ij are the same double, and C^-1 v is
-    c v, the same double as the ascending sum with c I gives (up to the
-    sign of a zero).
-    """
-    ci = coeffs.diffusion_inv
-    c = float(ci[0, 0, 0])
-    if coeffs.drift.any() or not (ci == c * np.eye(ci.shape[1])).all():
-        return None
-    return c
+    Such a kernel is symmetric to the bit: x_j - x_i is exactly -(x_i - x_j),
+    so q0_ji and q0_ij are the same double."""
+    return None if coeffs.drift.any() else _identity_scale(coeffs.diffusion_inv)
 
 
-def _scratch(planes, size):
-    """``planes`` float rows of ``size`` on an anonymous memory map, whose
-    pages go back to the OS when it is dropped; malloc keeps what a worker
-    frees in its arena (up to 10 MB more peak RSS on the half-torus solve)."""
-    return np.frombuffer(mmap.mmap(-1, planes * size * 8)).reshape(planes, size)
-
-
-def _pair_forms(ci, v, drift, scale, work):
-    """q0 = sum_a v_a (C^-1 v)_a and q1 = sum_a B_a (C^-1 v)_a, elementwise.
-
-    ``v`` is a list of ``dim`` coordinate planes (one row per row of ``ci``
-    and ``drift``), and (C^-1 v)_a = sum_p C^-1_ap v_p, or ``scale`` v_a
-    when every C^-1 is ``scale`` I.  Each sum runs in ascending index order,
-    one multiply and one add per term, so the result is fixed to the bit,
-    and every step is a ufunc that releases the GIL.  C^-1 v, a product and
-    q0, q1 are written to the first four rows of ``work``; q1 is None when
-    ``drift`` is None.
-    """
-    civ, tmp, q0, q1 = (w[: v[0].size].reshape(v[0].shape) for w in work[:4])
-
-    def add(acc, x, y, first):  # acc = x * y, or acc += x * y
-        np.multiply(x, y, out=acc if first else tmp)
-        if not first:
-            np.add(acc, tmp, out=acc)
-
-    for a, va in enumerate(v):
-        if scale is None:
-            for p, vp in enumerate(v):
-                add(civ, ci[:, a, p, None], vp, p == 0)
-        else:
-            np.multiply(va, scale, out=civ)
-        add(q0, va, civ, a == 0)
-        if drift is not None:
-            add(q1, drift[:, a, None], civ, a == 0)
-    return q0, None if drift is None else q1
-
-
-def _window_sums(q0, q1, q2_rows, low, high, grid):
+def _window_sums(q0, q1, q2_rows, low, high, grid, buf):
     """Sum each grid point's terms over the window of row-sorted q0.
 
     ``q1`` is in q0's order (None without drift, then ``q2_rows`` is
     unused); ``low``/``high`` are the rows' bounds from :func:`_q0_window`.
     Every row evaluates the union of the rows' windows, one contiguous
-    column range per grid point.  Returns (sums, terms evaluated).
+    column range per grid point, into the free scratch row ``buf`` (at
+    least q0.size long).  Returns (sums, terms evaluated).
     """
     los = [np.searchsorted(row, lo, side="right") for row, lo in zip(q0, low)]
     his = [np.searchsorted(row, hi, side="left") for row, hi in zip(q0, high)]
     los, his = np.min(los, axis=0), np.max(his, axis=0)
-    buf = np.empty(q0.size)
     sums = np.zeros(grid.size)
     evals = 0
     for idx, eps in enumerate(grid):
@@ -366,13 +323,12 @@ def tune_bandwidth(
     32 with their q0 sorted, so each grid point evaluates one contiguous
     column range per block.
 
-    Each block takes v as ``dim`` contiguous (rows x columns) coordinate
-    planes cut from pts.T and forms (C^-1 v)_a = sum_p C^-1_ap v_p,
-    q0 = sum_a v_a (C^-1 v)_a and q1 = sum_a B_a (C^-1 v)_a with one
-    elementwise multiply and add per term, in ascending index order (q2
-    likewise).  The order is fixed: where C^-1 is rank deficient and v lies
-    along its null direction, q0 is pure rounding noise, so the dense
-    oracle in the tests sums in the same order to agree to 1e-12.
+    Each block cuts v into ``dim`` (rows x columns) coordinate planes of
+    pts.T and forms q0, q1 (q2 likewise) with ``kernels._pair_forms``, in
+    ascending index order.  The order is fixed: where C^-1 is rank
+    deficient and v lies along its null direction, q0 is pure rounding
+    noise, so the dense oracle in the tests sums in the same order to
+    agree to 1e-12.
 
     When the drift is zero and every C^-1 is the same c I (the Gaussian
     scan, isotropic and Laplace-Beltrami fields), the kernel is symmetric
@@ -383,7 +339,7 @@ def tune_bandwidth(
 
     Blocks run on a thread pool of ``len(os.sched_getaffinity(0))``
     workers, never more, each cutting its planes from its own scratch rows
-    (:func:`_scratch`).  The subtractions, multiplies and adds, the sorts
+    (``kernels._scratch``).  The subtractions, multiplies and adds, the sorts
     and gathers, and the window sums' divides, exp and sums release the
     GIL; only the Python loops over rows and grid points hold it.  Partial
     sums are added in block order, so the result does not depend on the
@@ -432,8 +388,9 @@ def tune_bandwidth(
         square, tail = q0[:, : rows.stop - rows.start], q0[:, rows.stop - rows.start :]
         square.sort(axis=1)
         tail.sort(axis=1)
-        own, own_evals = _window_sums(square, None, None, low[rows], high[rows], grid)
-        mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid)
+        # C^-1 v's scratch row is free once the forms are made
+        own, own_evals = _window_sums(square, None, None, low[rows], high[rows], grid, local.work[0])
+        mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid, local.work[0])
         return own + 2.0 * mirrored, own_evals + mirrored_evals
 
     def scan_block(rows):
@@ -445,7 +402,7 @@ def tune_bandwidth(
             del order
         else:
             q0.sort(axis=1)
-        return _window_sums(q0, q1, q2[rows, None], low[rows], high[rows], grid)
+        return _window_sums(q0, q1, q2[rows, None], low[rows], high[rows], grid, local.work[0])
 
     totals = np.zeros(grid.size)
     pair_evals = 0

@@ -46,7 +46,7 @@ def write_cloud(tmp_path, points, name="cloud.txt"):
 def assert_stages(record, solve_stage):
     """The record times each stage, and the stages fit inside the run."""
     stages = record["stages"]
-    assert set(stages) == {"operator.tune_s", "operator.build_s", solve_stage, "cli.output_s"}
+    assert set(stages) == {"operator.tune_s", "kernels.knn_s", "operator.build_s", solve_stage, "cli.output_s"}
     assert all(seconds >= 0.0 for seconds in stages.values())
     assert sum(stages.values()) <= record["wall_time_seconds"]
 
@@ -477,6 +477,20 @@ class TestMainEntry:
         assert code == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--problem", "torus", "--N", "401"], "does not factor"),
+            (["--problem", "ellipse", "--N", "100", "--mode", "iid_density", "--seed", "-1"], "non-negative"),
+        ],
+        ids=["grid-does-not-factor", "negative-seed"],
+    )
+    def test_unsamplable_cloud_is_a_config_error(self, capsys, flags, named):
+        # sample_points rejects the config before any numerics run: exit 1, not 2
+        code = main(["solve", *flags, "--epsilon", "1e-3", "--tilde-epsilon", "1e-3", "--k", "20"])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
     def test_solve_stdout_record(self, tmp_path, capsys):
         code = main(
             ["solve", "--problem", "bvp1d", "--N", "120", "--k", "40", "--epsilon", "2e-5",
@@ -489,6 +503,7 @@ class TestMainEntry:
         assert isinstance(record["iterations"], int) and record["iterations"] > 0
         assert isinstance(record["factor_nnz"], int) and record["factor_nnz"] > 0
         assert_stages(record, "solver.direct_s")
+        assert record["stages"]["kernels.knn_s"] > 0.0  # timed apart from the build
         assert record["stages"]["operator.tune_s"] == 0.0  # pinned bandwidths
 
     def test_auto_solver_record(self, capsys):

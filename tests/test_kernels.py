@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -36,6 +38,12 @@ def make_cloud(points):
     return PointCloud(pts, None, "iid_density", ambient_cloud_manifold(pts.shape[1]))
 
 
+def squared_distances(diff):
+    """|v|^2 over the last axis, summed in ascending coordinate order: the
+    rounding of the search's d^2, on which exact ties depend."""
+    return functools.reduce(np.add, (diff[..., a] * diff[..., a] for a in range(diff.shape[-1])))
+
+
 def brute_knn(pts, k):
     """Brute-force oracle: every |x_i - x_j|^2, a stable argsort per row.
 
@@ -47,7 +55,7 @@ def brute_knn(pts, k):
     for start in range(0, n, 256):
         stop = min(start + 256, n)
         diff = pts[start:stop, None, :] - pts[None, :, :]
-        full = np.einsum("mjn,mjn->mj", diff, diff)
+        full = squared_distances(diff)
         order = np.argsort(full, axis=1, kind="stable")[:, :k]
         indices[start:stop] = order
         d2[start:stop] = np.take_along_axis(full, order, axis=1)
@@ -90,6 +98,30 @@ PAPER_GRIDS = {
 def random_spd(rng, n, floor=0.2):
     a = rng.normal(size=(n, n))
     return a @ a.T + floor * np.eye(n)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """1-3-D clouds (some points repeated) with nonzero drift and C^-1 that
+    is random PSD per point, PSD of rank below dim (the shape a lifted C^-1
+    has off the manifold; 0 in 1-D), or one c I for every point.  N above
+    256 spans two row blocks, with k small to bound the scalar calls.
+    Returns (cloud, coeffs, cfg)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(2, 60), st.integers(257, 300)))
+    dim = draw(st.integers(1, 3))
+    pts = rng.normal(size=(n, dim)) * 10.0 ** draw(st.floats(-2, 1))
+    pts[rng.integers(0, n, size=n // 8)] = pts[rng.integers(0, n, size=n // 8)]
+    drift = rng.normal(size=(n, dim)) * 10.0 ** draw(st.floats(-2, 2))
+    kind = draw(st.sampled_from(["random", "rank_deficient", "scaled_identity"]))
+    if kind == "scaled_identity":
+        diff_inv = np.broadcast_to(10.0 ** rng.uniform(-2, 2) * np.eye(dim), (n, dim, dim)).copy()
+    else:
+        factor = rng.normal(size=(n, dim, dim if kind == "random" else int(rng.integers(0, dim))))
+        diff_inv = factor @ np.swapaxes(factor, 1, 2)
+    epsilon = 10.0 ** draw(st.floats(-3, 1))
+    k = draw(st.integers(2, n if n <= 60 else 3))
+    return make_cloud(pts), CoefficientField(drift, diff_inv), KernelConfig(epsilon, epsilon, k)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -277,6 +309,19 @@ class TestAssembly:
             for idx in range(mat.indptr[i], mat.indptr[i + 1]):
                 j = mat.indices[idx]
                 assert mat.data[idx] == eval_prototypical_kernel(pts[i], pts[j], B[i], Ci[i], 0.3)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(kernel_inputs())
+    def test_entries_match_scalar_evaluation_on_random_clouds(self, inputs):
+        cloud, coeffs, cfg = inputs
+        mat = assemble_kernel_matrix(cloud, coeffs, cfg).matrix
+        pts, B, Ci = cloud.ambient, coeffs.drift, coeffs.diffusion_inv
+        rows = np.repeat(np.arange(cloud.n_points), np.diff(mat.indptr))
+        scalar = [
+            eval_prototypical_kernel(pts[i], pts[j], B[i], Ci[i], cfg.epsilon)
+            for i, j in zip(rows, mat.indices)
+        ]
+        np.testing.assert_array_equal(mat.data, scalar)
 
     def test_column_indices_strictly_increasing(self):
         rng = np.random.default_rng(4)

@@ -26,7 +26,7 @@ from lokpde.operator import (
     tune_gaussian_bandwidth,
 )
 from lokpde.problems import analytic_pair, problem_coefficients
-from test_kernels import PAPER_GRIDS, brute_knn, paper_cloud, tie_clouds
+from test_kernels import PAPER_GRIDS, brute_knn, paper_cloud, squared_distances, tie_clouds
 
 
 def make_cloud(points):
@@ -84,13 +84,14 @@ def dense_tuning(cloud, coeffs, grid):
 
 
 def chunk_density(cloud, tilde_epsilon, indices):
-    """Oracle: the 512-row chunk loop that recomputed each neighbour's d^2."""
+    """Oracle: the 512-row chunk loop that recomputed each neighbour's d^2
+    (summed in ascending coordinate order, as the search sums it)."""
     pts = cloud.ambient
     q = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], 512):
         stop = min(start + 512, pts.shape[0])
         diff = pts[start:stop, None, :] - pts[indices[start:stop]]
-        d2 = np.einsum("mkn,mkn->mk", diff, diff)
+        d2 = squared_distances(diff)
         q[start:stop] = np.exp(-d2 / (2.0 * tilde_epsilon)).sum(axis=1)
     return q
 
