@@ -17,7 +17,6 @@ from .geometry import (
     embed,
     embedding_jacobian,
     get_manifold,
-    lift_coefficients,
     lift_field,
     load_cloud,
     sample_points,
@@ -41,6 +40,7 @@ from .operator import (
     estimate_density,
     left_normalize,
     right_normalize,
+    select_bandwidths,
     tune_bandwidth,
     tune_gaussian_bandwidth,
 )

@@ -22,13 +22,7 @@ import numpy as np
 
 from .geometry import CoefficientField, PointCloud, load_cloud, sample_points
 from .kernels import KernelConfig, build_knn_graph
-from .operator import (
-    build_operator,
-    default_epsilon_grid,
-    psd_eigenvalues,
-    tune_bandwidth,
-    tune_gaussian_bandwidth,
-)
+from .operator import build_operator, psd_eigenvalues, select_bandwidths, tune_bandwidth
 from .problems import PROBLEM_IDS, analytic_pair, problem_coefficients
 from .solver import LinearProblem, convergence_study, solve
 
@@ -39,55 +33,34 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 1)."""
 
 
-_SCHEMA = {
-    # key: what it holds; also the help of the flag --<key with - for _>
-    "problem": "problem id or point-cloud file path (string)",
-    "N": "positive integer >= 2",
-    "mode": '"uniform_grid" or "iid_density"',
-    "seed": "integer",
-    "k": "integer >= 2",
-    "epsilon": 'positive real or "auto"',
-    "tilde_epsilon": 'positive real or "auto"',
-    "debias": "boolean",
-    "shift_a": 'real or "problem-default"',
-    "rhs": 'real, values-file path, or "problem"',
-    "coefficients": "per-point coefficient CSV path or null",
-    "output": "output file path or null",
-}
-
-_DEFAULTS = {
-    "N": None,
-    "mode": "uniform_grid",
-    "seed": 0,
-    "k": 128,
-    "epsilon": "auto",
-    "tilde_epsilon": "auto",
-    "debias": True,
-    "shift_a": "problem-default",
-    "rhs": "problem",
-    "coefficients": None,
-    "output": None,
-}
+def _key(meaning, default=dataclasses.MISSING):
+    # meaning: what the key holds; also the help of the flag --<key with - for _>
+    return dataclasses.field(default=default, metadata={"help": meaning})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    problem: str
-    N: int | None
-    mode: str
-    seed: int
-    k: int
-    epsilon: float | str
-    tilde_epsilon: float | str
-    debias: bool
-    shift_a: float | str
-    rhs: float | str
-    coefficients: str | None
-    output: str | None
+    """One run's settings: each field is a config key and a ``--<key>`` flag."""
+
+    problem: str = _key("problem id or point-cloud file path (string)")
+    N: int | None = _key("positive integer >= 2", None)
+    mode: str = _key('"uniform_grid" or "iid_density"', "uniform_grid")
+    seed: int = _key("integer", 0)
+    k: int = _key("integer >= 2", 128)
+    epsilon: float | str = _key('positive real or "auto"', "auto")
+    tilde_epsilon: float | str = _key('positive real or "auto"', "auto")
+    debias: bool = _key("boolean", True)
+    shift_a: float | str = _key('real <= 0 or "problem-default"', "problem-default")
+    rhs: float | str = _key('real, values-file path, or "problem"', "problem")
+    coefficients: str | None = _key("per-point coefficient CSV path or null", None)
+    output: str | None = _key("output file path or null", None)
 
     @property
     def is_cloud_file(self) -> bool:
         return self.problem not in PROBLEM_IDS
+
+
+_SCHEMA = {f.name: f.metadata["help"] for f in dataclasses.fields(RunConfig)}
 
 
 def _as_bool(key, value):
@@ -103,7 +76,7 @@ def _as_int(key, value):
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     try:
         out = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON Infinity
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}") from None
     if isinstance(value, float) and value != out:
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
@@ -136,7 +109,7 @@ def validate_config(raw: dict) -> RunConfig:
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    merged = {**_DEFAULTS, **raw}
+    merged = {**{f.name: f.default for f in dataclasses.fields(RunConfig)}, **raw}
 
     n = merged["N"]
     if n is not None:
@@ -320,39 +293,20 @@ def _build_cloud(config: RunConfig):
 def _build_system(config: RunConfig, cloud, problem):
     """Resolve the shift vector a and right-hand side f for a solve."""
     n = cloud.n_points
-    if problem is None:
-        shift_value = 0.0 if config.shift_a == "problem-default" else float(config.shift_a)
-        shift = np.full(n, shift_value)
-        if config.rhs == "problem":
-            raise ConfigError("point-cloud runs need an explicit 'rhs' (constant or values file)")
-        rhs = _load_rhs(config.rhs, n, config.problem)
-        return shift, rhs
-    x = cloud.intrinsic
     if config.shift_a == "problem-default":
-        shift = problem.shift(x)
+        shift = np.zeros(n) if problem is None else problem.shift(cloud.intrinsic)
+    elif config.shift_a > 0:
+        # a + L with a > 0 somewhere is neither route's regime (a < 0 or a <= 0)
+        raise ConfigError(f"config key 'shift_a' must be <= 0, got {config.shift_a!r}")
     else:
-        shift = np.full(n, float(config.shift_a))
-    rhs = problem.f(x) if config.rhs == "problem" else _load_rhs(config.rhs, n, config.problem)
+        shift = np.full(n, config.shift_a)
+    if config.rhs != "problem":
+        rhs = _load_rhs(config.rhs, n, config.problem)
+    elif problem is None:
+        raise ConfigError("point-cloud runs need an explicit 'rhs' (constant or values file)")
+    else:
+        rhs = problem.f(cloud.intrinsic)
     return shift, rhs
-
-
-def _resolve_bandwidths(config: RunConfig, cloud, coeffs):
-    """(epsilon, tilde_epsilon, d_hat, pair_evals, tune_seconds); d_hat and
-    pair_evals are None and tune_seconds 0.0 unless a bandwidth is "auto"."""
-    eps, tilde = config.epsilon, config.tilde_epsilon
-    d_hat = pair_evals = None
-    start = time.perf_counter()
-    if eps == "auto":
-        report = tune_bandwidth(cloud, coeffs)
-        eps, d_hat, pair_evals = report.epsilon_star, report.d_hat, report.pair_evals
-    if tilde == "auto":
-        report = tune_gaussian_bandwidth(cloud)
-        tilde = report.epsilon_star
-        if d_hat is None:
-            d_hat = report.d_hat
-        pair_evals = (pair_evals or 0) + report.pair_evals
-    tune_seconds = 0.0 if pair_evals is None else time.perf_counter() - start
-    return float(eps), float(tilde), d_hat, pair_evals, tune_seconds
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -379,8 +333,11 @@ def run_solve(config: RunConfig) -> dict:
     start = time.perf_counter()
     cloud, coeffs, problem, debias = _build_cloud(config)
     shift, rhs = _build_system(config, cloud, problem)
-    epsilon, tilde_epsilon, d_hat, pair_evals, tune_s = _resolve_bandwidths(config, cloud, coeffs)
-    stages = {"operator.tune_s": tune_s}
+    mark = time.perf_counter()
+    epsilon, tilde_epsilon, d_hat, pair_evals = select_bandwidths(
+        cloud, coeffs, config.epsilon, config.tilde_epsilon
+    )
+    stages = {"operator.tune_s": 0.0 if pair_evals is None else time.perf_counter() - mark}
     k = min(config.k, cloud.n_points)
     mark = time.perf_counter()
     neighbors = build_knn_graph(cloud, k)
@@ -477,7 +434,7 @@ def run_tune(config: RunConfig) -> dict:
     """Q(eps) bandwidth scan; writes (epsilon, Q, slope) rows plus the selection."""
     start = time.perf_counter()
     cloud, coeffs, _, _ = _build_cloud(config)
-    report = tune_bandwidth(cloud, coeffs, default_epsilon_grid())
+    report = tune_bandwidth(cloud, coeffs)
     if config.output is not None:
         rows = [
             [_fmt(eps), _fmt(np.exp(lq)), _fmt(sl)]

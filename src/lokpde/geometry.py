@@ -19,20 +19,16 @@ __all__ = [
     "Manifold",
     "PointCloud",
     "CoefficientField",
-    "MANIFOLD_IDS",
     "get_manifold",
     "ambient_cloud_manifold",
     "embed",
     "embedding_jacobian",
     "sample_points",
     "grid_axis_counts",
-    "lift_coefficients",
     "lift_field",
     "load_cloud",
     "sample_sphere",
 ]
-
-MANIFOLD_IDS = ("interval", "ellipse", "half_ellipse", "torus", "half_torus", "ambient_cloud")
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,7 +38,7 @@ class Manifold:
     """A member of the manifold zoo.
 
     Attributes:
-        id: one of ``MANIFOLD_IDS``.
+        id: a zoo id (see :func:`get_manifold`) or ``"ambient_cloud"``.
         intrinsic_dim: dimension d of the manifold.
         ambient_dim: dimension n of the embedding space.
         parameter_domain: per-coordinate closed intervals (radians for angles).
@@ -157,14 +153,14 @@ class PointCloud:
 
     ``ambient`` is the N x n coordinate matrix the kernel operates on.
     ``intrinsic`` (N x d) is present only when the cloud came from a known
-    parametrization.
+    parametrization.  An i.i.d. cloud does not record its seed; the
+    sampler's caller holds it.
     """
 
     ambient: np.ndarray
     intrinsic: np.ndarray | None
     sampling: str  # "uniform_grid" | "iid_density"
     manifold: Manifold
-    seed: int | None = None
 
     def __post_init__(self):
         amb = np.asarray(self.ambient, dtype=float)
@@ -237,29 +233,21 @@ def sample_points(manifold: Manifold, n_points: int, mode: str, seed: int = 0) -
     if n_points < 2:
         raise ValueError("need at least 2 points")
     if mode == "uniform_grid":
-        if manifold.intrinsic_dim == 1:
-            (lo, hi), = manifold.parameter_domain
-            axes = [_axis_grid(lo, hi, n_points, manifold.grid_style[0])]
-        else:
-            counts = grid_axis_counts(manifold, n_points)
-            axes = [
-                _axis_grid(lo, hi, c, style)
-                for (lo, hi), c, style in zip(
-                    manifold.parameter_domain, counts, manifold.grid_style
-                )
-            ]
+        counts = grid_axis_counts(manifold, n_points)
+        axes = [
+            _axis_grid(lo, hi, c, style)
+            for (lo, hi), c, style in zip(manifold.parameter_domain, counts, manifold.grid_style)
+        ]
         mesh = np.meshgrid(*axes, indexing="ij")
         intrinsic = np.stack([m.ravel() for m in mesh], axis=1)
-        seed_used = None
     elif mode == "iid_density":
         rng = np.random.default_rng(seed)
         lo = np.array([a for a, _ in manifold.parameter_domain])
         hi = np.array([b for _, b in manifold.parameter_domain])
         intrinsic = lo + (hi - lo) * rng.random((n_points, manifold.intrinsic_dim))
-        seed_used = seed
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    return PointCloud(embed(manifold, intrinsic), intrinsic, mode, manifold, seed_used)
+    return PointCloud(embed(manifold, intrinsic), intrinsic, mode, manifold)
 
 
 @dataclass(frozen=True)
@@ -300,13 +288,21 @@ class CoefficientField:
 _JACOBIAN_RANK_RTOL = 1e-10
 
 
-def _lift(manifold: Manifold, intrinsic, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Lift (b, c) at the (N, d) ``intrinsic`` points to ambient (B, C^-1).
+def lift_field(manifold: Manifold, cloud: PointCloud, b_fn, c_fn) -> CoefficientField:
+    """Lift intrinsic (b, c) to ambient (B, C^-1) at every point of a cloud
+    with known parametrization.
 
-    B = pinv(J)^T b and C^-1 = pinv(J c J^T), with J the embedding Jacobian.
-    C^-1 comes out symmetric positive semi-definite of rank d.
+    ``b_fn`` and ``c_fn`` map the (N, d) intrinsic points to (N, d) and
+    (N, d, d).  B = pinv(J)^T b and C^-1 = pinv(J c J^T), with J the
+    embedding Jacobian; C^-1 comes out symmetric positive semi-definite of
+    rank d.
     """
-    jac = embedding_jacobian(manifold, intrinsic)
+    if cloud.intrinsic is None:
+        raise ValueError("cloud has no intrinsic coordinates to lift from")
+    pts = cloud.intrinsic
+    b = np.asarray(b_fn(pts), dtype=float)
+    c = np.asarray(c_fn(pts), dtype=float)
+    jac = embedding_jacobian(manifold, pts)
     sing = np.linalg.svd(jac, compute_uv=False)
     bad = np.flatnonzero(sing[:, -1] <= sing[:, 0] * _JACOBIAN_RANK_RTOL)
     if bad.size:
@@ -314,30 +310,7 @@ def _lift(manifold: Manifold, intrinsic, b, c) -> tuple[np.ndarray, np.ndarray]:
     drift = np.einsum("ndk,nd->nk", np.linalg.pinv(jac), b)
     lifted = np.einsum("nik,nkl,njl->nij", jac, c, jac)
     diff_inv = np.linalg.pinv(lifted, hermitian=True)
-    return drift, 0.5 * (diff_inv + np.transpose(diff_inv, (0, 2, 1)))
-
-
-def lift_coefficients(
-    manifold: Manifold,
-    intrinsic_b: np.ndarray,
-    intrinsic_c: np.ndarray,
-    intrinsic: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lift intrinsic (b, c) at one point to ambient (B, C^-1), as :func:`lift_field` does."""
-    b = np.atleast_1d(np.asarray(intrinsic_b, dtype=float))
-    c = np.atleast_2d(np.asarray(intrinsic_c, dtype=float))
-    drift, diff_inv = _lift(manifold, np.atleast_2d(intrinsic), b[None], c[None])
-    return drift[0], diff_inv[0]
-
-
-def lift_field(manifold: Manifold, cloud: PointCloud, b_fn, c_fn) -> CoefficientField:
-    """Vectorized coefficient lift over a whole cloud with known parametrization."""
-    if cloud.intrinsic is None:
-        raise ValueError("cloud has no intrinsic coordinates to lift from")
-    pts = cloud.intrinsic
-    b = np.asarray(b_fn(pts), dtype=float)
-    c = np.asarray(c_fn(pts), dtype=float)
-    return CoefficientField(*_lift(manifold, pts, b, c))
+    return CoefficientField(drift, 0.5 * (diff_inv + np.transpose(diff_inv, (0, 2, 1))))
 
 
 def load_cloud(path) -> PointCloud:
@@ -377,4 +350,4 @@ def sample_sphere(n_points: int, seed: int = 0) -> PointCloud:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n_points, 3))
     ambient = g / np.linalg.norm(g, axis=1, keepdims=True)
-    return PointCloud(ambient, None, "iid_density", ambient_cloud_manifold(3, 2), seed)
+    return PointCloud(ambient, None, "iid_density", ambient_cloud_manifold(3, 2))

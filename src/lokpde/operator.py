@@ -13,7 +13,8 @@ Constant multiples of the density and the eps^(-d/2) prefactors cancel in
 the row normalization, so neither the sampling density's scale nor the
 intrinsic dimension is needed to build L.  Bandwidths can be selected by
 locating the maximal log-log slope of Q(eps), the mean of the full kernel
-matrix, which also estimates the intrinsic dimension as twice that slope.
+matrix, which also estimates the intrinsic dimension as twice that slope;
+:func:`select_bandwidths` holds the rule for both bandwidths.
 
 The Q(eps) scan is exact but skips the terms it can certify to be 0.0:
 for positive semidefinite C^-1 (checked; the first bad point is named)
@@ -59,6 +60,7 @@ __all__ = [
     "build_operator",
     "tune_bandwidth",
     "tune_gaussian_bandwidth",
+    "select_bandwidths",
     "default_epsilon_grid",
 ]
 
@@ -87,13 +89,12 @@ class DensityEstimate:
 class GeneratorMatrix:
     """Row-stochastic matrix S with its bandwidth; L = (S - I) / eps.
 
-    ``row_sums`` holds the pre-normalization kernel row sums (the diagonal
-    of D in S = D^-1 K).
+    ``row_sums`` holds the kernel row sums before normalization (the
+    diagonal of D in S = D^-1 K), after the debiasing division if any.
     """
 
     s_matrix: scipy.sparse.csr_matrix
     epsilon: float
-    debiased: bool
     row_sums: np.ndarray
 
     @property
@@ -152,7 +153,7 @@ def right_normalize(kernel: SparseKernelMatrix, density: DensityEstimate) -> Spa
     return SparseKernelMatrix(mat, kernel.epsilon)
 
 
-def left_normalize(kernel: SparseKernelMatrix, debiased: bool = False) -> GeneratorMatrix:
+def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
     """Row-normalize to a stochastic matrix S = D^-1 K, D = diag(row sums)."""
     mat = kernel.matrix.tocsr().copy()
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
@@ -164,7 +165,7 @@ def left_normalize(kernel: SparseKernelMatrix, debiased: bool = False) -> Genera
         )
     counts = np.diff(mat.indptr)
     mat.data = mat.data / np.repeat(row_sums, counts)
-    return GeneratorMatrix(mat, kernel.epsilon, debiased, row_sums)
+    return GeneratorMatrix(mat, kernel.epsilon, row_sums)
 
 
 def build_operator(
@@ -189,7 +190,7 @@ def build_operator(
     if debias:
         density = estimate_density(cloud, cfg.tilde_epsilon, cfg.k_neighbors, neighbors)
         kernel = right_normalize(kernel, density)
-    return left_normalize(kernel, debiased=debias)
+    return left_normalize(kernel)
 
 
 @dataclass(frozen=True)
@@ -432,6 +433,27 @@ def tune_bandwidth(
     )
 
 
-def tune_gaussian_bandwidth(cloud: PointCloud, grid: np.ndarray | None = None) -> TuningReport:
+def tune_gaussian_bandwidth(cloud: PointCloud) -> TuningReport:
     """Q(eps) scan for the isotropic Gaussian kernel (density bandwidth)."""
-    return tune_bandwidth(cloud, CoefficientField.isotropic(cloud.n_points, cloud.ambient_dim), grid)
+    return tune_bandwidth(cloud, CoefficientField.isotropic(cloud.n_points, cloud.ambient_dim))
+
+
+def select_bandwidths(cloud: PointCloud, coeffs: CoefficientField, epsilon, tilde_epsilon):
+    """Resolve each "auto" bandwidth; a positive real passes through.
+
+    epsilon comes from :func:`tune_bandwidth` on ``coeffs`` and
+    tilde_epsilon from :func:`tune_gaussian_bandwidth`.  Returns
+    (epsilon, tilde_epsilon, d_hat, pair_evals): d_hat from the first scan
+    run, pair_evals the scans' total, both None when neither is "auto".
+    """
+    d_hat = pair_evals = None
+    if epsilon == "auto":
+        report = tune_bandwidth(cloud, coeffs)
+        epsilon, d_hat, pair_evals = report.epsilon_star, report.d_hat, report.pair_evals
+    if tilde_epsilon == "auto":
+        report = tune_gaussian_bandwidth(cloud)
+        tilde_epsilon = report.epsilon_star
+        if d_hat is None:
+            d_hat = report.d_hat
+        pair_evals = (pair_evals or 0) + report.pair_evals
+    return float(epsilon), float(tilde_epsilon), d_hat, pair_evals

@@ -6,10 +6,12 @@ f = (a + L)u for the backward Kolmogorov operator
     L u = sum_ij g^ij b_i du/dx_j
           + 1/2 sum_ij c_ij (d2u/dx_i dx_j - sum_k Gamma^k_ij du/dx_k),
 
-together with the intrinsic coefficients (b, c), the Riemannian metric and
-Christoffel symbols of the parametrization, and the zeroth-order shift a.
-The f formulas are hard-coded in closed form; the tests cross-check them
-against (a + L) u by central finite differences.
+together with the intrinsic coefficients (b, c) and the zeroth-order
+shift a.  The metric g and Christoffel symbols Gamma are those the
+embedding induces on the parametrization; they enter only the f
+formulas, which are hard-coded in closed form.  The tests cross-check f
+against (a + L) u by central finite differences, with their own table of
+g and Gamma.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ class AnalyticProblem:
     shift: Callable[[np.ndarray], np.ndarray]      # a(x): (N, d) -> (N,)
     drift: Callable[[np.ndarray], np.ndarray]      # b: (N, d) -> (N, d)
     diffusion: Callable[[np.ndarray], np.ndarray]  # c: (N, d) -> (N, d, d)
-    metric: Callable[[np.ndarray], np.ndarray]     # g: (N, d) -> (N, d, d)
-    christoffel: Callable[[np.ndarray], np.ndarray]  # Gamma^k_ij: (N, d) -> (N, d, d, d)
 
 
 def _pts(x: np.ndarray, d: int) -> np.ndarray:
@@ -53,8 +53,8 @@ def _pts(x: np.ndarray, d: int) -> np.ndarray:
     return arr
 
 
-def _bvp1d(b: float, c: float) -> AnalyticProblem:
-    """Interval problem: (L - 2I)u = f with u = cos(2 pi x).
+def _bvp1d(b: float) -> AnalyticProblem:
+    """Interval problem: (L - 2I)u = f with u = cos(2 pi x), drift b, c = 1.
 
     With u = cos(2 pi x) the stated f forces the zeroth-order term to be
     -2u, so the shift is a(x) = -2 (which also keeps a + L strictly
@@ -69,7 +69,7 @@ def _bvp1d(b: float, c: float) -> AnalyticProblem:
 
     def f(x):
         x = _pts(x, 1)[:, 0]
-        return -two_pi * b * np.sin(two_pi * x) - (2.0 * np.pi**2 * c + 2.0) * np.cos(two_pi * x)
+        return -two_pi * b * np.sin(two_pi * x) - (2.0 * np.pi**2 + 2.0) * np.cos(two_pi * x)
 
     def shift(x):
         return np.full(_pts(x, 1).shape[0], -2.0)
@@ -78,15 +78,9 @@ def _bvp1d(b: float, c: float) -> AnalyticProblem:
         return np.full((_pts(x, 1).shape[0], 1), b)
 
     def diffusion(x):
-        return np.full((_pts(x, 1).shape[0], 1, 1), c)
-
-    def metric(x):
         return np.ones((_pts(x, 1).shape[0], 1, 1))
 
-    def christoffel(x):
-        return np.zeros((_pts(x, 1).shape[0], 1, 1, 1))
-
-    return AnalyticProblem("bvp1d", man, u, f, shift, drift, diffusion, metric, christoffel)
+    return AnalyticProblem("bvp1d", man, u, f, shift, drift, diffusion)
 
 
 def _ellipse(half: bool) -> AnalyticProblem:
@@ -121,17 +115,8 @@ def _ellipse(half: bool) -> AnalyticProblem:
         th = _pts(x, 1)[:, 0]
         return (1.1 + np.cos(th))[:, None, None]
 
-    def metric(x):
-        th = _pts(x, 1)[:, 0]
-        return g11(th)[:, None, None]
-
-    def christoffel(x):
-        th = _pts(x, 1)[:, 0]
-        # Gamma^1_11 = g^11 (dg_11/dt) / 2 = -3 g^11 sin t cos t
-        return (-3.0 / g11(th) * np.sin(th) * np.cos(th))[:, None, None, None]
-
     name = "half_ellipse" if half else "ellipse"
-    return AnalyticProblem(name, man, u, f, shift, drift, diffusion, metric, christoffel)
+    return AnalyticProblem(name, man, u, f, shift, drift, diffusion)
 
 
 def _torus(half: bool) -> AnalyticProblem:
@@ -205,36 +190,20 @@ def _torus(half: bool) -> AnalyticProblem:
         out[:, 1, 1] = 2.0
         return out
 
-    def metric(x):
-        th, _ = split(x)
-        out = np.zeros((th.shape[0], 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = (2.0 + np.cos(th)) ** 2
-        return out
-
-    def christoffel(x):
-        th, _ = split(x)
-        r = 2.0 + np.cos(th)
-        out = np.zeros((th.shape[0], 2, 2, 2))
-        out[:, 1, 0, 1] = -np.sin(th) / r  # Gamma^2_12
-        out[:, 1, 1, 0] = -np.sin(th) / r  # Gamma^2_21
-        out[:, 0, 1, 1] = np.sin(th) * r   # Gamma^1_22
-        return out
-
     name = "half_torus" if half else "torus"
-    return AnalyticProblem(name, man, u, f, shift, drift, diffusion, metric, christoffel)
+    return AnalyticProblem(name, man, u, f, shift, drift, diffusion)
 
 
-def analytic_pair(problem_id: str, **params) -> AnalyticProblem:
+def analytic_pair(problem_id: str, b: float | None = None) -> AnalyticProblem:
     """Build a zoo problem by id.
 
-    ``bvp1d`` accepts ``b`` and ``c`` overrides (defaults 2.0 and 1.0) for
-    advection/diffusion-ratio experiments; the other ids take no parameters.
+    ``bvp1d`` takes a drift ``b`` (default 2.0; its diffusion is c = 1) for
+    advection-dominance experiments; the other ids take no parameters.
     """
     if problem_id == "bvp1d":
-        return _bvp1d(b=params.pop("b", 2.0), c=params.pop("c", 1.0))
-    if params:
-        raise ValueError(f"{problem_id} takes no parameters, got {sorted(params)}")
+        return _bvp1d(2.0 if b is None else b)
+    if b is not None:
+        raise ValueError(f"{problem_id} takes no parameters, got ['b']")
     if problem_id == "ellipse":
         return _ellipse(half=False)
     if problem_id == "half_ellipse":

@@ -53,7 +53,7 @@ import scipy.sparse.linalg
 
 from .geometry import sample_points
 from .kernels import KernelConfig, build_knn_graph, row_blocks
-from .operator import GeneratorMatrix, build_operator, tune_bandwidth, tune_gaussian_bandwidth
+from .operator import GeneratorMatrix, build_operator, select_bandwidths
 from .problems import analytic_pair, problem_coefficients
 
 __all__ = [
@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 DIRECT_RESIDUAL_RTOL = 1e-10
+MIN_NORM_RESIDUAL_RTOL = 1e-8
 SVD_TRUNCATION_RTOL = 1e-8
 SVD_MAX_N = 3000
 ILU_DROP_TOL = 1e-2
@@ -435,29 +436,24 @@ def _svd_min_norm(A, f):
 
 
 def solve_min_norm(
-    problem: LinearProblem,
-    tol: float = 1e-8,
-    method: str = "iterative",
-    iter_cap: int | None = None,
+    problem: LinearProblem, method: str = "iterative", iter_cap: int | None = None
 ) -> SolveReport:
     """Minimum-norm least-squares solution of (diag(a) + L) u = f.
 
     ``method="iterative"`` (default) needs a <= 0 and computes
     (a + L)^+ f with the shared RCM / ILU / GMRES driver, refining until
     the uniform residual (off the pin, if S has a closed class with a = 0
-    on it) is at most ``tol`` max|f|.  ``iter_cap`` (default 20 N) caps
-    the GMRES iterations of all calls together.  Raises
-    :class:`DisconnectedGraphError` when S has more than one closed class
-    with a = 0 on it and :class:`MinNormConvergenceError` (best iterate
-    and least-squares residual attached) on an ILU breakdown, GMRES
-    non-convergence or an exhausted cap.
+    on it) is at most ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|.
+    ``iter_cap`` (default 20 N) caps the GMRES iterations of all calls
+    together.  Raises :class:`DisconnectedGraphError` when S has more than
+    one closed class with a = 0 on it and :class:`MinNormConvergenceError`
+    (best iterate and least-squares residual attached) on an ILU
+    breakdown, GMRES non-convergence or an exhausted cap.
 
     ``method="svd"`` computes the truncated-SVD pseudo-inverse (singular
     values below 1e-8 sigma_max dropped) of diag(a) + L, available for
-    N <= 3000.  The two agree to well within 10 tol where both apply.
+    N <= 3000, the cross-check of the iterative route.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     generator = problem.generator
     n = generator.n_points
     a, f = problem.shift, problem.rhs
@@ -471,7 +467,8 @@ def solve_min_norm(
             raise ValueError("the iterative minimum-norm solve needs a <= 0; use method='svd'")
         cap = 20 * n if iter_cap is None else iter_cap
         try:
-            u, _, system = _krylov_solve(generator, a, f, tol * float(np.abs(f).max()), cap)
+            target = MIN_NORM_RESIDUAL_RTOL * float(np.abs(f).max())
+            u, _, system = _krylov_solve(generator, a, f, target, cap)
         except _KrylovFailure as exc:
             u = exc.best[0] if exc.best else np.zeros(n)
             residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
@@ -504,12 +501,9 @@ def best_shift_error(u_hat: np.ndarray, u_true: np.ndarray) -> float:
 
 
 def check_minimum_norm_certificate(
-    u_hat: np.ndarray,
-    generator: GeneratorMatrix,
-    rel_tol: float = 1e-6,
-    null_vector: np.ndarray | None = None,
+    u_hat: np.ndarray, generator: GeneratorMatrix, null_vector: np.ndarray | None = None
 ) -> bool:
-    """True iff u_hat has (numerically) no component along the nullspace.
+    """True iff u_hat's component along the nullspace is at most 1e-6 |u_hat|_2.
 
     For closed manifolds the numerical nullspace of L is spanned by the
     constant vector (row-stochasticity makes L 1 = 0), which is the default
@@ -525,7 +519,7 @@ def check_minimum_norm_certificate(
         null_vector = np.asarray(null_vector, dtype=float)
         null_vector = null_vector / np.linalg.norm(null_vector)
     component = abs(float(null_vector @ u_hat))
-    return component <= rel_tol * float(np.linalg.norm(u_hat))
+    return component <= 1e-6 * float(np.linalg.norm(u_hat))
 
 
 @dataclass(frozen=True)
@@ -645,8 +639,7 @@ def convergence_study(
                     n_coarse=oracle_effort[0], n_refine=oracle_effort[1], debias=debias,
                 )
             else:
-                eps = tune_bandwidth(cloud, coeffs).epsilon_star
-                eps_tilde = tune_gaussian_bandwidth(cloud).epsilon_star
+                eps, eps_tilde, _, _ = select_bandwidths(cloud, coeffs, "auto", "auto")
                 cfg = KernelConfig(eps, eps_tilde, k_n)
                 err = _solve_zoo(problem, cloud, coeffs, cfg, debias, None).error_inf
         except Exception as exc:
@@ -670,19 +663,18 @@ def epsilon_sweep(
     n_points: int,
     epsilons,
     k: int = 100,
-    mode: str = "uniform_grid",
-    seed: int = 0,
     debias: bool = True,
 ) -> EpsilonSweep:
     """Uniform error against bandwidth at fixed N (the O(eps) regime check).
 
-    One kNN search (indices and d^2) is shared by every bandwidth.
+    The cloud is the uniform grid; one kNN search (indices and d^2) is
+    shared by every bandwidth.
     """
     epsilons = np.asarray(list(epsilons), dtype=float)
     if epsilons.size < 2:
         raise ValueError("epsilon sweep needs at least 2 bandwidths")
     problem = analytic_pair(problem_id)
-    cloud = sample_points(problem.manifold, n_points, mode, seed)
+    cloud = sample_points(problem.manifold, n_points, "uniform_grid")
     coeffs = problem_coefficients(problem, cloud)
     k = min(k, n_points)
     neighbors = build_knn_graph(cloud, k)

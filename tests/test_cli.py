@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ import lokpde
 from lokpde.cli import (
     _SCHEMA,
     ConfigError,
+    RunConfig,
     _fmt,
     load_coefficient_file,
     main,
@@ -139,6 +141,14 @@ class TestConfigValidation:
                 f"--{key.replace('_', '-')}={token}"]
         assert main(argv) == 1
         assert f"config key {key!r} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["N", "k", "seed"])
+    def test_infinite_integer_named(self, tmp_path, capsys, key, value):
+        # json writes these as Infinity / -Infinity, which json.load reads back
+        path = write_config(tmp_path, {"problem": "bvp1d", "N": 100, key: value})
+        assert main(["solve", "--config", path]) == 1
+        assert f"config key {key!r} must be an integer" in capsys.readouterr().err
 
     def test_solver_key_rejected(self, tmp_path, capsys):
         # solve() picks the route from the sign of a; there is no key for it
@@ -300,6 +310,13 @@ class TestRunSolve:
         record = run_solve(cfg)
         assert record["error_inf"] <= 0.16
 
+    def test_positive_shift_is_a_config_error(self, capsys):
+        # a + L with a > 0 is outside both solve routes; it is not a numerical failure
+        argv = ["solve", "--problem", "bvp1d", "--N", "200", "--k", "20", "--epsilon", "1e-3",
+                "--tilde-epsilon", "1e-3", "--shift-a", "0.5"]
+        assert main(argv) == 1
+        assert "config key 'shift_a' must be <= 0, got 0.5" in capsys.readouterr().err
+
     def test_cloud_needs_rhs(self, tmp_path):
         cloud_path = write_cloud(tmp_path, np.eye(3))
         cfg = validate_config({"problem": cloud_path, "epsilon": 0.5, "tilde_epsilon": 0.5, "k": 2})
@@ -453,6 +470,23 @@ class TestRunTune:
 
 
 class TestMainEntry:
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", set()), ("study", {"--N-values", "--tuning"}), ("tune", set()),
+    ])
+    def test_help_shows_one_flag_per_config_field(self, monkeypatch, capsys, command, extra):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        fields = dataclasses.fields(RunConfig)
+        flags = {f.name: "--" + f.name.replace("_", "-") for f in fields}
+        listed = re.findall(r"^\s+(--[\w-]+)", out, flags=re.MULTILINE)
+        assert sorted(listed) == sorted({"--config", *extra, *flags.values()})
+        text = " ".join(out.split())  # help lines wrap at the terminal width
+        for f in fields:
+            assert f"{flags[f.name]} {f.name.upper()} {f.metadata['help']}" in text
+
     def test_exit_codes(self, capsys):
         assert main(["solve", "--problem", "bvp1d"]) == 1  # missing N
         err = capsys.readouterr().err

@@ -9,7 +9,6 @@ from lokpde.geometry import (
     embedding_jacobian,
     get_manifold,
     grid_axis_counts,
-    lift_coefficients,
     lift_field,
     load_cloud,
     sample_points,
@@ -139,22 +138,33 @@ class TestGrids:
             sample_points(get_manifold("interval"), 10, "stratified")
 
 
+def lift_points(man, x, b, c):
+    """(B, C^-1) from :func:`lift_field` at the (N, d) points ``x`` with
+    per-point b (N, d) and c (N, d, d); the points are lifted as a cloud of
+    2 N (each twice, as a cloud needs at least 2 points)."""
+    x, b, c = (np.asarray(v, dtype=float) for v in (x, b, c))
+    pts = np.concatenate([x, x])
+    cloud = PointCloud(embed(man, pts), pts, "iid_density", man)
+    field = lift_field(man, cloud, lambda _: np.concatenate([b, b]), lambda _: np.concatenate([c, c]))
+    return field.drift[: len(x)], field.diffusion_inv[: len(x)]
+
+
 class TestCoefficientLifting:
     def test_interval_identity(self):
-        B, Ci = lift_coefficients(get_manifold("interval"), [2.0], [[1.0]], [0.3])
-        np.testing.assert_allclose(B, [2.0])
-        np.testing.assert_allclose(Ci, [[1.0]])
+        B, Ci = lift_points(get_manifold("interval"), [[0.3]], [[2.0]], [[[1.0]]])
+        np.testing.assert_allclose(B, [[2.0]])
+        np.testing.assert_allclose(Ci, [[[1.0]]])
 
     def test_ellipse_rank_one_lift(self):
         # hand pseudo-inverse at theta=0: J = (0, 2)^T
-        B, Ci = lift_coefficients(get_manifold("ellipse"), [1.0], [[2.1]], [0.0])
-        np.testing.assert_allclose(B, [0.0, 0.5], atol=1e-14)
-        np.testing.assert_allclose(Ci, [[0.0, 0.0], [0.0, 1.0 / 8.4]], atol=1e-14)
+        B, Ci = lift_points(get_manifold("ellipse"), [[0.0]], [[1.0]], [[[2.1]]])
+        np.testing.assert_allclose(B, [[0.0, 0.5]], atol=1e-14)
+        np.testing.assert_allclose(Ci, [[[0.0, 0.0], [0.0, 1.0 / 8.4]]], atol=1e-14)
 
     def test_torus_drift_lift(self):
         # J columns at (0,0): (0,0,1) and (0,3,0)
-        B, _ = lift_coefficients(get_manifold("torus"), [2.0, 0.0], np.eye(2), [0.0, 0.0])
-        np.testing.assert_allclose(B, [0.0, 0.0, 2.0], atol=1e-14)
+        B, _ = lift_points(get_manifold("torus"), [[0.0, 0.0]], [[2.0, 0.0]], [np.eye(2)])
+        np.testing.assert_allclose(B, [[0.0, 0.0, 2.0]], atol=1e-14)
 
     @pytest.mark.parametrize("mid", ZOO_IDS)
     def test_lift_round_trip(self, mid):
@@ -164,12 +174,14 @@ class TestCoefficientLifting:
         lo = np.array([a for a, _ in man.parameter_domain])
         hi = np.array([b for _, b in man.parameter_domain])
         d = man.intrinsic_dim
+        xs, bs, cs = [], [], []
         for _ in range(100):
-            x = lo + (hi - lo) * rng.random(d)
+            xs.append(lo + (hi - lo) * rng.random(d))
             a = rng.normal(size=(d, d))
-            c = a @ a.T + 0.5 * np.eye(d)
-            b = rng.normal(size=d)
-            B, Ci = lift_coefficients(man, b, c, x)
+            cs.append(a @ a.T + 0.5 * np.eye(d))
+            bs.append(rng.normal(size=d))
+        _, cis = lift_points(man, xs, bs, cs)
+        for x, c, Ci in zip(xs, cs, cis):
             jac = embedding_jacobian(man, x)
             lifted = jac @ c @ jac.T
             np.testing.assert_allclose(np.linalg.pinv(Ci, hermitian=True), lifted, atol=1e-9)
@@ -177,19 +189,6 @@ class TestCoefficientLifting:
             eig = np.linalg.eigvalsh(Ci)
             assert (eig > -1e-12).all()
             assert np.sum(eig > 1e-10 * eig.max()) == d
-
-    def test_lift_field_matches_pointwise(self):
-        man = get_manifold("torus")
-        cloud = sample_points(man, 64, "uniform_grid")
-        b_fn = lambda x: np.stack([2 + np.sin(x[:, 0]), np.zeros(len(x))], axis=1)
-        c_fn = lambda x: np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
-        field = lift_field(man, cloud, b_fn, c_fn)
-        for i in (0, 17, 63):
-            B, Ci = lift_coefficients(
-                man, b_fn(cloud.intrinsic)[i], c_fn(cloud.intrinsic)[i], cloud.intrinsic[i]
-            )
-            np.testing.assert_allclose(field.drift[i], B, atol=1e-13)
-            np.testing.assert_allclose(field.diffusion_inv[i], Ci, atol=1e-13)
 
 
 class TestPointCloudValidation:

@@ -4,13 +4,44 @@ import pytest
 from lokpde.problems import PROBLEM_IDS, analytic_pair
 
 
+def _ellipse_geometry(x):
+    # g_11 = sin^2 t + 4 cos^2 t; Gamma^1_11 = g^11 (dg_11/dt) / 2 = -3 g^11 sin t cos t
+    th = x[:, 0]
+    g11 = np.sin(th) ** 2 + 4.0 * np.cos(th) ** 2
+    return g11[:, None, None], (-3.0 / g11 * np.sin(th) * np.cos(th))[:, None, None, None]
+
+
+def _torus_geometry(x):
+    th = x[:, 0]
+    r = 2.0 + np.cos(th)
+    g = np.zeros((th.shape[0], 2, 2))
+    g[:, 0, 0] = 1.0
+    g[:, 1, 1] = r**2
+    gamma = np.zeros((th.shape[0], 2, 2, 2))
+    gamma[:, 1, 0, 1] = -np.sin(th) / r  # Gamma^2_12
+    gamma[:, 1, 1, 0] = -np.sin(th) / r  # Gamma^2_21
+    gamma[:, 0, 1, 1] = np.sin(th) * r   # Gamma^1_22
+    return g, gamma
+
+
+# manifold id -> (N, d) points -> (metric g (N, d, d), Christoffel Gamma^k_ij (N, d, d, d))
+GEOMETRY = {
+    "interval": lambda x: (np.ones((x.shape[0], 1, 1)), np.zeros((x.shape[0], 1, 1, 1))),
+    "ellipse": _ellipse_geometry,
+    "half_ellipse": _ellipse_geometry,
+    "torus": _torus_geometry,
+    "half_torus": _torus_geometry,
+}
+
+
 def apply_kolmogorov_fd(problem, x, h=None):
     """Apply (a + L) to the problem's u by central finite differences.
 
     Partial derivatives of u are taken with symmetric stencils of width
     ``h`` (default 1e-5 of the largest parameter-domain length, balancing
-    truncation against round-off at double precision); the metric,
-    Christoffel symbols and coefficients are evaluated analytically.  Serves
+    truncation against round-off at double precision); the metric and
+    Christoffel symbols (from ``GEOMETRY``) and the coefficients are
+    evaluated analytically.  Serves
     as the independent oracle for the closed-form f evaluators.
     """
     d = problem.manifold.intrinsic_dim
@@ -41,10 +72,10 @@ def apply_kolmogorov_fd(problem, x, h=None):
             hess[:, i, j] = mixed
             hess[:, j, i] = mixed
 
-    g_inv = np.linalg.inv(problem.metric(pts))
+    metric, gamma = GEOMETRY[problem.manifold.id](pts)
+    g_inv = np.linalg.inv(metric)
     b = problem.drift(pts)
     c = problem.diffusion(pts)
-    gamma = problem.christoffel(pts)
 
     drift_term = np.einsum("nij,ni,nj->n", g_inv, b, grad)
     cov_hess = hess - np.einsum("nkij,nk->nij", gamma, grad)
@@ -80,23 +111,21 @@ class TestFrozenValues:
         np.testing.assert_allclose(p.f([[0.0]]), [-1.05])
 
     def test_ellipse_metric_and_christoffel(self):
-        p = analytic_pair("ellipse")
         th = np.array([[0.7]])
         g11 = np.sin(0.7) ** 2 + 4 * np.cos(0.7) ** 2
-        np.testing.assert_allclose(p.metric(th)[0, 0, 0], g11)
-        np.testing.assert_allclose(
-            p.christoffel(th)[0, 0, 0, 0], -3 / g11 * np.sin(0.7) * np.cos(0.7)
-        )
+        metric, gamma = GEOMETRY["ellipse"](th)
+        np.testing.assert_allclose(metric[0, 0, 0], g11)
+        np.testing.assert_allclose(gamma[0, 0, 0, 0], -3 / g11 * np.sin(0.7) * np.cos(0.7))
 
     def test_torus_christoffels(self):
-        p = analytic_pair("torus")
         pt = np.array([[0.9, 2.1]])
         r = 2 + np.cos(0.9)
-        gamma = p.christoffel(pt)[0]
+        metric, gamma = GEOMETRY["torus"](pt)
+        gamma = gamma[0]
         np.testing.assert_allclose(gamma[1, 0, 1], -np.sin(0.9) / r)
         np.testing.assert_allclose(gamma[1, 1, 0], -np.sin(0.9) / r)
         np.testing.assert_allclose(gamma[0, 1, 1], np.sin(0.9) * r)
-        np.testing.assert_allclose(p.metric(pt)[0], np.diag([1.0, r**2]))
+        np.testing.assert_allclose(metric[0], np.diag([1.0, r**2]))
 
     def test_unknown_problem(self):
         with pytest.raises(ValueError, match="unknown problem"):

@@ -129,7 +129,7 @@ class TestMinNorm:
         from lokpde.operator import GeneratorMatrix
 
         big = scipy.sparse.identity(3001, format="csr")
-        fake = GeneratorMatrix(big, 1.0, False, np.ones(3001))
+        fake = GeneratorMatrix(big, 1.0, np.ones(3001))
         with pytest.raises(ValueError, match="N <= 3000"):
             solve_min_norm(LinearProblem(fake, np.zeros(3001), np.ones(3001)), method="svd")
 
@@ -174,7 +174,7 @@ def cloud_generator(pts, k, eps, debias=False, drift=None):
 
 def fake_generator(s_rows, eps=1.0):
     s = scipy.sparse.csr_matrix(np.array(s_rows, dtype=float))
-    return GeneratorMatrix(s, eps, False, np.ones(s.shape[0]))
+    return GeneratorMatrix(s, eps, np.ones(s.shape[0]))
 
 
 class TestSolveDispatch:
