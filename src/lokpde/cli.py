@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CoefficientField, PointCloud, load_cloud, sample_points
-from .kernels import KernelConfig, build_knn_graph
+from .kernels import KernelConfig, build_knn_graph, pool_width
 from .operator import build_operator, psd_eigenvalues, select_bandwidths, tune_bandwidth
 from .problems import PROBLEM_IDS, analytic_pair, problem_coefficients
 from .solver import LinearProblem, convergence_study, solve
@@ -61,6 +61,7 @@ class RunConfig:
 
 
 _SCHEMA = {f.name: f.metadata["help"] for f in dataclasses.fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 
 def _as_bool(key, value):
@@ -109,7 +110,7 @@ def validate_config(raw: dict) -> RunConfig:
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    merged = {**{f.name: f.default for f in dataclasses.fields(RunConfig)}, **raw}
+    merged = {**_DEFAULTS, **raw}
 
     n = merged["N"]
     if n is not None:
@@ -328,7 +329,8 @@ def run_solve(config: RunConfig) -> dict:
     (``operator.tune_s``, 0.0 when no bandwidth is "auto"), the kNN search
     (``kernels.knn_s``), the rest of the operator build, the solve
     (``solver.direct_s`` or ``solver.min_norm_s``, as the record's
-    ``solver`` names the route :func:`solve` took) and the CSV output.
+    ``solver`` names the route :func:`solve` took) and the CSV output;
+    ``workers`` is the thread-pool width those stages ran on.
     """
     start = time.perf_counter()
     cloud, coeffs, problem, debias = _build_cloud(config)
@@ -387,17 +389,26 @@ def run_solve(config: RunConfig) -> dict:
             "d_hat": d_hat,
             "pair_evals": pair_evals,
             "stages": stages,
+            "workers": pool_width(),
             "wall_time_seconds": time.perf_counter() - start,
         }
     )
     return record
 
 
+# a study picks its own bandwidths and solves with the problem's shift, f and coefficients
+_STUDY_IGNORES = ("epsilon", "tilde_epsilon", "shift_a", "rhs", "coefficients")
+
+
 def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
-    """Convergence study over N; writes CSV rows plus a slope summary row."""
+    """Convergence study over N; writes CSV rows plus a slope summary row.
+    A key of ``_STUDY_IGNORES`` off its default is a ConfigError."""
     start = time.perf_counter()
     if config.is_cloud_file:
         raise ConfigError("studies need a zoo problem with analytic truth, not a cloud file")
+    for key in _STUDY_IGNORES:
+        if getattr(config, key) != _DEFAULTS[key]:
+            raise ConfigError(f"config key {key!r} does not apply to a study, got {getattr(config, key)!r}")
     if len(n_values) < 4:
         raise ConfigError("study needs at least 4 values of N")
     study = convergence_study(
@@ -416,7 +427,7 @@ def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
         ]
         rows.append(["slope", "", _fmt(study.fitted_slope)])
         _write_csv(config.output, ["N", "epsilon", "error_inf"], rows)
-    record = dataclasses.asdict(config)
+    record = {key: value for key, value in dataclasses.asdict(config).items() if key not in _STUDY_IGNORES}
     record.update(
         {
             "N_values": [int(n) for n in study.n_values],

@@ -22,11 +22,19 @@ recomputes their d^2, sorts the rows the tree returned out of
 can tie with the k-th.  Its (indices, d^2) pair equals a brute-force
 search over all N^2 pairs bit for bit, and the d^2 feed the density
 estimate.
+
+The search, the assembly and the Q(eps) scan in ``operator`` share out
+their row blocks with :func:`map_row_blocks`; each block is computed on
+its own, so no result depends on the worker count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import mmap
+import os
+import threading
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +53,7 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 256
+_SORT_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,43 @@ class SparseKernelMatrix:
 def row_blocks(n: int, size: int) -> list[slice]:
     """The row slices [s, min(s + size, n)) for s = 0, size, 2 size, ... below n."""
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
+
+
+def pool_width() -> int:
+    """The worker count of :func:`map_row_blocks`: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
+    """``[body(rows, scratch) for rows in row_blocks(n, size)]`` in block
+    order, each block taken by whichever of the :func:`pool_width` workers
+    is free; the GIL-free query, ufuncs, sorts and ``exp`` overlap.  A
+    worker's ``scratch.work``, ``_scratch(scratch_planes, scratch_size)``,
+    serves all its blocks; a body may swap in a larger map.  The caller is
+    one worker: malloc keeps a pool thread's peak working set in that
+    thread's arena after the pool is gone, and one worker starts no thread."""
+    blocks = row_blocks(n, size)
+    results = [None] * len(blocks)
+    pending = iter(range(len(blocks)))
+    lock = threading.Lock()
+
+    def work():
+        scratch = types.SimpleNamespace(work=_scratch(scratch_planes, scratch_size))
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            results[i] = body(blocks[i], scratch)
+
+    helpers = pool_width() - 1
+    # the thread module loads on first use, not at import
+    with concurrent.futures.ThreadPoolExecutor(max(helpers, 1)) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for future in futures:
+            future.result()
+    return results
 
 
 def _check_finite(*arrays):
@@ -214,15 +260,16 @@ def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray,
     coordinate planes of x_i - x_j in ascending order by :func:`_pair_forms`.
 
     A k-d tree (``scipy.spatial.cKDTree``, imported on first call) proposes
-    m = k + 8 candidates per row, in blocks of rows.  Their d^2 is
-    recomputed with the exact formula above.  The tree returns most rows
-    already in (d^2, index) order (every row of an i.i.d. sphere cloud);
-    only the rows it did not are sorted.  Every point the tree left out is
+    m = k + 8 candidates per row.  Their d^2 is recomputed with the exact
+    formula above.  The tree returns most rows already in (d^2, index)
+    order (every row of an i.i.d. sphere cloud); only the rows it did not
+    are sorted, a few at a time.  Every point the tree left out is
     at least the tree's m-th distance away; if that distance squared, less
     a rounding margin, is not strictly above the k-th exact d^2, a left-out
     point could tie with or beat the k-th candidate, so m doubles for those
     rows (up to N) and the tree is queried again.  The result equals the
-    brute-force search over all N points exactly.
+    brute-force search over all N points exactly, for any worker count
+    of :func:`map_row_blocks`, whose blocks write only their own rows.
 
     Raises ValueError for k outside [1, N] and names the first point with
     a non-finite coordinate.
@@ -242,26 +289,32 @@ def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray,
     shrink = 1.0 - 8.0 * (dim + 2) * np.finfo(float).eps
     indices = np.empty((n, k), dtype=np.intp)
     d2 = np.empty((n, k))
-    work = _scratch(4 + dim, min(n, _CHUNK_ROWS) * min(k + 8, n))
-    for block in row_blocks(n, _CHUNK_ROWS):
+
+    def search(block, scratch):  # writes only its own rows; little from malloc
         rows = np.arange(block.start, block.stop)
         m = min(k + 8, n)
         while rows.size:
             dist, cand = tree.query(pts[rows], k=m)
-            dist, cand = dist.reshape(rows.size, m), cand.reshape(rows.size, m)
-            if cand.size > work.shape[1]:  # a widened search of many rows
-                work = _scratch(4 + dim, cand.size)
+            reach, cand = dist.reshape(rows.size, m)[:, -1] ** 2 * shrink, cand.reshape(rows.size, m)
+            del dist
+            if cand.size > scratch.work.shape[1]:  # a widened search of many rows
+                scratch.work = _scratch(4 + dim, cand.size)
+            work = scratch.work
             cand_d2 = _pair_forms(None, _plane_differences(planes, rows, cand, work[4:]), None, 1.0, work)[0]
-            step = np.diff(cand_d2, axis=1)
-            late = ((step < 0) | ((step == 0) & (cand[:, 1:] < cand[:, :-1]))).any(axis=1)
-            if late.any():
-                cand[late], cand_d2[late] = _sort_by_d2_index(cand[late], cand_d2[late], n)
-            cand, cand_d2 = cand[:, :k], cand_d2[:, :k]
-            done = (m == n) | (dist[:, -1] ** 2 * shrink > cand_d2[:, -1])
-            indices[rows[done]] = cand[done]
-            d2[rows[done]] = cand_d2[done]
-            rows = rows[~done]
+            step = work[0][: rows.size * (m - 1)].reshape(rows.size, m - 1)  # free for C^-1 = I
+            np.subtract(cand_d2[:, 1:], cand_d2[:, :-1], out=step)
+            late = np.flatnonzero(((step < 0) | ((step == 0) & (cand[:, 1:] < cand[:, :-1]))).any(axis=1))
+            for start in range(0, late.size, _SORT_ROWS):
+                part = late[start : start + _SORT_ROWS]
+                cand[part], cand_d2[part] = _sort_by_d2_index(cand[part], cand_d2[part], n)
+            indices[rows] = cand[:, :k]
+            d2[rows] = cand_d2[:, :k]
+            # a left-out point could tie with or beat the k-th candidate
+            rows = rows[(m < n) & (reach <= cand_d2[:, k - 1])]
             m = min(2 * m, n)
+
+    size = max(1, _CHUNK_ROWS // pool_width())  # the workers' maps hold _CHUNK_ROWS rows in all
+    map_row_blocks(search, n, size, 4 + dim, min(n, size) * min(k + 8, n))
     return indices, d2
 
 
@@ -290,7 +343,8 @@ def assemble_kernel_matrix(
     the row point's coefficients B(x_i), C(x_i)^-1; ``k_neighbors = N``
     retains every column.  A precomputed ``(indices, d2)`` pair (as
     returned by :func:`build_knn_graph`) can be passed to amortize the
-    search across bandwidths.
+    search across bandwidths.  The blocks run on :func:`map_row_blocks`,
+    each writing its own rows, so the worker count changes nothing.
     """
     pts = cloud.ambient
     n = pts.shape[0]
@@ -300,17 +354,22 @@ def assemble_kernel_matrix(
     if neighbors is None:
         neighbors = build_knn_graph(cloud, cfg.k_neighbors)
     _check_neighbors(neighbors, n, cfg.k_neighbors)
-    cols = np.sort(neighbors[0], axis=1)
-    k = cols.shape[1]
+    k = cfg.k_neighbors
     planes = np.ascontiguousarray(pts.T)
     scale = _identity_scale(coeffs.diffusion_inv)
-    work = _scratch(4 + pts.shape[1], min(n, _CHUNK_ROWS) * k)
+    cols = np.empty((n, k), dtype=np.intp)
     data = np.empty((n, k))
-    for rows in row_blocks(n, _CHUNK_ROWS):
+
+    def assemble(rows, scratch):  # writes only the rows of its block
+        cols[rows] = neighbors[0][rows]
+        cols[rows].sort(axis=1)
         _kernel_rows(
             planes, rows, cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale, cfg.epsilon,
-            work, data[rows],
+            scratch.work, data[rows],
         )
+
+    size = max(1, _CHUNK_ROWS // pool_width())
+    map_row_blocks(assemble, n, size, 4 + pts.shape[1], min(n, size) * k)
     indptr = np.arange(0, n * k + 1, k, dtype=np.intp)
     mat = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
     return SparseKernelMatrix(mat, cfg.epsilon)

@@ -28,17 +28,13 @@ contiguous (rows x columns) coordinate planes of pts.T and forms C^-1 v,
 q0 and q1 from them with ``kernels._pair_forms`` (which also forms the
 kNN d^2 and the kernel entries): elementwise ufuncs, each sum in
 ascending index order, the order the dense oracle in the tests uses.
-These ufuncs, the sorts and the window sums release the GIL, so the
-blocks overlap on at most ``len(os.sched_getaffinity(0))`` threads;
-they are summed in block order, so the result is the same for any
-worker count.
+The blocks run on ``kernels.map_row_blocks``, the pool that also runs
+the kNN search and the assembly, and are summed in block order, so the
+result is the same for any worker count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +42,8 @@ import scipy.sparse
 
 from .geometry import CoefficientField, PointCloud
 from .kernels import (
-    KernelConfig, SparseKernelMatrix, _check_neighbors, _identity_scale, _pair_forms, _scratch,
-    assemble_kernel_matrix, build_knn_graph, row_blocks,
+    KernelConfig, SparseKernelMatrix, _check_neighbors, _identity_scale, _pair_forms,
+    assemble_kernel_matrix, build_knn_graph, map_row_blocks,
 )
 
 __all__ = [
@@ -76,7 +72,6 @@ class DensityEstimate:
     """Per-point Gaussian kernel density values (unnormalized, all > 0)."""
 
     q_hat: np.ndarray
-    tilde_epsilon: float
 
     def __post_init__(self):
         q = np.asarray(self.q_hat, dtype=float)
@@ -140,7 +135,7 @@ def estimate_density(
         neighbors = build_knn_graph(cloud, k)
     _check_neighbors(neighbors, cloud.n_points, k)
     d2 = neighbors[1]
-    return DensityEstimate(np.exp(-d2 / (2.0 * tilde_epsilon)).sum(axis=1), tilde_epsilon)
+    return DensityEstimate(np.exp(-d2 / (2.0 * tilde_epsilon)).sum(axis=1))
 
 
 def right_normalize(kernel: SparseKernelMatrix, density: DensityEstimate) -> SparseKernelMatrix:
@@ -338,13 +333,13 @@ def tune_bandwidth(
     once and the columns past it twice, and forms C^-1 v as c v.  A
     skipped term's mirror is the same 0.0.
 
-    Blocks run on a thread pool of ``len(os.sched_getaffinity(0))``
-    workers, never more, each cutting its planes from its own scratch rows
-    (``kernels._scratch``).  The subtractions, multiplies and adds, the sorts
-    and gathers, and the window sums' divides, exp and sums release the
-    GIL; only the Python loops over rows and grid points hold it.  Partial
-    sums are added in block order, so the result does not depend on the
-    worker count.
+    Blocks run on ``kernels.map_row_blocks``, each cutting its planes from
+    its worker's scratch rows; the drift route gathers the row-sorted q0
+    and q1 into those rows too.  The subtractions, multiplies and adds, the
+    sorts and gathers, and the window sums' divides, exp and sums release
+    the GIL; only the Python loops over rows and grid points hold it.
+    Partial sums are added in block order, so the result does not depend
+    on the worker count.
 
     Raises ValueError for a grid that is not finite, positive and strictly
     increasing, for non-finite input, and names the first point whose
@@ -373,46 +368,47 @@ def tune_bandwidth(
     low, high = _q0_window(pts, coeffs, eig, q2, grid)
     scale = _isotropic_scale(coeffs)
     planes = np.ascontiguousarray(pts.T)
-    local = threading.local()  # each worker's scratch rows, reused by its blocks
 
-    def block_forms(rows, first):
-        if not hasattr(local, "work"):
-            local.work = _scratch(dim + 4, _BLOCK_ROWS * n)
+    def block_forms(rows, first, work):
         shape = (rows.stop - rows.start, n - first)
-        v = [w[: shape[0] * shape[1]].reshape(shape) for w in local.work[4:]]
+        v = [w[: shape[0] * shape[1]].reshape(shape) for w in work[4:]]
         for x, va in zip(planes, v):
             np.subtract(x[rows, None], x[None, first:], out=va)
-        return _pair_forms(ci[rows], v, drift[rows] if has_drift else None, scale, local.work)
+        return _pair_forms(ci[rows], v, drift[rows] if has_drift else None, scale, work)
 
-    def scan_symmetric(rows):
-        q0, _ = block_forms(rows, rows.start)
+    def scan_symmetric(rows, scratch):
+        work = scratch.work
+        q0, _ = block_forms(rows, rows.start, work)
         square, tail = q0[:, : rows.stop - rows.start], q0[:, rows.stop - rows.start :]
         square.sort(axis=1)
         tail.sort(axis=1)
         # C^-1 v's scratch row is free once the forms are made
-        own, own_evals = _window_sums(square, None, None, low[rows], high[rows], grid, local.work[0])
-        mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid, local.work[0])
+        own, own_evals = _window_sums(square, None, None, low[rows], high[rows], grid, work[0])
+        mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid, work[0])
         return own + 2.0 * mirrored, own_evals + mirrored_evals
 
-    def scan_block(rows):
-        q0, q1 = block_forms(rows, 0)
+    def scan_block(rows, scratch):
+        work = scratch.work
+        q0, q1 = block_forms(rows, 0, work)
         if q1 is not None:
-            order = np.argsort(q0, axis=1)
-            q0 = np.take_along_axis(q0, order, axis=1)
-            q1 = np.take_along_axis(q1, order, axis=1)
-            del order
+            # q0, q1 in q0's row order into free scratch rows; a row's order
+            # is small enough for malloc to reuse, a block's would stay resident
+            s0, s1 = (w[: q0.size].reshape(q0.shape) for w in (work[1], work[4]))
+            for r0, r1, o0, o1 in zip(q0, q1, s0, s1):
+                order = r0.argsort()
+                np.take(r0, order, out=o0, mode="clip")  # "clip" writes to out unbuffered
+                np.take(r1, order, out=o1, mode="clip")
+            q0, q1 = s0, s1
         else:
             q0.sort(axis=1)
-        return _window_sums(q0, q1, q2[rows, None], low[rows], high[rows], grid, local.work[0])
+        return _window_sums(q0, q1, q2[rows, None], low[rows], high[rows], grid, work[0])
 
     totals = np.zeros(grid.size)
     pair_evals = 0
     scan = scan_block if scale is None else scan_symmetric
-    # the thread module loads on first use, not at import
-    with concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        for partial, evals in pool.map(scan, row_blocks(n, _BLOCK_ROWS)):
-            totals += partial
-            pair_evals += evals
+    for partial, evals in map_row_blocks(scan, n, _BLOCK_ROWS, dim + 4, _BLOCK_ROWS * n):
+        totals += partial
+        pair_evals += evals
     with np.errstate(divide="ignore"):
         log_q = np.log(totals / (n * n))
     log_e = np.log(grid)

@@ -438,6 +438,20 @@ class TestRunStudy:
         assert rows[-1][0] == "slope"
         assert float(rows[-1][2]) == record["fitted_slope"]
         assert [r[0] for r in rows[1:-1]] == ["100", "200", "400", "800"]
+        # the keys a study does not read stay out of its record
+        assert not {"epsilon", "tilde_epsilon", "shift_a", "rhs", "coefficients"} & set(record)
+
+    def test_keys_a_study_ignores_are_rejected(self, capsys):
+        code = main(
+            ["study", "--problem", "bvp1d", "--N-values", "100,200,300,400", "--k", "30",
+             "--epsilon", "1e-3", "--shift-a", "-5", "--rhs", "2", "--debias", "false"]
+        )
+        assert code == 1
+        assert "'epsilon' does not apply to a study" in capsys.readouterr().err
+        for key, value in [("tilde_epsilon", 1e-3), ("shift_a", -5.0), ("rhs", 2.0), ("coefficients", "c.csv")]:
+            cfg = validate_config({"problem": "bvp1d", key: value})
+            with pytest.raises(ConfigError, match=f"{key!r} does not apply to a study"):
+                run_study(cfg, [100, 200, 300, 400])
 
 
 
@@ -539,6 +553,17 @@ class TestMainEntry:
         assert_stages(record, "solver.direct_s")
         assert record["stages"]["kernels.knn_s"] > 0.0  # timed apart from the build
         assert record["stages"]["operator.tune_s"] == 0.0  # pinned bandwidths
+
+    def test_record_carries_the_pool_width(self, monkeypatch, capsys):
+        flags = ["solve", "--problem", "bvp1d", "--N", "120", "--k", "40", "--epsilon", "2e-5",
+                 "--tilde-epsilon", "2e-5", "--debias", "false"]
+        assert main(flags) == 0
+        workers = json.loads(capsys.readouterr().out.strip())["workers"]
+        assert isinstance(workers, int) and workers > 0
+        assert workers == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert main(flags) == 0
+        assert json.loads(capsys.readouterr().out.strip())["workers"] == 3
 
     def test_auto_solver_record(self, capsys):
         # a = 0 on the ellipse: "auto" takes the minimum-norm route

@@ -1,4 +1,7 @@
 import functools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,10 +21,11 @@ from lokpde.kernels import (
     assemble_kernel_matrix,
     build_knn_graph,
     eval_prototypical_kernel,
+    map_row_blocks,
     moment_check,
     row_blocks,
 )
-from lokpde.problems import analytic_pair
+from lokpde.problems import analytic_pair, problem_coefficients
 
 
 def eval_gaussian_kernel(x, y, tilde_epsilon):
@@ -269,6 +273,80 @@ class TestKnnExactness:
     def test_paper_clouds_match_brute(self, name):
         cloud, k, _ = paper_cloud(name)
         self.assert_matches_brute(cloud.ambient, k)
+
+
+def worker_cloud(name):
+    """(cloud, coeffs, k) with N a multiple of none of the block sizes the
+    pool uses for 1, 2 or 4 workers (256, 128, 64 rows)."""
+    if name == "ties":
+        # 300 copies of one point: every copy's row widens its search to N,
+        # in every block, past the scratch map the worker started with
+        pts = np.concatenate([np.full((150, 2), 0.5), np.eye(2), np.full((150, 2), 0.5)])
+        return make_cloud(pts), CoefficientField.isotropic(302, 2), 50
+    problem = analytic_pair(name)
+    if name == "bvp1d":  # the paper grid: d^2 ties in 938 of 1000 rows, across every block boundary
+        cloud = sample_points(problem.manifold, 1000, "uniform_grid")
+        return cloud, problem_coefficients(problem, cloud), 100
+    cloud = sample_points(problem.manifold, 777, "iid_density", seed=3)
+    return cloud, problem_coefficients(problem, cloud), 40
+
+
+class TestMapRowBlocks:
+    def test_every_block_runs_once_in_block_order_under_contention(self, monkeypatch):
+        # eight workers on fewer cores, switching threads every microsecond:
+        # a block taken twice or lost would break the tallies
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        runs = np.zeros(2000, dtype=int)
+        workers = set()
+        lock = threading.Lock()
+
+        def body(rows, scratch):
+            scratch.work[0, : rows.stop - rows.start] = rows.start
+            with lock:
+                runs[rows.start] += 1
+                workers.add(threading.get_ident())
+            return int(scratch.work[0, 0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = map_row_blocks(body, 2000, 1, 1, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(2000))
+        assert (runs == 1).all()
+        assert threading.get_ident() in workers  # the caller is one of the workers
+
+    def test_a_failing_block_raises(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def body(rows, scratch):
+            if rows.start == 5:
+                raise ValueError("block 5")
+            return rows.start
+
+        with pytest.raises(ValueError, match="block 5"):
+            map_row_blocks(body, 10, 1, 1, 1)
+
+
+class TestWorkerCount:
+    """Each pool block writes only its own rows, so one worker, the default
+    and more workers than cores give the same arrays bit for bit."""
+
+    @pytest.mark.parametrize("name", ["bvp1d", "ties", "half_torus"])
+    def test_worker_count_does_not_change_the_result(self, monkeypatch, name):
+        cloud, coeffs, k = worker_cloud(name)
+        cfg = KernelConfig(1e-3, 1e-3, k)
+        results = []
+        for cpus in (None, {0}, set(range(4))):
+            if cpus is not None:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            neighbors = build_knn_graph(cloud, k)
+            mat = assemble_kernel_matrix(cloud, coeffs, cfg, neighbors).matrix
+            results.append((*neighbors, mat.data, mat.indices))
+        for other in results[1:]:
+            for ref, got in zip(results[0], other):
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestAssembly:

@@ -1,4 +1,5 @@
 import functools
+import os
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestDensityEstimate:
 
     def test_positive_validation(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            DensityEstimate(np.array([1.0, 0.0]), 0.1)
+            DensityEstimate(np.array([1.0, 0.0]))
 
     def test_neighbors_of_the_wrong_shape_rejected(self):
         rng = np.random.default_rng(2)
@@ -176,26 +177,26 @@ class TestRightNormalize:
 
     def test_unit_density_is_identity(self):
         km = self.base_kernel()
-        out = right_normalize(km, DensityEstimate(np.ones(5), 0.5))
+        out = right_normalize(km, DensityEstimate(np.ones(5)))
         np.testing.assert_array_equal(out.matrix.toarray(), km.matrix.toarray())
 
     def test_constant_density_scales(self):
         km = self.base_kernel()
-        out = right_normalize(km, DensityEstimate(np.full(5, 2.0), 0.5))
+        out = right_normalize(km, DensityEstimate(np.full(5, 2.0)))
         np.testing.assert_array_equal(out.matrix.toarray(), km.matrix.toarray() / 2.0)
 
     def test_matches_dense_product(self):
         rng = np.random.default_rng(8)
         km = self.base_kernel(seed=8)
         q = rng.uniform(0.5, 2.0, size=5)
-        out = right_normalize(km, DensityEstimate(q, 0.5))
+        out = right_normalize(km, DensityEstimate(q))
         expected = km.matrix.toarray() @ np.diag(1.0 / q)
         np.testing.assert_allclose(out.matrix.toarray(), expected, rtol=1e-15)
 
     def test_size_mismatch(self):
         km = self.base_kernel()
         with pytest.raises(ValueError, match="does not match"):
-            right_normalize(km, DensityEstimate(np.ones(4), 0.5))
+            right_normalize(km, DensityEstimate(np.ones(4)))
 
 
 class TestLeftNormalize:
@@ -584,7 +585,7 @@ class TestTuningExactness:
         pooled = [tune_bandwidth(cloud, coeffs), tune_gaussian_bandwidth(cloud)]
         # one worker, and more workers than cores, each with its own scratch rows
         for cpus in ({0}, set(range(4))):
-            monkeypatch.setattr(operator.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             single = [tune_bandwidth(cloud, coeffs), tune_gaussian_bandwidth(cloud)]
             for one, many in zip(single, pooled):
                 np.testing.assert_array_equal(one.log_q, many.log_q)
