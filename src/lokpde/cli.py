@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CoefficientField, PointCloud, load_cloud, sample_points
+from .geometry import CoefficientField, load_cloud, psd_eigenvalues, read_numeric_rows, sample_points
 from .kernels import KernelConfig, build_knn_graph, pool_width
-from .operator import build_operator, psd_eigenvalues, select_bandwidths, tune_bandwidth
+from .operator import build_operator, select_bandwidths, tune_bandwidth
 from .problems import PROBLEM_IDS, analytic_pair, problem_coefficients
 from .solver import LinearProblem, convergence_study, solve
 
@@ -137,12 +137,9 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config key 'rhs' must be a real, a file path, or 'problem', got {rhs!r}")
     if not isinstance(rhs, str):
         rhs = _as_real_or("rhs", rhs)
-    coeff = merged["coefficients"]
-    if coeff is not None and not isinstance(coeff, str):
-        raise ConfigError(f"config key 'coefficients' must be a path or null, got {coeff!r}")
-    output = merged["output"]
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"config key 'output' must be a path or null, got {output!r}")
+    for key in ("coefficients", "output"):
+        if merged[key] is not None and not isinstance(merged[key], str):
+            raise ConfigError(f"config key {key!r} must be a path or null, got {merged[key]!r}")
     if "problem" not in raw:
         raise ConfigError("config key 'problem' is required")
     problem = merged["problem"]
@@ -150,7 +147,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"config key 'problem' must be a non-empty string, got {problem!r}")
 
     return RunConfig(
-        problem, n, mode, seed, k, epsilon, tilde, debias, shift, rhs, coeff, output
+        problem, n, mode, seed, k, epsilon, tilde, debias, shift, rhs, merged["coefficients"], merged["output"]
     )
 
 
@@ -173,95 +170,64 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     return validate_config(raw)
 
 
-def _parses_as_float(token: str) -> bool:
+def _read_rows(path, **fmt):
+    """The rows of :func:`read_numeric_rows`; an unreadable file or a bad
+    token is a ConfigError."""
     try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+        yield from read_numeric_rows(path, **fmt)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_coefficient_file(path: str, n_points: int, ambient_dim: int) -> CoefficientField:
     """Per-point ambient coefficients from CSV: index, B, C^-1 upper triangle.
 
-    Every token must be finite and every C^-1 positive semidefinite (no
-    eigenvalue below -1e-12 max|eig|); violations name the line.
+    An optional header line is skipped.  A bad token, a malformed row, a
+    missing or repeated index and a C^-1 that ``CoefficientField`` rejects
+    as not positive semidefinite are ConfigErrors naming the line.
     """
     n_tri = ambient_dim * (ambient_dim + 1) // 2
-    drift = np.full((n_points, ambient_dim), np.nan)
-    diff_inv = np.full((n_points, ambient_dim, ambient_dim), np.nan)
+    drift = np.zeros((n_points, ambient_dim))
+    diff_inv = np.zeros((n_points, ambient_dim, ambient_dim))
     line_of = np.zeros(n_points, dtype=int)
     iu = np.triu_indices(ambient_dim)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or not row[0].strip():
-                continue
-            if lineno == 1 and not _parses_as_float(row[0]):
-                continue  # header row
-            if len(row) != 1 + ambient_dim + n_tri:
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected {1 + ambient_dim + n_tri} columns, got {len(row)}"
-                )
-            try:
-                values = [float(t) for t in row]
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: non-numeric token") from None
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(
-                    f"{path}: line {lineno}: non-finite value for point index {row[0].strip()}"
-                )
-            if not values[0].is_integer():
-                raise ConfigError(
-                    f"{path}: line {lineno}: point index {row[0].strip()!r} is not an integer"
-                )
-            idx = int(values[0])
-            if not 0 <= idx < n_points:
-                raise ConfigError(f"{path}: line {lineno}: point index {idx} out of range")
-            if line_of[idx]:
-                raise ConfigError(
-                    f"{path}: line {lineno}: point index {idx} already given on line {line_of[idx]}"
-                )
-            line_of[idx] = lineno
-            drift[idx] = values[1 : 1 + ambient_dim]
-            tri = values[1 + ambient_dim :]
-            mat = np.zeros((ambient_dim, ambient_dim))
-            mat[iu] = tri
-            diff_inv[idx] = mat + np.triu(mat, 1).T
-    if np.isnan(drift).any():
-        missing = int(np.flatnonzero(np.isnan(drift).any(axis=1))[0])
-        raise ConfigError(f"{path}: no coefficient row for point index {missing}")
-    eig, bad = psd_eigenvalues(diff_inv)
-    if bad is not None:
+    for lineno, values in _read_rows(path, sep=",", header=True):
+        if len(values) != 1 + ambient_dim + n_tri:
+            raise ConfigError(
+                f"{path}: line {lineno}: expected {1 + ambient_dim + n_tri} columns, got {len(values)}"
+            )
+        if not values[0].is_integer():
+            raise ConfigError(f"{path}: line {lineno}: point index '{values[0]}' is not an integer")
+        idx = int(values[0])
+        if not 0 <= idx < n_points:
+            raise ConfigError(f"{path}: line {lineno}: point index {idx} out of range")
+        if line_of[idx]:
+            raise ConfigError(
+                f"{path}: line {lineno}: point index {idx} already given on line {line_of[idx]}"
+            )
+        line_of[idx] = lineno
+        drift[idx] = values[1 : 1 + ambient_dim]
+        diff_inv[idx][iu] = diff_inv[idx].T[iu] = values[1 + ambient_dim :]
+    if not line_of.all():
+        raise ConfigError(f"{path}: no coefficient row for point index {int(np.argmin(line_of))}")
+    try:
+        return CoefficientField(drift, diff_inv)
+    except ValueError:  # the rows are finite, so C^-1 is indefinite somewhere
+        eig, bad = psd_eigenvalues(diff_inv)
         raise ConfigError(
             f"{path}: line {line_of[bad]}: C^-1 for point index {bad} is not positive "
-            f"semidefinite (eigenvalue {eig[bad, 0]!r})"
-        )
-    return CoefficientField(drift, diff_inv)
+            f"semidefinite (eigenvalue {float(eig[bad, 0])!r})"
+        ) from None
 
 
 def _load_rhs(rhs, n_points: int, path_hint: str) -> np.ndarray:
     if isinstance(rhs, float):
         return np.full(n_points, rhs)
-    try:
-        with open(rhs) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read rhs file {rhs!r}: {exc}") from exc
     values = []
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 1:
+    for lineno, row in _read_rows(rhs):
+        if len(row) != 1:
             raise ConfigError(f"{rhs}: line {lineno}: expected one value per line")
-        try:
-            value = float(tokens[0])
-        except ValueError:
-            raise ConfigError(f"{rhs}: line {lineno}: non-numeric token") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{rhs}: line {lineno}: non-finite value {tokens[0]!r}")
-        values.append(value)
+        values.append(row[0])
     if len(values) != n_points:
         raise ConfigError(f"{rhs}: got {len(values)} values for {n_points} points ({path_hint})")
     return np.array(values)
@@ -396,19 +362,31 @@ def run_solve(config: RunConfig) -> dict:
     return record
 
 
-# a study picks its own bandwidths and solves with the problem's shift, f and coefficients
-_STUDY_IGNORES = ("epsilon", "tilde_epsilon", "shift_a", "rhs", "coefficients")
+# the keys each command does not read: a study sizes, tunes and solves each
+# zoo problem itself; a scan reads only the cloud and its coefficients
+_IGNORED_KEYS = {
+    "study": ("N", "epsilon", "tilde_epsilon", "shift_a", "rhs", "coefficients"),
+    "tune": ("k", "epsilon", "tilde_epsilon", "debias", "shift_a", "rhs"),
+}
+
+
+def _record(config: RunConfig, command: str) -> dict:
+    """The config without the keys ``command`` ignores, each at its default."""
+    record = dataclasses.asdict(config)
+    for key in _IGNORED_KEYS[command]:
+        value = record.pop(key)
+        if value != _DEFAULTS[key]:
+            raise ConfigError(f"config key {key!r} does not apply to a {command}, got {value!r}")
+    return record
 
 
 def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
     """Convergence study over N; writes CSV rows plus a slope summary row.
-    A key of ``_STUDY_IGNORES`` off its default is a ConfigError."""
+    A key of ``_IGNORED_KEYS["study"]`` off its default is a ConfigError."""
     start = time.perf_counter()
     if config.is_cloud_file:
         raise ConfigError("studies need a zoo problem with analytic truth, not a cloud file")
-    for key in _STUDY_IGNORES:
-        if getattr(config, key) != _DEFAULTS[key]:
-            raise ConfigError(f"config key {key!r} does not apply to a study, got {getattr(config, key)!r}")
+    record = _record(config, "study")
     if len(n_values) < 4:
         raise ConfigError("study needs at least 4 values of N")
     study = convergence_study(
@@ -427,7 +405,6 @@ def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
         ]
         rows.append(["slope", "", _fmt(study.fitted_slope)])
         _write_csv(config.output, ["N", "epsilon", "error_inf"], rows)
-    record = {key: value for key, value in dataclasses.asdict(config).items() if key not in _STUDY_IGNORES}
     record.update(
         {
             "N_values": [int(n) for n in study.n_values],
@@ -442,8 +419,10 @@ def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
 
 
 def run_tune(config: RunConfig) -> dict:
-    """Q(eps) bandwidth scan; writes (epsilon, Q, slope) rows plus the selection."""
+    """Q(eps) bandwidth scan; writes (epsilon, Q, slope) rows plus the selection.
+    A key of ``_IGNORED_KEYS["tune"]`` off its default is a ConfigError."""
     start = time.perf_counter()
+    record = _record(config, "tune")
     cloud, coeffs, _, _ = _build_cloud(config)
     report = tune_bandwidth(cloud, coeffs)
     if config.output is not None:
@@ -454,7 +433,6 @@ def run_tune(config: RunConfig) -> dict:
         rows.append(["epsilon_star", _fmt(report.epsilon_star), ""])
         rows.append(["d_hat", _fmt(report.d_hat), ""])
         _write_csv(config.output, ["epsilon", "Q", "slope"], rows)
-    record = dataclasses.asdict(config)
     record.update(
         {
             "N": cloud.n_points,

@@ -11,7 +11,8 @@ through :func:`load_cloud` and carry ambient data only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+_PSD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,8 @@ class PointCloud:
     ``ambient`` is the N x n coordinate matrix the kernel operates on.
     ``intrinsic`` (N x d) is present only when the cloud came from a known
     parametrization.  An i.i.d. cloud does not record its seed; the
-    sampler's caller holds it.
+    sampler's caller holds it.  Every coordinate is finite: construction
+    names the first point that is not.
     """
 
     ambient: np.ndarray
@@ -167,8 +170,9 @@ class PointCloud:
         object.__setattr__(self, "ambient", amb)
         if amb.ndim != 2 or amb.shape[0] < 2:
             raise ValueError("need at least 2 points with fixed ambient dimension")
-        if not np.isfinite(amb).all():
-            raise ValueError("non-finite ambient coordinates")
+        finite = np.isfinite(amb).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite coordinate at point {int(np.argmin(finite))}")
         if self.intrinsic is not None:
             intr = np.asarray(self.intrinsic, dtype=float)
             object.__setattr__(self, "intrinsic", intr)
@@ -250,12 +254,24 @@ def sample_points(manifold: Manifold, n_points: int, mode: str, seed: int = 0) -
     return PointCloud(embed(manifold, intrinsic), intrinsic, mode, manifold)
 
 
+def psd_eigenvalues(diffusion_inv: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """Ascending eigenvalues of the symmetric part of every C^-1, and the
+    first point whose smallest one is below -1e-12 max|eig| (None if none)."""
+    sym = 0.5 * (diffusion_inv + np.swapaxes(diffusion_inv, 1, 2))
+    eig = np.linalg.eigvalsh(sym)
+    bad = np.flatnonzero(eig[:, 0] < -_PSD_RTOL * np.abs(eig).max(axis=1))
+    return eig, (int(bad[0]) if bad.size else None)
+
+
 @dataclass(frozen=True)
 class CoefficientField:
-    """Ambient drift B (N x n) and diffusion pseudo-inverse C^-1 (N x n x n)."""
+    """Ambient drift B (N x n) and diffusion pseudo-inverse C^-1 (N x n x n),
+    finite and positive semidefinite by :func:`psd_eigenvalues` (construction
+    names the first bad point), with those ``eigenvalues`` (N x n)."""
 
     drift: np.ndarray
     diffusion_inv: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B = np.asarray(self.drift, dtype=float)
@@ -264,6 +280,14 @@ class CoefficientField:
         object.__setattr__(self, "diffusion_inv", Ci)
         if B.ndim != 2 or Ci.shape != (B.shape[0], B.shape[1], B.shape[1]):
             raise ValueError("drift must be (N, n) and diffusion_inv (N, n, n)")
+        finite = np.isfinite(B).all(axis=1) & np.isfinite(Ci).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"non-finite drift or diffusion_inv at point {int(np.argmin(finite))}")
+        eig, bad = psd_eigenvalues(Ci)
+        if bad is not None:
+            raise ValueError(f"diffusion_inv at point {bad} is not positive semidefinite "
+                             f"(smallest eigenvalue {float(eig[bad, 0])!r})")
+        object.__setattr__(self, "eigenvalues", eig)
 
     @property
     def n_points(self) -> int:
@@ -313,6 +337,29 @@ def lift_field(manifold: Manifold, cloud: PointCloud, b_fn, c_fn) -> Coefficient
     return CoefficientField(drift, 0.5 * (diff_inv + np.transpose(diff_inv, (0, 2, 1))))
 
 
+def read_numeric_rows(path, sep: str | None = None, header: bool = False):
+    """(1-based line number, floats) for each non-blank line of a text file
+    of reals split by ``sep`` (whitespace when None); with ``header``, a first
+    line whose first token is not a number is skipped.  A non-numeric or
+    non-finite token raises ValueError naming the file and the line."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            values = []
+            for token in line.split(sep):
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    if header and lineno == 1 and not values:
+                        break  # a header line
+                    raise ValueError(f"{path}: line {lineno}: non-numeric token") from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(f"{path}: line {lineno}: non-finite value {token.strip()!r}")
+            else:
+                yield lineno, values
+
+
 def load_cloud(path) -> PointCloud:
     """Read an ambient-only point cloud from whitespace-separated text.
 
@@ -320,25 +367,10 @@ def load_cloud(path) -> PointCloud:
     decimal reals.  Parse failures report the offending 1-based line number.
     """
     rows: list[list[float]] = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                values = [float(t) for t in tokens]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric token") from None
-            if not all(np.isfinite(values)):
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(values)}"
-                )
-            rows.append(values)
+    for lineno, values in read_numeric_rows(path):
+        if rows and len(values) != len(rows[0]):
+            raise ValueError(f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(values)}")
+        rows.append(values)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 points, got {len(rows)}")
     ambient = np.array(rows, dtype=float)

@@ -143,12 +143,6 @@ def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
     return results
 
 
-def _check_finite(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite kernel input")
-
-
 def _check_neighbors(neighbors, n, k):
     """Name the shapes unless both arrays of an ``(indices, d2)`` pair are (n, k)."""
     shapes = [np.shape(a) for a in neighbors]
@@ -237,7 +231,8 @@ def eval_prototypical_kernel(x, y, drift, diffusion_inv, epsilon: float) -> floa
     y = np.atleast_1d(np.asarray(y, dtype=float))
     B = np.atleast_1d(np.asarray(drift, dtype=float))
     Ci = np.atleast_2d(np.asarray(diffusion_inv, dtype=float))
-    _check_finite(x, y, B, Ci)
+    if not all(np.isfinite(a).all() for a in (x, y, B, Ci)):
+        raise ValueError("non-finite kernel input")
     if not (epsilon > 0 and np.isfinite(epsilon)):
         raise ValueError("epsilon must be positive and finite")
     dim = x.shape[0]
@@ -251,7 +246,7 @@ def eval_prototypical_kernel(x, y, drift, diffusion_inv, epsilon: float) -> floa
     return float(out[0, 0])
 
 
-def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest points (self included) of every point, with their d^2.
 
     Returns ``(indices, d2)``, both (N, k), ordered by (d^2, index): distance
@@ -271,16 +266,13 @@ def build_knn_graph(cloud: PointCloud | np.ndarray, k: int) -> tuple[np.ndarray,
     brute-force search over all N points exactly, for any worker count
     of :func:`map_row_blocks`, whose blocks write only their own rows.
 
-    Raises ValueError for k outside [1, N] and names the first point with
-    a non-finite coordinate.
+    The cloud's coordinates are finite by construction.  Raises ValueError
+    for k outside [1, N].
     """
-    pts = cloud.ambient if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
+    pts = cloud.ambient
     n, dim = pts.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and N={n}, got {k}")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite coordinate at point {int(np.argmin(finite))}")
     import scipy.spatial  # ~0.1 s to import, so only when a search runs
 
     tree = scipy.spatial.cKDTree(pts)
@@ -350,7 +342,6 @@ def assemble_kernel_matrix(
     n = pts.shape[0]
     if coeffs.n_points != n:
         raise ValueError("coefficient field size does not match cloud")
-    _check_finite(pts, coeffs.drift, coeffs.diffusion_inv)
     if neighbors is None:
         neighbors = build_knn_graph(cloud, cfg.k_neighbors)
     _check_neighbors(neighbors, n, cfg.k_neighbors)

@@ -17,7 +17,7 @@ matrix, which also estimates the intrinsic dimension as twice that slope;
 :func:`select_bandwidths` holds the rule for both bandwidths.
 
 The Q(eps) scan is exact but skips the terms it can certify to be 0.0:
-for positive semidefinite C^-1 (checked; the first bad point is named)
+for positive semidefinite C^-1 (which ``CoefficientField`` guarantees)
 the quadratic form is bounded below by (sqrt(q0) - eps sqrt(q2))^2, and
 a term is skipped only if that bound, less a rounding margin, keeps the
 exponent above 750, past float64's underflow point 1075 ln 2 = 745.13.
@@ -64,7 +64,6 @@ _BLOCK_ROWS = 32
 # exp(-x) is exactly 0.0 in float64 for x > 1075 ln 2 = 745.13...; the
 # scan skips a term only if its certified bound puts x above this
 _UNDERFLOW_EXPONENT = 750.0
-_PSD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,7 @@ def default_epsilon_grid() -> np.ndarray:
     return 2.0 ** np.linspace(-30.0, 10.0, 41)
 
 
-def psd_eigenvalues(diffusion_inv: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """Ascending eigenvalues of the symmetric part of every C^-1, and the
-    first point whose smallest one is below -1e-12 max|eig| (None if none)."""
-    sym = 0.5 * (diffusion_inv + np.swapaxes(diffusion_inv, 1, 2))
-    eig = np.linalg.eigvalsh(sym)
-    bad = np.flatnonzero(eig[:, 0] < -_PSD_RTOL * np.abs(eig).max(axis=1))
-    return eig, (int(bad[0]) if bad.size else None)
-
-
-def _q0_window(pts, coeffs, eig, q2, grid):
+def _q0_window(pts, coeffs, q2, grid):
     """Per-row q0 bounds outside which every term underflows to exactly 0.0.
 
     Returns (low, high), each (N, grid.size): the term of pair (i, j) at
@@ -240,7 +230,7 @@ def _q0_window(pts, coeffs, eig, q2, grid):
     norm_c = np.sqrt(np.einsum("mnp,mnp->m", ci, ci))
     anti = ci - np.swapaxes(ci, 1, 2)
     norm_anti = 0.5 * np.sqrt(np.einsum("mnp,mnp->m", anti, anti))
-    sigma = 3.0 * np.sqrt(np.maximum(-eig[:, 0], 0.0) + norm_anti + 2.0 * gamma * norm_c)
+    sigma = 3.0 * np.sqrt(np.maximum(-coeffs.eigenvalues[:, 0], 0.0) + norm_anti + 2.0 * gamma * norm_c)
     # |x_i - x_j| <= |x_i - center| + max_j |x_j - center|
     dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
     reach = (dist + dist.max()) * (1.0 + 1e-9)
@@ -341,9 +331,10 @@ def tune_bandwidth(
     Partial sums are added in block order, so the result does not depend
     on the worker count.
 
-    Raises ValueError for a grid that is not finite, positive and strictly
-    increasing, for non-finite input, and names the first point whose
-    C^-1 has an eigenvalue below -1e-12 max|eig|.
+    The cloud and the field are finite and every C^-1 is positive
+    semidefinite by construction; the rounding margin reads the field's
+    ``eigenvalues``.  Raises ValueError for a grid that is not finite,
+    positive and strictly increasing.
     """
     grid = default_epsilon_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
@@ -355,17 +346,9 @@ def tune_bandwidth(
     if coeffs.n_points != n:
         raise ValueError("coefficient field size does not match cloud")
     ci, drift = coeffs.diffusion_inv, coeffs.drift
-    if not (np.isfinite(pts).all() and np.isfinite(ci).all() and np.isfinite(drift).all()):
-        raise ValueError("non-finite point or coefficient in the bandwidth scan")
-    eig, bad_point = psd_eigenvalues(ci)
-    if bad_point is not None:
-        raise ValueError(
-            f"diffusion_inv at point {bad_point} is not positive semidefinite "
-            f"(smallest eigenvalue {eig[bad_point, 0]!r})"
-        )
     has_drift = bool(drift.any())
     q2 = _pair_forms(ci, [drift[:, p, None] for p in range(dim)], None, None, np.empty((4, n)))[0][:, 0]
-    low, high = _q0_window(pts, coeffs, eig, q2, grid)
+    low, high = _q0_window(pts, coeffs, q2, grid)
     scale = _isotropic_scale(coeffs)
     planes = np.ascontiguousarray(pts.T)
 

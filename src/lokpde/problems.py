@@ -132,35 +132,22 @@ def _torus(half: bool) -> AnalyticProblem:
         x = _pts(x, 2)
         return x[:, 0], x[:, 1]
 
-    if half:
-        def u(x):
-            th, ph = split(x)
-            return np.sin(th) * np.cos(2.0 * ph)
+    # u = sin t g(2p) with g = cos on the half torus and sin on the torus;
+    # dg = g', and g'' = -g for both
+    g, dg = (np.cos, lambda x: -np.sin(x)) if half else (np.sin, np.cos)
 
-        def _partials(th, ph):
-            u_t = np.cos(th) * np.cos(2.0 * ph)
-            u_p = -2.0 * np.sin(th) * np.sin(2.0 * ph)
-            u_tt = -np.sin(th) * np.cos(2.0 * ph)
-            u_tp = -2.0 * np.cos(th) * np.sin(2.0 * ph)
-            u_pp = -4.0 * np.sin(th) * np.cos(2.0 * ph)
-            return u_t, u_p, u_tt, u_tp, u_pp
-    else:
-        def u(x):
-            th, ph = split(x)
-            return np.sin(th) * np.sin(2.0 * ph)
-
-        def _partials(th, ph):
-            u_t = np.cos(th) * np.sin(2.0 * ph)
-            u_p = 2.0 * np.sin(th) * np.cos(2.0 * ph)
-            u_tt = -np.sin(th) * np.sin(2.0 * ph)
-            u_tp = 2.0 * np.cos(th) * np.cos(2.0 * ph)
-            u_pp = -4.0 * np.sin(th) * np.sin(2.0 * ph)
-            return u_t, u_p, u_tt, u_tp, u_pp
+    def u(x):
+        th, ph = split(x)
+        return np.sin(th) * g(2.0 * ph)
 
     def f(x):
         th, ph = split(x)
         r = 2.0 + np.cos(th)
-        u_t, u_p, u_tt, u_tp, u_pp = _partials(th, ph)
+        u_t = np.cos(th) * g(2.0 * ph)
+        u_p = 2.0 * np.sin(th) * dg(2.0 * ph)
+        u_tt = -np.sin(th) * g(2.0 * ph)
+        u_tp = 2.0 * np.cos(th) * dg(2.0 * ph)
+        u_pp = -4.0 * np.sin(th) * g(2.0 * ph)
         c11 = 3.0 + np.cos(ph)
         gamma212 = -np.sin(th) / r
         gamma122 = np.sin(th) * r

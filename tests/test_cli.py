@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from lokpde.cli import (
     ConfigError,
     RunConfig,
     _fmt,
+    _load_rhs,
     load_coefficient_file,
     main,
     parse_config,
@@ -27,7 +29,7 @@ from lokpde.cli import (
     run_tune,
     validate_config,
 )
-from lokpde.geometry import sample_points, sample_sphere
+from lokpde.geometry import load_cloud, sample_points, sample_sphere
 from lokpde.kernels import KernelConfig
 from lokpde.operator import build_operator, tune_bandwidth
 from lokpde.problems import PROBLEM_IDS, analytic_pair, problem_coefficients
@@ -349,7 +351,7 @@ class TestCoefficientFile:
     def test_non_finite_token(self, tmp_path, token):
         path = tmp_path / "coeffs.csv"
         path.write_text(f"0,1.0,0.0,2.0,0.5,3.0\n1,0.0,{token},1.0,0.0,1.0\n")
-        with pytest.raises(ConfigError, match="line 2: non-finite value for point index 1"):
+        with pytest.raises(ConfigError, match=f"line 2: non-finite value '{token}'"):
             load_coefficient_file(str(path), 2, 2)
 
     def test_indefinite_diffusion(self, tmp_path):
@@ -421,6 +423,81 @@ class TestRhsFile:
         assert record["pair_evals"] is None  # no bandwidth was tuned
 
 
+@st.composite
+def numeric_files(draw):
+    """One file of each reader's format, with and without one bad token:
+    (format, point count, good text, bad text, the bad token's line, token).
+    Blank lines fall anywhere and lines end in LF or CRLF.  The token never
+    replaces a coefficient row's index: a non-numeric first cell on line 1
+    reads as a header."""
+    fmt = draw(st.sampled_from(["cloud", "rhs", "csv", "csv_header"]))
+    n = draw(st.integers(2, 12))
+    if fmt in ("cloud", "rhs"):
+        width = draw(st.integers(1, 4)) if fmt == "cloud" else 1
+        rows = [[repr(draw(_REALS)) for _ in range(width)] for _ in range(n)]
+    else:  # index, B (2 columns), C^-1 upper triangle (3 columns)
+        rows = [[str(i), repr(draw(_REALS)), repr(draw(_REALS)), "1.0", "0.0", "1.0"] for i in range(n)]
+    bad_row = draw(st.integers(0, n - 1))
+    bad_col = draw(st.integers(1 if fmt.startswith("csv") else 0, len(rows[0]) - 1))
+    token = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "abc", "1.0.0", "0x1f", "--1"]))
+    blanks = draw(st.lists(st.integers(0, n), max_size=3))  # a blank line before row i (or at the end)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    sep = "," if fmt.startswith("csv") else " "
+    lines = ["index,b1,b2,c11,c12,c22"] if fmt == "csv_header" else []
+    for i in range(n + 1):
+        lines += [""] * blanks.count(i)
+        if i == bad_row:
+            bad_line = len(lines) + 1
+        if i < n:
+            lines.append(sep.join(rows[i]))
+    good = newline.join(lines) + newline
+    lines[bad_line - 1] = sep.join(token if c == bad_col else cell for c, cell in enumerate(rows[bad_row]))
+    return fmt, n, good, newline.join(lines) + newline, bad_line, token
+
+
+def read_with(fmt, path, n):
+    """The values the loader of ``fmt`` reads from ``path`` for ``n`` points."""
+    if fmt == "cloud":
+        return load_cloud(path).ambient
+    if fmt == "rhs":
+        return _load_rhs(path, n, "test")
+    return load_coefficient_file(path, n, 2).diffusion_inv
+
+
+class TestNumericReader:
+    """One reader tokenises clouds, rhs files and coefficient CSVs."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 30), st.integers(1, 4), st.data())
+    def test_repr_matrix_round_trips_bit_for_bit(self, n, dim, data):
+        values = data.draw(st.lists(_REALS, min_size=n * dim, max_size=n * dim))
+        matrix = np.array(values).reshape(n, dim)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_cloud(pathlib.Path(tmp), matrix)
+            loaded = load_cloud(path).ambient
+        assert loaded.tobytes() == matrix.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(numeric_files())
+    def test_bad_token_names_its_line(self, case):
+        fmt, n, good, bad, bad_line, token = case
+        if token.lstrip("-").lower() in ("nan", "inf"):
+            expected = f"line {bad_line}: non-finite value {token!r}"
+        else:
+            expected = f"line {bad_line}: non-numeric token"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "values.txt")
+            with open(path, "w", newline="") as fh:
+                fh.write(good)
+            read_with(fmt, path, n)  # the file without the bad token reads
+            with open(path, "w", newline="") as fh:
+                fh.write(bad)
+            with pytest.raises(ValueError) as info:
+                read_with(fmt, path, n)
+        assert str(info.value) == f"{path}: {expected}"
+        assert fmt == "cloud" or isinstance(info.value, ConfigError)
+
+
 class TestRunStudy:
     def test_needs_four_sizes(self):
         cfg = validate_config({"problem": "bvp1d", "k": 50, "debias": False})
@@ -448,7 +525,8 @@ class TestRunStudy:
         )
         assert code == 1
         assert "'epsilon' does not apply to a study" in capsys.readouterr().err
-        for key, value in [("tilde_epsilon", 1e-3), ("shift_a", -5.0), ("rhs", 2.0), ("coefficients", "c.csv")]:
+        for key, value in [("tilde_epsilon", 1e-3), ("shift_a", -5.0), ("rhs", 2.0), ("coefficients", "c.csv"),
+                           ("N", 5)]:
             cfg = validate_config({"problem": "bvp1d", key: value})
             with pytest.raises(ConfigError, match=f"{key!r} does not apply to a study"):
                 run_study(cfg, [100, 200, 300, 400])
@@ -481,6 +559,24 @@ class TestRunTune:
         cloud = sample_points(problem.manifold, 1600, "uniform_grid")
         report = tune_bandwidth(cloud, problem_coefficients(problem, cloud))
         assert record["pair_evals"] == report.pair_evals < report.epsilon_grid.size * 1600**2
+
+
+    def test_keys_a_tune_ignores_are_rejected(self, capsys):
+        code = main(
+            ["tune", "--problem", "ellipse", "--N", "200", "--epsilon", "1e-3", "--k", "7",
+             "--shift-a", "-2", "--debias", "false"]
+        )
+        assert code == 1
+        assert "config key 'k' does not apply to a tune" in capsys.readouterr().err
+        for key, value in [("epsilon", 1e-3), ("tilde_epsilon", 1e-3), ("debias", False),
+                           ("shift_a", -2.0), ("rhs", 2.0)]:
+            cfg = validate_config({"problem": "ellipse", "N": 200, key: value})
+            with pytest.raises(ConfigError, match=f"{key!r} does not apply to a tune"):
+                run_tune(cfg)
+        # and the record leaves them out
+        record = run_tune(validate_config({"problem": "ellipse", "N": 200}))
+        assert not {"k", "epsilon", "tilde_epsilon", "debias", "shift_a", "rhs"} & set(record)
+        assert record["N"] == 200
 
 
 class TestMainEntry:

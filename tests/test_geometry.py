@@ -11,9 +11,11 @@ from lokpde.geometry import (
     grid_axis_counts,
     lift_field,
     load_cloud,
+    psd_eigenvalues,
     sample_points,
     sample_sphere,
 )
+from lokpde.problems import PROBLEM_IDS, analytic_pair, problem_coefficients
 
 ZOO_IDS = ["interval", "ellipse", "half_ellipse", "torus", "half_torus"]
 
@@ -198,7 +200,7 @@ class TestPointCloudValidation:
 
     def test_rejects_non_finite(self):
         pts = np.array([[0.0, 0.0], [np.nan, 1.0]])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite coordinate at point 1"):
             PointCloud(pts, None, "iid_density", ambient_cloud_manifold(2))
 
 
@@ -261,3 +263,26 @@ class TestCoefficientField:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="drift"):
             CoefficientField(np.zeros((5, 3)), np.zeros((5, 2, 2)))
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5e-12, True), (2e-12, False)])
+    def test_tolerance_is_relative_to_the_largest_eigenvalue(self, scale, accepted):
+        diffusion_inv = np.diag([4.0, -4.0 * scale])[None]
+        if accepted:
+            assert CoefficientField(np.zeros((1, 2)), diffusion_inv).eigenvalues[0, 0] == -4.0 * scale
+        else:
+            with pytest.raises(ValueError, match="point 0 is not positive semidefinite"):
+                CoefficientField(np.zeros((1, 2)), diffusion_inv)
+
+    @pytest.mark.parametrize("mode", ["uniform_grid", "iid_density"])
+    @pytest.mark.parametrize("problem_id", PROBLEM_IDS)
+    def test_paper_fields_pass(self, problem_id, mode):
+        # the lifted C^-1 = pinv(J c J^T) is PSD of rank d; its rounding must
+        # stay inside the -1e-12 max|eig| tolerance on every zoo problem
+        problem = analytic_pair(problem_id)
+        n = {"torus": 400, "half_torus": 200}.get(problem_id, 300)
+        cloud = sample_points(problem.manifold, n, mode, seed=7)
+        field = problem_coefficients(problem, cloud)
+        eig, bad = psd_eigenvalues(field.diffusion_inv)
+        assert bad is None
+        np.testing.assert_array_equal(field.eigenvalues, eig)
+        assert (eig[:, 0] >= -1e-12 * np.abs(eig).max(axis=1)).all()

@@ -243,7 +243,7 @@ class TestKnnGraph:
     def test_non_finite_coordinate_named(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, np.nan], [np.inf, 0.0]])
         with pytest.raises(ValueError, match="non-finite coordinate at point 2"):
-            build_knn_graph(pts, 2)
+            build_knn_graph(make_cloud(pts), 2)
 
 
 class TestKnnExactness:
@@ -251,7 +251,7 @@ class TestKnnExactness:
 
     @staticmethod
     def assert_matches_brute(pts, k):
-        indices, d2 = build_knn_graph(pts, k)
+        indices, d2 = build_knn_graph(make_cloud(pts), k)
         ref_indices, ref_d2 = brute_knn(pts, k)
         np.testing.assert_array_equal(indices, ref_indices)
         np.testing.assert_array_equal(d2, ref_d2)

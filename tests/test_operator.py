@@ -370,6 +370,29 @@ class TestBuildOperator:
                 assert (diag > off).all()
 
 
+class TestIndefiniteField:
+    def test_indefinite_diffusion_never_reaches_the_operator(self):
+        # along C^-1's negative direction the kernel grows with distance: an
+        # operator from this field has row sums near 1.7e5 and solves to a
+        # small residual with error_inf 2.28, so no failure would name it
+        cloud = sample_sphere(400, 1)
+        diffusion_inv = np.tile(np.diag([1.0, 1.0, -0.5]), (400, 1, 1))
+        with pytest.raises(ValueError, match="diffusion_inv at point 0 is not positive semidefinite"):
+            coeffs = CoefficientField(np.zeros((400, 3)), diffusion_inv)
+            build_operator(cloud, coeffs, KernelConfig(0.01, 0.01, 40))
+
+    def test_each_field_is_decomposed_once(self, monkeypatch):
+        # the scans read the eigenvalues the field computed when it was built
+        problem = analytic_pair("half_torus")
+        cloud = sample_points(problem.manifold, 200, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        operator.select_bandwidths(cloud, coeffs, "auto", "auto")
+        assert calls == [(200, 3, 3)]  # the Gaussian scan's isotropic field only
+
+
 class TestTuning:
     def test_grid_validation(self):
         cloud = circle_cloud(50)
@@ -592,13 +615,14 @@ class TestTuningExactness:
                 assert one.pair_evals == many.pair_evals
 
     def test_indefinite_diffusion_rejected(self):
-        coeffs = CoefficientField.isotropic(5, 2)
-        coeffs.diffusion_inv[3] = [[1.0, 0.0], [0.0, -0.5]]
+        # the field rejects the indefinite C^-1 before any scan can take it
+        diffusion_inv = np.tile(np.eye(2), (5, 1, 1))
+        diffusion_inv[3] = [[1.0, 0.0], [0.0, -0.5]]
         with pytest.raises(ValueError, match="point 3 is not positive semidefinite"):
-            tune_bandwidth(circle_cloud(5), coeffs)
+            tune_bandwidth(circle_cloud(5), CoefficientField(np.zeros((5, 2)), diffusion_inv))
 
     def test_non_finite_input_rejected(self):
-        coeffs = CoefficientField.isotropic(5, 2)
-        coeffs.drift[1, 0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            tune_bandwidth(circle_cloud(5), coeffs)
+        drift = np.zeros((5, 2))
+        drift[1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite drift or diffusion_inv at point 1"):
+            tune_bandwidth(circle_cloud(5), CoefficientField(drift, np.tile(np.eye(2), (5, 1, 1))))
