@@ -149,6 +149,15 @@ def embedding_jacobian(manifold: Manifold, intrinsic: np.ndarray) -> np.ndarray:
     return jac[0] if single else jac
 
 
+def _frozen_copy(obj, name: str) -> np.ndarray:
+    """Set ``obj.name`` to a read-only float copy of itself and return it, so
+    no later edit can bypass the checks made on it at construction."""
+    arr = np.array(getattr(obj, name), dtype=float)
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Sample locations on (or from) a manifold.
@@ -166,16 +175,14 @@ class PointCloud:
     manifold: Manifold
 
     def __post_init__(self):
-        amb = np.asarray(self.ambient, dtype=float)
-        object.__setattr__(self, "ambient", amb)
+        amb = _frozen_copy(self, "ambient")
         if amb.ndim != 2 or amb.shape[0] < 2:
             raise ValueError("need at least 2 points with fixed ambient dimension")
         finite = np.isfinite(amb).all(axis=1)
         if not finite.all():
             raise ValueError(f"non-finite coordinate at point {int(np.argmin(finite))}")
         if self.intrinsic is not None:
-            intr = np.asarray(self.intrinsic, dtype=float)
-            object.__setattr__(self, "intrinsic", intr)
+            intr = _frozen_copy(self, "intrinsic")
             if intr.shape[0] != amb.shape[0]:
                 raise ValueError("intrinsic/ambient point counts differ")
         if self.sampling not in ("uniform_grid", "iid_density"):
@@ -274,10 +281,7 @@ class CoefficientField:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        B = np.asarray(self.drift, dtype=float)
-        Ci = np.asarray(self.diffusion_inv, dtype=float)
-        object.__setattr__(self, "drift", B)
-        object.__setattr__(self, "diffusion_inv", Ci)
+        B, Ci = _frozen_copy(self, "drift"), _frozen_copy(self, "diffusion_inv")
         if B.ndim != 2 or Ci.shape != (B.shape[0], B.shape[1], B.shape[1]):
             raise ValueError("drift must be (N, n) and diffusion_inv (N, n, n)")
         finite = np.isfinite(B).all(axis=1) & np.isfinite(Ci).all(axis=(1, 2))
@@ -287,6 +291,7 @@ class CoefficientField:
         if bad is not None:
             raise ValueError(f"diffusion_inv at point {bad} is not positive semidefinite "
                              f"(smallest eigenvalue {float(eig[bad, 0])!r})")
+        eig.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eig)
 
     @property
@@ -297,10 +302,8 @@ class CoefficientField:
     def isotropic(cls, n_points: int, ambient_dim: int, c: float = 1.0) -> "CoefficientField":
         """Zero drift with constant isotropic diffusion c I (so C^-1 = I/c)."""
         eye = np.eye(ambient_dim) / c
-        return cls(
-            np.zeros((n_points, ambient_dim)),
-            np.broadcast_to(eye, (n_points, ambient_dim, ambient_dim)).copy(),
-        )
+        return cls(np.zeros((n_points, ambient_dim)),
+                   np.broadcast_to(eye, (n_points, ambient_dim, ambient_dim)))
 
     @classmethod
     def laplace_beltrami(cls, n_points: int, ambient_dim: int) -> "CoefficientField":

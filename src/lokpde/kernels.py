@@ -15,13 +15,12 @@ scan in ``operator`` take their quadratic forms from one helper,
 summed in ascending coordinate order with GIL-free ufuncs.
 
 The kernel is evaluated only on each point's k nearest neighbours.
-:func:`build_knn_graph` takes candidates from a k-d tree
-(``scipy.spatial``, imported on the first search, not with this module),
-recomputes their d^2, sorts the rows the tree returned out of
-(d^2, index) order and widens the candidate set until no left-out point
-can tie with the k-th.  Its (indices, d^2) pair equals a brute-force
-search over all N^2 pairs bit for bit, and the d^2 feed the density
-estimate.
+:func:`build_knn_graph` finds them with numpy alone: each block of rows,
+ordered by grid cell, takes as candidates the points in its bounding box
+grown by a reach r, and a row is certified once its k-th d^2 is below
+r^2; the few rows that are not are searched again with a wider reach.
+Its (indices, d^2) pair equals a brute-force search over all N^2 pairs
+bit for bit, and the d^2 feed the density estimate.
 
 The search, the assembly and the Q(eps) scan in ``operator`` share out
 their row blocks with :func:`map_row_blocks`; each block is computed on
@@ -53,7 +52,8 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 256
-_SORT_ROWS = 32
+_KNN_ROWS = 64
+_PROBES = 16
 
 
 @dataclass(frozen=True)
@@ -114,30 +114,33 @@ def pool_width() -> int:
 def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
     """``[body(rows, scratch) for rows in row_blocks(n, size)]`` in block
     order, each block taken by whichever of the :func:`pool_width` workers
-    is free; the GIL-free query, ufuncs, sorts and ``exp`` overlap.  A
+    is free; the GIL-free ufuncs, partitions, sorts and ``exp`` overlap.  A
     worker's ``scratch.work``, ``_scratch(scratch_planes, scratch_size)``,
-    serves all its blocks; a body may swap in a larger map.  The caller is
-    one worker: malloc keeps a pool thread's peak working set in that
-    thread's arena after the pool is gone, and one worker starts no thread."""
+    serves all its blocks.  The caller is one worker and claims the first
+    block before any helper starts: malloc keeps a pool thread's peak
+    working set in that thread's arena after the pool is gone, and one
+    worker starts no thread."""
     blocks = row_blocks(n, size)
     results = [None] * len(blocks)
     pending = iter(range(len(blocks)))
     lock = threading.Lock()
 
-    def work():
-        scratch = types.SimpleNamespace(work=_scratch(scratch_planes, scratch_size))
-        while True:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            results[i] = body(blocks[i], scratch)
+    def claim():
+        with lock:
+            return next(pending, None)
 
+    def work(i):
+        scratch = types.SimpleNamespace(work=_scratch(scratch_planes, scratch_size))
+        while i is not None:
+            results[i] = body(blocks[i], scratch)
+            i = claim()
+
+    first = claim()
     helpers = pool_width() - 1
     # the thread module loads on first use, not at import
     with concurrent.futures.ThreadPoolExecutor(max(helpers, 1)) as pool:
-        futures = [pool.submit(work) for _ in range(helpers)]
-        work()
+        futures = [pool.submit(lambda: work(claim())) for _ in range(helpers)]
+        work(first)
         for future in futures:
             future.result()
     return results
@@ -254,17 +257,20 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``d2[i, c]`` is |x_i - x_j|^2 for j = ``indices[i, c]``, summed over the
     coordinate planes of x_i - x_j in ascending order by :func:`_pair_forms`.
 
-    A k-d tree (``scipy.spatial.cKDTree``, imported on first call) proposes
-    m = k + 8 candidates per row.  Their d^2 is recomputed with the exact
-    formula above.  The tree returns most rows already in (d^2, index)
-    order (every row of an i.i.d. sphere cloud); only the rows it did not
-    are sorted, a few at a time.  Every point the tree left out is
-    at least the tree's m-th distance away; if that distance squared, less
-    a rounding margin, is not strictly above the k-th exact d^2, a left-out
-    point could tie with or beat the k-th candidate, so m doubles for those
-    rows (up to N) and the tree is queried again.  The result equals the
-    brute-force search over all N points exactly, for any worker count
-    of :func:`map_row_blocks`, whose blocks write only their own rows.
+    An exact cell search (Bentley, Stanat & Williams 1977) with a
+    certificate.  The reach r is 1.1 times the largest k-th distance of
+    ``_PROBES`` rows searched against all N points (at 1.0, an eighth of
+    the paper torus needs a second search).  The points are ordered by
+    grid cell of side r, so the ``_KNN_ROWS`` rows of a block lie close
+    together; its candidates are the points in its bounding box grown by
+    r, rounded outward.  Every other point is more than r away along some
+    axis, so a row is certified when its k-th d^2 is below r^2 less a
+    rounding margin.  The others are searched again with r the largest of
+    their k-th distances times 1 + 2^-20 (an upper bound: a subset's k-th
+    is never below the true k-th), or against all N points when that does
+    not grow r (k copies of a point give r = 0).  The result equals a
+    brute-force search over all N^2 pairs bit for bit, for any worker
+    count of :func:`map_row_blocks`, whose blocks write only their rows.
 
     The cloud's coordinates are finite by construction.  Raises ValueError
     for k outside [1, N].
@@ -273,54 +279,64 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, dim = pts.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and N={n}, got {k}")
-    import scipy.spatial  # ~0.1 s to import, so only when a search runs
-
-    tree = scipy.spatial.cKDTree(pts)
     planes = np.ascontiguousarray(pts.T)
-    # the tree's distances and the exact d^2 each carry a few ulps of rounding
+    everyone = np.arange(n)
+    # a point past the outward-rounded box has a d^2 above r^2 less a few ulps
     shrink = 1.0 - 8.0 * (dim + 2) * np.finfo(float).eps
+    probes = np.unique(np.linspace(0, n - 1, _PROBES).astype(np.intp))
+    probe_d2 = _nearest(planes, probes, everyone, k, _scratch(4 + dim, probes.size * n))[1]
+    reach = 1.1 * np.sqrt(probe_d2[:, -1].max())
+    cells = np.floor((planes - planes.min(axis=1, keepdims=True)) / (reach or 1.0))
+    todo = np.lexsort(cells[::-1])
     indices = np.empty((n, k), dtype=np.intp)
     d2 = np.empty((n, k))
 
     def search(block, scratch):  # writes only its own rows; little from malloc
-        rows = np.arange(block.start, block.stop)
-        m = min(k + 8, n)
-        while rows.size:
-            dist, cand = tree.query(pts[rows], k=m)
-            reach, cand = dist.reshape(rows.size, m)[:, -1] ** 2 * shrink, cand.reshape(rows.size, m)
-            del dist
-            if cand.size > scratch.work.shape[1]:  # a widened search of many rows
-                scratch.work = _scratch(4 + dim, cand.size)
-            work = scratch.work
-            cand_d2 = _pair_forms(None, _plane_differences(planes, rows, cand, work[4:]), None, 1.0, work)[0]
-            step = work[0][: rows.size * (m - 1)].reshape(rows.size, m - 1)  # free for C^-1 = I
-            np.subtract(cand_d2[:, 1:], cand_d2[:, :-1], out=step)
-            late = np.flatnonzero(((step < 0) | ((step == 0) & (cand[:, 1:] < cand[:, :-1]))).any(axis=1))
-            for start in range(0, late.size, _SORT_ROWS):
-                part = late[start : start + _SORT_ROWS]
-                cand[part], cand_d2[part] = _sort_by_d2_index(cand[part], cand_d2[part], n)
-            indices[rows] = cand[:, :k]
-            d2[rows] = cand_d2[:, :k]
-            # a left-out point could tie with or beat the k-th candidate
-            rows = rows[(m < n) & (reach <= cand_d2[:, k - 1])]
-            m = min(2 * m, n)
+        rows, cand = todo[block], everyone
+        if reach is not None:
+            inside = np.ones(n, dtype=bool)
+            for x in planes:
+                inside &= x >= np.nextafter(x[rows].min() - reach, -np.inf)
+                inside &= x <= np.nextafter(x[rows].max() + reach, np.inf)
+            cand = np.flatnonzero(inside) if np.count_nonzero(inside) >= k else everyone
+        indices[rows], d2[rows] = _nearest(planes, rows, cand, k, scratch.work)
+        return rows[:0] if cand.size == n else rows[d2[rows, -1] >= reach * reach * shrink]
 
-    size = max(1, _CHUNK_ROWS // pool_width())  # the workers' maps hold _CHUNK_ROWS rows in all
-    map_row_blocks(search, n, size, 4 + dim, min(n, size) * min(k + 8, n))
+    while todo.size:
+        todo = np.concatenate(map_row_blocks(search, todo.size, _KNN_ROWS, 4 + dim, min(n, _KNN_ROWS) * n))
+        if todo.size:
+            wider = np.sqrt(d2[todo, -1].max()) * (1.0 + 2.0**-20)
+            reach = wider if wider > reach else None
     return indices, d2
 
 
-def _sort_by_d2_index(cand, cand_d2, n):
-    """Each row of (cand, cand_d2) reordered by (d^2, index): a stable sort
-    by d^2, then one by (rank of d^2, index), which is much faster than
-    ``np.lexsort`` on such rows."""
-    order = np.argsort(cand_d2, axis=1, kind="stable")
-    cand = np.take_along_axis(cand, order, axis=1)
-    cand_d2 = np.take_along_axis(cand_d2, order, axis=1)
-    rank = np.zeros(cand.shape, dtype=np.intp)
-    np.cumsum(cand_d2[:, 1:] != cand_d2[:, :-1], axis=1, out=rank[:, 1:])
-    order = np.argsort(rank * n + cand, axis=1, kind="stable")
-    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(cand_d2, order, axis=1)
+def _nearest(planes, rows, cand, k, work):
+    """The k points of ``cand`` (ascending indices) nearest each point of
+    ``rows``, as ``(indices, d2)`` ordered by (d^2, index): the k-th d^2 by
+    a partition, every d^2 below it plus the lowest-index ties, then a
+    stable sort by d^2.  The (rows, cand) planes fill the rows of ``work``."""
+    shape = (rows.size, cand.size)
+    v = [w[: rows.size * cand.size].reshape(shape) for w in work[4:]]
+    for x, va in zip(planes, v):
+        np.subtract(x[rows, None], x[cand], out=va)
+    full = _pair_forms(None, v, None, 1.0, work)[0]
+    kth = work[0][: full.size].reshape(shape)  # rows 0 and 1 are free for C^-1 = I
+    np.copyto(kth, full)
+    kth.partition(k - 1, axis=1)
+    kth = kth[:, k - 1, None]
+    keep = np.less_equal(full, kth, out=work[1].view(bool)[: full.size].reshape(shape))
+    count = np.count_nonzero(keep, axis=1)
+    at = np.flatnonzero(keep)  # row by row, each in ascending index order
+    d2 = full.ravel()[at]
+    if (count > k).any():  # drop each row's last count - k ties with the k-th d^2
+        row = np.repeat(np.arange(rows.size), count)
+        tie = d2 == kth[row, 0]
+        upto = np.cumsum(tie)
+        later = upto[np.cumsum(count) - 1][row] - upto + tie  # ties from here to the row's end
+        kept = ~tie | (later > (count - k)[row])
+        at, d2 = at[kept], d2[kept]
+    order = np.argsort(d2.reshape(rows.size, k), axis=1, kind="stable") + np.arange(0, at.size, k)[:, None]
+    return cand[at[order] - np.arange(0, full.size, cand.size)[:, None]], d2[order]
 
 
 def assemble_kernel_matrix(

@@ -697,6 +697,28 @@ class TestMainEntry:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("problem", ["ellipse", "cloud"])
+    def test_solve_loads_neither_spatial_nor_special(self, tmp_path, problem):
+        # the kNN search needs only numpy; scipy.spatial and the scipy.special
+        # it pulls in would add about 0.13 s to every solve
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        if problem == "cloud":
+            cloud_path = write_cloud(tmp_path, sample_sphere(300, seed=1).ambient)
+            flags = ["--problem", cloud_path, "--rhs", "1", "--k", "40", "--shift-a", "-1"]
+        else:
+            flags = ["--problem", "ellipse", "--N", "200", "--k", "40"]
+        code = (
+            "import sys, lokpde.cli; assert lokpde.cli.main(sys.argv[1:]) == 0; "
+            "print([m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "solve", *flags, "--epsilon", "0.01", "--tilde-epsilon", "0.01"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
+
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "lokpde.cli", "solve", "--problem", "bvp1d", "--N", "80",

@@ -204,6 +204,30 @@ class TestPointCloudValidation:
             PointCloud(pts, None, "iid_density", ambient_cloud_manifold(2))
 
 
+class TestReadOnlyInputs:
+    """The arrays a cloud or field checked at construction are private
+    read-only copies, so no later edit can bypass those checks."""
+
+    def test_cloud_arrays_reject_writes(self):
+        grid = sample_points(get_manifold("torus"), 400, "uniform_grid")
+        pts = grid.ambient.copy()
+        cloud = PointCloud(pts, grid.intrinsic, "uniform_grid", grid.manifold)
+        pts[0, 0] = np.nan  # the caller's array is not the cloud's
+        assert np.isfinite(cloud.ambient).all()
+        for arr in (cloud.ambient, cloud.intrinsic):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = np.nan
+
+    def test_field_arrays_reject_writes(self):
+        drift, diffusion_inv = np.zeros((3, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
+        field = CoefficientField(drift, diffusion_inv)
+        diffusion_inv[1] = -np.eye(2)  # the caller's array is not the field's
+        assert (field.eigenvalues > 0).all()
+        for arr in (field.drift, field.diffusion_inv, field.eigenvalues):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = -1.0
+
+
 class TestLoadCloud:
     def test_three_point_file(self, tmp_path):
         path = tmp_path / "tri.txt"

@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lokpde import kernels
 from lokpde.geometry import (
     CoefficientField,
     PointCloud,
@@ -247,7 +248,7 @@ class TestKnnGraph:
 
 
 class TestKnnExactness:
-    """The tree search returns the brute-force oracle's arrays bit for bit."""
+    """The search returns the brute-force oracle's arrays bit for bit."""
 
     @staticmethod
     def assert_matches_brute(pts, k):
@@ -263,11 +264,34 @@ class TestKnnExactness:
         self.assert_matches_brute(cloud.ambient, k)
 
     def test_tie_group_wider_than_the_candidates(self):
-        # 40 copies of one point tie at d^2 = 0 far beyond the first k + 8
-        # candidates, so the search must widen to keep the smallest indices
+        # 80 copies of one point tie at d^2 = 0, far more than k, so each
+        # copy's row must keep the smallest indices of the tie group
         pts = np.concatenate([np.full((40, 2), 0.5), np.eye(2), np.full((40, 2), 0.5)])
         self.assert_matches_brute(pts, 3)
         self.assert_matches_brute(pts, 50)
+
+    @pytest.mark.parametrize("k", [7, 50])
+    def test_identical_points_match_brute(self, k):
+        # every d^2 is 0, so the reach is 0 and every row is searched against all N
+        self.assert_matches_brute(np.full((50, 2), [0.25, -1.5]), k)
+
+    def test_rows_beyond_the_probe_reach_are_searched_again(self, monkeypatch):
+        # the probes all fall in a tight cluster; the 12 sparse points far from
+        # it have a k-th distance beyond the probe reach, so their rows fail the
+        # certificate and are searched a second time
+        rng = np.random.default_rng(12)
+        pts = rng.normal(scale=0.01, size=(320, 2))
+        pts[1:13] = [10.0, 0.0] + 0.1 * np.arange(12)[:, None]
+        searched = []
+
+        def spy(planes, rows, cand, k, work):
+            searched.append(rows.size)
+            return nearest(planes, rows, cand, k, work)
+
+        nearest = kernels._nearest
+        monkeypatch.setattr(kernels, "_nearest", spy)
+        self.assert_matches_brute(pts, 10)
+        assert sum(searched) > 320 + kernels._PROBES  # the probes, every row, then some rows again
 
     @pytest.mark.parametrize("name", [*PAPER_GRIDS, "sphere"])
     def test_paper_clouds_match_brute(self, name):
@@ -279,8 +303,8 @@ def worker_cloud(name):
     """(cloud, coeffs, k) with N a multiple of none of the block sizes the
     pool uses for 1, 2 or 4 workers (256, 128, 64 rows)."""
     if name == "ties":
-        # 300 copies of one point: every copy's row widens its search to N,
-        # in every block, past the scratch map the worker started with
+        # 300 copies of one point: the probe reach is 0, so each copy's row
+        # fails the certificate and is searched again against all N points
         pts = np.concatenate([np.full((150, 2), 0.5), np.eye(2), np.full((150, 2), 0.5)])
         return make_cloud(pts), CoefficientField.isotropic(302, 2), 50
     problem = analytic_pair(name)

@@ -509,10 +509,12 @@ class TestTuningExactness:
         cloud, coeffs, _ = inputs
         rng = np.random.default_rng(seed)
         point = rng.integers(cloud.n_points)
+        drift, diffusion_inv = coeffs.drift.copy(), coeffs.diffusion_inv.copy()
         if scale_one:
-            coeffs.diffusion_inv[point] *= 1.0 + rng.uniform(0.01, 1.0)
+            diffusion_inv[point] *= 1.0 + rng.uniform(0.01, 1.0)
         else:
-            coeffs.drift[point, rng.integers(cloud.ambient_dim)] = rng.normal()
+            drift[point, rng.integers(cloud.ambient_dim)] = rng.normal()
+        coeffs = CoefficientField(drift, diffusion_inv)
         assert operator._isotropic_scale(coeffs) is None
         grid = default_epsilon_grid()
         rep = tune_bandwidth(cloud, coeffs, grid)
