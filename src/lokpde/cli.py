@@ -296,8 +296,9 @@ def run_solve(config: RunConfig) -> dict:
     (``kernels.knn_s``), the rest of the operator build, the solve
     (``solver.direct_s`` or ``solver.min_norm_s``, as the record's
     ``solver`` names the route :func:`solve` took) and the CSV output;
-    ``workers`` is the thread-pool width those stages ran on.
+    ``workers`` is their pool width and ``peak_rss_mb`` the peak RSS so far.
     """
+    import resource  # loaded by a solve, not by the import of the CLI
     start = time.perf_counter()
     cloud, coeffs, problem, debias = _build_cloud(config)
     shift, rhs = _build_system(config, cloud, problem)
@@ -308,13 +309,13 @@ def run_solve(config: RunConfig) -> dict:
     stages = {"operator.tune_s": 0.0 if pair_evals is None else time.perf_counter() - mark}
     k = min(config.k, cloud.n_points)
     mark = time.perf_counter()
-    neighbors = build_knn_graph(cloud, k)
+    neighbors = [build_knn_graph(cloud, k)]
     stages["kernels.knn_s"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
     cfg = KernelConfig(epsilon, tilde_epsilon, k)
-    gen = build_operator(cloud, coeffs, cfg, debias=debias, neighbors=neighbors)
-    del neighbors  # 2 N k words that would stay resident through the solve
+    # popped, so that build_operator holds the only reference and can drop d2 and the indices early
+    gen = build_operator(cloud, coeffs, cfg, debias=debias, neighbors=neighbors.pop())
     lin = LinearProblem(gen, shift, rhs)
     stages["operator.build_s"] = time.perf_counter() - mark
 
@@ -357,6 +358,7 @@ def run_solve(config: RunConfig) -> dict:
             "stages": stages,
             "workers": pool_width(),
             "wall_time_seconds": time.perf_counter() - start,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         }
     )
     return record

@@ -16,11 +16,11 @@ summed in ascending coordinate order with GIL-free ufuncs.
 
 The kernel is evaluated only on each point's k nearest neighbours.
 :func:`build_knn_graph` finds them with numpy alone: each block of rows,
-ordered by grid cell, takes as candidates the points in its bounding box
-grown by a reach r, and a row is certified once its k-th d^2 is below
-r^2; the few rows that are not are searched again with a wider reach.
-Its (indices, d^2) pair equals a brute-force search over all N^2 pairs
-bit for bit, and the d^2 feed the density estimate.
+one leaf of a median split, takes as candidates the points in its
+bounding box grown by a reach r, and a row is certified once its k-th
+d^2 is below r^2; the few rows that are not are searched again with a
+wider reach.  Its (indices, d^2) pair equals a brute-force search over
+all N^2 pairs bit for bit; the d^2 feed the density estimate.
 
 The search, the assembly and the Q(eps) scan in ``operator`` share out
 their row blocks with :func:`map_row_blocks`; each block is computed on
@@ -106,6 +106,11 @@ def row_blocks(n: int, size: int) -> list[slice]:
     return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
+def _entry_blocks(indptr) -> list[tuple[slice, slice]]:
+    """(rows, entries) per block of ``_CHUNK_ROWS`` CSR rows: the rows and their span of the data and indices."""
+    return [(rows, slice(indptr[rows.start], indptr[rows.stop])) for rows in row_blocks(indptr.size - 1, _CHUNK_ROWS)]
+
+
 def pool_width() -> int:
     """The worker count of :func:`map_row_blocks`: the CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
@@ -147,10 +152,12 @@ def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
 
 
 def _check_neighbors(neighbors, n, k):
-    """Name the shapes unless both arrays of an ``(indices, d2)`` pair are (n, k)."""
-    shapes = [np.shape(a) for a in neighbors]
-    if shapes != [(n, k)] * 2:
-        raise ValueError(f"neighbors (indices, d2) must both be ({n}, {k}), got {shapes}")
+    """Name the shapes unless ``neighbors`` (a pair, or the indices alone) is (n, k); returns the indices."""
+    pair = not isinstance(neighbors, np.ndarray)
+    got = [np.shape(a) for a in (neighbors if pair else [neighbors])]
+    if got != [(n, k)] * (1 + pair):
+        raise ValueError(f"neighbors {'(indices, d2) must both' if pair else 'indices must'} be ({n}, {k}), got {got}")
+    return neighbors[0] if pair else neighbors
 
 
 def _scratch(planes, size):
@@ -257,11 +264,11 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``d2[i, c]`` is |x_i - x_j|^2 for j = ``indices[i, c]``, summed over the
     coordinate planes of x_i - x_j in ascending order by :func:`_pair_forms`.
 
-    An exact cell search (Bentley, Stanat & Williams 1977) with a
+    An exact range search (Bentley, Stanat & Williams 1977) with a
     certificate.  The reach r is 1.1 times the largest k-th distance of
     ``_PROBES`` rows searched against all N points (at 1.0, an eighth of
-    the paper torus needs a second search).  The points are ordered by
-    grid cell of side r, so the ``_KNN_ROWS`` rows of a block lie close
+    the paper torus needs a second search).  Each block of ``_KNN_ROWS``
+    rows is one leaf of :func:`_median_order`, so its rows lie close
     together; its candidates are the points in its bounding box grown by
     r, rounded outward.  Every other point is more than r away along some
     axis, so a row is certified when its k-th d^2 is below r^2 less a
@@ -286,8 +293,7 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     probes = np.unique(np.linspace(0, n - 1, _PROBES).astype(np.intp))
     probe_d2 = _nearest(planes, probes, everyone, k, _scratch(4 + dim, probes.size * n))[1]
     reach = 1.1 * np.sqrt(probe_d2[:, -1].max())
-    cells = np.floor((planes - planes.min(axis=1, keepdims=True)) / (reach or 1.0))
-    todo = np.lexsort(cells[::-1])
+    todo = _median_order(planes, everyone)
     indices = np.empty((n, k), dtype=np.intp)
     d2 = np.empty((n, k))
 
@@ -308,6 +314,18 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
             wider = np.sqrt(d2[todo, -1].max()) * (1.0 + 2.0**-20)
             reach = wider if wider > reach else None
     return indices, d2
+
+
+def _median_order(planes, rows):
+    """``rows`` split recursively at a median of their widest axis (the k-d
+    tree's rule, Bentley 1975), each split at a multiple of ``_KNN_ROWS``:
+    the leaves in order, each ``_KNN_ROWS`` rows long but the last."""
+    if rows.size <= _KNN_ROWS:
+        return rows
+    x = planes[:, rows]
+    half = _KNN_ROWS * (-(-rows.size // _KNN_ROWS) // 2)
+    order = np.argpartition(x[np.argmax(x.max(axis=1) - x.min(axis=1))], half)
+    return np.concatenate([_median_order(planes, rows[order[:half]]), _median_order(planes, rows[order[half:]])])
 
 
 def _nearest(planes, rows, cand, k, work):
@@ -350,25 +368,26 @@ def assemble_kernel_matrix(
     Row i holds K(eps, x_i, x_j) for the neighbors j of i, evaluated with
     the row point's coefficients B(x_i), C(x_i)^-1; ``k_neighbors = N``
     retains every column.  A precomputed ``(indices, d2)`` pair (as
-    returned by :func:`build_knn_graph`) can be passed to amortize the
-    search across bandwidths.  The blocks run on :func:`map_row_blocks`,
-    each writing its own rows, so the worker count changes nothing.
+    returned by :func:`build_knn_graph`), or its indices alone, can be
+    passed to amortize the search across bandwidths.  The blocks run on
+    :func:`map_row_blocks`, each writing its own rows, so the worker count
+    changes nothing; the CSR matrix keeps their int32 columns uncopied.
     """
     pts = cloud.ambient
     n = pts.shape[0]
     if coeffs.n_points != n:
         raise ValueError("coefficient field size does not match cloud")
     if neighbors is None:
-        neighbors = build_knn_graph(cloud, cfg.k_neighbors)
-    _check_neighbors(neighbors, n, cfg.k_neighbors)
+        neighbors = build_knn_graph(cloud, cfg.k_neighbors)[0]
+    indices = _check_neighbors(neighbors, n, cfg.k_neighbors)
     k = cfg.k_neighbors
     planes = np.ascontiguousarray(pts.T)
     scale = _identity_scale(coeffs.diffusion_inv)
-    cols = np.empty((n, k), dtype=np.intp)
+    cols = np.empty((n, k), dtype=np.int32)
     data = np.empty((n, k))
 
     def assemble(rows, scratch):  # writes only the rows of its block
-        cols[rows] = neighbors[0][rows]
+        cols[rows] = indices[rows]
         cols[rows].sort(axis=1)
         _kernel_rows(
             planes, rows, cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale, cfg.epsilon,

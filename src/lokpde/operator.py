@@ -1,13 +1,18 @@
 """From kernel matrix to discrete generator: normalizations and tuning.
 
 The pipeline discretizes the integral-operator approximation of the
-backward Kolmogorov operator:
+backward Kolmogorov operator.  :func:`build_operator` runs it on one kNN
+pair (indices, d2) and writes each (N, k) array once:
 
-1. evaluate the kernel matrix K on the kNN pattern,
-2. (debias, for non-uniform samples) divide column j by a Gaussian kernel
-   density estimate at x_j,
-3. divide each row by its sum, giving a row-stochastic matrix S,
-4. form the generator L = (S - I) / eps.
+1. (debias, for non-uniform samples) a Gaussian kernel density estimate
+   q_j at each point x_j, from d2, which is then released,
+2. the kernel matrix K on the kNN pattern, its data and int32 columns,
+   after which the kNN indices are released,
+3. (debias) new data on K's columns: column j divided by q_j,
+4. new data on the same columns: each row divided by its sum, giving a
+   row-stochastic matrix S and the generator L = (S - I) / eps.
+
+Each stage's data is released once the next has written its own.
 
 Constant multiples of the density and the eps^(-d/2) prefactors cancel in
 the row normalization, so neither the sampling density's scale nor the
@@ -16,21 +21,9 @@ locating the maximal log-log slope of Q(eps), the mean of the full kernel
 matrix, which also estimates the intrinsic dimension as twice that slope;
 :func:`select_bandwidths` holds the rule for both bandwidths.
 
-The Q(eps) scan is exact but skips the terms it can certify to be 0.0:
-for positive semidefinite C^-1 (which ``CoefficientField`` guarantees)
-the quadratic form is bounded below by (sqrt(q0) - eps sqrt(q2))^2, and
-a term is skipped only if that bound, less a rounding margin, keeps the
-exponent above 750, past float64's underflow point 1075 ln 2 = 745.13.
-When the kernel is symmetric to the bit (zero drift and one C^-1 = c I
-for every point, as in the Gaussian scan) each pair is visited once and
-counted twice.  A block of 32 rows takes v = x_i - x_j as ``dim``
-contiguous (rows x columns) coordinate planes of pts.T and forms C^-1 v,
-q0 and q1 from them with ``kernels._pair_forms`` (which also forms the
-kNN d^2 and the kernel entries): elementwise ufuncs, each sum in
-ascending index order, the order the dense oracle in the tests uses.
-The blocks run on ``kernels.map_row_blocks``, the pool that also runs
-the kNN search and the assembly, and are summed in block order, so the
-result is the same for any worker count.
+The Q(eps) scan of :func:`tune_bandwidth` is exact but skips the terms
+it can certify to be 0.0; its docstring gives the bound, the symmetric
+route and the row blocks, which run on the pool of the kNN search.
 """
 
 from __future__ import annotations
@@ -42,8 +35,8 @@ import scipy.sparse
 
 from .geometry import CoefficientField, PointCloud
 from .kernels import (
-    KernelConfig, SparseKernelMatrix, _check_neighbors, _identity_scale, _pair_forms,
-    assemble_kernel_matrix, build_knn_graph, map_row_blocks,
+    KernelConfig, SparseKernelMatrix, _check_neighbors, _entry_blocks, _identity_scale, _pair_forms,
+    assemble_kernel_matrix, build_knn_graph, map_row_blocks, row_blocks,
 )
 
 __all__ = [
@@ -132,24 +125,34 @@ def estimate_density(
     k = min(k, cloud.n_points)
     if neighbors is None:
         neighbors = build_knn_graph(cloud, k)
-    _check_neighbors(neighbors, cloud.n_points, k)
     d2 = neighbors[1]
-    return DensityEstimate(np.exp(-d2 / (2.0 * tilde_epsilon)).sum(axis=1))
+    _check_neighbors((neighbors[0], d2), cloud.n_points, k)
+    blocks = row_blocks(cloud.n_points, _BLOCK_ROWS)  # temporaries below malloc's 128 KB mmap threshold to k = 500
+    return DensityEstimate(np.concatenate([np.exp(-d2[b] / (2.0 * tilde_epsilon)).sum(axis=1) for b in blocks]))
+
+
+def _divided(mat, divisor):
+    """``mat`` with its data divided by ``divisor(rows, entries)`` in row blocks:
+    one new float array of length nnz on ``mat``'s index arrays, shared, not
+    copied, so ``mat`` is unchanged and the divisors' index casts stay small."""
+    data = np.empty(mat.data.shape)
+    for rows, entries in _entry_blocks(mat.indptr):
+        np.divide(mat.data[entries], divisor(rows, entries), out=data[entries])
+    return scipy.sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 def right_normalize(kernel: SparseKernelMatrix, density: DensityEstimate) -> SparseKernelMatrix:
-    """Debias: divide column j by the density estimate at x_j (K <- K D1^-1)."""
+    """Debias: divide column j by the density estimate at x_j (K <- K D1^-1), by :func:`_divided`."""
     q = density.q_hat
     if q.shape[0] != kernel.n_points:
         raise ValueError("density size does not match kernel matrix")
-    mat = kernel.matrix.copy()
-    mat.data = mat.data / q[mat.indices]
-    return SparseKernelMatrix(mat, kernel.epsilon)
+    mat = kernel.matrix
+    return SparseKernelMatrix(_divided(mat, lambda rows, entries: q[mat.indices[entries]]), kernel.epsilon)
 
 
 def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
-    """Row-normalize to a stochastic matrix S = D^-1 K, D = diag(row sums)."""
-    mat = kernel.matrix.tocsr().copy()
+    """Row-normalize to a stochastic matrix S = D^-1 K (D: scipy's CSR row sums of K), by :func:`_divided`."""
+    mat = kernel.matrix
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     if np.any(row_sums <= 0):
         bad = int(np.argmin(row_sums))
@@ -158,8 +161,7 @@ def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
             "the point is isolated (k too small or epsilon too small)"
         )
     counts = np.diff(mat.indptr)
-    mat.data = mat.data / np.repeat(row_sums, counts)
-    return GeneratorMatrix(mat, kernel.epsilon, row_sums)
+    return GeneratorMatrix(_divided(mat, lambda r, _: np.repeat(row_sums[r], counts[r])), kernel.epsilon, row_sums)
 
 
 def build_operator(
@@ -169,20 +171,23 @@ def build_operator(
     debias: bool = True,
     neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GeneratorMatrix:
-    """Full pipeline: kernel matrix -> (debias) -> row normalization.
+    """Full pipeline: (density) -> kernel matrix -> (debias) -> row normalization.
 
     One kNN search (or the precomputed ``(indices, d2)`` pair from
     :func:`build_knn_graph`) feeds both the kernel matrix and, with
     ``debias``, the Gaussian density estimate at bandwidth
     ``cfg.tilde_epsilon`` that the kernel columns are pre-divided by,
     removing the sampling-density bias of i.i.d. clouds.  ``k_neighbors = N``
-    gives the dense operator.
+    gives the dense operator.  With no other reference to the pair (``lokpde
+    solve`` keeps none), at most three (N, k) arrays are alive at a time.
     """
     if neighbors is None:
         neighbors = build_knn_graph(cloud, cfg.k_neighbors)
+    density = debias and estimate_density(cloud, cfg.tilde_epsilon, cfg.k_neighbors, neighbors)
+    neighbors = neighbors[0]  # the indices alone: d2 goes unless the caller keeps the pair
     kernel = assemble_kernel_matrix(cloud, coeffs, cfg, neighbors=neighbors)
+    del neighbors
     if debias:
-        density = estimate_density(cloud, cfg.tilde_epsilon, cfg.k_neighbors, neighbors)
         kernel = right_normalize(kernel, density)
     return left_normalize(kernel)
 

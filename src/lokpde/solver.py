@@ -52,7 +52,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .geometry import sample_points
-from .kernels import KernelConfig, build_knn_graph, row_blocks
+from .kernels import KernelConfig, _entry_blocks, build_knn_graph
 from .operator import GeneratorMatrix, build_operator, select_bandwidths
 from .problems import analytic_pair, problem_coefficients
 
@@ -199,16 +199,14 @@ def _pruned(b):
     """P: B less its off-diagonals below ``ILU_DROP_TOL`` |B_ii|, plus
     (1 - ``ILU_DROP_TOL``) of each row's removed sum on its diagonal.
 
-    Rows meet their thresholds in blocks of about 2^16 entries, so the
-    kept-entry mask is the only temporary as long as nnz(B).
+    Rows meet their thresholds in row blocks, so the kept-entry mask is the
+    only temporary as long as nnz(B).
     """
     n = b.shape[0]
     thresholds = ILU_DROP_TOL * np.abs(b.diagonal())
     keep, kept, removed = np.empty(b.nnz, dtype=bool), np.empty(n, dtype=np.intp), np.empty(n)
-    step = max(1, (n << 16) // max(b.nnz, 1))
-    for rows in row_blocks(n, step):
+    for rows, span in _entry_blocks(b.indptr):
         lo, hi = rows.start, rows.stop
-        span = slice(b.indptr[lo], b.indptr[hi])
         row = np.repeat(np.arange(hi - lo), np.diff(b.indptr[lo : hi + 1]))
         keep[span] = np.abs(b.data[span]) >= thresholds[lo:hi][row]
         kept[lo:hi] = np.bincount(row, keep[span], hi - lo)
@@ -360,10 +358,11 @@ def _null_classes(s_matrix, shift):
     tiny = np.finfo(float).eps
     pattern = s_matrix if (s_matrix.data > tiny).all() else (s_matrix > tiny).tocsr()
     n_comp, labels = connected_components(pattern, directed=True, connection="strong")
-    tails = np.repeat(labels, np.diff(pattern.indptr))
-    heads = labels[pattern.indices]
+    counts = np.diff(pattern.indptr)
     leaks = np.zeros(n_comp, dtype=bool)
-    leaks[tails[tails != heads]] = True
+    for rows, entries in _entry_blocks(pattern.indptr):  # block-sized label arrays
+        tails, heads = np.repeat(labels[rows], counts[rows]), labels[pattern.indices[entries]]
+        leaks[tails[tails != heads]] = True
     leaks[labels[shift != 0]] = True
     _, first_member = np.unique(labels, return_index=True)
     return np.sort(first_member[~leaks])

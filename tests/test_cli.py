@@ -661,6 +661,26 @@ class TestMainEntry:
         assert main(flags) == 0
         assert json.loads(capsys.readouterr().out.strip())["workers"] == 3
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc")
+    def test_record_carries_the_peak_rss(self):
+        # a fresh process, so the peak is this solve's: ru_maxrss is the
+        # largest resident set so far, at least the one left after the solve
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import json, os, lokpde.cli\n"
+            "config = lokpde.cli.RunConfig(problem='ellipse', N=1000, k=200, epsilon=1e-4, tilde_epsilon=1e-4)\n"
+            "peak = lokpde.cli.run_solve(config)['peak_rss_mb']\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    rss = int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE') / 2**20\n"
+            "print(json.dumps([peak, rss]))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        peak, rss = json.loads(result.stdout)
+        assert isinstance(peak, float) and peak > 0.0
+        assert peak >= rss
+
     def test_auto_solver_record(self, capsys):
         # a = 0 on the ellipse: "auto" takes the minimum-norm route
         code = main(
@@ -683,9 +703,11 @@ class TestMainEntry:
         assert "closed classes" in capsys.readouterr().err
 
     def test_import_defers_kd_tree_and_thread_pool(self):
-        # each loads on first use (build_knn_graph, the solver's RCM and
-        # closed-class search, tune_bandwidth); at import they would add to
-        # the start-up time of every solve
+        # no solve uses scipy.spatial; csgraph loads on first use (the
+        # solver's RCM and closed-class search), and so does the thread pool
+        # (map_row_blocks, behind the kNN search, the assembly and
+        # tune_bandwidth); at import they would add to the start-up time of
+        # every solve
         src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = (

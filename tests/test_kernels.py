@@ -299,6 +299,52 @@ class TestKnnExactness:
         self.assert_matches_brute(cloud.ambient, k)
 
 
+class TestMedianOrder:
+    """The kNN search's row order: each block of ``_KNN_ROWS`` rows is one
+    leaf of a recursive median split."""
+
+    @staticmethod
+    def leaves(monkeypatch, planes):
+        found = []
+        split = kernels._median_order
+
+        def spy(planes, rows):
+            order = split(planes, rows)
+            if rows.size <= kernels._KNN_ROWS:
+                found.append(order)
+            return order
+
+        monkeypatch.setattr(kernels, "_median_order", spy)
+        return kernels._median_order(planes, np.arange(planes.shape[1])), found
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 777, 3000])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_leaves_tile_a_permutation(self, monkeypatch, n, dim):
+        planes = np.random.default_rng(n + dim).normal(size=(dim, n))
+        order, leaves = self.leaves(monkeypatch, planes)
+        np.testing.assert_array_equal(np.sort(order), np.arange(n))
+        np.testing.assert_array_equal(np.concatenate(leaves), order)
+        assert [leaf.size for leaf in leaves[:-1]] == [kernels._KNN_ROWS] * (len(leaves) - 1)
+        assert 1 <= leaves[-1].size <= kernels._KNN_ROWS
+
+    def test_each_split_is_at_a_median_of_the_widest_axis(self):
+        # a flat cloud: the first split is along x, so the first half of the
+        # order holds the points left of every point of the second half
+        rng = np.random.default_rng(4)
+        planes = np.stack([rng.uniform(0, 10, 1000), rng.uniform(0, 1, 1000)])
+        order = kernels._median_order(planes, np.arange(1000))
+        half = kernels._KNN_ROWS * 8
+        assert planes[0, order[:half]].max() <= planes[0, order[half:]].min()
+
+    @pytest.mark.parametrize("name", ["ties", "bvp1d", "sphere"])
+    def test_repeated_calls_give_the_same_order(self, name):
+        cloud = worker_cloud(name)[0] if name != "sphere" else sample_sphere(3000, seed=7)
+        planes = np.ascontiguousarray(cloud.ambient.T)
+        first = kernels._median_order(planes, np.arange(cloud.n_points))
+        for _ in range(3):
+            np.testing.assert_array_equal(kernels._median_order(planes, np.arange(cloud.n_points)), first)
+
+
 def worker_cloud(name):
     """(cloud, coeffs, k) with N a multiple of none of the block sizes the
     pool uses for 1, 2 or 4 workers (256, 128, 64 rows)."""

@@ -1,5 +1,8 @@
 import functools
 import os
+import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +233,85 @@ class TestLeftNormalize:
         mat = scipy.sparse.csr_matrix(np.array([[0.0, 0.0], [0.5, 1.0]]))
         with pytest.raises(ValueError, match="isolated"):
             left_normalize(SparseKernelMatrix(mat, 0.1))
+
+
+class TestNormalizeWritesOnlyData:
+    """Each normalization writes one new data array on its input's index
+    arrays and leaves the input as it was."""
+
+    @staticmethod
+    def kernel():
+        # 600 rows span three of the row blocks the normalizations run in
+        cloud = sample_sphere(600, seed=5)
+        return assemble_kernel_matrix(cloud, CoefficientField.isotropic(600, 3), KernelConfig(0.02, 0.02, 30))
+
+    @staticmethod
+    def assert_shares_columns(out, mat, data, indices):
+        np.testing.assert_array_equal(mat.data, data)
+        np.testing.assert_array_equal(mat.indices, indices)
+        assert np.shares_memory(out.indices, mat.indices)
+        assert np.shares_memory(out.indptr, mat.indptr)
+        assert not np.shares_memory(out.data, mat.data)
+
+    def test_right_normalize(self):
+        km = self.kernel()
+        mat = km.matrix
+        data, indices = mat.data.copy(), mat.indices.copy()
+        q = np.random.default_rng(5).uniform(0.5, 2.0, size=600)
+        out = right_normalize(km, DensityEstimate(q)).matrix
+        self.assert_shares_columns(out, mat, data, indices)
+        np.testing.assert_array_equal(out.data, data / q[indices])
+
+    def test_left_normalize(self):
+        km = self.kernel()
+        mat = km.matrix
+        data, indices = mat.data.copy(), mat.indices.copy()
+        gen = left_normalize(km)
+        self.assert_shares_columns(gen.s_matrix, mat, data, indices)
+        np.testing.assert_array_equal(gen.row_sums, np.asarray(mat.sum(axis=1)).ravel())
+        np.testing.assert_array_equal(gen.s_matrix.data, data / np.repeat(gen.row_sums, np.diff(mat.indptr)))
+
+
+class TestOperatorMemory:
+    def test_build_allocates_at_most_two_float_arrays_beyond_its_output(self):
+        # the kernel's data and int32 columns are written once, and each
+        # normalization adds one data array on those columns, so at most one
+        # float (N, k) array and block-sized temporaries exceed S itself
+        n, k = 2000, 100
+        cloud = sample_sphere(n, seed=1)
+        neighbors = build_knn_graph(cloud, k)
+        tracemalloc.start()
+        try:
+            gen = build_operator(
+                cloud, CoefficientField.isotropic(n, 3), KernelConfig(0.015, 0.01, k), neighbors=neighbors
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        s = gen.s_matrix
+        output = s.data.nbytes + s.indices.nbytes + s.indptr.nbytes + gen.row_sums.nbytes
+        assert peak - output <= 2 * n * k * 8
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="older interpreters hold call arguments until return")
+    def test_each_neighbor_array_is_released_after_its_last_reader(self, monkeypatch):
+        # handed over with no other reference, d2 is gone once the density is
+        # estimated and the kNN indices once the kernel is assembled
+        cloud = sample_sphere(300, seed=2)
+        pair = [build_knn_graph(cloud, 20)]
+        indices, d2 = (weakref.ref(a) for a in pair[0])
+        alive = {}
+
+        def spy(name, fn, array):
+            def wrapped(*args, **kwargs):
+                alive[name] = array() is not None
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(operator, name, wrapped)
+
+        spy("assemble_kernel_matrix", operator.assemble_kernel_matrix, d2)
+        spy("right_normalize", operator.right_normalize, indices)
+        build_operator(cloud, CoefficientField.isotropic(300, 3), KernelConfig(0.02, 0.02, 20), neighbors=pair.pop())
+        assert alive == {"assemble_kernel_matrix": False, "right_normalize": False}
 
 
 class TestGeneratorMatrix:

@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lokpde import kernels
 from lokpde.geometry import CoefficientField, PointCloud, ambient_cloud_manifold, sample_points
 from lokpde.kernels import KernelConfig, assemble_kernel_matrix
 from lokpde.operator import build_operator, left_normalize
@@ -351,6 +352,44 @@ class TestSolverProperties:
 def dense_b(gen, shift):
     """B = eps (diag(a) + L) = S - I + eps diag(a), dense."""
     return gen.s_matrix.toarray() - np.eye(gen.n_points) + gen.epsilon * np.diag(shift)
+
+
+def closed_class_oracle(dense, shift):
+    """The smallest point of each closed class of ``dense`` with a = 0 on it,
+    from the transitive closure (Warshall) of the entries above machine
+    epsilon: a class is closed when every point reachable from it reaches
+    it back."""
+    n = dense.shape[0]
+    reach = (dense > np.finfo(float).eps) | np.eye(n, dtype=bool)
+    for m in range(n):
+        reach |= reach[:, m, None] & reach[None, m, :]
+    same = reach & reach.T
+    closed = (reach <= reach.T).all(axis=1)
+    return [i for i in range(n) if closed[i] and not same[i, :i].any() and not shift[same[i]].any()]
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A random sparse pattern with weights 1, 0.3 or 1e-17 (below machine
+    epsilon, so not an edge), a <= 0 zero at some points, and a row-block
+    size for the edge scan; N above 256 spans the default blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(257, 300)))
+    edges = rng.random((n, n)) < draw(st.sampled_from([0.5, 2.0, 5.0])) / n
+    dense = np.where(edges, rng.choice([1.0, 0.3, 1e-17], size=(n, n)), 0.0)
+    shift = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0])), -1.0, 0.0)
+    return dense, shift, draw(st.sampled_from([1, 3, 7, kernels._CHUNK_ROWS]))
+
+
+class TestNullClasses:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sparse_graphs())
+    def test_blocked_edge_scan_matches_the_transitive_closure(self, graph):
+        dense, shift, block_rows = graph
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_CHUNK_ROWS", block_rows)
+            classes = _null_classes(scipy.sparse.csr_matrix(dense), shift)
+        assert classes.tolist() == closed_class_oracle(dense, shift)
 
 
 class TestPrunedPreconditioner:
