@@ -320,23 +320,25 @@ def lift_field(manifold: Manifold, cloud: PointCloud, b_fn, c_fn) -> Coefficient
     with known parametrization.
 
     ``b_fn`` and ``c_fn`` map the (N, d) intrinsic points to (N, d) and
-    (N, d, d).  B = pinv(J)^T b and C^-1 = pinv(J c J^T), with J the
-    embedding Jacobian; C^-1 comes out symmetric positive semi-definite of
-    rank d.
+    (N, d, d).  From the thin SVD J = U S V^T of each embedding Jacobian,
+    B = pinv(J)^T b = U S^-1 V^T b and C^-1 = pinv(J c J^T) =
+    U pinv(S V^T c V S) U^T, a d x d pseudo-inverse as U's columns are
+    orthonormal.  C^-1 is symmetric PSD of rank d, or of c's rank for a
+    singular c, which lifts as pinv(J c J^T) does.  A rank-deficient J
+    raises ValueError.
     """
     if cloud.intrinsic is None:
         raise ValueError("cloud has no intrinsic coordinates to lift from")
     pts = cloud.intrinsic
     b = np.asarray(b_fn(pts), dtype=float)
     c = np.asarray(c_fn(pts), dtype=float)
-    jac = embedding_jacobian(manifold, pts)
-    sing = np.linalg.svd(jac, compute_uv=False)
+    u, sing, vt = np.linalg.svd(embedding_jacobian(manifold, pts), full_matrices=False)
     bad = np.flatnonzero(sing[:, -1] <= sing[:, 0] * _JACOBIAN_RANK_RTOL)
     if bad.size:
         raise ValueError(f"embedding Jacobian is rank-deficient at point {bad[0]}")
-    drift = np.einsum("ndk,nd->nk", np.linalg.pinv(jac), b)
-    lifted = np.einsum("nik,nkl,njl->nij", jac, c, jac)
-    diff_inv = np.linalg.pinv(lifted, hermitian=True)
+    drift = np.einsum("nik,nk->ni", u, np.einsum("nkj,nj->nk", vt, b) / sing)
+    sv = vt * sing[:, :, None]  # S V^T
+    diff_inv = u @ np.linalg.pinv(sv @ c @ np.transpose(sv, (0, 2, 1)), hermitian=True) @ np.transpose(u, (0, 2, 1))
     return CoefficientField(drift, 0.5 * (diff_inv + np.transpose(diff_inv, (0, 2, 1))))
 
 

@@ -20,7 +20,9 @@ one leaf of a median split, takes as candidates the points in its
 bounding box grown by a reach r, and a row is certified once its k-th
 d^2 is below r^2; the few rows that are not are searched again with a
 wider reach.  Its (indices, d^2) pair equals a brute-force search over
-all N^2 pairs bit for bit; the d^2 feed the density estimate.
+all N^2 pairs bit for bit.  ``operator.build_operator`` runs it (or takes
+it from a caller that shares it across bandwidths) and hands
+:func:`assemble_kernel_matrix` the indices, the density estimate the d^2.
 
 The search, the assembly and the Q(eps) scan in ``operator`` share out
 their row blocks with :func:`map_row_blocks`; each block is computed on
@@ -33,7 +35,6 @@ import concurrent.futures
 import mmap
 import os
 import threading
-import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +118,11 @@ def pool_width() -> int:
 
 
 def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
-    """``[body(rows, scratch) for rows in row_blocks(n, size)]`` in block
+    """``[body(rows, work) for rows in row_blocks(n, size)]`` in block
     order, each block taken by whichever of the :func:`pool_width` workers
     is free; the GIL-free ufuncs, partitions, sorts and ``exp`` overlap.  A
-    worker's ``scratch.work``, ``_scratch(scratch_planes, scratch_size)``,
-    serves all its blocks.  The caller is one worker and claims the first
+    worker's ``work``, ``_scratch(scratch_planes, scratch_size)``, serves
+    all its blocks.  The caller is one worker and claims the first
     block before any helper starts: malloc keeps a pool thread's peak
     working set in that thread's arena after the pool is gone, and one
     worker starts no thread."""
@@ -135,7 +136,7 @@ def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
             return next(pending, None)
 
     def work(i):
-        scratch = types.SimpleNamespace(work=_scratch(scratch_planes, scratch_size))
+        scratch = _scratch(scratch_planes, scratch_size)
         while i is not None:
             results[i] = body(blocks[i], scratch)
             i = claim()
@@ -149,15 +150,6 @@ def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
         for future in futures:
             future.result()
     return results
-
-
-def _check_neighbors(neighbors, n, k):
-    """Name the shapes unless ``neighbors`` (a pair, or the indices alone) is (n, k); returns the indices."""
-    pair = not isinstance(neighbors, np.ndarray)
-    got = [np.shape(a) for a in (neighbors if pair else [neighbors])]
-    if got != [(n, k)] * (1 + pair):
-        raise ValueError(f"neighbors {'(indices, d2) must both' if pair else 'indices must'} be ({n}, {k}), got {got}")
-    return neighbors[0] if pair else neighbors
 
 
 def _scratch(planes, size):
@@ -297,7 +289,7 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     indices = np.empty((n, k), dtype=np.intp)
     d2 = np.empty((n, k))
 
-    def search(block, scratch):  # writes only its own rows; little from malloc
+    def search(block, work):  # writes only its own rows; little from malloc
         rows, cand = todo[block], everyone
         if reach is not None:
             inside = np.ones(n, dtype=bool)
@@ -305,7 +297,7 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
                 inside &= x >= np.nextafter(x[rows].min() - reach, -np.inf)
                 inside &= x <= np.nextafter(x[rows].max() + reach, np.inf)
             cand = np.flatnonzero(inside) if np.count_nonzero(inside) >= k else everyone
-        indices[rows], d2[rows] = _nearest(planes, rows, cand, k, scratch.work)
+        indices[rows], d2[rows] = _nearest(planes, rows, cand, k, work)
         return rows[:0] if cand.size == n else rows[d2[rows, -1] >= reach * reach * shrink]
 
     while todo.size:
@@ -358,40 +350,34 @@ def _nearest(planes, rows, cand, k, work):
 
 
 def assemble_kernel_matrix(
-    cloud: PointCloud,
-    coeffs: CoefficientField,
-    cfg: KernelConfig,
-    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
+    cloud: PointCloud, coeffs: CoefficientField, cfg: KernelConfig, indices: np.ndarray
 ) -> SparseKernelMatrix:
     """Evaluate the prototypical kernel on the kNN pattern of the cloud.
 
-    Row i holds K(eps, x_i, x_j) for the neighbors j of i, evaluated with
-    the row point's coefficients B(x_i), C(x_i)^-1; ``k_neighbors = N``
-    retains every column.  A precomputed ``(indices, d2)`` pair (as
-    returned by :func:`build_knn_graph`), or its indices alone, can be
-    passed to amortize the search across bandwidths.  The blocks run on
+    Row i holds K(eps, x_i, x_j) for the j in row i of ``indices``, the
+    (N, k) kNN indices of :func:`build_knn_graph` (ValueError for another
+    shape), with the row point's coefficients B(x_i), C(x_i)^-1;
+    ``k_neighbors = N`` retains every column.  The blocks run on
     :func:`map_row_blocks`, each writing its own rows, so the worker count
     changes nothing; the CSR matrix keeps their int32 columns uncopied.
     """
     pts = cloud.ambient
-    n = pts.shape[0]
+    n, k = pts.shape[0], cfg.k_neighbors
     if coeffs.n_points != n:
         raise ValueError("coefficient field size does not match cloud")
-    if neighbors is None:
-        neighbors = build_knn_graph(cloud, cfg.k_neighbors)[0]
-    indices = _check_neighbors(neighbors, n, cfg.k_neighbors)
-    k = cfg.k_neighbors
+    if np.shape(indices) != (n, k):
+        raise ValueError(f"neighbor indices must be ({n}, {k}), got {np.shape(indices)}")
     planes = np.ascontiguousarray(pts.T)
     scale = _identity_scale(coeffs.diffusion_inv)
     cols = np.empty((n, k), dtype=np.int32)
     data = np.empty((n, k))
 
-    def assemble(rows, scratch):  # writes only the rows of its block
+    def assemble(rows, work):  # writes only the rows of its block
         cols[rows] = indices[rows]
         cols[rows].sort(axis=1)
         _kernel_rows(
             planes, rows, cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale, cfg.epsilon,
-            scratch.work, data[rows],
+            work, data[rows],
         )
 
     size = max(1, _CHUNK_ROWS // pool_width())

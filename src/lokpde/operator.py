@@ -35,7 +35,7 @@ import scipy.sparse
 
 from .geometry import CoefficientField, PointCloud
 from .kernels import (
-    KernelConfig, SparseKernelMatrix, _check_neighbors, _entry_blocks, _identity_scale, _pair_forms,
+    KernelConfig, SparseKernelMatrix, _entry_blocks, _identity_scale, _pair_forms,
     assemble_kernel_matrix, build_knn_graph, map_row_blocks, row_blocks,
 )
 
@@ -107,27 +107,16 @@ class GeneratorMatrix:
         return (self.matrix() + scipy.sparse.diags(shift)).tocsr()
 
 
-def estimate_density(
-    cloud: PointCloud,
-    tilde_epsilon: float,
-    k: int,
-    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> DensityEstimate:
+def estimate_density(d2: np.ndarray, tilde_epsilon: float) -> DensityEstimate:
     """Gaussian kernel density values over the kNN pattern.
 
-    q_i = sum_j exp(-|x_i - x_j|^2 / (2 eps~)) over the k nearest neighbors
-    of i, summed in (d^2, index) order from the squared distances of the
-    ``(indices, d2)`` pair that :func:`build_knn_graph` returns (searched
-    here when ``neighbors`` is None); the self term makes every value >= 1.
+    q_i = sum_c exp(-d2[i, c] / (2 eps~)) over row i of the (N, k) squared
+    distances that :func:`build_knn_graph` returns, summed in its (d^2,
+    index) order; the self term (d^2 = 0) makes every value >= 1.
     """
     if tilde_epsilon <= 0:
         raise ValueError("tilde_epsilon must be positive")
-    k = min(k, cloud.n_points)
-    if neighbors is None:
-        neighbors = build_knn_graph(cloud, k)
-    d2 = neighbors[1]
-    _check_neighbors((neighbors[0], d2), cloud.n_points, k)
-    blocks = row_blocks(cloud.n_points, _BLOCK_ROWS)  # temporaries below malloc's 128 KB mmap threshold to k = 500
+    blocks = row_blocks(d2.shape[0], _BLOCK_ROWS)  # temporaries below malloc's 128 KB mmap threshold to k = 500
     return DensityEstimate(np.concatenate([np.exp(-d2[b] / (2.0 * tilde_epsilon)).sum(axis=1) for b in blocks]))
 
 
@@ -173,20 +162,25 @@ def build_operator(
 ) -> GeneratorMatrix:
     """Full pipeline: (density) -> kernel matrix -> (debias) -> row normalization.
 
-    One kNN search (or the precomputed ``(indices, d2)`` pair from
-    :func:`build_knn_graph`) feeds both the kernel matrix and, with
-    ``debias``, the Gaussian density estimate at bandwidth
-    ``cfg.tilde_epsilon`` that the kernel columns are pre-divided by,
-    removing the sampling-density bias of i.i.d. clouds.  ``k_neighbors = N``
-    gives the dense operator.  With no other reference to the pair (``lokpde
-    solve`` keeps none), at most three (N, k) arrays are alive at a time.
+    Every stage reads one kNN pair ``(indices, d2)`` of
+    :func:`build_knn_graph`, searched here when ``neighbors`` is None or
+    passed in to share one search across bandwidths; both must be (N, k).
+    With ``debias`` the d2 give the Gaussian density estimate at
+    ``cfg.tilde_epsilon`` that the kernel columns are divided by, removing
+    the sampling-density bias of i.i.d. clouds.  ``k_neighbors = N`` gives
+    the dense operator.  d2 is dropped after the density and the indices
+    after the assembly, so with no other reference to the pair (``lokpde
+    solve`` keeps none) at most three (N, k) arrays are alive at a time.
     """
-    if neighbors is None:
-        neighbors = build_knn_graph(cloud, cfg.k_neighbors)
-    density = debias and estimate_density(cloud, cfg.tilde_epsilon, cfg.k_neighbors, neighbors)
-    neighbors = neighbors[0]  # the indices alone: d2 goes unless the caller keeps the pair
-    kernel = assemble_kernel_matrix(cloud, coeffs, cfg, neighbors=neighbors)
+    indices, d2 = build_knn_graph(cloud, cfg.k_neighbors) if neighbors is None else neighbors
     del neighbors
+    got, want = [np.shape(indices), np.shape(d2)], (cloud.n_points, cfg.k_neighbors)
+    if got != [want] * 2:
+        raise ValueError(f"neighbors (indices, d2) must both be {want}, got {got}")
+    density = debias and estimate_density(d2, cfg.tilde_epsilon)
+    del d2
+    kernel = assemble_kernel_matrix(cloud, coeffs, cfg, indices)
+    del indices
     if debias:
         kernel = right_normalize(kernel, density)
     return left_normalize(kernel)
@@ -364,8 +358,7 @@ def tune_bandwidth(
             np.subtract(x[rows, None], x[None, first:], out=va)
         return _pair_forms(ci[rows], v, drift[rows] if has_drift else None, scale, work)
 
-    def scan_symmetric(rows, scratch):
-        work = scratch.work
+    def scan_symmetric(rows, work):
         q0, _ = block_forms(rows, rows.start, work)
         square, tail = q0[:, : rows.stop - rows.start], q0[:, rows.stop - rows.start :]
         square.sort(axis=1)
@@ -375,8 +368,7 @@ def tune_bandwidth(
         mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid, work[0])
         return own + 2.0 * mirrored, own_evals + mirrored_evals
 
-    def scan_block(rows, scratch):
-        work = scratch.work
+    def scan_block(rows, work):
         q0, q1 = block_forms(rows, 0, work)
         if q1 is not None:
             # q0, q1 in q0's row order into free scratch rows; a row's order

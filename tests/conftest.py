@@ -5,12 +5,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lokpde.geometry import CoefficientField, sample_points, sample_sphere
 from lokpde.kernels import KernelConfig
 from lokpde.operator import GeneratorMatrix, build_operator
 from lokpde.problems import analytic_pair, problem_coefficients
 from lokpde.solver import LinearProblem, SolveReport, solve, solve_min_norm
+
+# every property test is reproducible: fixed examples, no deadline and no
+# example database; each test sets only its own max_examples
+settings.register_profile("lokpde", deadline=None, derandomize=True, database=None)
+settings.load_profile("lokpde")
 
 
 @dataclass

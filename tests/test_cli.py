@@ -76,7 +76,7 @@ CONFIG_VALUES = {
 
 
 class TestConfigValidation:
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(st.fixed_dictionaries(CONFIG_VALUES))
     def test_every_schema_key_round_trips(self, raw):
         assert set(raw) == set(_SCHEMA)
@@ -467,7 +467,7 @@ def read_with(fmt, path, n):
 class TestNumericReader:
     """One reader tokenises clouds, rhs files and coefficient CSVs."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(st.integers(2, 30), st.integers(1, 4), st.data())
     def test_repr_matrix_round_trips_bit_for_bit(self, n, dim, data):
         values = data.draw(st.lists(_REALS, min_size=n * dim, max_size=n * dim))
@@ -477,7 +477,7 @@ class TestNumericReader:
             loaded = load_cloud(path).ambient
         assert loaded.tobytes() == matrix.tobytes()
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(numeric_files())
     def test_bad_token_names_its_line(self, case):
         fmt, n, good, bad, bad_line, token = case

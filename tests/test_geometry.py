@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lokpde.geometry import (
     CoefficientField,
@@ -191,6 +193,43 @@ class TestCoefficientLifting:
             eig = np.linalg.eigvalsh(Ci)
             assert (eig > -1e-12).all()
             assert np.sum(eig > 1e-10 * eig.max()) == d
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(ZOO_IDS), st.integers(0, 2**32 - 1))
+    def test_lift_matches_pinv_reference(self, mid, seed):
+        # B = pinv(J)^T b and C^-1 = pinv(J c J^T) point by point, for PSD c
+        # of every rank (integer factors, so a singular c is exactly singular)
+        man = get_manifold(mid)
+        rng = np.random.default_rng(seed)
+        lo = np.array([a for a, _ in man.parameter_domain])
+        hi = np.array([b for _, b in man.parameter_domain])
+        d = man.intrinsic_dim
+        x = lo + (hi - lo) * rng.random((8, d))
+        b = rng.normal(size=(8, d)) * 2.0 ** rng.integers(-20, 21)
+        rank = int(rng.integers(0, d + 1))
+        a = rng.integers(-4, 5, size=(8, d, rank)).astype(float)
+        c = a @ np.transpose(a, (0, 2, 1)) + (rank == d) * np.eye(d)
+        c *= 2.0 ** rng.integers(-20, 21, size=(8, 1, 1))
+        B, Ci = lift_points(man, x, b, c)
+        for xi, bi, ci, Bi, Cii in zip(x, b, c, B, Ci):
+            jac = embedding_jacobian(man, xi)
+            B_ref = np.linalg.pinv(jac).T @ bi
+            Ci_ref = np.linalg.pinv(jac @ ci @ jac.T, hermitian=True)
+            assert np.abs(Bi - B_ref).max() <= 1e-12 * np.abs(B_ref).max()
+            assert np.abs(Cii - Ci_ref).max() <= 1e-12 * np.abs(Ci_ref).max()
+
+    def test_one_svd_and_only_intrinsic_pinv(self, monkeypatch):
+        # each Jacobian is decomposed once, and only d x d blocks are inverted
+        cloud = sample_points(get_manifold("torus"), 400, "uniform_grid")
+        calls = []
+        for name in ("svd", "pinv"):
+            def spy(a, *args, fn=getattr(np.linalg, name), name=name, **kwargs):
+                calls.append((name, a.shape))
+                return fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        problem_coefficients(analytic_pair("torus"), cloud)
+        assert calls == [("svd", (400, 3, 2)), ("pinv", (400, 2, 2))]
 
 
 class TestPointCloudValidation:

@@ -43,6 +43,11 @@ def make_cloud(points):
     return PointCloud(pts, None, "iid_density", ambient_cloud_manifold(pts.shape[1]))
 
 
+def assemble(cloud, coeffs, cfg):
+    """The kernel matrix on the cloud's own kNN indices."""
+    return assemble_kernel_matrix(cloud, coeffs, cfg, build_knn_graph(cloud, cfg.k_neighbors)[0])
+
+
 def squared_distances(diff):
     """|v|^2 over the last axis, summed in ascending coordinate order: the
     rounding of the search's d^2, on which exact ties depend."""
@@ -129,7 +134,7 @@ def kernel_inputs(draw):
     return make_cloud(pts), CoefficientField(drift, diff_inv), KernelConfig(epsilon, epsilon, k)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.integers(0, 300), st.integers(1, 40))
 def test_row_blocks_tile_the_rows_in_order(n, size):
     blocks = row_blocks(n, size)
@@ -257,7 +262,7 @@ class TestKnnExactness:
         np.testing.assert_array_equal(indices, ref_indices)
         np.testing.assert_array_equal(d2, ref_d2)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(tie_clouds())
     def test_tie_clouds_match_brute(self, inputs):
         cloud, k = inputs
@@ -370,12 +375,12 @@ class TestMapRowBlocks:
         workers = set()
         lock = threading.Lock()
 
-        def body(rows, scratch):
-            scratch.work[0, : rows.stop - rows.start] = rows.start
+        def body(rows, work):
+            work[0, : rows.stop - rows.start] = rows.start
             with lock:
                 runs[rows.start] += 1
                 workers.add(threading.get_ident())
-            return int(scratch.work[0, 0])
+            return int(work[0, 0])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -390,7 +395,7 @@ class TestMapRowBlocks:
     def test_a_failing_block_raises(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-        def body(rows, scratch):
+        def body(rows, work):
             if rows.start == 5:
                 raise ValueError("block 5")
             return rows.start
@@ -412,7 +417,7 @@ class TestWorkerCount:
             if cpus is not None:
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             neighbors = build_knn_graph(cloud, k)
-            mat = assemble_kernel_matrix(cloud, coeffs, cfg, neighbors).matrix
+            mat = assemble_kernel_matrix(cloud, coeffs, cfg, neighbors[0]).matrix
             results.append((*neighbors, mat.data, mat.indices))
         for other in results[1:]:
             for ref, got in zip(results[0], other):
@@ -425,7 +430,7 @@ class TestAssembly:
         pts = rng.normal(size=(30, 2))
         cloud = make_cloud(pts)
         coeffs = CoefficientField.isotropic(30, 2)
-        mat = assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.5, 0.5, 8)).matrix.toarray()
+        mat = assemble(cloud, coeffs, KernelConfig(0.5, 0.5, 8)).matrix.toarray()
         stored = mat > 0
         mutual = stored & stored.T
         np.testing.assert_array_equal(mat[mutual], mat.T[mutual])
@@ -434,13 +439,13 @@ class TestAssembly:
         # points {0, 1/2, 1}, eps = 1/8: K(1/2, 1) = exp(-(1/4)/(1/4)) = 1/e
         cloud = make_cloud([[0.0], [0.5], [1.0]])
         coeffs = CoefficientField.isotropic(3, 1)
-        km = assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.125, 0.125, 3))
+        km = assemble(cloud, coeffs, KernelConfig(0.125, 0.125, 3))
         np.testing.assert_allclose(km.matrix[1, 2], np.exp(-1.0))
         np.testing.assert_allclose(km.matrix[0, 2], np.exp(-4.0))
 
     def test_paper_configuration_row_occupancy(self, bvp1d_paper):
         # N=1000, k=100: every row carries exactly k stored entries
-        mat = assemble_kernel_matrix(
+        mat = assemble(
             bvp1d_paper.cloud, bvp1d_paper.coeffs, bvp1d_paper.config
         ).matrix
         assert set(np.diff(mat.indptr)) == {100}
@@ -451,18 +456,18 @@ class TestAssembly:
         cloud = make_cloud(pts)
         B = rng.normal(size=(12, 3))
         Ci = np.stack([np.linalg.inv(random_spd(rng, 3)) for _ in range(12)])
-        km = assemble_kernel_matrix(cloud, CoefficientField(B, Ci), KernelConfig(0.3, 0.3, 5))
+        km = assemble(cloud, CoefficientField(B, Ci), KernelConfig(0.3, 0.3, 5))
         mat = km.matrix
         for i in range(12):
             for idx in range(mat.indptr[i], mat.indptr[i + 1]):
                 j = mat.indices[idx]
                 assert mat.data[idx] == eval_prototypical_kernel(pts[i], pts[j], B[i], Ci[i], 0.3)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(kernel_inputs())
     def test_entries_match_scalar_evaluation_on_random_clouds(self, inputs):
         cloud, coeffs, cfg = inputs
-        mat = assemble_kernel_matrix(cloud, coeffs, cfg).matrix
+        mat = assemble(cloud, coeffs, cfg).matrix
         pts, B, Ci = cloud.ambient, coeffs.drift, coeffs.diffusion_inv
         rows = np.repeat(np.arange(cloud.n_points), np.diff(mat.indptr))
         scalar = [
@@ -474,7 +479,7 @@ class TestAssembly:
     def test_column_indices_strictly_increasing(self):
         rng = np.random.default_rng(4)
         cloud = make_cloud(rng.normal(size=(25, 2)))
-        mat = assemble_kernel_matrix(
+        mat = assemble(
             cloud, CoefficientField.isotropic(25, 2), KernelConfig(0.2, 0.2, 6)
         ).matrix
         for i in range(25):
@@ -491,8 +496,8 @@ class TestAssembly:
             rng.normal(size=(n, 2)), np.stack([np.linalg.inv(random_spd(rng, 2)) for _ in range(n)])
         )
         k = int(rng.integers(3, n))
-        sparse = assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.4, 0.4, k)).matrix
-        dense = assemble_kernel_matrix(
+        sparse = assemble(cloud, coeffs, KernelConfig(0.4, 0.4, k)).matrix
+        dense = assemble(
             cloud, coeffs, KernelConfig(0.4, 0.4, n)
         ).matrix.toarray()
         for i in range(n):
@@ -506,29 +511,25 @@ class TestAssembly:
         cloud = make_cloud(pts)
         coeffs = CoefficientField.isotropic(40, 3)
         cfg = KernelConfig(0.3, 0.3, 7)
-        a = assemble_kernel_matrix(cloud, coeffs, cfg).matrix
-        b = assemble_kernel_matrix(cloud, coeffs, cfg).matrix
+        a = assemble(cloud, coeffs, cfg).matrix
+        b = assemble(cloud, coeffs, cfg).matrix
         np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_size_mismatch(self):
         cloud = make_cloud([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="does not match"):
-            assemble_kernel_matrix(cloud, CoefficientField.isotropic(2, 1), KernelConfig(0.1, 0.1, 2))
+            assemble(cloud, CoefficientField.isotropic(2, 1), KernelConfig(0.1, 0.1, 2))
 
-    @pytest.mark.parametrize("n_rows,k_search", [(30, 8), (20, 5), (20, 8)])
+    @pytest.mark.parametrize("n_rows,k_search", [(30, 8), (20, 5)])
     def test_neighbors_of_the_wrong_shape_rejected(self, n_rows, k_search):
-        # a pair searched with another k, or for another cloud, names both shapes
+        # indices searched with another k, or for another cloud, name their shape
         rng = np.random.default_rng(10)
         cloud = make_cloud(rng.normal(size=(20, 2)))
         other = make_cloud(rng.normal(size=(30, 2)))
-        neighbors = build_knn_graph(cloud if n_rows == 20 else other, k_search)
-        if (n_rows, k_search) == (20, 8):
-            neighbors = (neighbors[0], neighbors[1][:, :5])
-        with pytest.raises(ValueError, match=r"must both be \(20, 8\), got \[\("):
-            assemble_kernel_matrix(
-                cloud, CoefficientField.isotropic(20, 2), KernelConfig(0.1, 0.1, 8), neighbors=neighbors
-            )
+        indices, _ = build_knn_graph(cloud if n_rows == 20 else other, k_search)
+        with pytest.raises(ValueError, match=rf"indices must be \(20, 8\), got \({n_rows}, {k_search}\)"):
+            assemble_kernel_matrix(cloud, CoefficientField.isotropic(20, 2), KernelConfig(0.1, 0.1, 8), indices)
 
 
 class TestMoments:

@@ -10,7 +10,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lokpde import operator
+from lokpde import kernels, operator
 from lokpde.geometry import (
     CoefficientField,
     PointCloud,
@@ -18,7 +18,7 @@ from lokpde.geometry import (
     sample_points,
     sample_sphere,
 )
-from lokpde.kernels import KernelConfig, SparseKernelMatrix, assemble_kernel_matrix, build_knn_graph
+from lokpde.kernels import KernelConfig, SparseKernelMatrix, build_knn_graph
 from lokpde.operator import (
     DensityEstimate,
     build_operator,
@@ -30,7 +30,7 @@ from lokpde.operator import (
     tune_gaussian_bandwidth,
 )
 from lokpde.problems import analytic_pair, problem_coefficients
-from test_kernels import PAPER_GRIDS, brute_knn, paper_cloud, squared_distances, tie_clouds
+from test_kernels import PAPER_GRIDS, assemble, brute_knn, paper_cloud, squared_distances, tie_clouds
 
 
 def make_cloud(points):
@@ -120,18 +120,18 @@ class TestDensityEstimate:
     def test_self_term_only(self):
         # far-separated pair: the cross term underflows, leaving the self term
         cloud = make_cloud([[0.0], [1e6]])
-        q = estimate_density(cloud, 1.0, 2)
+        q = estimate_density(build_knn_graph(cloud, 2)[1], 1.0)
         np.testing.assert_array_equal(q.q_hat, [1.0, 1.0])
 
     def test_two_points_at_characteristic_distance(self):
         cloud = make_cloud([[0.0], [np.sqrt(2 * 0.3)]])
-        q = estimate_density(cloud, 0.3, 2)
+        q = estimate_density(build_knn_graph(cloud, 2)[1], 0.3)
         np.testing.assert_allclose(q.q_hat, 1 + np.exp(-1.0))
 
     def test_uniform_grid_interior_flat(self):
         n = 400
         cloud = make_cloud(np.linspace(0, 1, n)[:, None])
-        q = estimate_density(cloud, 1e-4, 50)
+        q = estimate_density(build_knn_graph(cloud, 50)[1], 1e-4)
         # direct summation oracle at a few interior points
         pts = cloud.ambient[:, 0]
         for i in (100, 200, 311):
@@ -145,20 +145,11 @@ class TestDensityEstimate:
         with pytest.raises(ValueError, match="strictly positive"):
             DensityEstimate(np.array([1.0, 0.0]))
 
-    def test_neighbors_of_the_wrong_shape_rejected(self):
-        rng = np.random.default_rng(2)
-        cloud = make_cloud(rng.normal(size=(200, 2)))
-        indices, d2 = build_knn_graph(cloud, 20)
-        with pytest.raises(ValueError, match=r"must both be \(200, 20\), got \[\(150, 20\), \(150, 20\)\]"):
-            estimate_density(cloud, 0.1, 20, (indices[:150], d2[:150]))
-        with pytest.raises(ValueError, match=r"must both be \(200, 30\)"):
-            estimate_density(cloud, 0.1, 30, (indices, d2))
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(tie_clouds(), st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
     def test_tie_clouds_match_chunk_loop(self, inputs, tilde_epsilon):
         cloud, k = inputs
-        q = estimate_density(cloud, tilde_epsilon, k)
+        q = estimate_density(build_knn_graph(cloud, k)[1], tilde_epsilon)
         indices, _ = brute_knn(cloud.ambient, k)
         np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, indices))
 
@@ -167,7 +158,7 @@ class TestDensityEstimate:
         # the search's indices equal the brute oracle's (test_kernels)
         cloud, k, tilde_epsilon = paper_cloud(name)
         neighbors = build_knn_graph(cloud, k)
-        q = estimate_density(cloud, tilde_epsilon, k, neighbors)
+        q = estimate_density(neighbors[1], tilde_epsilon)
         np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, neighbors[0]))
 
 
@@ -176,7 +167,7 @@ class TestRightNormalize:
         rng = np.random.default_rng(seed)
         cloud = make_cloud(rng.normal(size=(n, 2)))
         coeffs = CoefficientField.isotropic(n, 2)
-        return assemble_kernel_matrix(cloud, coeffs, KernelConfig(0.5, 0.5, n))
+        return assemble(cloud, coeffs, KernelConfig(0.5, 0.5, n))
 
     def test_unit_density_is_identity(self):
         km = self.base_kernel()
@@ -206,7 +197,7 @@ class TestLeftNormalize:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         cloud = make_cloud(rng.normal(size=(40, 3)))
-        km = assemble_kernel_matrix(
+        km = assemble(
             cloud, CoefficientField.isotropic(40, 3), KernelConfig(0.4, 0.4, 10)
         )
         gen = left_normalize(km)
@@ -243,7 +234,7 @@ class TestNormalizeWritesOnlyData:
     def kernel():
         # 600 rows span three of the row blocks the normalizations run in
         cloud = sample_sphere(600, seed=5)
-        return assemble_kernel_matrix(cloud, CoefficientField.isotropic(600, 3), KernelConfig(0.02, 0.02, 30))
+        return assemble(cloud, CoefficientField.isotropic(600, 3), KernelConfig(0.02, 0.02, 30))
 
     @staticmethod
     def assert_shares_columns(out, mat, data, indices):
@@ -318,7 +309,7 @@ class TestGeneratorMatrix:
     def small_generator(self, n=5, eps=0.2, seed=4):
         rng = np.random.default_rng(seed)
         cloud = make_cloud(rng.normal(size=(n, 2)))
-        km = assemble_kernel_matrix(
+        km = assemble(
             cloud, CoefficientField.isotropic(n, 2), KernelConfig(eps, eps, n)
         )
         return left_normalize(km)
@@ -354,8 +345,8 @@ class TestBuildOperator:
         coeffs = CoefficientField.isotropic(30, 2)
         cfg = KernelConfig(0.3, 0.2, 8)
         gen = build_operator(cloud, coeffs, cfg, debias=True)
-        km = assemble_kernel_matrix(cloud, coeffs, cfg)
-        q = estimate_density(cloud, 0.2, 8)
+        km = assemble(cloud, coeffs, cfg)
+        q = estimate_density(build_knn_graph(cloud, 8)[1], 0.2)
         manual = left_normalize(right_normalize(km, q))
         np.testing.assert_array_equal(gen.s_matrix.toarray(), manual.s_matrix.toarray())
 
@@ -368,14 +359,49 @@ class TestBuildOperator:
         for run in (bvp1d_paper, ellipse_paper):
             assert np.abs(run.generator.apply(np.ones(run.generator.n_points))).max() <= 1e-8
 
-    def test_neighbors_searched_with_another_k_rejected(self):
-        # a 5-NN pair must not build an operator with 5 entries per row
+    def test_only_the_build_searches(self, monkeypatch):
+        # the assembly and the density read the arrays they are given; the
+        # build searches once when given no pair and never when given one
         cloud = circle_cloud(200)
         coeffs = CoefficientField.isotropic(200, 2)
-        with pytest.raises(ValueError, match=r"must both be \(200, 20\), got \[\(200, 5\)"):
-            build_operator(cloud, coeffs, KernelConfig(1e-3, 1e-3, 20), neighbors=build_knn_graph(cloud, 5))
+        cfg = KernelConfig(1e-3, 1e-3, 20)
+        search, calls = kernels.build_knn_graph, []
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        def spy(*args):
+            calls.append(args[1:])
+            return search(*args)
+
+        for module in (kernels, operator):
+            monkeypatch.setattr(module, "build_knn_graph", spy)
+        indices, d2 = search(cloud, 20)
+        kernels.assemble_kernel_matrix(cloud, coeffs, cfg, indices)
+        estimate_density(d2, 1e-3)
+        for debias in (True, False):
+            build_operator(cloud, coeffs, cfg, debias, (indices, d2))
+        assert calls == []
+        for debias in (True, False):
+            build_operator(cloud, coeffs, cfg, debias)
+        assert calls == [(20,), (20,)]
+
+    @pytest.mark.parametrize(
+        "cut,got",
+        [
+            (lambda pair: build_knn_graph(circle_cloud(200), 5), r"\(200, 5\), \(200, 5\)"),
+            (lambda pair: (pair[0], pair[1][:, :5]), r"\(200, 20\), \(200, 5\)"),
+            (lambda pair: (pair[0][:150], pair[1][:150]), r"\(150, 20\), \(150, 20\)"),
+        ],
+        ids=["searched-with-k-5", "d2-truncated", "150-rows"],
+    )
+    def test_neighbors_searched_with_another_k_rejected(self, cut, got):
+        # a 5-NN pair must not build an operator with 5 entries per row, nor
+        # may a pair whose d2 or rows do not match the indices and the cloud
+        cloud = circle_cloud(200)
+        coeffs = CoefficientField.isotropic(200, 2)
+        neighbors = cut(build_knn_graph(cloud, 20))
+        with pytest.raises(ValueError, match=rf"must both be \(200, 20\), got \[{got}\]"):
+            build_operator(cloud, coeffs, KernelConfig(1e-3, 1e-3, 20), neighbors=neighbors)
+
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(3, 60), st.booleans())
     def test_rigid_motion_invariance(self, seed, dim, n, debias):
         # isotropic C^-1 = I / c and zero drift see only |x_i - x_j|, which a
@@ -561,7 +587,7 @@ def isotropic_inputs(draw):
 class TestTuningExactness:
     """The scan equals the dense oracle: skipped terms are exactly 0.0."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(tuning_inputs())
     def test_random_clouds_match_dense_oracle(self, inputs):
         cloud, coeffs = inputs
@@ -573,7 +599,7 @@ class TestTuningExactness:
             return
         assert_matches_oracle(tune_bandwidth(cloud, coeffs, grid), oracle)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(isotropic_inputs())
     def test_symmetric_route_matches_dense_oracle(self, inputs):
         cloud, coeffs, c = inputs
@@ -585,7 +611,7 @@ class TestTuningExactness:
         n = cloud.n_points
         assert rep.pair_evals <= grid.size * (n * n + n * operator._BLOCK_ROWS) / 2
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(isotropic_inputs(), st.integers(0, 2**32 - 1), st.booleans())
     def test_one_asymmetric_point_takes_the_general_route(self, inputs, seed, scale_one):
         cloud, coeffs, _ = inputs
@@ -615,7 +641,7 @@ class TestTuningExactness:
         assert_matches_oracle(rep, dense_tuning(cloud, coeffs, grid))
         assert np.isfinite(rep.log_q[grid == 1.0][0]) == q_positive
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(st.one_of(tuning_inputs(), isotropic_inputs().map(lambda inputs: inputs[:2])))
     def test_rounding_margin_covers_the_pair_forms(self, inputs):
         # _q0_window allows the float64 quad = q0 + 2 eps q1 + eps^2 q2 to be

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lokpde import kernels
 from lokpde.geometry import CoefficientField, PointCloud, ambient_cloud_manifold, sample_points
-from lokpde.kernels import KernelConfig, assemble_kernel_matrix
+from lokpde.kernels import KernelConfig
 from lokpde.operator import build_operator, left_normalize
 from lokpde.problems import analytic_pair, problem_coefficients
 from lokpde.operator import GeneratorMatrix
@@ -30,13 +30,14 @@ from lokpde.solver import (
     solve_direct,
     solve_min_norm,
 )
+from test_kernels import assemble
 
 
 def small_generator(n=6, eps=0.15, seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 2))
     cloud = PointCloud(pts, None, "iid_density", ambient_cloud_manifold(2))
-    km = assemble_kernel_matrix(
+    km = assemble(
         cloud, CoefficientField.isotropic(n, 2), KernelConfig(eps, eps, n)
     )
     return left_normalize(km)
@@ -298,7 +299,7 @@ def small_systems(draw):
 
 
 class TestSolverProperties:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(small_systems())
     def test_min_norm_is_the_pseudo_inverse(self, system):
         _, _, _, _, _, gen, f, a, perm = system
@@ -315,7 +316,7 @@ class TestSolverProperties:
             rep.u_hat, np.linalg.solve(dense + np.diag(mixed), f), atol=1e-8
         )
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(small_systems())
     def test_null_vectors(self, system):
         _, _, _, _, _, gen, _, _, _ = system
@@ -328,7 +329,7 @@ class TestSolverProperties:
         assert np.abs(w @ dense).max() <= 1e-9 * np.abs(w).sum() * np.abs(dense).max()
         np.testing.assert_allclose(helper.null_vector(left=False), 1.0, atol=1e-9)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(small_systems())
     def test_direct_is_the_inverse(self, system):
         _, _, _, _, _, gen, f, a, _ = system
@@ -336,7 +337,7 @@ class TestSolverProperties:
         dense = gen.matrix().toarray() + np.diag(a)
         np.testing.assert_allclose(rep.u_hat, np.linalg.solve(dense, f), atol=1e-9)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(small_systems())
     def test_permutation_equivariance(self, system):
         pts, drift, k, eps, debias, gen, f, a, perm = system
@@ -382,7 +383,7 @@ def sparse_graphs(draw):
 
 
 class TestNullClasses:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(sparse_graphs())
     def test_blocked_edge_scan_matches_the_transitive_closure(self, graph):
         dense, shift, block_rows = graph
@@ -393,7 +394,7 @@ class TestNullClasses:
 
 
 class TestPrunedPreconditioner:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(small_systems())
     def test_pruned_copy_is_a_compensated_z_matrix(self, system):
         _, _, _, _, _, gen, _, a, _ = system
@@ -414,7 +415,7 @@ class TestPrunedPreconditioner:
                 np.diag(p), np.diag(b) + (1.0 - ILU_DROP_TOL) * removed, rtol=1e-14, atol=1e-15
             )
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(small_systems())
     def test_matrix_is_b_in_natural_order(self, system):
         # a pin q replaces row and column q of B by -e_q
