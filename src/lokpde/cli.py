@@ -297,6 +297,8 @@ def run_solve(config: RunConfig) -> dict:
     (``solver.direct_s`` or ``solver.min_norm_s``, as the record's
     ``solver`` names the route :func:`solve` took) and the CSV output;
     ``workers`` is their pool width and ``peak_rss_mb`` the peak RSS so far.
+    ``nnz`` counts the entries stored in S, ``factor_nnz`` those of its
+    incomplete factors.
     """
     import resource  # loaded by a solve, not by the import of the CLI
     start = time.perf_counter()
@@ -352,6 +354,7 @@ def run_solve(config: RunConfig) -> dict:
             "error_l2": report.error_l2,
             "residual_inf": report.residual_inf,
             "iterations": report.iterations,
+            "nnz": int(gen.s_matrix.nnz),
             "factor_nnz": report.factor_nnz,
             "d_hat": d_hat,
             "pair_evals": pair_evals,

@@ -9,8 +9,10 @@ pair (indices, d2) and writes each (N, k) array once:
 2. the kernel matrix K on the kNN pattern, its data and int32 columns,
    after which the kNN indices are released,
 3. (debias) new data on K's columns: column j divided by q_j,
-4. new data on the same columns: each row divided by its sum, giving a
-   row-stochastic matrix S and the generator L = (S - I) / eps.
+4. each row divided by its sum, giving a row-stochastic matrix S and the
+   generator L = (S - I) / eps: new data on the same columns, or, when
+   that takes no more bytes, new data and columns for only the entries
+   of S above float64 eps, divided by their own row sums.
 
 Each stage's data is released once the next has written its own.
 
@@ -77,7 +79,8 @@ class GeneratorMatrix:
     """Row-stochastic matrix S with its bandwidth; L = (S - I) / eps.
 
     ``row_sums`` holds the kernel row sums before normalization (the
-    diagonal of D in S = D^-1 K), after the debiasing division if any.
+    diagonal of D in S = D^-1 K), after the debiasing division if any,
+    over the entries S keeps (see :func:`left_normalize`).
     """
 
     s_matrix: scipy.sparse.csr_matrix
@@ -140,7 +143,18 @@ def right_normalize(kernel: SparseKernelMatrix, density: DensityEstimate) -> Spa
 
 
 def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
-    """Row-normalize to a stochastic matrix S = D^-1 K (D: scipy's CSR row sums of K), by :func:`_divided`."""
+    """Row-normalize to a stochastic matrix S = D^-1 K, keeping the entries of S above float64 eps.
+
+    D holds scipy's CSR row sums of K.  An entry of D^-1 K at or below
+    machine epsilon is below the rounding error of S_ii, so the solver's
+    closed-class pass already reads it as no link.  Such entries are dropped
+    when that costs no memory: when the kept data and columns together take
+    no more bytes than one data array of K (kept <= 2/3 nnz for int32
+    columns).  They are then written blockwise into arrays of the kept size
+    and divided by the row sums over the kept entries, so S stays
+    row-stochastic and each stored entry only grows.  Otherwise S is one new
+    data array on K's columns, by :func:`_divided`.
+    """
     mat = kernel.matrix
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     if np.any(row_sums <= 0):
@@ -150,7 +164,32 @@ def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
             "the point is isolated (k too small or epsilon too small)"
         )
     counts = np.diff(mat.indptr)
-    return GeneratorMatrix(_divided(mat, lambda r, _: np.repeat(row_sums[r], counts[r])), kernel.epsilon, row_sums)
+    blocks = _entry_blocks(mat.indptr)
+
+    def divisor(rows, _):
+        return np.repeat(row_sums[rows], counts[rows])
+
+    def above_eps(rows, entries):
+        return mat.data[entries] / divisor(rows, entries) > np.finfo(float).eps
+
+    n_kept = sum(int(np.count_nonzero(above_eps(r, e))) for r, e in blocks)
+    if n_kept * (mat.data.itemsize + mat.indices.itemsize) > mat.nnz * mat.data.itemsize:
+        return GeneratorMatrix(_divided(mat, divisor), kernel.epsilon, row_sums)
+    data, cols = np.empty(n_kept), np.empty(n_kept, dtype=mat.indices.dtype)
+    indptr = np.zeros_like(mat.indptr)
+    for rows, entries in blocks:
+        keep, ends = above_eps(rows, entries), indptr[rows.start + 1 : rows.stop + 1]
+        # every row is nonempty (its sum is positive), so reduceat counts each row's kept entries
+        np.cumsum(np.add.reduceat(keep, mat.indptr[rows] - entries.start, dtype=ends.dtype), out=ends)
+        ends += indptr[rows.start]
+        out = slice(indptr[rows.start], indptr[rows.stop])
+        np.compress(keep, mat.data[entries], out=data[out])
+        np.compress(keep, mat.indices[entries], out=cols[out])
+    s_matrix = scipy.sparse.csr_matrix((data, cols, indptr), shape=mat.shape)
+    kept_sums, kept_counts = np.asarray(s_matrix.sum(axis=1)).ravel(), np.diff(s_matrix.indptr)
+    for rows, entries in _entry_blocks(s_matrix.indptr):
+        s_matrix.data[entries] /= np.repeat(kept_sums[rows], kept_counts[rows])
+    return GeneratorMatrix(s_matrix, kernel.epsilon, kept_sums)
 
 
 def build_operator(
@@ -270,15 +309,13 @@ def _window_sums(q0, q1, q2_rows, low, high, grid, buf):
         lo, hi = los[idx], his[idx]
         if lo >= hi:
             continue
-        # quad / (-2 eps) == -quad / (2 eps) bit for bit
+        # -quad / (2 eps) as (q0 (-1/(2 eps)) - q1) - (eps/2) q2: for a
+        # power-of-two eps each step scales the formula's step exactly
         out = buf[: q0.shape[0] * (hi - lo)].reshape(q0.shape[0], hi - lo)
+        np.multiply(q0[:, lo:hi], -0.5 / eps, out=out)
         if q1 is not None:
-            np.multiply(q1[:, lo:hi], 2.0 * eps, out=out)
-            np.add(q0[:, lo:hi], out, out=out)
-            np.add(out, (eps * eps) * q2_rows, out=out)
-            np.divide(out, -2.0 * eps, out=out)
-        else:
-            np.divide(q0[:, lo:hi], -2.0 * eps, out=out)
+            np.subtract(out, q1[:, lo:hi], out=out)
+            np.subtract(out, (0.5 * eps) * q2_rows, out=out)
         np.exp(out, out=out)
         sums[idx] = out.sum()
         evals += out.size
@@ -298,9 +335,12 @@ def tune_bandwidth(
     Slopes of log Q against log eps use centered differences (one-sided at
     the ends); the maximal slope estimates d/2 and selects eps.
 
-    Every term that is evaluated uses exactly that formula; terms that
-    provably evaluate to 0.0 are skipped.  With C^-1 positive
-    semidefinite, quad = |v + eps B|^2 in the C^-1 seminorm, so
+    Every term that is evaluated computes -quad / (2 eps) as
+    (q0 (-1/(2 eps)) - q1) - (eps/2) q2, in three passes; for a power of
+    two eps, as on :func:`default_epsilon_grid`, each rounded step is an
+    exact scaling of the formula's, so the terms equal the formula's bit
+    for bit.  Terms that provably evaluate to 0.0 are skipped.  With C^-1
+    positive semidefinite, quad = |v + eps B|^2 in the C^-1 seminorm, so
     sqrt(quad) >= |sqrt(q0) - eps sqrt(q2)|.  A term is skipped when this
     bound, less a margin for the rounding of q0, q1, q2 and of the form,
     still puts quad / (2 eps) above 750, beyond the 745.13 at which
@@ -325,7 +365,7 @@ def tune_bandwidth(
     Blocks run on ``kernels.map_row_blocks``, each cutting its planes from
     its worker's scratch rows; the drift route gathers the row-sorted q0
     and q1 into those rows too.  The subtractions, multiplies and adds, the
-    sorts and gathers, and the window sums' divides, exp and sums release
+    sorts and gathers, and the window sums' multiplies, exp and sums release
     the GIL; only the Python loops over rows and grid points hold it.
     Partial sums are added in block order, so the result does not depend
     on the worker count.

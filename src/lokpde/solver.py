@@ -348,8 +348,10 @@ def _null_classes(s_matrix, shift):
     null vector of a + L.  The pattern keeps the entries above float64's
     machine epsilon: S_ii carries a rounding error of that size, so a row
     whose other entries are all smaller is absorbing in floating point
-    (S_ii - 1 rounds to 0).  With a != 0 at every point every class leaks,
-    and the connectivity pass is skipped.
+    (S_ii - 1 rounds to 0).  ``operator.left_normalize`` drops the smaller
+    entries from S itself when that saves memory, and S is then its own
+    pattern; otherwise the pattern is built here.  With a != 0 at every
+    point every class leaks, and the connectivity pass is skipped.
     """
     if shift.all():
         return np.empty(0, dtype=np.intp)

@@ -190,6 +190,21 @@ class TestRunSolve:
         assert len(rows) == 3
         assert all(float(r["u_hat"]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize(
+        "settings,stored",
+        [
+            # eps = 1e-4 is narrow against the ellipse's 200 neighbours: S keeps few entries
+            ({"problem": "ellipse", "N": 1000, "k": 200, "epsilon": 1e-4, "tilde_epsilon": 1e-4}, "fewer"),
+            ({"problem": "torus", "N": 6400, "k": 128, "epsilon": 0.0024, "tilde_epsilon": 0.0179}, "all"),
+        ],
+        ids=["ellipse", "torus"],
+    )
+    def test_record_counts_the_entries_s_stores(self, settings, stored):
+        record = run_solve(validate_config(settings))
+        n_k = settings["N"] * settings["k"]
+        assert isinstance(record["nnz"], int)
+        assert record["nnz"] < n_k if stored == "fewer" else record["nnz"] == n_k
+
     def test_csv_bytes_are_per_cell_fmt(self, tmp_path):
         out = tmp_path / "ellipse.csv"
         cfg = validate_config(

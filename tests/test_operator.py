@@ -30,6 +30,7 @@ from lokpde.operator import (
     tune_gaussian_bandwidth,
 )
 from lokpde.problems import analytic_pair, problem_coefficients
+from lokpde.solver import _null_classes
 from test_kernels import PAPER_GRIDS, assemble, brute_knn, paper_cloud, squared_distances, tie_clouds
 
 
@@ -226,6 +227,46 @@ class TestLeftNormalize:
             left_normalize(SparseKernelMatrix(mat, 0.1))
 
 
+class TestPruning:
+    """left_normalize keeps only the entries of S above float64 eps when
+    their data and columns take no more bytes than one data array of K."""
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(5, 80), st.floats(-6.0, 0.0))
+    def test_s_is_unchanged_or_keeps_its_entries_above_eps_renormalized(self, seed, dim, n, log_eps):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, n + 1))
+        km = assemble(make_cloud(rng.uniform(size=(n, dim))), CoefficientField.isotropic(n, dim),
+                      KernelConfig(10.0**log_eps, 1.0, k))
+        mat = km.matrix
+        # the S of every entry: K's data over scipy's row sums, on K's columns
+        full_sums = np.asarray(mat.sum(axis=1)).ravel()
+        full = scipy.sparse.csr_matrix(
+            (mat.data / np.repeat(full_sums, np.diff(mat.indptr)), mat.indices, mat.indptr), shape=mat.shape
+        )
+        gen = left_normalize(km)
+        s, tiny = gen.s_matrix, np.finfo(float).eps
+        keep = full.data > tiny
+        compacts = np.count_nonzero(keep) * (8 + mat.indices.itemsize) <= mat.nnz * 8
+        assert (s.nnz < mat.nnz) == compacts
+        if not compacts:
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(s, name), getattr(full, name))
+            np.testing.assert_array_equal(gen.row_sums, full_sums)
+        else:
+            assert (s.data > tiny).all()
+            np.testing.assert_array_equal(s.indices, mat.indices[keep])
+            np.testing.assert_array_equal(np.diff(s.indptr), np.add.reduceat(keep, mat.indptr[:-1]))
+            np.testing.assert_allclose(np.asarray(s.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-12)
+            # S = D^-1 K over the kept entries, with D their row sums
+            np.testing.assert_allclose(gen.row_sums, np.add.reduceat(mat.data * keep, mat.indptr[:-1]), rtol=1e-13)
+            np.testing.assert_array_equal(s.data, mat.data[keep] / np.repeat(gen.row_sums, np.diff(s.indptr)))
+            scale = np.repeat(full_sums / gen.row_sums, np.diff(s.indptr))
+            np.testing.assert_allclose(s.data, full.data[keep] * scale, rtol=1e-15, atol=0)
+        zero = np.zeros(n)
+        np.testing.assert_array_equal(_null_classes(s, zero), _null_classes(full, zero))
+
+
 class TestNormalizeWritesOnlyData:
     """Each normalization writes one new data array on its input's index
     arrays and leaves the input as it was."""
@@ -264,17 +305,18 @@ class TestNormalizeWritesOnlyData:
 
 
 class TestOperatorMemory:
-    def test_build_allocates_at_most_two_float_arrays_beyond_its_output(self):
+    @staticmethod
+    def assert_peak_within_two_float_arrays_of_output(cloud, cfg, debias):
         # the kernel's data and int32 columns are written once, and each
-        # normalization adds one data array on those columns, so at most one
-        # float (N, k) array and block-sized temporaries exceed S itself
-        n, k = 2000, 100
-        cloud = sample_sphere(n, seed=1)
+        # normalization adds one data array on those columns, or S's own
+        # data and columns of no more bytes, so at most one float (N, k)
+        # array and block-sized temporaries exceed S itself
+        n, k = cloud.n_points, cfg.k_neighbors
         neighbors = build_knn_graph(cloud, k)
         tracemalloc.start()
         try:
             gen = build_operator(
-                cloud, CoefficientField.isotropic(n, 3), KernelConfig(0.015, 0.01, k), neighbors=neighbors
+                cloud, CoefficientField.isotropic(n, cloud.ambient_dim), cfg, debias=debias, neighbors=neighbors
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -282,6 +324,21 @@ class TestOperatorMemory:
         s = gen.s_matrix
         output = s.data.nbytes + s.indices.nbytes + s.indptr.nbytes + gen.row_sums.nbytes
         assert peak - output <= 2 * n * k * 8
+        return s
+
+    def test_build_allocates_at_most_two_float_arrays_beyond_its_output(self):
+        s = self.assert_peak_within_two_float_arrays_of_output(
+            sample_sphere(2000, seed=1), KernelConfig(0.015, 0.01, 100), debias=True
+        )
+        assert s.nnz == 2000 * 100
+
+    def test_compacted_build_allocates_at_most_two_float_arrays_beyond_its_output(self):
+        # k = 100 neighbours at spacing 5e-4 against a kernel width of
+        # sqrt(eps) ~ 5.5e-4: S keeps about a fifth of the entries; the
+        # uniform grid, like the paper's bvp1d run, is not debiased
+        cloud = make_cloud(np.linspace(0.0, 1.0, 2000)[:, None])
+        s = self.assert_peak_within_two_float_arrays_of_output(cloud, KernelConfig(3e-7, 3e-7, 100), debias=False)
+        assert s.nnz < 2000 * 100 / 3
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="older interpreters hold call arguments until return")
     def test_each_neighbor_array_is_released_after_its_last_reader(self, monkeypatch):

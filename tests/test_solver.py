@@ -213,9 +213,14 @@ class TestNamedFailures:
     def test_underflowing_links_are_disconnected(self):
         # the clusters are joined only by kernel values ~ e^-500 > 0, below
         # the rounding error of S_ii: in floating point they are separate
+        # (S stores only its entries above eps, so the link is checked in K)
         pts = np.array([[0.0], [0.05], [1.0], [1.05]])
+        cloud = PointCloud(pts, None, "iid_density", ambient_cloud_manifold(1))
+        kernel = assemble(cloud, CoefficientField.isotropic(4, 1), KernelConfig(1e-3, 1e-3, 4)).matrix
+        assert 0 < kernel[0, 2] < np.finfo(float).eps * kernel[0].sum()
         gen = cloud_generator(pts, 4, 1e-3)
-        assert 0 < gen.s_matrix[0, 2] < np.finfo(float).eps
+        s = gen.s_matrix
+        assert 2 not in s.indices[s.indptr[0] : s.indptr[1]]
         with pytest.raises(DisconnectedGraphError) as info:
             solve_min_norm(LinearProblem(gen, np.zeros(4), np.array([1.0, 0.0, 0.0, -1.0])))
         assert (info.value.n_classes, info.value.extra_points) == (2, [2])
