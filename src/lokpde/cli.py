@@ -297,8 +297,8 @@ def run_solve(config: RunConfig) -> dict:
     (``solver.direct_s`` or ``solver.min_norm_s``, as the record's
     ``solver`` names the route :func:`solve` took) and the CSV output;
     ``workers`` is their pool width and ``peak_rss_mb`` the peak RSS so far.
-    ``nnz`` counts the entries stored in S, ``factor_nnz`` those of its
-    incomplete factors.
+    ``nnz`` counts S's links, the entries it stores (those above float64
+    eps), and ``factor_nnz`` those of its incomplete factors.
     """
     import resource  # loaded by a solve, not by the import of the CLI
     start = time.perf_counter()

@@ -10,9 +10,9 @@ pair (indices, d2) and writes each (N, k) array once:
    after which the kNN indices are released,
 3. (debias) new data on K's columns: column j divided by q_j,
 4. each row divided by its sum, giving a row-stochastic matrix S and the
-   generator L = (S - I) / eps: new data on the same columns, or, when
-   that takes no more bytes, new data and columns for only the entries
-   of S above float64 eps, divided by their own row sums.
+   generator L = (S - I) / eps.  S stores only its links, the entries
+   above float64 eps: new data on K's columns when every entry is one,
+   else new data and columns for the links, divided by their own row sums.
 
 Each stage's data is released once the next has written its own.
 
@@ -78,14 +78,21 @@ class DensityEstimate:
 class GeneratorMatrix:
     """Row-stochastic matrix S with its bandwidth; L = (S - I) / eps.
 
-    ``row_sums`` holds the kernel row sums before normalization (the
-    diagonal of D in S = D^-1 K), after the debiasing division if any,
-    over the entries S keeps (see :func:`left_normalize`).
+    S stores only its links: every stored entry is above float64 eps, and
+    an S that stores one at or below it is rejected (see
+    :func:`left_normalize`), so S is its own graph.  ``row_sums`` holds
+    the kernel row sums before normalization (the diagonal of D in
+    S = D^-1 K), after the debiasing division if any, over those links.
     """
 
     s_matrix: scipy.sparse.csr_matrix
     epsilon: float
     row_sums: np.ndarray
+
+    def __post_init__(self):
+        data = self.s_matrix.data
+        if data.size and not data.min() > np.finfo(float).eps:
+            raise ValueError(f"S stores {data.min()!r}, at or below float64 eps, which is no link")
 
     @property
     def n_points(self) -> int:
@@ -143,17 +150,22 @@ def right_normalize(kernel: SparseKernelMatrix, density: DensityEstimate) -> Spa
 
 
 def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
-    """Row-normalize to a stochastic matrix S = D^-1 K, keeping the entries of S above float64 eps.
+    """Row-normalize to a stochastic matrix S = D^-1 K that stores only its links.
 
-    D holds scipy's CSR row sums of K.  An entry of D^-1 K at or below
-    machine epsilon is below the rounding error of S_ii, so the solver's
-    closed-class pass already reads it as no link.  Such entries are dropped
-    when that costs no memory: when the kept data and columns together take
-    no more bytes than one data array of K (kept <= 2/3 nnz for int32
-    columns).  They are then written blockwise into arrays of the kept size
-    and divided by the row sums over the kept entries, so S stays
-    row-stochastic and each stored entry only grows.  Otherwise S is one new
-    data array on K's columns, by :func:`_divided`.
+    D holds scipy's CSR row sums s_i of K.  S stores exactly the entries
+    with fl(K_ij / s_i) > eps, float64's machine epsilon: a smaller entry
+    is below the rounding error of S_ii, so it is no link.  The count pass
+    divides nothing: it tests K_ij > eps s_i, one multiply per row.  That
+    is the same test, as eps = 2^-52 makes eps s_i exact, so a K_ij above
+    it is at least one ulp above, and K_ij / s_i lies more than half an
+    ulp above eps and rounds up.  Every row keeps its largest entry, at
+    least s_i / k, so no row of S is empty.
+
+    With no entry dropped, S is one new data array on K's index arrays,
+    by :func:`_divided`: bit for bit the S of the other path, less the
+    copy of the columns.  Otherwise the links are written block by block
+    into arrays of their count and divided by their row sums, which
+    ``row_sums`` then holds, so S stays row-stochastic.
     """
     mat = kernel.matrix
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
@@ -166,15 +178,13 @@ def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
     counts = np.diff(mat.indptr)
     blocks = _entry_blocks(mat.indptr)
 
-    def divisor(rows, _):
-        return np.repeat(row_sums[rows], counts[rows])
-
     def above_eps(rows, entries):
-        return mat.data[entries] / divisor(rows, entries) > np.finfo(float).eps
+        # exact as fl(K_ij / s_i) > eps for s_i >= 2^-970, where eps s_i is a normal double
+        return mat.data[entries] > np.repeat(np.finfo(float).eps * row_sums[rows], counts[rows])
 
     n_kept = sum(int(np.count_nonzero(above_eps(r, e))) for r, e in blocks)
-    if n_kept * (mat.data.itemsize + mat.indices.itemsize) > mat.nnz * mat.data.itemsize:
-        return GeneratorMatrix(_divided(mat, divisor), kernel.epsilon, row_sums)
+    if n_kept == mat.nnz:
+        return GeneratorMatrix(_divided(mat, lambda r, _: np.repeat(row_sums[r], counts[r])), kernel.epsilon, row_sums)
     data, cols = np.empty(n_kept), np.empty(n_kept, dtype=mat.indices.dtype)
     indptr = np.zeros_like(mat.indptr)
     for rows, entries in blocks:
@@ -183,8 +193,7 @@ def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
         np.cumsum(np.add.reduceat(keep, mat.indptr[rows] - entries.start, dtype=ends.dtype), out=ends)
         ends += indptr[rows.start]
         out = slice(indptr[rows.start], indptr[rows.stop])
-        np.compress(keep, mat.data[entries], out=data[out])
-        np.compress(keep, mat.indices[entries], out=cols[out])
+        data[out], cols[out] = mat.data[entries][keep], mat.indices[entries][keep]
     s_matrix = scipy.sparse.csr_matrix((data, cols, indptr), shape=mat.shape)
     kept_sums, kept_counts = np.asarray(s_matrix.sum(axis=1)).ravel(), np.diff(s_matrix.indptr)
     for rows, entries in _entry_blocks(s_matrix.indptr):

@@ -111,7 +111,7 @@ class DisconnectedGraphError(RuntimeError):
     """S has more than one closed class, so L has nullity > 1.
 
     ``n_classes`` is the number of closed classes (strongly connected
-    components of the positive pattern of S that no edge leaves) and
+    components of the graph of S that no edge leaves) and
     ``extra_points`` names the smallest point index of every class after
     the first.
     """
@@ -343,27 +343,23 @@ def solve(problem: LinearProblem) -> SolveReport:
 def _null_classes(s_matrix, shift):
     """Smallest point index of each closed class of S with a = 0 on it.
 
-    A closed class is a strongly connected component of the pattern of S
+    A closed class is a strongly connected component of the graph of S
     that no edge leaves; with a <= 0, each one on which a = 0 carries one
-    null vector of a + L.  The pattern keeps the entries above float64's
-    machine epsilon: S_ii carries a rounding error of that size, so a row
-    whose other entries are all smaller is absorbing in floating point
-    (S_ii - 1 rounds to 0).  ``operator.left_normalize`` drops the smaller
-    entries from S itself when that saves memory, and S is then its own
-    pattern; otherwise the pattern is built here.  With a != 0 at every
-    point every class leaks, and the connectivity pass is skipped.
+    null vector of a + L.  S is its own graph: it stores only its links,
+    the entries above float64 eps (``operator.GeneratorMatrix``), and a
+    row whose other entries are all smaller is absorbing in floating point
+    (S_ii - 1 rounds to 0).  With a != 0 at every point every class
+    leaks, and the connectivity pass is skipped.
     """
     if shift.all():
         return np.empty(0, dtype=np.intp)
     from scipy.sparse.csgraph import connected_components
 
-    tiny = np.finfo(float).eps
-    pattern = s_matrix if (s_matrix.data > tiny).all() else (s_matrix > tiny).tocsr()
-    n_comp, labels = connected_components(pattern, directed=True, connection="strong")
-    counts = np.diff(pattern.indptr)
+    n_comp, labels = connected_components(s_matrix, directed=True, connection="strong")
+    counts = np.diff(s_matrix.indptr)
     leaks = np.zeros(n_comp, dtype=bool)
-    for rows, entries in _entry_blocks(pattern.indptr):  # block-sized label arrays
-        tails, heads = np.repeat(labels[rows], counts[rows]), labels[pattern.indices[entries]]
+    for rows, entries in _entry_blocks(s_matrix.indptr):  # block-sized label arrays
+        tails, heads = np.repeat(labels[rows], counts[rows]), labels[s_matrix.indices[entries]]
         leaks[tails[tails != heads]] = True
     leaks[labels[shift != 0]] = True
     _, first_member = np.unique(labels, return_index=True)
@@ -412,9 +408,9 @@ def solve_direct(problem: LinearProblem) -> SolveReport:
             "use solve_min_norm for the singular case"
         )
     n = problem.generator.n_points
-    f_scale = max(float(np.abs(f).max()), np.finfo(float).tiny)
     if not np.any(f):
         return SolveReport(np.zeros(n), "direct", 0.0, iterations=0)
+    f_scale = float(np.abs(f).max())
     try:
         u, residual, system = _krylov_solve(
             problem.generator, a, f, DIRECT_RESIDUAL_RTOL * f_scale, np.iinfo(np.int64).max
@@ -426,14 +422,6 @@ def solve_direct(problem: LinearProblem) -> SolveReport:
             f"direct solve failed at relative residual {res_inf / f_scale:.3e}: {exc}", res_inf, u
         ) from None
     return SolveReport(u, "direct", float(np.abs(residual).max()), system.iterations, system.factor_nnz)
-
-
-def _svd_min_norm(A, f):
-    dense = A.toarray() if scipy.sparse.issparse(A) else np.asarray(A)
-    u_mat, sing, vt = np.linalg.svd(dense, full_matrices=False)
-    keep = sing > SVD_TRUNCATION_RTOL * sing[0]
-    coeff = (u_mat.T @ f)[keep] / sing[keep]
-    return vt[keep].T @ coeff
 
 
 def solve_min_norm(
@@ -480,7 +468,9 @@ def solve_min_norm(
         if n > SVD_MAX_N:
             raise ValueError(f"svd path is limited to N <= {SVD_MAX_N}, got N={n}")
         A = generator.shifted_matrix(a)
-        u, itn = _svd_min_norm(A, f), 0
+        u_mat, sing, vt = np.linalg.svd(A.toarray(), full_matrices=False)
+        keep = sing > SVD_TRUNCATION_RTOL * sing[0]
+        u, itn = vt[keep].T @ ((u_mat.T @ f)[keep] / sing[keep]), 0
         residual = float(np.linalg.norm(A @ u - f))
     return SolveReport(u, f"min_norm_{method}", residual, iterations=itn, factor_nnz=factor_nnz)
 

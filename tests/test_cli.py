@@ -195,7 +195,8 @@ class TestRunSolve:
         [
             # eps = 1e-4 is narrow against the ellipse's 200 neighbours: S keeps few entries
             ({"problem": "ellipse", "N": 1000, "k": 200, "epsilon": 1e-4, "tilde_epsilon": 1e-4}, "fewer"),
-            ({"problem": "torus", "N": 6400, "k": 128, "epsilon": 0.0024, "tilde_epsilon": 0.0179}, "all"),
+            # 793 523 of the torus's 819 200 entries are links
+            ({"problem": "torus", "N": 6400, "k": 128, "epsilon": 0.0024, "tilde_epsilon": 0.0179}, "fewer"),
         ],
         ids=["ellipse", "torus"],
     )

@@ -21,6 +21,7 @@ from lokpde.geometry import (
 from lokpde.kernels import KernelConfig, SparseKernelMatrix, build_knn_graph
 from lokpde.operator import (
     DensityEstimate,
+    GeneratorMatrix,
     build_operator,
     default_epsilon_grid,
     estimate_density,
@@ -228,8 +229,8 @@ class TestLeftNormalize:
 
 
 class TestPruning:
-    """left_normalize keeps only the entries of S above float64 eps when
-    their data and columns take no more bytes than one data array of K."""
+    """S stores exactly the entries of D^-1 K above float64 eps, divided by
+    their own row sums."""
 
     @settings(max_examples=80)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(5, 80), st.floats(-6.0, 0.0))
@@ -245,26 +246,20 @@ class TestPruning:
             (mat.data / np.repeat(full_sums, np.diff(mat.indptr)), mat.indices, mat.indptr), shape=mat.shape
         )
         gen = left_normalize(km)
-        s, tiny = gen.s_matrix, np.finfo(float).eps
-        keep = full.data > tiny
-        compacts = np.count_nonzero(keep) * (8 + mat.indices.itemsize) <= mat.nnz * 8
-        assert (s.nnz < mat.nnz) == compacts
-        if not compacts:
-            for name in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(s, name), getattr(full, name))
-            np.testing.assert_array_equal(gen.row_sums, full_sums)
-        else:
-            assert (s.data > tiny).all()
-            np.testing.assert_array_equal(s.indices, mat.indices[keep])
-            np.testing.assert_array_equal(np.diff(s.indptr), np.add.reduceat(keep, mat.indptr[:-1]))
-            np.testing.assert_allclose(np.asarray(s.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-12)
-            # S = D^-1 K over the kept entries, with D their row sums
-            np.testing.assert_allclose(gen.row_sums, np.add.reduceat(mat.data * keep, mat.indptr[:-1]), rtol=1e-13)
-            np.testing.assert_array_equal(s.data, mat.data[keep] / np.repeat(gen.row_sums, np.diff(s.indptr)))
-            scale = np.repeat(full_sums / gen.row_sums, np.diff(s.indptr))
-            np.testing.assert_allclose(s.data, full.data[keep] * scale, rtol=1e-15, atol=0)
+        s = gen.s_matrix
+        # defined by the division, so the multiply test of left_normalize is checked against it
+        keep = full.data > np.finfo(float).eps
+        indptr = np.concatenate([[0], np.cumsum(np.add.reduceat(keep, mat.indptr[:-1]))])
+        np.testing.assert_array_equal(s.indices, mat.indices[keep])
+        np.testing.assert_array_equal(s.indptr, indptr)
+        # S = D^-1 K over the kept entries, with D their scipy row sums
+        kept = scipy.sparse.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
+        np.testing.assert_array_equal(gen.row_sums, np.asarray(kept.sum(axis=1)).ravel())
+        np.testing.assert_array_equal(s.data, mat.data[keep] / np.repeat(gen.row_sums, np.diff(indptr)))
+        assert np.shares_memory(s.indices, mat.indices) == keep.all()
+        restricted = scipy.sparse.csr_matrix((full.data[keep], mat.indices[keep], indptr), shape=mat.shape)
         zero = np.zeros(n)
-        np.testing.assert_array_equal(_null_classes(s, zero), _null_classes(full, zero))
+        np.testing.assert_array_equal(_null_classes(s, zero), _null_classes(restricted, zero))
 
 
 class TestNormalizeWritesOnlyData:
@@ -393,6 +388,14 @@ class TestGeneratorMatrix:
     def test_diagonal_strictly_positive(self, bvp1d_paper):
         diag = bvp1d_paper.generator.s_matrix.diagonal()
         assert (diag > 0).all()
+
+    @pytest.mark.parametrize("tiny", [1e-17, 0.0])
+    def test_rejects_a_stored_entry_at_or_below_eps(self, tiny):
+        data, cols, indptr = np.array([1.0, tiny, 1.0]), np.array([0, 1, 1]), np.array([0, 2, 3])
+        s = scipy.sparse.csr_matrix((data, cols, indptr), shape=(2, 2))
+        assert s.nnz == 3
+        with pytest.raises(ValueError, match="no link"):
+            GeneratorMatrix(s, 0.1, np.ones(2))
 
 
 class TestBuildOperator:

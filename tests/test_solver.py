@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from lokpde import kernels
 from lokpde.geometry import CoefficientField, PointCloud, ambient_cloud_manifold, sample_points
-from lokpde.kernels import KernelConfig
+from lokpde.kernels import KernelConfig, SparseKernelMatrix
 from lokpde.operator import build_operator, left_normalize
 from lokpde.problems import analytic_pair, problem_coefficients
 from lokpde.operator import GeneratorMatrix
@@ -394,8 +396,22 @@ class TestNullClasses:
         dense, shift, block_rows = graph
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "_CHUNK_ROWS", block_rows)
-            classes = _null_classes(scipy.sparse.csr_matrix(dense), shift)
+            # unit self-loops give every row a positive sum and change no class
+            gen = left_normalize(SparseKernelMatrix(scipy.sparse.csr_matrix(dense + np.eye(len(dense))), 1.0))
+            classes = _null_classes(gen.s_matrix, shift)
         assert classes.tolist() == closed_class_oracle(dense, shift)
+
+    def test_reads_s_as_its_own_graph(self, torus_paper):
+        # no pattern is built: the torus S (793 523 links, 9.5 MB) is passed as it is
+        s = torus_paper.generator.s_matrix
+        zero = np.zeros(s.shape[0])
+        tracemalloc.start()
+        try:
+            assert _null_classes(s, zero).size == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < s.nnz * 4
 
 
 class TestPrunedPreconditioner:
