@@ -4,7 +4,19 @@ Runs are described by a JSON config (``--config``) whose keys can be
 overridden by flags of the same name.  Every run resolves "auto" bandwidth
 fields before solving and echoes the resolved values, writes RFC-4180 CSV
 output, and prints one machine-readable JSON result record to stdout.
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
+
+A key that a run does not read must stay at its default, and the record
+leaves it out.  Each ``RunConfig`` field declares these runs as its skip:
+
+- a study sizes, tunes and solves each zoo problem itself: N, epsilon,
+  tilde_epsilon, shift_a, rhs, coefficients;
+- a tune reads only the cloud and its coefficients: k, epsilon,
+  tilde_epsilon, debias, shift_a, rhs;
+- a zoo problem lifts its own coefficients: coefficients;
+- a cloud file is read, not sampled: N, mode, seed.
+
+Exit codes: 0 success; 1 usage or config error, including an input file
+that cannot be read and a cloud that cannot be sampled; 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,35 +45,11 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 1)."""
 
 
-def _key(meaning, default=dataclasses.MISSING):
+def _key(meaning, rule, default=dataclasses.MISSING, skip=()):
     # meaning: what the key holds; also the help of the flag --<key with - for _>
-    return dataclasses.field(default=default, metadata={"help": meaning})
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's settings: each field is a config key and a ``--<key>`` flag."""
-
-    problem: str = _key("problem id or point-cloud file path (string)")
-    N: int | None = _key("positive integer >= 2", None)
-    mode: str = _key('"uniform_grid" or "iid_density"', "uniform_grid")
-    seed: int = _key("integer", 0)
-    k: int = _key("integer >= 2", 128)
-    epsilon: float | str = _key('positive real or "auto"', "auto")
-    tilde_epsilon: float | str = _key('positive real or "auto"', "auto")
-    debias: bool = _key("boolean", True)
-    shift_a: float | str = _key('real <= 0 or "problem-default"', "problem-default")
-    rhs: float | str = _key('real, values-file path, or "problem"', "problem")
-    coefficients: str | None = _key("per-point coefficient CSV path or null", None)
-    output: str | None = _key("output file path or null", None)
-
-    @property
-    def is_cloud_file(self) -> bool:
-        return self.problem not in PROBLEM_IDS
-
-
-_SCHEMA = {f.name: f.metadata["help"] for f in dataclasses.fields(RunConfig)}
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    # rule(key, value): the checked value, or a ConfigError naming the key
+    # skip: the runs that do not read the key ("study", "tune", "zoo problem", "cloud file")
+    return dataclasses.field(default=default, metadata={"help": meaning, "rule": rule, "skip": skip})
 
 
 def _as_bool(key, value):
@@ -101,54 +89,96 @@ def _as_real_or(key, value, *allowed):
     return out
 
 
+def _problem(key, value):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"config key {key!r} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _size(key, value):
+    out = _as_int(key, value)
+    if out < 2:
+        raise ConfigError(f"config key {key!r} must be >= 2, got {out}")
+    return out
+
+
+def _size_or_null(key, value):
+    return None if value is None else _size(key, value)
+
+
+def _mode(key, value):
+    if value not in ("uniform_grid", "iid_density"):
+        raise ConfigError(f"config key {key!r} must be 'uniform_grid' or 'iid_density', got {value!r}")
+    return value
+
+
+def _bandwidth(key, value):
+    out = _as_real_or(key, value, "auto")
+    if isinstance(out, float) and out <= 0:
+        raise ConfigError(f"config key {key!r} must be positive, got {out}")
+    return out
+
+
+def _shift(key, value):
+    # a > 0 is checked by the solve, the only run that reads the shift
+    return _as_real_or(key, value, "problem-default")
+
+
+def _rhs(key, value):
+    # a bool is an int; taken as a path, open(True) would read fd 1
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"config key {key!r} must be a real, a file path, or 'problem', got {value!r}")
+    return value if isinstance(value, str) else _as_real_or(key, value)
+
+
+def _path_or_null(key, value):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a path or null, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's settings: each field is a config key and a ``--<key>`` flag."""
+
+    problem: str = _key("problem id or point-cloud file path (string)", _problem)
+    N: int | None = _key("positive integer >= 2", _size_or_null, None, ("study", "cloud file"))
+    mode: str = _key('"uniform_grid" or "iid_density"', _mode, "uniform_grid", ("cloud file",))
+    seed: int = _key("integer", _as_int, 0, ("cloud file",))
+    k: int = _key("integer >= 2", _size, 128, ("tune",))
+    epsilon: float | str = _key('positive real or "auto"', _bandwidth, "auto", ("study", "tune"))
+    tilde_epsilon: float | str = _key('positive real or "auto"', _bandwidth, "auto", ("study", "tune"))
+    debias: bool = _key("boolean", _as_bool, True, ("tune",))
+    shift_a: float | str = _key('real <= 0 or "problem-default"', _shift, "problem-default", ("study", "tune"))
+    rhs: float | str = _key('real, values-file path, or "problem"', _rhs, "problem", ("study", "tune"))
+    coefficients: str | None = _key(
+        "per-point coefficient CSV path or null", _path_or_null, None, ("study", "zoo problem")
+    )
+    output: str | None = _key("output file path or null", _path_or_null, None)
+
+    @property
+    def is_cloud_file(self) -> bool:
+        return self.problem not in PROBLEM_IDS
+
+
+_SCHEMA = {f.name: f.metadata["help"] for f in dataclasses.fields(RunConfig)}
+
+
 def validate_config(raw: dict) -> RunConfig:
     """Validate a raw key/value mapping into a RunConfig.
 
-    Unknown keys are rejected by name; "auto" bandwidths stay symbolic here
-    and are resolved at run time.
+    Unknown keys are rejected by name; each other key, or its default, goes
+    through its field's rule, in field order and ``problem`` last.  "auto"
+    bandwidths stay symbolic here and are resolved at run time.
     """
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    merged = {**_DEFAULTS, **raw}
-
-    n = merged["N"]
-    if n is not None:
-        n = _as_int("N", n)
-        if n < 2:
-            raise ConfigError(f"config key 'N' must be >= 2, got {n}")
-    mode = merged["mode"]
-    if mode not in ("uniform_grid", "iid_density"):
-        raise ConfigError(f"config key 'mode' must be 'uniform_grid' or 'iid_density', got {mode!r}")
-    seed = _as_int("seed", merged["seed"])
-    k = _as_int("k", merged["k"])
-    if k < 2:
-        raise ConfigError(f"config key 'k' must be >= 2, got {k}")
-    epsilon = _as_real_or("epsilon", merged["epsilon"], "auto")
-    if isinstance(epsilon, float) and epsilon <= 0:
-        raise ConfigError(f"config key 'epsilon' must be positive, got {epsilon}")
-    tilde = _as_real_or("tilde_epsilon", merged["tilde_epsilon"], "auto")
-    if isinstance(tilde, float) and tilde <= 0:
-        raise ConfigError(f"config key 'tilde_epsilon' must be positive, got {tilde}")
-    debias = _as_bool("debias", merged["debias"])
-    shift = _as_real_or("shift_a", merged["shift_a"], "problem-default")
-    rhs = merged["rhs"]
-    if isinstance(rhs, bool) or not isinstance(rhs, (str, int, float)):
-        raise ConfigError(f"config key 'rhs' must be a real, a file path, or 'problem', got {rhs!r}")
-    if not isinstance(rhs, str):
-        rhs = _as_real_or("rhs", rhs)
-    for key in ("coefficients", "output"):
-        if merged[key] is not None and not isinstance(merged[key], str):
-            raise ConfigError(f"config key {key!r} must be a path or null, got {merged[key]!r}")
+    problem, *keys = dataclasses.fields(RunConfig)
+    checked = {f.name: f.metadata["rule"](f.name, raw.get(f.name, f.default)) for f in keys}
     if "problem" not in raw:
         raise ConfigError("config key 'problem' is required")
-    problem = merged["problem"]
-    if not isinstance(problem, str) or not problem:
-        raise ConfigError(f"config key 'problem' must be a non-empty string, got {problem!r}")
-
-    return RunConfig(
-        problem, n, mode, seed, k, epsilon, tilde, debias, shift, rhs, merged["coefficients"], merged["output"]
-    )
+    return RunConfig(problem.metadata["rule"]("problem", raw["problem"]), **checked)
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -302,6 +332,7 @@ def run_solve(config: RunConfig) -> dict:
     """
     import resource  # loaded by a solve, not by the import of the CLI
     start = time.perf_counter()
+    record = _record(config, "solve")
     cloud, coeffs, problem, debias = _build_cloud(config)
     shift, rhs = _build_system(config, cloud, problem)
     mark = time.perf_counter()
@@ -342,10 +373,10 @@ def run_solve(config: RunConfig) -> dict:
         _write_csv(config.output, header, rows)
     stages["cli.output_s"] = time.perf_counter() - mark
 
-    record = dataclasses.asdict(config)
     record.update(
         {
             "N": cloud.n_points,
+            "k": k,
             "epsilon": epsilon,
             "tilde_epsilon": tilde_epsilon,
             "debias": debias,
@@ -367,33 +398,35 @@ def run_solve(config: RunConfig) -> dict:
     return record
 
 
-# the keys each command does not read: a study sizes, tunes and solves each
-# zoo problem itself; a scan reads only the cloud and its coefficients
-_IGNORED_KEYS = {
-    "study": ("N", "epsilon", "tilde_epsilon", "shift_a", "rhs", "coefficients"),
-    "tune": ("k", "epsilon", "tilde_epsilon", "debias", "shift_a", "rhs"),
-}
-
-
 def _record(config: RunConfig, command: str) -> dict:
-    """The config without the keys ``command`` ignores, each at its default."""
-    record = dataclasses.asdict(config)
-    for key in _IGNORED_KEYS[command]:
-        value = record.pop(key)
-        if value != _DEFAULTS[key]:
-            raise ConfigError(f"config key {key!r} does not apply to a {command}, got {value!r}")
+    """The config without the keys that ``command`` on this kind of problem
+    does not read; such a key off its default is a ConfigError."""
+    runs = (command, "cloud file" if config.is_cloud_file else "zoo problem")
+    record = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        skipped_by = [run for run in runs if run in f.metadata["skip"]]
+        if not skipped_by:
+            record[f.name] = value
+        elif value != f.default:
+            raise ConfigError(f"config key {f.name!r} does not apply to a {skipped_by[0]}, got {value!r}")
     return record
 
 
 def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
     """Convergence study over N; writes CSV rows plus a slope summary row.
-    A key of ``_IGNORED_KEYS["study"]`` off its default is a ConfigError."""
+    A key a study does not read, off its default, is a ConfigError, and so is
+    an ``n_values`` of fewer than 4 sizes, a size below 2 or a non-increasing
+    order."""
     start = time.perf_counter()
     if config.is_cloud_file:
         raise ConfigError("studies need a zoo problem with analytic truth, not a cloud file")
     record = _record(config, "study")
+    n_values = [_size("N", n) for n in n_values]
     if len(n_values) < 4:
         raise ConfigError("study needs at least 4 values of N")
+    if any(later <= earlier for earlier, later in zip(n_values, n_values[1:])):
+        raise ConfigError("N values must be strictly increasing")
     study = convergence_study(
         config.problem,
         n_values,
@@ -425,7 +458,7 @@ def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
 
 def run_tune(config: RunConfig) -> dict:
     """Q(eps) bandwidth scan; writes (epsilon, Q, slope) rows plus the selection.
-    A key of ``_IGNORED_KEYS["tune"]`` off its default is a ConfigError."""
+    A key a tune does not read, off its default, is a ConfigError."""
     start = time.perf_counter()
     record = _record(config, "tune")
     cloud, coeffs, _, _ = _build_cloud(config)

@@ -75,6 +75,75 @@ CONFIG_VALUES = {
 }
 
 
+INF, NAN = float("inf"), float("nan")
+# each input with validate_config's config (the keys off their defaults) or its exact message;
+# several bad keys raise the first in field order, and a missing problem comes last
+MESSAGE_TABLE = [
+    ({}, "config key 'problem' is required"),
+    ({"problem": ""}, "config key 'problem' must be a non-empty string, got ''"),
+    ({"problem": 5}, "config key 'problem' must be a non-empty string, got 5"),
+    ({"problem": None}, "config key 'problem' must be a non-empty string, got None"),
+    ({"problem": "bvp1d"}, {"problem": "bvp1d"}),
+    ({"problem": "some/cloud.txt"}, {"problem": "some/cloud.txt"}),
+    ({"problem": "bvp1d", "bandwidth": 1.0}, "unknown config key 'bandwidth'"),
+    ({"zeta": 2, "bandwidth": 1, "N": -5}, "unknown config key 'bandwidth'"),
+    ({"N": -5}, "config key 'N' must be >= 2, got -5"),
+    ({"problem": "bvp1d", "N": 1}, "config key 'N' must be >= 2, got 1"),
+    ({"problem": "bvp1d", "N": 2}, {"problem": "bvp1d", "N": 2}),
+    ({"problem": "bvp1d", "N": None}, {"problem": "bvp1d"}),
+    ({"problem": "bvp1d", "N": 2.5}, "config key 'N' must be an integer, got 2.5"),
+    ({"problem": "bvp1d", "N": "12"}, {"problem": "bvp1d", "N": 12}),
+    ({"problem": "bvp1d", "N": True}, "config key 'N' must be an integer, got True"),
+    ({"problem": "bvp1d", "N": "abc"}, "config key 'N' must be an integer, got 'abc'"),
+    ({"problem": "bvp1d", "N": INF}, "config key 'N' must be an integer, got inf"),
+    ({"problem": "bvp1d", "N": 100.0}, {"problem": "bvp1d", "N": 100}),
+    ({"problem": "bvp1d", "mode": "random"},
+     "config key 'mode' must be 'uniform_grid' or 'iid_density', got 'random'"),
+    ({"problem": "bvp1d", "mode": None},
+     "config key 'mode' must be 'uniform_grid' or 'iid_density', got None"),
+    ({"problem": "bvp1d", "mode": "iid_density"}, {"problem": "bvp1d", "mode": "iid_density"}),
+    ({"problem": "bvp1d", "seed": -1}, {"problem": "bvp1d", "seed": -1}),
+    ({"problem": "bvp1d", "seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
+    ({"problem": "bvp1d", "seed": [1]}, "config key 'seed' must be an integer, got [1]"),
+    ({"problem": "bvp1d", "k": 1}, "config key 'k' must be >= 2, got 1"),
+    ({"problem": "bvp1d", "k": "2"}, {"problem": "bvp1d", "k": 2}),
+    ({"problem": "bvp1d", "k": False}, "config key 'k' must be an integer, got False"),
+    ({"problem": "bvp1d", "epsilon": 0}, "config key 'epsilon' must be positive, got 0.0"),
+    ({"problem": "bvp1d", "epsilon": "tiny"},
+     "config key 'epsilon' must be a real number or one of ('auto',), got 'tiny'"),
+    ({"problem": "bvp1d", "epsilon": "1e-3"}, {"problem": "bvp1d", "epsilon": 0.001}),
+    ({"problem": "bvp1d", "epsilon": NAN}, "config key 'epsilon' must be finite, got nan"),
+    ({"problem": "bvp1d", "epsilon": True},
+     "config key 'epsilon' must be a real number or one of ('auto',), got True"),
+    ({"problem": "bvp1d", "tilde_epsilon": -0.5}, "config key 'tilde_epsilon' must be positive, got -0.5"),
+    ({"problem": "bvp1d", "tilde_epsilon": "AUTO"},
+     "config key 'tilde_epsilon' must be a real number or one of ('auto',), got 'AUTO'"),
+    ({"problem": "bvp1d", "debias": "maybe"}, "config key 'debias' must be a boolean, got 'maybe'"),
+    ({"problem": "bvp1d", "debias": "TRUE"}, {"problem": "bvp1d"}),
+    ({"problem": "bvp1d", "debias": 1}, "config key 'debias' must be a boolean, got 1"),
+    ({"problem": "bvp1d", "shift_a": "zero"},
+     "config key 'shift_a' must be a real number or one of ('problem-default',), got 'zero'"),
+    ({"problem": "bvp1d", "shift_a": 0.5}, {"problem": "bvp1d", "shift_a": 0.5}),
+    ({"problem": "bvp1d", "shift_a": -INF}, "config key 'shift_a' must be finite, got -inf"),
+    ({"problem": "bvp1d", "rhs": True},
+     "config key 'rhs' must be a real, a file path, or 'problem', got True"),
+    ({"problem": "bvp1d", "rhs": None},
+     "config key 'rhs' must be a real, a file path, or 'problem', got None"),
+    ({"problem": "bvp1d", "rhs": [1.0]},
+     "config key 'rhs' must be a real, a file path, or 'problem', got [1.0]"),
+    ({"problem": "bvp1d", "rhs": 2}, {"problem": "bvp1d", "rhs": 2.0}),
+    ({"problem": "bvp1d", "rhs": INF}, "config key 'rhs' must be finite, got inf"),
+    ({"problem": "bvp1d", "coefficients": "", "output": ""},
+     {"problem": "bvp1d", "coefficients": "", "output": ""}),
+    ({"problem": "bvp1d", "coefficients": 3}, "config key 'coefficients' must be a path or null, got 3"),
+    ({"problem": "bvp1d", "output": ["a"]}, "config key 'output' must be a path or null, got ['a']"),
+    ({"problem": "", "N": 1, "k": 1}, "config key 'N' must be >= 2, got 1"),
+    ({"mode": "x", "epsilon": -1.0}, "config key 'mode' must be 'uniform_grid' or 'iid_density', got 'x'"),
+    ({"rhs": True, "output": 3}, "config key 'rhs' must be a real, a file path, or 'problem', got True"),
+    ({"problem": 7, "debias": "x", "shift_a": "y"}, "config key 'debias' must be a boolean, got 'x'"),
+]
+
+
 class TestConfigValidation:
     @settings(max_examples=100)
     @given(st.fixed_dictionaries(CONFIG_VALUES))
@@ -87,6 +156,24 @@ class TestConfigValidation:
             cfg = parse_config(path)
         assert dataclasses.asdict(cfg) == raw
         assert validate_config(dataclasses.asdict(cfg)) == cfg
+
+    @pytest.mark.parametrize("raw, expected", MESSAGE_TABLE)
+    def test_message_table(self, raw, expected):
+        if isinstance(expected, dict):
+            assert repr(validate_config(raw)) == repr(RunConfig(**expected))  # repr tells 2 from 2.0
+        else:
+            with pytest.raises(ConfigError) as info:
+                validate_config(raw)
+            assert str(info.value) == expected
+
+    def test_every_key_declares_its_rule_and_runs(self):
+        runs = {"study", "tune", "zoo problem", "cloud file"}
+        for f in dataclasses.fields(RunConfig):
+            assert set(f.metadata) == {"help", "rule", "skip"} and f.metadata["help"] == _SCHEMA[f.name]
+            assert set(f.metadata["skip"]) <= runs
+            if f.default is not dataclasses.MISSING:
+                assert repr(f.metadata["rule"](f.name, f.default)) == repr(f.default)
+        assert validate_config({"problem": "bvp1d"}) == RunConfig("bvp1d")
 
 
     def test_minimal_paper_config(self, tmp_path):
@@ -341,6 +428,32 @@ class TestRunSolve:
         with pytest.raises(ConfigError, match="rhs"):
             run_solve(cfg)
 
+    def test_zoo_problem_rejects_coefficients(self, capsys):
+        # a zoo problem lifts its own coefficients; a coefficient file would go unread
+        argv = ["solve", "--problem", "ellipse", "--N", "100", "--k", "200", "--epsilon", "1e-3",
+                "--tilde-epsilon", "1e-3", "--coefficients", "/nonexistent.csv"]
+        assert main(argv) == 1
+        assert "config key 'coefficients' does not apply to a zoo problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("N", "7"), ("mode", "iid_density"), ("seed", "9")])
+    def test_cloud_file_rejects_the_sampling_keys(self, tmp_path, capsys, key, value):
+        theta = 2 * np.pi * np.arange(50) / 50
+        cloud_path = write_cloud(tmp_path, np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        argv = ["solve", "--problem", cloud_path, "--rhs", "1", "--shift-a", "-1", "--k", "10",
+                "--epsilon", "0.01", "--tilde-epsilon", "0.01", f"--{key}", value]
+        assert main(argv) == 1
+        assert f"config key {key!r} does not apply to a cloud file" in capsys.readouterr().err
+        record = run_solve(validate_config({"problem": cloud_path, "rhs": 1.0, "shift_a": -1.0, "k": 10,
+                                            "epsilon": 0.01, "tilde_epsilon": 0.01}))
+        assert record["N"] == 50 and not {"mode", "seed"} & set(record)
+
+    def test_record_k_is_the_k_the_operator_used(self):
+        record = run_solve(validate_config(
+            {"problem": "ellipse", "N": 100, "k": 200, "epsilon": 1e-3, "tilde_epsilon": 1e-3}
+        ))
+        assert record["k"] == 100
+        assert "coefficients" not in record  # a zoo problem does not read it
+
 
 class TestCoefficientFile:
     def test_round_trip(self, tmp_path):
@@ -546,6 +659,15 @@ class TestRunStudy:
             cfg = validate_config({"problem": "bvp1d", key: value})
             with pytest.raises(ConfigError, match=f"{key!r} does not apply to a study"):
                 run_study(cfg, [100, 200, 300, 400])
+
+    @pytest.mark.parametrize("n_values, message", [
+        ("400,300,200,100", "N values must be strictly increasing"),
+        ("1,200,300,400", "config key 'N' must be >= 2, got 1"),
+    ])
+    def test_bad_n_values_are_a_usage_error(self, capsys, n_values, message):
+        code = main(["study", "--problem", "bvp1d", "--N-values", n_values, "--k", "30", "--debias", "false"])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 
