@@ -15,6 +15,9 @@ leaves it out.  Each ``RunConfig`` field declares these runs as its skip:
 - a zoo problem lifts its own coefficients: coefficients;
 - a cloud file is read, not sampled: N, mode, seed.
 
+A cloud file without coefficients runs the Laplace-Beltrami operator on
+i.i.d. samples, which debiases: there ``debias`` must stay true.
+
 Exit codes: 0 success; 1 usage or config error, including an input file
 that cannot be read and a cloud that cannot be sampled; 2 numerical failure.
 """
@@ -80,7 +83,7 @@ def _as_real_or(key, value, *allowed):
         raise ConfigError(f"config key {key!r} must be a real number or one of {allowed}, got {value!r}")
     try:
         out = float(value)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an int beyond the float range
         raise ConfigError(
             f"config key {key!r} must be a real number or one of {allowed}, got {value!r}"
         ) from None
@@ -190,7 +193,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path!r} must hold a JSON object")
@@ -264,19 +267,20 @@ def _load_rhs(rhs, n_points: int, path_hint: str) -> np.ndarray:
 
 
 def _build_cloud(config: RunConfig):
-    """Resolve a config into (cloud, coeffs, problem-or-None, debias)."""
+    """Resolve a config into (cloud, coeffs, problem-or-None)."""
     if config.is_cloud_file:
+        if config.coefficients is None and not config.debias:
+            raise ConfigError(
+                f"config key 'debias' must be true for a cloud file without coefficients, got {config.debias!r}"
+            )
         try:
             cloud = load_cloud(config.problem)
             n, dim = cloud.n_points, cloud.ambient_dim
-            coeffs = None if config.coefficients is None else load_coefficient_file(config.coefficients, n, dim)
+            if config.coefficients is None:
+                return cloud, CoefficientField.laplace_beltrami(n, dim), None
+            return cloud, load_coefficient_file(config.coefficients, n, dim), None
         except (OSError, ValueError) as exc:  # an unreadable or malformed input file
             raise ConfigError(str(exc)) from exc
-        if coeffs is not None:
-            return cloud, coeffs, None, config.debias
-        # unknown embedding: Laplace-Beltrami operator on i.i.d. samples,
-        # so the debiasing normalization is forced on
-        return cloud, CoefficientField.laplace_beltrami(n, dim), None, True
     problem = analytic_pair(config.problem)
     if config.N is None:
         raise ConfigError(f"config key 'N' is required for zoo problem {config.problem!r}")
@@ -284,7 +288,7 @@ def _build_cloud(config: RunConfig):
         cloud = sample_points(problem.manifold, config.N, config.mode, config.seed)
     except ValueError as exc:  # an N the grid cannot take, or a seed numpy rejects
         raise ConfigError(str(exc)) from exc
-    return cloud, problem_coefficients(problem, cloud), problem, config.debias
+    return cloud, problem_coefficients(problem, cloud), problem
 
 
 def _build_system(config: RunConfig, cloud, problem):
@@ -333,7 +337,7 @@ def run_solve(config: RunConfig) -> dict:
     import resource  # loaded by a solve, not by the import of the CLI
     start = time.perf_counter()
     record = _record(config, "solve")
-    cloud, coeffs, problem, debias = _build_cloud(config)
+    cloud, coeffs, problem = _build_cloud(config)
     shift, rhs = _build_system(config, cloud, problem)
     mark = time.perf_counter()
     epsilon, tilde_epsilon, d_hat, pair_evals = select_bandwidths(
@@ -348,7 +352,7 @@ def run_solve(config: RunConfig) -> dict:
     mark = time.perf_counter()
     cfg = KernelConfig(epsilon, tilde_epsilon, k)
     # popped, so that build_operator holds the only reference and can drop d2 and the indices early
-    gen = build_operator(cloud, coeffs, cfg, debias=debias, neighbors=neighbors.pop())
+    gen = build_operator(cloud, coeffs, cfg, debias=config.debias, neighbors=neighbors.pop())
     lin = LinearProblem(gen, shift, rhs)
     stages["operator.build_s"] = time.perf_counter() - mark
 
@@ -379,7 +383,6 @@ def run_solve(config: RunConfig) -> dict:
             "k": k,
             "epsilon": epsilon,
             "tilde_epsilon": tilde_epsilon,
-            "debias": debias,
             "solver": solver,
             "error_inf": report.error_inf,
             "error_l2": report.error_l2,
@@ -461,7 +464,7 @@ def run_tune(config: RunConfig) -> dict:
     A key a tune does not read, off its default, is a ConfigError."""
     start = time.perf_counter()
     record = _record(config, "tune")
-    cloud, coeffs, _, _ = _build_cloud(config)
+    cloud, coeffs, _ = _build_cloud(config)
     report = tune_bandwidth(cloud, coeffs)
     if config.output is not None:
         rows = [

@@ -1,23 +1,23 @@
 """Linear solves for (a + L) u = f and convergence experiments.
 
 Both regimes are one computation, (a + L)^+ f for a <= 0, and run through
-one driver: GMRES (Saad & Schultz, 1986) on B = eps (a + L) =
-S - I + eps diag(a) in the points' own numbering, preconditioned by an
-incomplete LU (``spilu``, drop tolerance ``ILU_DROP_TOL`` = 1e-2) of a
-pruned copy P permuted by reverse Cuthill-McKee.  P drops B's
-off-diagonals below ``ILU_DROP_TOL`` |B_ii| and adds (1 -
-``ILU_DROP_TOL``) of each row's dropped sum to its diagonal, a row-sum
-compensation as in modified ILU (Gustafsson, 1978) that keeps the smooth
-modes.  -B is a Z-matrix (off-diagonals -S_ij <= 0) and every row of -P
-keeps a diagonal margin of at least ``ILU_DROP_TOL`` times its dropped
-mass, so -P is a nonsingular M-matrix whenever -B is one, and its
-incomplete LU exists for any dropping pattern (Meijerink & van der Vorst,
-1977).  One GMRES call (restart ``GMRES_RESTART`` = 100) stops when its
-residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that of its
-right-hand side, or after ``GMRES_MAX_CYCLES`` = 10 restart cycles; the
-uniform residual is then recomputed with B, and while it is above the
-caller's target it is fed back as the next right-hand side, for at most
-``REFINE_ROUNDS`` = 3 calls.
+one driver: GMRES (Saad & Schultz, 1986) on B = eps (a + L) = S - I + eps
+diag(a) in the points' own numbering, preconditioned by an incomplete LU
+(``spilu``, drop tolerance ``ILU_DROP_TOL`` = 1e-2) of a pruned copy P in
+SuperLU's symmetric minimum-degree order.  P drops B's off-diagonals below
+``ILU_DROP_TOL`` |B_ii| and adds (1 - ``ILU_DROP_TOL``) of each row's
+dropped sum to its diagonal, a row-sum compensation as in modified ILU
+(Gustafsson, 1978) that keeps the smooth modes.  -B is a Z-matrix
+(off-diagonals -S_ij <= 0) and every row of -P keeps a diagonal margin of
+at least ``ILU_DROP_TOL`` times its dropped mass, so -P, and any symmetric
+permutation of it, is a nonsingular M-matrix whenever -B is one: its
+incomplete LU exists with diagonal pivots for any dropping pattern
+(Meijerink & van der Vorst, 1977).  One GMRES call (restart
+``GMRES_RESTART`` = 100) stops when its residual 2-norm is at most
+``GMRES_RTOL`` = 1e-10 times that of its right-hand side, or after
+``GMRES_MAX_CYCLES`` = 10 restart cycles; the uniform residual is then
+recomputed with B, and while it is above the caller's target it is fed
+back as the next right-hand side, for at most ``REFINE_ROUNDS`` = 3 calls.
 
 A closed class of S with a = 0 on it makes a + L singular; the driver
 then deflates by rank one.  Its smallest point q is pinned: row and
@@ -225,17 +225,14 @@ class _IluGmres:
     and column of B as the right-hand sides of :meth:`null_vector` before
     they are zeroed.  B and the factors below map vectors that are 0 at q
     to vectors that are 0 at q, so every Krylov vector stays exactly 0
-    there.  The preconditioner factors the pruned P of :func:`_pruned`,
-    permuted by reverse Cuthill-McKee on its own pattern.  The factors are
-    those of P^T, whose CSC arrays are P's CSR arrays; P^T is column
-    diagonally dominant, the case in which elimination needs no pivoting.
+    there.  The preconditioner ``_ilu`` is SuperLU's incomplete LU of P^T
+    (P of :func:`_pruned`) in the minimum-degree order of P^T + P (George &
+    Liu, 1989), which ``SymmetricMode`` and ``diag_pivot_thresh=0`` apply
+    to rows and columns alike, taking the diagonal pivots.
     Every GMRES iteration, over all calls, counts against ``iter_cap``.
     """
 
     def __init__(self, generator, shift, pinned, iter_cap):
-        # imported here so that importing lokpde does not load csgraph
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
-
         s, self.epsilon = generator.s_matrix, generator.epsilon
         self.pinned, self.iter_cap, self.iterations = pinned, iter_cap, 0
         b = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
@@ -248,23 +245,16 @@ class _IluGmres:
             row = slice(b.indptr[pinned], b.indptr[pinned + 1])
             b.data[row] = np.where(b.indices[row] == pinned, -1.0, 0.0)
         self.matrix = b
-        p = _pruned(b)
-        rcm = reverse_cuthill_mckee(p, symmetric_mode=True)
-        p = p[rcm][:, rcm]
-        p.sort_indices()
         try:
-            ilu = scipy.sparse.linalg.spilu(p.T, drop_tol=ILU_DROP_TOL, permc_spec="NATURAL")
+            self._ilu = scipy.sparse.linalg.spilu(
+                _pruned(b).T, drop_tol=ILU_DROP_TOL, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
+            )
         except RuntimeError as exc:
             raise _KrylovFailure(f"incomplete LU broke down: {exc}") from None
-        self.factor_nnz = int(ilu.L.nnz + ilu.U.nnz)
-
-        def ilu_solve(v, trans):
-            z = np.empty_like(v)
-            z[rcm] = ilu.solve(v[rcm], trans)
-            return z
-
+        self.factor_nnz = int(self._ilu.L.nnz + self._ilu.U.nnz)
         self._precond = scipy.sparse.linalg.LinearOperator(
-            s.shape, lambda v: ilu_solve(v, "T"), lambda v: ilu_solve(v, "N"), dtype=float
+            s.shape, lambda v: self._ilu.solve(v, "T"), lambda v: self._ilu.solve(v, "N"), dtype=float
         )
 
     def _gmres(self, matrix, precond, rhs):
@@ -393,7 +383,7 @@ def _krylov_solve(gen, a, f, target, iter_cap):
 def solve_direct(problem: LinearProblem) -> SolveReport:
     """Solve (diag(a) + L) u = f for strictly negative a.
 
-    Runs the shared RCM / ILU / GMRES driver on the whole system (no
+    Runs the shared ILU / GMRES driver on the whole system (no
     pinning) and refines until the relative uniform residual
     |f - (a + L) u|_inf / |f|_inf is at most ``DIRECT_RESIDUAL_RTOL``
     (1e-10).  Raises :class:`DirectSolveError`, with the best iterate and
@@ -429,15 +419,15 @@ def solve_min_norm(
 ) -> SolveReport:
     """Minimum-norm least-squares solution of (diag(a) + L) u = f.
 
-    ``method="iterative"`` (default) needs a <= 0 and computes
-    (a + L)^+ f with the shared RCM / ILU / GMRES driver, refining until
-    the uniform residual (off the pin, if S has a closed class with a = 0
-    on it) is at most ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|.
-    ``iter_cap`` (default 20 N) caps the GMRES iterations of all calls
-    together.  Raises :class:`DisconnectedGraphError` when S has more than
-    one closed class with a = 0 on it and :class:`MinNormConvergenceError`
-    (best iterate and least-squares residual attached) on an ILU
-    breakdown, GMRES non-convergence or an exhausted cap.
+    ``method="iterative"`` (default) needs a <= 0 and computes (a + L)^+ f
+    with the shared ILU / GMRES driver, refining until the uniform
+    residual (off the pin, if S has a closed class with a = 0 on it) is at
+    most ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|.  ``iter_cap`` (default
+    20 N) caps the GMRES iterations of all calls together.  Raises
+    :class:`DisconnectedGraphError` when S has more than one closed class
+    with a = 0 on it and :class:`MinNormConvergenceError` (best iterate
+    and least-squares residual attached) on an ILU breakdown, GMRES
+    non-convergence or an exhausted cap.
 
     ``method="svd"`` computes the truncated-SVD pseudo-inverse (singular
     values below 1e-8 sigma_max dropped) of diag(a) + L, available for

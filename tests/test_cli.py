@@ -210,10 +210,16 @@ class TestConfigValidation:
             {"epsilon": "tiny"},
             {"k": 1},
             {"debias": "maybe"},
+            # a JSON integer beyond the float range
+            {"epsilon": 10**400},
+            {"tilde_epsilon": 10**400},
+            {"shift_a": -(10**400)},
+            {"rhs": 10**400},
         ],
     )
     def test_invalid_values(self, overrides):
-        with pytest.raises(ConfigError):
+        (key,) = overrides
+        with pytest.raises(ConfigError, match=f"config key {key!r}"):
             validate_config({"problem": "bvp1d", "N": 100, **overrides})
 
     @pytest.mark.parametrize("flag", [True, False])
@@ -249,6 +255,13 @@ class TestConfigValidation:
         path = write_config(tmp_path, {"problem": "bvp1d", "N": 100, "epsilon": 1e-5})
         cfg = parse_config(path, {"epsilon": 2e-5})
         assert cfg.epsilon == 2e-5
+
+    def test_integer_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        # json.load raises a plain ValueError for an integer of more than 4300 digits
+        path = tmp_path / "config.json"
+        path.write_text('{"problem": "bvp1d", "N": 100, "epsilon": ' + "1" * 5000 + "}")
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -842,7 +855,7 @@ class TestMainEntry:
 
     def test_import_defers_kd_tree_and_thread_pool(self):
         # no solve uses scipy.spatial; csgraph loads on first use (the
-        # solver's RCM and closed-class search), and so does the thread pool
+        # solver's closed-class search), and so does the thread pool
         # (map_row_blocks, behind the kNN search, the assembly and
         # tune_bandwidth); at import they would add to the start-up time of
         # every solve
@@ -860,17 +873,20 @@ class TestMainEntry:
     @pytest.mark.parametrize("problem", ["ellipse", "cloud"])
     def test_solve_loads_neither_spatial_nor_special(self, tmp_path, problem):
         # the kNN search needs only numpy; scipy.spatial and the scipy.special
-        # it pulls in would add about 0.13 s to every solve
+        # it pulls in would add about 0.13 s to every solve; a direct solve
+        # (a < 0) runs no graph pass, so it loads no scipy.sparse.csgraph
         src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        absent = ["scipy.spatial", "scipy.special"]
         if problem == "cloud":
             cloud_path = write_cloud(tmp_path, sample_sphere(300, seed=1).ambient)
             flags = ["--problem", cloud_path, "--rhs", "1", "--k", "40", "--shift-a", "-1"]
+            absent.append("scipy.sparse.csgraph")
         else:
             flags = ["--problem", "ellipse", "--N", "200", "--k", "40"]
         code = (
             "import sys, lokpde.cli; assert lokpde.cli.main(sys.argv[1:]) == 0; "
-            "print([m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules])"
+            f"print([m for m in {absent!r} if m in sys.modules])"
         )
         result = subprocess.run(
             [sys.executable, "-c", code, "solve", *flags, "--epsilon", "0.01", "--tilde-epsilon", "0.01"],
@@ -909,8 +925,18 @@ class TestSphereCloudPathway:
             }
         )
         record = run_solve(cfg)
-        assert record["debias"] is True  # forced on the ambient pathway
+        assert record["debias"] is True  # the default, which the ambient pathway needs
         assert record["solver"] == "min_norm"
+
+    def test_debias_false_is_rejected(self, tmp_path, capsys):
+        cloud_path = write_cloud(tmp_path, sample_sphere(200, seed=1).ambient)
+        argv = ["solve", "--problem", cloud_path, "--rhs", "1", "--shift-a", "-1", "--k", "40",
+                "--epsilon", "0.1", "--tilde-epsilon", "0.05"]
+        assert main([*argv, "--debias", "false"]) == 1
+        assert "config key 'debias' must be true" in capsys.readouterr().err
+        for flags in (["--debias", "true"], []):
+            assert main([*argv, *flags]) == 0
+            assert json.loads(capsys.readouterr().out)["debias"] is True
 
 
 class TestBenchmarkSpans:

@@ -452,6 +452,27 @@ class TestPrunedPreconditioner:
             np.testing.assert_allclose(helper.matrix @ f, b @ f, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(helper.matrix.T @ f, b.T @ f, rtol=1e-13, atol=1e-13)
 
+    @settings(max_examples=60)
+    @given(small_systems())
+    def test_factor_takes_diagonal_pivots_and_keeps_the_pin(self, system):
+        # the rows follow the columns' minimum-degree order, and every pivot is
+        # a diagonal entry of the reordered P, whose negative is an M-matrix
+        _, _, _, _, _, gen, f, a, _ = system
+        n = gen.n_points
+        classes = _null_classes(gen.s_matrix, np.zeros(n))
+        cases = [(a, None)]
+        if classes.size == 1:
+            cases += [(a, int(classes[0])), (np.zeros(n), int(classes[0]))]
+        for shift, pinned in cases:
+            helper = _IluGmres(gen, shift, pinned, 20 * n)
+            np.testing.assert_array_equal(helper._ilu.perm_r, helper._ilu.perm_c)
+            assert (helper._ilu.U.diagonal() < 0.0).all()
+            if pinned is not None:
+                v = f.copy()
+                v[pinned] = 0.0
+                assert helper._precond.matvec(v)[pinned] == 0.0
+                assert helper._precond.rmatvec(v)[pinned] == 0.0
+
     def test_flat_rows_prune_every_off_diagonal(self):
         # k = N and eps far above the squared diameter: every S_ij is about
         # 1/N, below 1e-2 |B_ii|, so P is diagonal and GMRES gets no help
