@@ -20,13 +20,15 @@ recomputed with B, and while it is above the caller's target it is fed
 back as the next right-hand side, for at most ``REFINE_ROUNDS`` = 3 calls.
 
 A closed class of S with a = 0 on it makes a + L singular; the driver
-then deflates by rank one.  Its smallest point q is pinned: row and
-column q of B become -e_q, so -B stays a Z-matrix with a positive
-diagonal, and the pinned system is nonsingular with solutions 0 at q.
-The left null vector w (w (a + L) = 0, w_q = 1) comes from a transpose
-GMRES solve with the same ILU; f is projected onto w^perp, the pinned
-system is solved, and the component along the right null vector is
-removed (for a = 0 the constant one, else one more GMRES solve).
+then deflates by rank one.  Its smallest point q is pinned by lowering
+B_qq by 1: B~ = B - e_q e_q^T.  On the class -B is an irreducible singular
+M-matrix, which one more positive diagonal entry makes nonsingular
+(Berman & Plemmons, 1994); every other point leads to the class or to a
+point with a < 0, so -B~ is a nonsingular M-matrix and the ILU argument
+above holds for it.  The left null vector w (w B = 0, w_q = 1) solves
+B~^T w = -e_q, with the same ILU.  f is projected onto w^perp, where
+B~ u = f forces u_q = 0 and so B u = f, and u loses its component along
+the right null vector v (v = 1 for a = 0, else B~ v = -e_q, v_q = 1).
 
 * ``solve_direct`` for strictly negative a, where nothing is pinned: the
   scaled system is strictly diagonally dominant, hence nonsingular with
@@ -111,16 +113,17 @@ class DisconnectedGraphError(RuntimeError):
     """S has more than one closed class, so L has nullity > 1.
 
     ``n_classes`` is the number of closed classes (strongly connected
-    components of the graph of S that no edge leaves) and
-    ``extra_points`` names the smallest point index of every class after
-    the first.
+    components of the graph of S that no edge leaves); ``extra_points``
+    lists the smallest point index of every class after the first, and the
+    message names at most 10 of them.
     """
 
     def __init__(self, n_classes, extra_points):
+        more = f" and {len(extra_points) - 10} more" if len(extra_points) > 10 else ""
         super().__init__(
             f"the kNN graph has {n_classes} closed classes with a = 0, so the nullspace of "
-            f"a + L has dimension {n_classes}; points {list(extra_points)} lie in classes "
-            "beyond the first (increase k or the bandwidth)"
+            f"a + L has dimension {n_classes}; points {list(extra_points[:10])}{more} lie in "
+            "classes beyond the first (increase k or the bandwidth)"
         )
         self.n_classes = n_classes
         self.extra_points = extra_points
@@ -218,18 +221,15 @@ def _pruned(b):
 
 
 class _IluGmres:
-    """B = eps (diag(a) + L), with row and column ``pinned`` replaced by -e_q.
+    """B = eps (diag(a) + L), less e_q e_q^T at a pinned point q = ``pinned``.
 
-    ``matrix`` is B: one copy of S's data on S's index arrays, with the
-    diagonal set to (S_ii - 1) + eps a_i.  A pin q keeps q's original row
-    and column of B as the right-hand sides of :meth:`null_vector` before
-    they are zeroed.  B and the factors below map vectors that are 0 at q
-    to vectors that are 0 at q, so every Krylov vector stays exactly 0
-    there.  The preconditioner ``_ilu`` is SuperLU's incomplete LU of P^T
-    (P of :func:`_pruned`) in the minimum-degree order of P^T + P (George &
-    Liu, 1989), which ``SymmetricMode`` and ``diag_pivot_thresh=0`` apply
-    to rows and columns alike, taking the diagonal pivots.
-    Every GMRES iteration, over all calls, counts against ``iter_cap``.
+    ``matrix`` is this B~: one copy of S's data on S's index arrays, with
+    the diagonal set to (S_ii - 1) + eps a_i, 1 lower at q.  The
+    preconditioner ``_ilu`` is SuperLU's incomplete LU of P^T (P of
+    :func:`_pruned`) in the minimum-degree order of P^T + P (George & Liu,
+    1989), which ``SymmetricMode`` and ``diag_pivot_thresh=0`` apply to
+    rows and columns alike, taking the diagonal pivots.  Every GMRES
+    iteration, over all calls, counts against ``iter_cap``.
     """
 
     def __init__(self, generator, shift, pinned, iter_cap):
@@ -238,12 +238,7 @@ class _IluGmres:
         b = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
         b.setdiag((s.diagonal() - 1.0) + self.epsilon * shift)
         if pinned is not None:
-            e_q = np.zeros(s.shape[0])
-            e_q[pinned] = 1.0
-            self._pin_row, self._pin_column = b.T @ e_q, b @ e_q
-            b.data[b.indices == pinned] = 0.0
-            row = slice(b.indptr[pinned], b.indptr[pinned + 1])
-            b.data[row] = np.where(b.indices[row] == pinned, -1.0, 0.0)
+            b[pinned, pinned] -= 1.0
         self.matrix = b
         try:
             self._ilu = scipy.sparse.linalg.spilu(
@@ -282,31 +277,27 @@ class _IluGmres:
     def null_vector(self, left):
         """v with v (a + L) = 0 (``left``) or (a + L) v = 0, and v = 1 at the pin.
 
-        Off the pinned point these read B^T v = -(pinned row of B) or
-        B v = -(pinned column of B), with B pinned and the right-hand side
-        0 at the pin.
+        v B~ = -v_q e_q^T (B~ v = -v_q e_q), so v is y / y_q for y solving
+        B~^T y = -e_q (B~ y = -e_q); a y_q that is 0 or not finite raises.
         """
         matrix, precond = (self.matrix.T, self._precond.T) if left else (self.matrix, self._precond)
-        rhs = -(self._pin_row if left else self._pin_column)
-        rhs[self.pinned] = 0.0
+        rhs = np.zeros(matrix.shape[0])
+        rhs[self.pinned] = -1.0
         v, converged = self._gmres(matrix, precond, rhs)
+        side = "left" if left else "right"
         if not converged:
-            side = "left" if left else "right"
             raise _KrylovFailure(f"no {side} null vector {self._spent()}")
-        v[self.pinned] = 1.0
-        return v
+        if not (np.isfinite(v[self.pinned]) and v[self.pinned] != 0.0):
+            raise _KrylovFailure(f"the {side} null vector is {v[self.pinned]} at the pin")
+        return v / v[self.pinned]
 
     def solve(self, rhs, target):
-        """(u, residual) with |rhs - (a + L) u|_inf <= target off the pinned row.
+        """(u, residual) with residual = rhs - B~ u / eps, |residual|_inf <= target.
 
-        The right-hand side is set to 0 at the pinned point, so u and the
-        residual returned are 0 there.  After each GMRES call the residual
-        is recomputed with B and fed back as the next right-hand side, at
-        most ``REFINE_ROUNDS`` times.
+        After each GMRES call the residual is recomputed with B~ and fed
+        back as the next right-hand side, at most ``REFINE_ROUNDS`` times.
         """
         scaled = self.epsilon * rhs
-        if self.pinned is not None:
-            scaled[self.pinned] = 0.0
         x, residual = np.zeros(scaled.size), scaled
         for _ in range(REFINE_ROUNDS):
             delta, _ = self._gmres(self.matrix, self._precond, residual)
@@ -360,10 +351,11 @@ def _krylov_solve(gen, a, f, target, iter_cap):
     """(u, residual, system): (a + L)^+ f for a <= 0, by rank-one deflation
     where S has a closed class with a = 0 on it.
 
-    ``residual`` is f, or its projection onto range(a + L), less (a + L) u
-    before the null vector is removed; its uniform norm is at most
-    ``target``.  Raises :class:`DisconnectedGraphError` for more than one
-    such class and :class:`_KrylovFailure` when the Krylov solve fails.
+    ``residual``, at most ``target`` on every row, is f' - B~ u / eps for f'
+    = f or its projection onto w^perp, before v is removed: off the pin q
+    it is r = f' - (a + L) u, and r_q is bounded only through w r = 0.
+    Raises :class:`DisconnectedGraphError` for more than one such class
+    and :class:`_KrylovFailure` when the Krylov solve fails.
     """
     classes = _null_classes(gen.s_matrix, a)
     if classes.size > 1:
@@ -421,8 +413,8 @@ def solve_min_norm(
 
     ``method="iterative"`` (default) needs a <= 0 and computes (a + L)^+ f
     with the shared ILU / GMRES driver, refining until the uniform
-    residual (off the pin, if S has a closed class with a = 0 on it) is at
-    most ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|.  ``iter_cap`` (default
+    residual (of B~ if S has a closed class with a = 0 on it) is at most
+    ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|.  ``iter_cap`` (default
     20 N) caps the GMRES iterations of all calls together.  Raises
     :class:`DisconnectedGraphError` when S has more than one closed class
     with a = 0 on it and :class:`MinNormConvergenceError` (best iterate

@@ -211,6 +211,18 @@ class TestNamedFailures:
         assert info.value.n_classes == 2
         assert info.value.extra_points == [10]
         assert "2 closed classes" in str(info.value)
+        assert "points [10] lie" in str(info.value)
+
+    def test_many_classes_name_a_bounded_list(self):
+        # S = I: every point is its own closed class; the message names the
+        # first 10 extra points, the attribute all 49
+        gen = fake_generator(np.eye(50))
+        with pytest.raises(DisconnectedGraphError) as info:
+            solve_min_norm(LinearProblem(gen, np.zeros(50), np.ones(50)))
+        assert info.value.n_classes == 50
+        assert info.value.extra_points == list(range(1, 50))
+        assert "points [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 39 more lie" in str(info.value)
+        assert len(str(info.value)) < 250
 
     def test_underflowing_links_are_disconnected(self):
         # the clusters are joined only by kernel values ~ e^-500 > 0, below
@@ -244,6 +256,11 @@ class TestNamedFailures:
             rep = solve_min_norm(LinearProblem(gen, a, f))
             dense = gen.matrix().toarray() + np.diag(a)
             np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
+        # a < 0 at the transient point (the last case above) is the one case
+        # that takes the right null vector from the pinned system
+        v = _IluGmres(gen, a, 1, 20 * 16).null_vector(left=False)
+        assert v[1] == 1.0
+        assert np.abs(dense @ v).max() <= 1e-8 * np.abs(v).max()
 
     def test_forced_iteration_cap(self, ellipse_paper):
         lin = LinearProblem(ellipse_paper.generator, ellipse_paper.shift, ellipse_paper.rhs)
@@ -254,9 +271,18 @@ class TestNamedFailures:
         assert np.isfinite(info.value.residual)
 
     def test_ilu_breakdown_min_norm(self):
-        # not row-stochastic: pinning point 0 leaves B = S_11 - 1 = 0
-        gen = fake_generator([[0.5, 0.5], [0.5, 1.0]])
+        # not row-stochastic: B_11 = S_11 - 1 = 0, and the pruned copy drops
+        # the link 0 -> 1 (below 1e-2 |B~_00|), leaving P^T a zero last pivot
+        gen = fake_generator([[0.999, 0.001], [0.5, 1.0]])
         with pytest.raises(MinNormConvergenceError, match="incomplete LU") as info:
+            solve_min_norm(LinearProblem(gen, np.zeros(2), np.array([1.0, -1.0])))
+        assert info.value.best_u.tolist() == [0.0, 0.0]
+
+    def test_null_vector_zero_at_the_pin_is_named(self):
+        # not row-stochastic: B~^T y = -e_0 has y = (0, -2), which no scaling
+        # makes 1 at the pin; the solve fails by name, not with a NaN solution
+        gen = fake_generator([[0.5, 0.5], [0.5, 1.0]])
+        with pytest.raises(MinNormConvergenceError, match=r"left null vector is \S+ at the pin") as info:
             solve_min_norm(LinearProblem(gen, np.zeros(2), np.array([1.0, -1.0])))
         assert info.value.best_u.tolist() == [0.0, 0.0]
 
@@ -326,13 +352,23 @@ class TestSolverProperties:
     @settings(max_examples=60)
     @given(small_systems())
     def test_null_vectors(self, system):
+        # the pinned system -B~ = -B + e_q e_q^T is a Z-matrix, and w B~ = -e_q^T
+        # is w (a + L) = 0 with w_q = 1
         _, _, _, _, _, gen, _, _, _ = system
         n = gen.n_points
         classes = _null_classes(gen.s_matrix, np.zeros(n))
         assume(classes.size == 1)
-        helper = _IluGmres(gen, np.zeros(n), int(classes[0]), 20 * n)
+        q = int(classes[0])
+        helper = _IluGmres(gen, np.zeros(n), q, 20 * n)
+        pinned = -helper.matrix.toarray()
+        assert (pinned[~np.eye(n, dtype=bool)] <= 0.0).all()
+        e_qq = np.zeros((n, n))
+        e_qq[q, q] = 1.0
+        np.testing.assert_allclose(pinned + dense_b(gen, np.zeros(n)), e_qq, rtol=0, atol=1e-15)
         dense = gen.matrix().toarray()
         w = helper.null_vector(left=True)
+        assert w[q] == 1.0
+        assert np.abs(w @ dense).max() <= 1e-8 * np.abs(w).max()
         assert np.abs(w @ dense).max() <= 1e-9 * np.abs(w).sum() * np.abs(dense).max()
         np.testing.assert_allclose(helper.null_vector(left=False), 1.0, atol=1e-9)
 
@@ -439,16 +475,16 @@ class TestPrunedPreconditioner:
     @settings(max_examples=30)
     @given(small_systems())
     def test_matrix_is_b_in_natural_order(self, system):
-        # a pin q replaces row and column q of B by -e_q
+        # a pin q lowers B_qq by 1; the solver pins only the one closed class
         _, _, _, _, _, gen, f, a, _ = system
         n = gen.n_points
         classes = _null_classes(gen.s_matrix, np.zeros(n))
-        for shift, pinned in ((a, None), (np.zeros(n), int(classes[0]) if classes.size else None)):
+        cases = [(a, None)] + ([(np.zeros(n), int(classes[0]))] if classes.size == 1 else [])
+        for shift, pinned in cases:
             helper = _IluGmres(gen, shift, pinned, 20 * n)
             b = dense_b(gen, shift)
             if pinned is not None:
-                b[pinned], b[:, pinned] = 0.0, 0.0
-                b[pinned, pinned] = -1.0
+                b[pinned, pinned] -= 1.0
             np.testing.assert_allclose(helper.matrix @ f, b @ f, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(helper.matrix.T @ f, b.T @ f, rtol=1e-13, atol=1e-13)
 
@@ -456,8 +492,9 @@ class TestPrunedPreconditioner:
     @given(small_systems())
     def test_factor_takes_diagonal_pivots_and_keeps_the_pin(self, system):
         # the rows follow the columns' minimum-degree order, and every pivot is
-        # a diagonal entry of the reordered P, whose negative is an M-matrix
-        _, _, _, _, _, gen, f, a, _ = system
+        # a diagonal entry of the reordered P, whose negative is an M-matrix,
+        # with and without the pin
+        _, _, _, _, _, gen, _, a, _ = system
         n = gen.n_points
         classes = _null_classes(gen.s_matrix, np.zeros(n))
         cases = [(a, None)]
@@ -467,11 +504,6 @@ class TestPrunedPreconditioner:
             helper = _IluGmres(gen, shift, pinned, 20 * n)
             np.testing.assert_array_equal(helper._ilu.perm_r, helper._ilu.perm_c)
             assert (helper._ilu.U.diagonal() < 0.0).all()
-            if pinned is not None:
-                v = f.copy()
-                v[pinned] = 0.0
-                assert helper._precond.matvec(v)[pinned] == 0.0
-                assert helper._precond.rmatvec(v)[pinned] == 0.0
 
     def test_flat_rows_prune_every_off_diagonal(self):
         # k = N and eps far above the squared diameter: every S_ij is about
