@@ -311,7 +311,11 @@ def _build_system(config: RunConfig, cloud, problem):
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"config key 'output' cannot be written: {exc}") from exc
+    with fh:
         writer = csv.writer(fh)  # RFC-4180: CRLF line terminator
         writer.writerow(header)
         writer.writerows(rows)

@@ -92,7 +92,7 @@ class GeneratorMatrix:
     def __post_init__(self):
         data = self.s_matrix.data
         if data.size and not data.min() > np.finfo(float).eps:
-            raise ValueError(f"S stores {data.min()!r}, at or below float64 eps, which is no link")
+            raise ValueError(f"S stores {float(data.min())!r}, at or below float64 eps, which is no link")
 
     @property
     def n_points(self) -> int:
@@ -172,7 +172,7 @@ def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
     if np.any(row_sums <= 0):
         bad = int(np.argmin(row_sums))
         raise ValueError(
-            f"kernel row {bad} has non-positive sum {row_sums[bad]!r}; "
+            f"kernel row {bad} has non-positive sum {float(row_sums[bad])!r}; "
             "the point is isolated (k too small or epsilon too small)"
         )
     counts = np.diff(mat.indptr)

@@ -39,8 +39,8 @@ the right null vector v (v = 1 for a = 0, else B~ v = -e_q, v_q = 1).
   cross-check.
 
 Failures are named: more than one closed class raises
-:class:`DisconnectedGraphError`; an ILU breakdown, GMRES non-convergence
-or an exhausted iteration cap raise :class:`DirectSolveError` or
+:class:`DisconnectedGraphError`; an ILU breakdown or GMRES
+non-convergence raise :class:`DirectSolveError` or
 :class:`MinNormConvergenceError` with the best iterate and its residual.
 """
 
@@ -101,7 +101,7 @@ class DirectSolveError(RuntimeError):
 
 
 class MinNormConvergenceError(RuntimeError):
-    """The minimum-norm solve did not converge within its iteration cap."""
+    """The minimum-norm solve did not converge within its GMRES limits."""
 
     def __init__(self, message, best_u, residual):
         super().__init__(message)
@@ -164,11 +164,12 @@ class SolveReport:
     ``residual_inf`` is the uniform residual for the direct method and the
     least-squares residual 2-norm for the minimum-norm method.
     ``iterations`` counts GMRES iterations (left null vector, solve and
-    refinement) and ``factor_nnz`` the stored entries of the incomplete
-    L + U; both are None where no Krylov solve runs.  Error fields are
-    filled by :meth:`with_errors` when an analytic truth is available;
-    ``error_inf_best_shift`` additionally minimizes the uniform error over
-    an added constant (the solution family of the singular problem).
+    refinement), 0 where no Krylov solve runs, and ``factor_nnz`` the
+    stored entries of the incomplete L + U, None where no factor is
+    built.  Error fields are filled by :meth:`with_errors` when an
+    analytic truth is available; ``error_inf_best_shift`` additionally
+    minimizes the uniform error over an added constant (the solution
+    family of the singular problem).
     """
 
     u_hat: np.ndarray
@@ -228,13 +229,13 @@ class _IluGmres:
     preconditioner ``_ilu`` is SuperLU's incomplete LU of P^T (P of
     :func:`_pruned`) in the minimum-degree order of P^T + P (George & Liu,
     1989), which ``SymmetricMode`` and ``diag_pivot_thresh=0`` apply to
-    rows and columns alike, taking the diagonal pivots.  Every GMRES
-    iteration, over all calls, counts against ``iter_cap``.
+    rows and columns alike, taking the diagonal pivots.  ``iterations``
+    counts every GMRES iteration of every call.
     """
 
-    def __init__(self, generator, shift, pinned, iter_cap):
+    def __init__(self, generator, shift, pinned):
         s, self.epsilon = generator.s_matrix, generator.epsilon
-        self.pinned, self.iter_cap, self.iterations = pinned, iter_cap, 0
+        self.pinned, self.iterations = pinned, 0
         b = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
         b.setdiag((s.diagonal() - 1.0) + self.epsilon * shift)
         if pinned is not None:
@@ -253,26 +254,19 @@ class _IluGmres:
         )
 
     def _gmres(self, matrix, precond, rhs):
-        """(x, converged): one preconditioned GMRES call from zero.
-
-        Returns (0, False) without iterating once the cap is spent.
-        """
-        budget = min(self.iter_cap - self.iterations, GMRES_MAX_CYCLES * GMRES_RESTART)
-        if budget <= 0:
-            return np.zeros_like(rhs), False
+        """(x, converged): one preconditioned GMRES call from zero."""
 
         def count(_):
             self.iterations += 1
 
         x, info = scipy.sparse.linalg.gmres(
-            matrix, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART, maxiter=budget,
-            M=precond, callback=count, callback_type="legacy",
+            matrix, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+            maxiter=GMRES_MAX_CYCLES * GMRES_RESTART, M=precond, callback=count, callback_type="legacy",
         )
         return x, info == 0
 
     def _spent(self):
-        cap = " (the iteration cap)" if self.iterations >= self.iter_cap else ""
-        return f"after {self.iterations} GMRES iterations{cap}"
+        return f"after {self.iterations} GMRES iterations"
 
     def null_vector(self, left):
         """v with v (a + L) = 0 (``left``) or (a + L) v = 0, and v = 1 at the pin.
@@ -347,7 +341,7 @@ def _null_classes(s_matrix, shift):
     return np.sort(first_member[~leaks])
 
 
-def _krylov_solve(gen, a, f, target, iter_cap):
+def _krylov_solve(gen, a, f, target):
     """(u, residual, system): (a + L)^+ f for a <= 0, by rank-one deflation
     where S has a closed class with a = 0 on it.
 
@@ -361,7 +355,7 @@ def _krylov_solve(gen, a, f, target, iter_cap):
     if classes.size > 1:
         raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
     pinned = int(classes[0]) if classes.size else None
-    system = _IluGmres(gen, a, pinned, iter_cap)
+    system = _IluGmres(gen, a, pinned)
     if pinned is None:  # a + L is nonsingular
         u, residual = system.solve(f, target)
         return u, residual, system
@@ -394,9 +388,7 @@ def solve_direct(problem: LinearProblem) -> SolveReport:
         return SolveReport(np.zeros(n), "direct", 0.0, iterations=0)
     f_scale = float(np.abs(f).max())
     try:
-        u, residual, system = _krylov_solve(
-            problem.generator, a, f, DIRECT_RESIDUAL_RTOL * f_scale, np.iinfo(np.int64).max
-        )
+        u, residual, system = _krylov_solve(problem.generator, a, f, DIRECT_RESIDUAL_RTOL * f_scale)
     except _KrylovFailure as exc:
         u, residual = exc.best or (np.zeros(n), f)
         res_inf = float(np.abs(residual).max())
@@ -406,20 +398,18 @@ def solve_direct(problem: LinearProblem) -> SolveReport:
     return SolveReport(u, "direct", float(np.abs(residual).max()), system.iterations, system.factor_nnz)
 
 
-def solve_min_norm(
-    problem: LinearProblem, method: str = "iterative", iter_cap: int | None = None
-) -> SolveReport:
+def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveReport:
     """Minimum-norm least-squares solution of (diag(a) + L) u = f.
 
     ``method="iterative"`` (default) needs a <= 0 and computes (a + L)^+ f
     with the shared ILU / GMRES driver, refining until the uniform
     residual (of B~ if S has a closed class with a = 0 on it) is at most
-    ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|.  ``iter_cap`` (default
-    20 N) caps the GMRES iterations of all calls together.  Raises
+    ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|, each GMRES call within
+    ``GMRES_MAX_CYCLES`` restart cycles.  Raises
     :class:`DisconnectedGraphError` when S has more than one closed class
     with a = 0 on it and :class:`MinNormConvergenceError` (best iterate
-    and least-squares residual attached) on an ILU breakdown, GMRES
-    non-convergence or an exhausted cap.
+    and least-squares residual attached) on an ILU breakdown or GMRES
+    non-convergence.
 
     ``method="svd"`` computes the truncated-SVD pseudo-inverse (singular
     values below 1e-8 sigma_max dropped) of diag(a) + L, available for
@@ -436,10 +426,9 @@ def solve_min_norm(
     if method == "iterative":
         if a.max() > 0:
             raise ValueError("the iterative minimum-norm solve needs a <= 0; use method='svd'")
-        cap = 20 * n if iter_cap is None else iter_cap
         try:
             target = MIN_NORM_RESIDUAL_RTOL * float(np.abs(f).max())
-            u, _, system = _krylov_solve(generator, a, f, target, cap)
+            u, _, system = _krylov_solve(generator, a, f, target)
         except _KrylovFailure as exc:
             u = exc.best[0] if exc.best else np.zeros(n)
             residual = float(np.linalg.norm(generator.apply(u) + a * u - f))

@@ -41,6 +41,10 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+# the bandwidths and k of a solve on the three-point cloud np.eye(3)
+SMALL = ["--epsilon", "0.5", "--tilde-epsilon", "0.5", "--k", "2"]
+
+
 def write_cloud(tmp_path, points, name="cloud.txt"):
     path = tmp_path / name
     path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in points) + "\n")
@@ -754,21 +758,29 @@ class TestMainEntry:
         assert "'N'" in err
 
     @pytest.mark.parametrize(
-        "flags, named",
+        "argv, named",
         [
-            (["--problem", "{tmp}/nofile.txt", "--rhs", "1"], "nofile.txt"),
-            (["--problem", "{cloud}", "--rhs", "1", "--coefficients", "{tmp}/nocoef.csv"], "nocoef.csv"),
-            (["--problem", "{tmp}/bad.txt", "--rhs", "1"], "line 2: non-numeric token"),
-            (["--problem", "{cloud}", "--rhs", "{tmp}/norhs.txt"], "norhs.txt"),
+            (["solve", "--problem", "{tmp}/nofile.txt", "--rhs", "1", *SMALL], "nofile.txt"),
+            (["solve", "--problem", "{cloud}", "--rhs", "1", "--coefficients", "{tmp}/nocoef.csv", *SMALL],
+             "nocoef.csv"),
+            (["solve", "--problem", "{tmp}/bad.txt", "--rhs", "1", *SMALL], "line 2: non-numeric token"),
+            (["solve", "--problem", "{cloud}", "--rhs", "{tmp}/norhs.txt", *SMALL], "norhs.txt"),
+            (["solve", "--problem", "{cloud}", "--rhs", "1", *SMALL, "--output", "{tmp}/nodir/u.csv"],
+             "config key 'output' cannot be written"),
+            (["study", "--problem", "bvp1d", "--N-values", "100,200,300,400", "--k", "30", "--debias", "false",
+              "--tuning", "auto", "--output", "{tmp}/nodir/study.csv"], "config key 'output' cannot be written"),
+            (["tune", "--problem", "{cloud}", "--output", "{tmp}/nodir/tune.csv"],
+             "config key 'output' cannot be written"),
         ],
-        ids=["missing-cloud", "missing-coefficients", "malformed-cloud-line", "missing-rhs"],
+        ids=["missing-cloud", "missing-coefficients", "malformed-cloud-line", "missing-rhs",
+             "unwritable-solve-output", "unwritable-study-output", "unwritable-tune-output"],
     )
-    def test_bad_input_file_is_a_usage_error(self, tmp_path, capsys, flags, named):
-        # exit 2 means a numerical failure; an input file that cannot be read is exit 1
+    def test_bad_input_file_is_a_usage_error(self, tmp_path, capsys, argv, named):
+        # exit 2 means a numerical failure; an input file that cannot be read,
+        # or an output file that cannot be opened, is exit 1
         cloud = write_cloud(tmp_path, np.eye(3))
         (tmp_path / "bad.txt").write_text("0 0 1\n0 x 1\n1 0 0\n")
-        flags = [f.format(tmp=tmp_path, cloud=cloud) for f in flags]
-        code = main(["solve", *flags, "--epsilon", "0.5", "--tilde-epsilon", "0.5", "--k", "2"])
+        code = main([a.format(tmp=tmp_path, cloud=cloud) for a in argv])
         assert code == 1
         assert named in capsys.readouterr().err
 

@@ -224,22 +224,19 @@ class TestLeftNormalize:
 
     def test_zero_row_rejected(self):
         mat = scipy.sparse.csr_matrix(np.array([[0.0, 0.0], [0.5, 1.0]]))
-        with pytest.raises(ValueError, match="isolated"):
+        with pytest.raises(ValueError, match="isolated") as info:
             left_normalize(SparseKernelMatrix(mat, 0.1))
+        assert "sum 0.0;" in str(info.value)  # a Python float, not np.float64(0.0)
 
 
 class TestPruning:
     """S stores exactly the entries of D^-1 K above float64 eps, divided by
     their own row sums."""
 
-    @settings(max_examples=80)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(5, 80), st.floats(-6.0, 0.0))
-    def test_s_is_unchanged_or_keeps_its_entries_above_eps_renormalized(self, seed, dim, n, log_eps):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, n + 1))
-        km = assemble(make_cloud(rng.uniform(size=(n, dim))), CoefficientField.isotropic(n, dim),
-                      KernelConfig(10.0**log_eps, 1.0, k))
-        mat = km.matrix
+    @staticmethod
+    def assert_matches_oracle(km):
+        """left_normalize(km) equals, to the bit, the division oracle; returns the kept-entry mask."""
+        mat, n = km.matrix, km.n_points
         # the S of every entry: K's data over scipy's row sums, on K's columns
         full_sums = np.asarray(mat.sum(axis=1)).ravel()
         full = scipy.sparse.csr_matrix(
@@ -260,6 +257,25 @@ class TestPruning:
         restricted = scipy.sparse.csr_matrix((full.data[keep], mat.indices[keep], indptr), shape=mat.shape)
         zero = np.zeros(n)
         np.testing.assert_array_equal(_null_classes(s, zero), _null_classes(restricted, zero))
+        return keep
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(5, 80), st.floats(-6.0, 0.0))
+    def test_s_is_unchanged_or_keeps_its_entries_above_eps_renormalized(self, seed, dim, n, log_eps):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, n + 1))
+        km = assemble(make_cloud(rng.uniform(size=(n, dim))), CoefficientField.isotropic(n, dim),
+                      KernelConfig(10.0**log_eps, 1.0, k))
+        self.assert_matches_oracle(km)
+
+    def test_compaction_across_row_blocks(self):
+        # the 1-D grid of TestOperatorMemory's compacted case: 2000 rows span
+        # eight row blocks, each writing its kept entries after the previous block's
+        cloud = make_cloud(np.linspace(0.0, 1.0, 2000)[:, None])
+        km = assemble(cloud, CoefficientField.isotropic(2000, 1), KernelConfig(3e-7, 3e-7, 100))
+        assert len(kernels._entry_blocks(km.matrix.indptr)) > 1
+        keep = self.assert_matches_oracle(km)
+        assert keep.sum() < 2000 * 100 / 3
 
 
 class TestNormalizeWritesOnlyData:

@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lokpde import kernels
+from lokpde import kernels, solver
 from lokpde.geometry import CoefficientField, PointCloud, ambient_cloud_manifold, sample_points
 from lokpde.kernels import KernelConfig, SparseKernelMatrix
 from lokpde.operator import build_operator, left_normalize
@@ -137,10 +137,13 @@ class TestMinNorm:
         with pytest.raises(ValueError, match="N <= 3000"):
             solve_min_norm(LinearProblem(fake, np.zeros(3001), np.ones(3001)), method="svd")
 
-    def test_iteration_cap(self, ellipse_paper):
+    def test_iteration_cap(self, ellipse_paper, monkeypatch):
+        # one restart cycle of 5 iterations is too few for the left null vector
+        monkeypatch.setattr(solver, "GMRES_MAX_CYCLES", 1)
+        monkeypatch.setattr(solver, "GMRES_RESTART", 5)
         lin = LinearProblem(ellipse_paper.generator, ellipse_paper.shift, ellipse_paper.rhs)
-        with pytest.raises(MinNormConvergenceError) as info:
-            solve_min_norm(lin, iter_cap=3)
+        with pytest.raises(MinNormConvergenceError, match="no left null vector after 5 GMRES") as info:
+            solve_min_norm(lin)
         assert info.value.best_u.shape == (1000,)
         assert np.isfinite(info.value.residual)
 
@@ -258,16 +261,30 @@ class TestNamedFailures:
             np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
         # a < 0 at the transient point (the last case above) is the one case
         # that takes the right null vector from the pinned system
-        v = _IluGmres(gen, a, 1, 20 * 16).null_vector(left=False)
+        v = _IluGmres(gen, a, 1).null_vector(left=False)
         assert v[1] == 1.0
         assert np.abs(dense @ v).max() <= 1e-8 * np.abs(v).max()
 
-    def test_forced_iteration_cap(self, ellipse_paper):
+    def test_forced_iteration_cap(self, ellipse_paper, monkeypatch):
+        # on this ellipse the solve meets its uniform target in fewer GMRES
+        # iterations than the left null vector needs, so the limits drop to one
+        # restart cycle of 5 only once the null vector has converged
+        null_vector, spent = _IluGmres.null_vector, []
+
+        def then_starve(helper, left):
+            v = null_vector(helper, left)
+            spent.append(helper.iterations)
+            monkeypatch.setattr(solver, "GMRES_MAX_CYCLES", 1)
+            monkeypatch.setattr(solver, "GMRES_RESTART", 5)
+            return v
+
+        monkeypatch.setattr(_IluGmres, "null_vector", then_starve)
         lin = LinearProblem(ellipse_paper.generator, ellipse_paper.shift, ellipse_paper.rhs)
-        cap = ellipse_paper.report.iterations // 2
-        with pytest.raises(MinNormConvergenceError, match="cap") as info:
-            solve_min_norm(lin, iter_cap=cap)
+        with pytest.raises(MinNormConvergenceError, match="uniform residual") as info:
+            solve_min_norm(lin)
+        assert f"after {spent[0] + solver.REFINE_ROUNDS * 5} GMRES iterations" in str(info.value)
         assert info.value.best_u.shape == (1000,)
+        assert info.value.best_u.any()  # the solve's iterate, not zeros
         assert np.isfinite(info.value.residual)
 
     def test_ilu_breakdown_min_norm(self):
@@ -359,7 +376,7 @@ class TestSolverProperties:
         classes = _null_classes(gen.s_matrix, np.zeros(n))
         assume(classes.size == 1)
         q = int(classes[0])
-        helper = _IluGmres(gen, np.zeros(n), q, 20 * n)
+        helper = _IluGmres(gen, np.zeros(n), q)
         pinned = -helper.matrix.toarray()
         assert (pinned[~np.eye(n, dtype=bool)] <= 0.0).all()
         e_qq = np.zeros((n, n))
@@ -481,7 +498,7 @@ class TestPrunedPreconditioner:
         classes = _null_classes(gen.s_matrix, np.zeros(n))
         cases = [(a, None)] + ([(np.zeros(n), int(classes[0]))] if classes.size == 1 else [])
         for shift, pinned in cases:
-            helper = _IluGmres(gen, shift, pinned, 20 * n)
+            helper = _IluGmres(gen, shift, pinned)
             b = dense_b(gen, shift)
             if pinned is not None:
                 b[pinned, pinned] -= 1.0
@@ -501,7 +518,7 @@ class TestPrunedPreconditioner:
         if classes.size == 1:
             cases += [(a, int(classes[0])), (np.zeros(n), int(classes[0]))]
         for shift, pinned in cases:
-            helper = _IluGmres(gen, shift, pinned, 20 * n)
+            helper = _IluGmres(gen, shift, pinned)
             np.testing.assert_array_equal(helper._ilu.perm_r, helper._ilu.perm_c)
             assert (helper._ilu.U.diagonal() < 0.0).all()
 
