@@ -25,6 +25,7 @@ that cannot be read and a cloud that cannot be sampled; 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -310,15 +311,22 @@ def _build_system(config: RunConfig, cloud, problem):
     return shift, rhs
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _output(config: RunConfig):
+    """The ``output`` file, opened for writing before any numerics run, or
+    a null context without one; a path that cannot be opened is a
+    ConfigError."""
+    if config.output is None:
+        return contextlib.nullcontext()
     try:
-        fh = open(path, "w", newline="")
+        return open(config.output, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"config key 'output' cannot be written: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)  # RFC-4180: CRLF line terminator
-        writer.writerow(header)
-        writer.writerows(rows)
+
+
+def _write_csv(fh, header, rows) -> None:
+    writer = csv.writer(fh)  # RFC-4180: CRLF line terminator
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _fmt(value) -> str:
@@ -336,50 +344,56 @@ def run_solve(config: RunConfig) -> dict:
     ``solver`` names the route :func:`solve` took) and the CSV output;
     ``workers`` is their pool width and ``peak_rss_mb`` the peak RSS so far.
     ``nnz`` counts S's links, the entries it stores (those above float64
-    eps), and ``factor_nnz`` those of its incomplete factors.
+    eps).  ``krylov`` names the solve's Krylov method: "cg" where S is
+    reversible (an isotropic, drift-free field whose S kept every link,
+    as on a cloud file without coefficients), else "gmres";
+    ``factor_nnz`` counts the entries of GMRES's incomplete factors and
+    is null on CG, which builds none.  The ``output`` file is opened
+    before any numerics run.
     """
     import resource  # loaded by a solve, not by the import of the CLI
     start = time.perf_counter()
     record = _record(config, "solve")
-    cloud, coeffs, problem = _build_cloud(config)
-    shift, rhs = _build_system(config, cloud, problem)
-    mark = time.perf_counter()
-    epsilon, tilde_epsilon, d_hat, pair_evals = select_bandwidths(
-        cloud, coeffs, config.epsilon, config.tilde_epsilon
-    )
-    stages = {"operator.tune_s": 0.0 if pair_evals is None else time.perf_counter() - mark}
-    k = min(config.k, cloud.n_points)
-    mark = time.perf_counter()
-    neighbors = [build_knn_graph(cloud, k)]
-    stages["kernels.knn_s"] = time.perf_counter() - mark
+    with _output(config) as out:
+        cloud, coeffs, problem = _build_cloud(config)
+        shift, rhs = _build_system(config, cloud, problem)
+        mark = time.perf_counter()
+        epsilon, tilde_epsilon, d_hat, pair_evals = select_bandwidths(
+            cloud, coeffs, config.epsilon, config.tilde_epsilon
+        )
+        stages = {"operator.tune_s": 0.0 if pair_evals is None else time.perf_counter() - mark}
+        k = min(config.k, cloud.n_points)
+        mark = time.perf_counter()
+        neighbors = [build_knn_graph(cloud, k)]
+        stages["kernels.knn_s"] = time.perf_counter() - mark
 
-    mark = time.perf_counter()
-    cfg = KernelConfig(epsilon, tilde_epsilon, k)
-    # popped, so that build_operator holds the only reference and can drop d2 and the indices early
-    gen = build_operator(cloud, coeffs, cfg, debias=config.debias, neighbors=neighbors.pop())
-    lin = LinearProblem(gen, shift, rhs)
-    stages["operator.build_s"] = time.perf_counter() - mark
+        mark = time.perf_counter()
+        cfg = KernelConfig(epsilon, tilde_epsilon, k)
+        # popped, so that build_operator holds the only reference and can drop d2 and the indices early
+        gen = build_operator(cloud, coeffs, cfg, debias=config.debias, neighbors=neighbors.pop())
+        lin = LinearProblem(gen, shift, rhs)
+        stages["operator.build_s"] = time.perf_counter() - mark
 
-    mark = time.perf_counter()
-    report = solve(lin)
-    solver = "direct" if report.method == "direct" else "min_norm"
-    stages[f"solver.{solver}_s"] = time.perf_counter() - mark
+        mark = time.perf_counter()
+        report = solve(lin)
+        solver = "direct" if report.method == "direct" else "min_norm"
+        stages[f"solver.{solver}_s"] = time.perf_counter() - mark
 
-    u_true = problem.u(cloud.intrinsic) if problem is not None else None
-    if u_true is not None:
-        report = report.with_errors(u_true)
-
-    mark = time.perf_counter()
-    if config.output is not None:
-        dim = cloud.ambient_dim
-        header = [f"x{i + 1}" for i in range(dim)] + ["u_hat"]
-        columns = [cloud.ambient[:, i] for i in range(dim)] + [report.u_hat]
+        u_true = problem.u(cloud.intrinsic) if problem is not None else None
         if u_true is not None:
-            header += ["u_true", "abs_error"]
-            columns += [u_true, np.abs(report.u_hat - u_true)]
-        rows = (map(repr, row) for row in np.column_stack(columns).tolist())
-        _write_csv(config.output, header, rows)
-    stages["cli.output_s"] = time.perf_counter() - mark
+            report = report.with_errors(u_true)
+
+        mark = time.perf_counter()
+        if out is not None:
+            dim = cloud.ambient_dim
+            header = [f"x{i + 1}" for i in range(dim)] + ["u_hat"]
+            columns = [cloud.ambient[:, i] for i in range(dim)] + [report.u_hat]
+            if u_true is not None:
+                header += ["u_true", "abs_error"]
+                columns += [u_true, np.abs(report.u_hat - u_true)]
+            rows = (map(repr, row) for row in np.column_stack(columns).tolist())
+            _write_csv(out, header, rows)
+        stages["cli.output_s"] = time.perf_counter() - mark
 
     record.update(
         {
@@ -388,6 +402,7 @@ def run_solve(config: RunConfig) -> dict:
             "epsilon": epsilon,
             "tilde_epsilon": tilde_epsilon,
             "solver": solver,
+            "krylov": report.krylov,
             "error_inf": report.error_inf,
             "error_l2": report.error_l2,
             "residual_inf": report.residual_inf,
@@ -424,7 +439,7 @@ def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
     """Convergence study over N; writes CSV rows plus a slope summary row.
     A key a study does not read, off its default, is a ConfigError, and so is
     an ``n_values`` of fewer than 4 sizes, a size below 2 or a non-increasing
-    order."""
+    order.  The ``output`` file is opened before the first solve."""
     start = time.perf_counter()
     if config.is_cloud_file:
         raise ConfigError("studies need a zoo problem with analytic truth, not a cloud file")
@@ -434,22 +449,23 @@ def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
         raise ConfigError("study needs at least 4 values of N")
     if any(later <= earlier for earlier, later in zip(n_values, n_values[1:])):
         raise ConfigError("N values must be strictly increasing")
-    study = convergence_study(
-        config.problem,
-        n_values,
-        tuning=tuning,
-        k=config.k,
-        mode=config.mode,
-        seed=config.seed,
-        debias=config.debias,
-    )
-    if config.output is not None:
-        rows = [
-            [str(int(n)), _fmt(eps), _fmt(err)]
-            for n, eps, err in zip(study.n_values, study.epsilons, study.errors_inf)
-        ]
-        rows.append(["slope", "", _fmt(study.fitted_slope)])
-        _write_csv(config.output, ["N", "epsilon", "error_inf"], rows)
+    with _output(config) as out:
+        study = convergence_study(
+            config.problem,
+            n_values,
+            tuning=tuning,
+            k=config.k,
+            mode=config.mode,
+            seed=config.seed,
+            debias=config.debias,
+        )
+        if out is not None:
+            rows = [
+                [str(int(n)), _fmt(eps), _fmt(err)]
+                for n, eps, err in zip(study.n_values, study.epsilons, study.errors_inf)
+            ]
+            rows.append(["slope", "", _fmt(study.fitted_slope)])
+            _write_csv(out, ["N", "epsilon", "error_inf"], rows)
     record.update(
         {
             "N_values": [int(n) for n in study.n_values],
@@ -465,19 +481,21 @@ def run_study(config: RunConfig, n_values, tuning: str = "oracle") -> dict:
 
 def run_tune(config: RunConfig) -> dict:
     """Q(eps) bandwidth scan; writes (epsilon, Q, slope) rows plus the selection.
-    A key a tune does not read, off its default, is a ConfigError."""
+    A key a tune does not read, off its default, is a ConfigError.  The
+    ``output`` file is opened before the scan."""
     start = time.perf_counter()
     record = _record(config, "tune")
-    cloud, coeffs, _ = _build_cloud(config)
-    report = tune_bandwidth(cloud, coeffs)
-    if config.output is not None:
-        rows = [
-            [_fmt(eps), _fmt(np.exp(lq)), _fmt(sl)]
-            for eps, lq, sl in zip(report.epsilon_grid, report.log_q, report.slope)
-        ]
-        rows.append(["epsilon_star", _fmt(report.epsilon_star), ""])
-        rows.append(["d_hat", _fmt(report.d_hat), ""])
-        _write_csv(config.output, ["epsilon", "Q", "slope"], rows)
+    with _output(config) as out:
+        cloud, coeffs, _ = _build_cloud(config)
+        report = tune_bandwidth(cloud, coeffs)
+        if out is not None:
+            rows = [
+                [_fmt(eps), _fmt(np.exp(lq)), _fmt(sl)]
+                for eps, lq, sl in zip(report.epsilon_grid, report.log_q, report.slope)
+            ]
+            rows.append(["epsilon_star", _fmt(report.epsilon_star), ""])
+            rows.append(["d_hat", _fmt(report.d_hat), ""])
+            _write_csv(out, ["epsilon", "Q", "slope"], rows)
     record.update(
         {
             "N": cloud.n_points,

@@ -23,6 +23,8 @@ wider reach.  Its (indices, d^2) pair equals a brute-force search over
 all N^2 pairs bit for bit.  ``operator.build_operator`` runs it (or takes
 it from a caller that shares it across bandwidths) and hands
 :func:`assemble_kernel_matrix` the indices, the density estimate the d^2.
+For a symmetric kernel, :func:`missing_mirrors` reads the pair for the
+links whose mirror the kNN pattern lacks, which the assembly adds.
 
 The search, the assembly and the Q(eps) scan in ``operator`` share out
 their row blocks with :func:`map_row_blocks`; each block is computed on
@@ -48,6 +50,7 @@ __all__ = [
     "MomentReport",
     "eval_prototypical_kernel",
     "build_knn_graph",
+    "missing_mirrors",
     "assemble_kernel_matrix",
     "moment_check",
 ]
@@ -349,8 +352,37 @@ def _nearest(planes, rows, cand, k, work):
     return cand[at[order] - np.arange(0, full.size, cand.size)[:, None]], d2[order]
 
 
+def missing_mirrors(indices: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The links (j, i) whose mirror (i, j) is in the kNN pattern of
+    :func:`build_knn_graph` but which are not in it themselves.
+
+    Row j of the pair holds the k nearest points of x_j in (d^2, index)
+    order, and d^2 is symmetric to the bit (x_j - x_i is exactly
+    -(x_i - x_j)), so i is among them exactly when (d^2_ij, i) is at most
+    (d2[j, -1], indices[j, -1]).  Returns (rows, cols): the j and the i of
+    each missing link, in row-major order of the links (i, j).
+    """
+    n, k = indices.shape
+    heads, flat_d2 = indices.ravel(), d2.ravel()
+
+    def scan(rows, work):
+        span = slice(rows.start * k, rows.stop * k)
+        reach = np.take(d2[:, -1], heads[span], out=work[0][: span.stop - span.start])
+        at = np.flatnonzero(np.greater_equal(flat_d2[span], reach, out=work[1].view(bool)[: reach.size]))
+        # a d^2 tie with the k-th neighbour of j falls on the index order
+        lone = (flat_d2[span][at] > reach[at]) | (at // k + rows.start > indices[heads[span][at], -1])
+        return at[lone] + span.start
+
+    at = np.concatenate(map_row_blocks(scan, n, _CHUNK_ROWS, 2, min(n, _CHUNK_ROWS) * k))
+    return heads[at], at // k
+
+
 def assemble_kernel_matrix(
-    cloud: PointCloud, coeffs: CoefficientField, cfg: KernelConfig, indices: np.ndarray
+    cloud: PointCloud,
+    coeffs: CoefficientField,
+    cfg: KernelConfig,
+    indices: np.ndarray,
+    mirrors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SparseKernelMatrix:
     """Evaluate the prototypical kernel on the kNN pattern of the cloud.
 
@@ -360,6 +392,12 @@ def assemble_kernel_matrix(
     ``k_neighbors = N`` retains every column.  The blocks run on
     :func:`map_row_blocks`, each writing its own rows, so the worker count
     changes nothing; the CSR matrix keeps their int32 columns uncopied.
+
+    ``mirrors``, the (rows, cols) of :func:`missing_mirrors`, adds those
+    links, evaluated alike.  The data and columns are sized for them
+    once: the kNN rows are assembled at the front, and each entry is
+    moved, back to front, past the added links that precede it, which
+    then fill the gaps, so every row stays sorted.
     """
     pts = cloud.ambient
     n, k = pts.shape[0], cfg.k_neighbors
@@ -369,21 +407,55 @@ def assemble_kernel_matrix(
         raise ValueError(f"neighbor indices must be ({n}, {k}), got {np.shape(indices)}")
     planes = np.ascontiguousarray(pts.T)
     scale = _identity_scale(coeffs.diffusion_inv)
-    cols = np.empty((n, k), dtype=np.int32)
-    data = np.empty((n, k))
+    extra_rows, extra_cols = (np.empty(0, dtype=np.intp),) * 2 if mirrors is None else mirrors
+    cols = np.empty(n * k + extra_rows.size, dtype=np.int32)
+    data = np.empty(cols.size)
+    knn_cols, knn_data = cols[: n * k].reshape(n, k), data[: n * k].reshape(n, k)
 
     def assemble(rows, work):  # writes only the rows of its block
-        cols[rows] = indices[rows]
-        cols[rows].sort(axis=1)
+        knn_cols[rows] = indices[rows]
+        knn_cols[rows].sort(axis=1)
         _kernel_rows(
-            planes, rows, cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale, cfg.epsilon,
-            work, data[rows],
+            planes, rows, knn_cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale, cfg.epsilon,
+            work, knn_data[rows],
         )
 
     size = max(1, _CHUNK_ROWS // pool_width())
     map_row_blocks(assemble, n, size, 4 + pts.shape[1], min(n, size) * k)
     indptr = np.arange(0, n * k + 1, k, dtype=np.intp)
-    mat = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
+    if extra_rows.size:
+        order = np.lexsort((extra_cols, extra_rows))
+        extra_rows, extra_cols = extra_rows[order], extra_cols[order]
+        values = np.empty(extra_rows.size)
+
+        def mirror(links, work):
+            rows = extra_rows[links]
+            _kernel_rows(
+                planes, rows, extra_cols[links, None], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale,
+                cfg.epsilon, work, values[links, None],
+            )
+
+        # blocks of 4096 links: each block's C^-1 gather and scratch stay near 300 KB
+        map_row_blocks(mirror, extra_rows.size, 4096, 4 + pts.shape[1], min(extra_rows.size, 4096))
+        # each link's place in the flat kNN arrays: its row's start plus, by
+        # bisection, the count of that row's sorted columns below its own
+        ahead, step, flat = np.zeros(extra_rows.size, dtype=np.intp), 1 << k.bit_length(), knn_cols.ravel()
+        while step := step >> 1:
+            probe = np.minimum(ahead + step, k)
+            ahead = np.where(flat[extra_rows * k + probe - 1] < extra_cols, probe, ahead)
+        places = extra_rows * k + ahead
+        # every kNN entry moves up by the links placed at or before it, the
+        # last entries first, so no entry is overwritten before it has moved
+        spans = row_blocks(n * k, _CHUNK_ROWS * 64)
+        bounds = np.searchsorted(places, [span.start for span in spans] + [n * k])
+        for span, first, last in reversed(list(zip(spans, bounds, bounds[1:]))):
+            at = np.bincount(places[first:last] - span.start, minlength=span.stop - span.start).cumsum()
+            at += np.arange(span.start + first, span.stop + first)
+            cols[at], data[at] = cols[span].copy(), data[span].copy()
+        places += np.arange(extra_rows.size)  # the e-th link lands past the e links before it
+        cols[places], data[places] = extra_cols, values
+        indptr += np.concatenate(([0], np.cumsum(np.bincount(extra_rows, minlength=n))))
+    mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(n, n))
     return SparseKernelMatrix(mat, cfg.epsilon)
 
 

@@ -1,34 +1,51 @@
 """Linear solves for (a + L) u = f and convergence experiments.
 
 Both regimes are one computation, (a + L)^+ f for a <= 0, and run through
-one driver: GMRES (Saad & Schultz, 1986) on B = eps (a + L) = S - I + eps
-diag(a) in the points' own numbering, preconditioned by an incomplete LU
-(``spilu``, drop tolerance ``ILU_DROP_TOL`` = 1e-2) of a pruned copy P in
-SuperLU's symmetric minimum-degree order.  P drops B's off-diagonals below
-``ILU_DROP_TOL`` |B_ii| and adds (1 - ``ILU_DROP_TOL``) of each row's
-dropped sum to its diagonal, a row-sum compensation as in modified ILU
-(Gustafsson, 1978) that keeps the smooth modes.  -B is a Z-matrix
-(off-diagonals -S_ij <= 0) and every row of -P keeps a diagonal margin of
-at least ``ILU_DROP_TOL`` times its dropped mass, so -P, and any symmetric
-permutation of it, is a nonsingular M-matrix whenever -B is one: its
-incomplete LU exists with diagonal pivots for any dropping pattern
-(Meijerink & van der Vorst, 1977).  One GMRES call (restart
-``GMRES_RESTART`` = 100) stops when its residual 2-norm is at most
-``GMRES_RTOL`` = 1e-10 times that of its right-hand side, or after
-``GMRES_MAX_CYCLES`` = 10 restart cycles; the uniform residual is then
-recomputed with B, and while it is above the caller's target it is fed
-back as the next right-hand side, for at most ``REFINE_ROUNDS`` = 3 calls.
+one driver on B = eps (a + L) = S - I + eps diag(a), in the points' own
+numbering.  The uniform residual is recomputed with B after each Krylov
+call and, while it is above the caller's target, fed back as the next
+right-hand side, for at most ``REFINE_ROUNDS`` = 3 calls.  The Krylov
+method depends on S:
+
+* **CG, where S is reversible.**  An isotropic, drift-free field gives a
+  symmetric kernel, which ``operator.build_operator`` assembles on a
+  symmetric pattern; when S keeps all of it, the generator carries its
+  stationary weights w (w S = w), diag(w) S is symmetric (Coifman &
+  Lafon, 2006), and A = -diag(w) B is symmetric positive semidefinite
+  for a <= 0.  CG (Hestenes & Stiefel, 1952) with the Jacobi
+  preconditioner diag(A)^-1 solves A u = -diag(w) f, and each call stops
+  once its residual bounds B's uniform residual by the target, or after
+  ``CG_MAX_ITERATIONS`` = 1000 iterations.  For a = 0 the null vectors
+  are known: 1 on the right and w on the left.
+* **GMRES otherwise** (Saad & Schultz, 1986), preconditioned by an
+  incomplete LU (``spilu``, drop tolerance ``ILU_DROP_TOL`` = 1e-2) of a
+  pruned copy P in SuperLU's symmetric minimum-degree order.  P drops
+  B's off-diagonals below ``ILU_DROP_TOL`` |B_ii| and adds
+  (1 - ``ILU_DROP_TOL``) of each row's dropped sum to its diagonal, a
+  row-sum compensation as in modified ILU (Gustafsson, 1978) that keeps
+  the smooth modes.  -B is a Z-matrix (off-diagonals -S_ij <= 0) and
+  every row of -P keeps a diagonal margin of at least ``ILU_DROP_TOL``
+  times its dropped mass, so -P, and any symmetric permutation of it, is
+  a nonsingular M-matrix whenever -B is one: its incomplete LU exists
+  with diagonal pivots for any dropping pattern (Meijerink & van der
+  Vorst, 1977).  One GMRES call (restart ``GMRES_RESTART`` = 100) stops
+  when its residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that
+  of its right-hand side, or after ``GMRES_MAX_CYCLES`` = 10 restart
+  cycles.
 
 A closed class of S with a = 0 on it makes a + L singular; the driver
-then deflates by rank one.  Its smallest point q is pinned by lowering
-B_qq by 1: B~ = B - e_q e_q^T.  On the class -B is an irreducible singular
-M-matrix, which one more positive diagonal entry makes nonsingular
-(Berman & Plemmons, 1994); every other point leads to the class or to a
-point with a < 0, so -B~ is a nonsingular M-matrix and the ILU argument
-above holds for it.  The left null vector w (w B = 0, w_q = 1) solves
-B~^T w = -e_q, with the same ILU.  f is projected onto w^perp, where
-B~ u = f forces u_q = 0 and so B u = f, and u loses its component along
-the right null vector v (v = 1 for a = 0, else B~ v = -e_q, v_q = 1).
+then deflates by rank one.  f is projected onto w^perp for the left null
+vector w, and u loses its component along the right null vector v.  On
+CG these are the weights and 1.  On GMRES the class's smallest point q
+is pinned by lowering B_qq by 1: B~ = B - e_q e_q^T.  On the class -B is
+an irreducible singular M-matrix, which one more positive diagonal entry
+makes nonsingular (Berman & Plemmons, 1994); every other point leads to
+the class or to a point with a < 0, so -B~ is a nonsingular M-matrix and
+the ILU argument above holds for it.  w (w B = 0, w_q = 1) then solves
+B~^T w = -e_q, with the same ILU, B~ u = f forces u_q = 0 and so B u = f
+for f in w^perp, and v = 1 for a = 0, else B~ v = -e_q, v_q = 1.  A
+reversible S whose class leaves a != 0 elsewhere takes GMRES, as its
+null vectors are not w and 1 there.
 
 * ``solve_direct`` for strictly negative a, where nothing is pinned: the
   scaled system is strictly diagonally dominant, hence nonsingular with
@@ -39,7 +56,7 @@ the right null vector v (v = 1 for a = 0, else B~ v = -e_q, v_q = 1).
   cross-check.
 
 Failures are named: more than one closed class raises
-:class:`DisconnectedGraphError`; an ILU breakdown or GMRES
+:class:`DisconnectedGraphError`; an ILU breakdown or Krylov
 non-convergence raise :class:`DirectSolveError` or
 :class:`MinNormConvergenceError` with the best iterate and its residual.
 """
@@ -88,6 +105,7 @@ GMRES_RESTART = 100
 # half-ellipse at paper size, even with exact LU factors
 GMRES_RTOL = 1e-10
 GMRES_MAX_CYCLES = 10
+CG_MAX_ITERATIONS = 1000
 REFINE_ROUNDS = 3
 
 
@@ -101,7 +119,7 @@ class DirectSolveError(RuntimeError):
 
 
 class MinNormConvergenceError(RuntimeError):
-    """The minimum-norm solve did not converge within its GMRES limits."""
+    """The minimum-norm solve did not converge within its Krylov limits."""
 
     def __init__(self, message, best_u, residual):
         super().__init__(message)
@@ -163,13 +181,14 @@ class SolveReport:
 
     ``residual_inf`` is the uniform residual for the direct method and the
     least-squares residual 2-norm for the minimum-norm method.
-    ``iterations`` counts GMRES iterations (left null vector, solve and
-    refinement), 0 where no Krylov solve runs, and ``factor_nnz`` the
-    stored entries of the incomplete L + U, None where no factor is
-    built.  Error fields are filled by :meth:`with_errors` when an
-    analytic truth is available; ``error_inf_best_shift`` additionally
-    minimizes the uniform error over an added constant (the solution
-    family of the singular problem).
+    ``krylov`` names the Krylov method of the driver, "cg" or "gmres",
+    None where no Krylov solve runs; ``iterations`` counts its iterations
+    (null vectors, solve and refinement), 0 where none runs, and
+    ``factor_nnz`` the stored entries of the incomplete L + U, None where
+    no factor is built, as on CG.  Error fields are filled by
+    :meth:`with_errors` when an analytic truth is available;
+    ``error_inf_best_shift`` additionally minimizes the uniform error over
+    an added constant (the solution family of the singular problem).
     """
 
     u_hat: np.ndarray
@@ -177,6 +196,7 @@ class SolveReport:
     residual_inf: float
     iterations: int | None = None
     factor_nnz: int | None = None
+    krylov: str | None = None
     error_inf: float | None = None
     error_l2: float | None = None
     error_inf_best_shift: float | None = None
@@ -192,7 +212,7 @@ class SolveReport:
 
 
 class _KrylovFailure(Exception):
-    """Raised by :class:`_IluGmres` with (best u, its residual) or None."""
+    """Raised by a :class:`_Refined` driver with (best u, its residual) or None."""
 
     def __init__(self, message, best=None):
         super().__init__(message)
@@ -221,52 +241,89 @@ def _pruned(b):
     return p
 
 
-class _IluGmres:
+class _Refined:
+    """Iterative refinement around one Krylov method on B~ = eps (diag(a) + L).
+
+    ``matrix`` is B = S - I + eps diag(a): one copy of S's data on S's
+    index arrays, with the diagonal set to (S_ii - 1) + eps a_i, which
+    keeps its relative accuracy where S_ii is close to 1; a subclass may
+    change it into B~.  ``krylov`` names the method and ``iterations``
+    counts its iterations over every call; a subclass runs one call from
+    zero towards a uniform bound on the scaled residual (``_correction``).
+    """
+
+    def __init__(self, generator, shift):
+        s, self.epsilon, self.iterations = generator.s_matrix, generator.epsilon, 0
+        self.matrix = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
+        self.matrix.setdiag((s.diagonal() - 1.0) + self.epsilon * shift)
+
+    def _spent(self):
+        return f"after {self.iterations} {self.krylov.upper()} iterations"
+
+    def _count(self, _):
+        self.iterations += 1
+
+    def solve(self, rhs, target):
+        """(u, residual) with residual = rhs - B~ u / eps, |residual|_inf <= target.
+
+        After each Krylov call the residual is recomputed with B~ and fed
+        back as the next right-hand side, at most ``REFINE_ROUNDS`` times.
+        """
+        scaled, goal = self.epsilon * rhs, self.epsilon * target
+        x, residual = np.zeros(scaled.size), scaled
+        for _ in range(REFINE_ROUNDS):
+            x += self._correction(residual, goal)
+            residual = scaled - self.matrix @ x
+            worst = np.abs(residual).max() / self.epsilon
+            if worst <= target:
+                break
+        residual /= self.epsilon
+        if worst > target:
+            raise _KrylovFailure(
+                f"uniform residual {worst:.3e} above {target:.3e} {self._spent()}", (x, residual)
+            )
+        return x, residual
+
+
+class _IluGmres(_Refined):
     """B = eps (diag(a) + L), less e_q e_q^T at a pinned point q = ``pinned``.
 
-    ``matrix`` is this B~: one copy of S's data on S's index arrays, with
-    the diagonal set to (S_ii - 1) + eps a_i, 1 lower at q.  The
+    ``matrix`` is this B~, B with its entry at q 1 lower.  The
     preconditioner ``_ilu`` is SuperLU's incomplete LU of P^T (P of
     :func:`_pruned`) in the minimum-degree order of P^T + P (George & Liu,
     1989), which ``SymmetricMode`` and ``diag_pivot_thresh=0`` apply to
-    rows and columns alike, taking the diagonal pivots.  ``iterations``
-    counts every GMRES iteration of every call.
+    rows and columns alike, taking the diagonal pivots.
     """
 
+    krylov = "gmres"
+
     def __init__(self, generator, shift, pinned):
-        s, self.epsilon = generator.s_matrix, generator.epsilon
-        self.pinned, self.iterations = pinned, 0
-        b = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
-        b.setdiag((s.diagonal() - 1.0) + self.epsilon * shift)
+        super().__init__(generator, shift)
+        self.pinned = pinned
         if pinned is not None:
-            b[pinned, pinned] -= 1.0
-        self.matrix = b
+            self.matrix[pinned, pinned] -= 1.0
         try:
             self._ilu = scipy.sparse.linalg.spilu(
-                _pruned(b).T, drop_tol=ILU_DROP_TOL, permc_spec="MMD_AT_PLUS_A",
+                _pruned(self.matrix).T, drop_tol=ILU_DROP_TOL, permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
             raise _KrylovFailure(f"incomplete LU broke down: {exc}") from None
         self.factor_nnz = int(self._ilu.L.nnz + self._ilu.U.nnz)
         self._precond = scipy.sparse.linalg.LinearOperator(
-            s.shape, lambda v: self._ilu.solve(v, "T"), lambda v: self._ilu.solve(v, "N"), dtype=float
+            self.matrix.shape, lambda v: self._ilu.solve(v, "T"), lambda v: self._ilu.solve(v, "N"), dtype=float
         )
 
     def _gmres(self, matrix, precond, rhs):
         """(x, converged): one preconditioned GMRES call from zero."""
-
-        def count(_):
-            self.iterations += 1
-
         x, info = scipy.sparse.linalg.gmres(
             matrix, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART,
-            maxiter=GMRES_MAX_CYCLES * GMRES_RESTART, M=precond, callback=count, callback_type="legacy",
+            maxiter=GMRES_MAX_CYCLES * GMRES_RESTART, M=precond, callback=self._count, callback_type="legacy",
         )
         return x, info == 0
 
-    def _spent(self):
-        return f"after {self.iterations} GMRES iterations"
+    def _correction(self, residual, _):
+        return self._gmres(self.matrix, self._precond, residual)[0]
 
     def null_vector(self, left):
         """v with v (a + L) = 0 (``left``) or (a + L) v = 0, and v = 1 at the pin.
@@ -285,27 +342,39 @@ class _IluGmres:
             raise _KrylovFailure(f"the {side} null vector is {v[self.pinned]} at the pin")
         return v / v[self.pinned]
 
-    def solve(self, rhs, target):
-        """(u, residual) with residual = rhs - B~ u / eps, |residual|_inf <= target.
 
-        After each GMRES call the residual is recomputed with B~ and fed
-        back as the next right-hand side, at most ``REFINE_ROUNDS`` times.
-        """
-        scaled = self.epsilon * rhs
-        x, residual = np.zeros(scaled.size), scaled
-        for _ in range(REFINE_ROUNDS):
-            delta, _ = self._gmres(self.matrix, self._precond, residual)
-            x += delta
-            residual = scaled - self.matrix @ x
-            worst = np.abs(residual).max() / self.epsilon
-            if worst <= target:
-                break
-        residual /= self.epsilon
-        if worst > target:
-            raise _KrylovFailure(
-                f"uniform residual {worst:.3e} above {target:.3e} {self._spent()}", (x, residual)
-            )
-        return x, residual
+class _JacobiCg(_Refined):
+    """B = eps (diag(a) + L) for a reversible S with stationary weights w
+    (``GeneratorMatrix.weights``), solved as A = -diag(w) B.
+
+    A is symmetric positive semidefinite (positive definite unless a = 0
+    everywhere), so CG (Hestenes & Stiefel, 1952) runs on it, with the
+    Jacobi preconditioner diag(A)^-1.  A call stops once its residual
+    2-norm is at most min(w) times the uniform goal, which bounds B's
+    uniform residual by the goal, or after ``CG_MAX_ITERATIONS``
+    iterations.  No factor is built, and the null vectors for a = 0 are
+    known: w on the left, 1 on the right.
+    """
+
+    krylov = "cg"
+    factor_nnz = None
+
+    def __init__(self, generator, shift):
+        super().__init__(generator, shift)
+        w, b = generator.weights, self.matrix
+        self._weights, inverse_diagonal = w, -1.0 / (w * b.diagonal())
+        self._a = scipy.sparse.linalg.LinearOperator(b.shape, lambda v: -w * (b @ v), dtype=float)
+        self._precond = scipy.sparse.linalg.LinearOperator(b.shape, lambda v: inverse_diagonal * v, dtype=float)
+
+    def _correction(self, residual, goal):
+        x, _ = scipy.sparse.linalg.cg(
+            self._a, -self._weights * residual, rtol=0.0, atol=goal * self._weights.min(),
+            maxiter=CG_MAX_ITERATIONS, M=self._precond, callback=self._count,
+        )
+        return x
+
+    def null_vector(self, left):
+        return self._weights if left else np.ones(self._weights.size)
 
 
 def solve(problem: LinearProblem) -> SolveReport:
@@ -345,18 +414,24 @@ def _krylov_solve(gen, a, f, target):
     """(u, residual, system): (a + L)^+ f for a <= 0, by rank-one deflation
     where S has a closed class with a = 0 on it.
 
-    ``residual``, at most ``target`` on every row, is f' - B~ u / eps for f'
-    = f or its projection onto w^perp, before v is removed: off the pin q
-    it is r = f' - (a + L) u, and r_q is bounded only through w r = 0.
-    Raises :class:`DisconnectedGraphError` for more than one such class
-    and :class:`_KrylovFailure` when the Krylov solve fails.
+    A generator with ``weights`` takes :class:`_JacobiCg`, unless a closed
+    class with a = 0 on it leaves a != 0 elsewhere (its null vectors are
+    then not w and 1); every other takes :class:`_IluGmres`, pinned at the
+    class's smallest point.  ``residual``, at most ``target`` on every row,
+    is f' - B~ u / eps for f' = f or its projection onto w^perp, before v
+    is removed: off a pin q it is r = f' - (a + L) u, and r_q is bounded
+    only through w r = 0.  Raises :class:`DisconnectedGraphError` for more
+    than one such class and :class:`_KrylovFailure` when the Krylov solve
+    fails.
     """
     classes = _null_classes(gen.s_matrix, a)
     if classes.size > 1:
         raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
-    pinned = int(classes[0]) if classes.size else None
-    system = _IluGmres(gen, a, pinned)
-    if pinned is None:  # a + L is nonsingular
+    if gen.weights is not None and not (classes.size and a.any()):
+        system = _JacobiCg(gen, a)
+    else:
+        system = _IluGmres(gen, a, int(classes[0]) if classes.size else None)
+    if not classes.size:  # a + L is nonsingular
         u, residual = system.solve(f, target)
         return u, residual, system
     w = system.null_vector(left=True)
@@ -369,13 +444,13 @@ def _krylov_solve(gen, a, f, target):
 def solve_direct(problem: LinearProblem) -> SolveReport:
     """Solve (diag(a) + L) u = f for strictly negative a.
 
-    Runs the shared ILU / GMRES driver on the whole system (no
+    Runs the shared driver, CG or ILU / GMRES, on the whole system (no
     pinning) and refines until the relative uniform residual
     |f - (a + L) u|_inf / |f|_inf is at most ``DIRECT_RESIDUAL_RTOL``
     (1e-10).  Raises :class:`DirectSolveError`, with the best iterate and
     its uniform residual, if the ILU breaks down or the contract is not
-    met within ``REFINE_ROUNDS`` GMRES calls (each at most
-    ``GMRES_MAX_CYCLES`` restart cycles).
+    met within ``REFINE_ROUNDS`` Krylov calls (each within its
+    iteration limit).
     """
     a, f = problem.shift, problem.rhs
     if a.max() >= 0:
@@ -395,21 +470,22 @@ def solve_direct(problem: LinearProblem) -> SolveReport:
         raise DirectSolveError(
             f"direct solve failed at relative residual {res_inf / f_scale:.3e}: {exc}", res_inf, u
         ) from None
-    return SolveReport(u, "direct", float(np.abs(residual).max()), system.iterations, system.factor_nnz)
+    return SolveReport(
+        u, "direct", float(np.abs(residual).max()), system.iterations, system.factor_nnz, system.krylov
+    )
 
 
 def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveReport:
     """Minimum-norm least-squares solution of (diag(a) + L) u = f.
 
     ``method="iterative"`` (default) needs a <= 0 and computes (a + L)^+ f
-    with the shared ILU / GMRES driver, refining until the uniform
+    with the shared driver, CG or ILU / GMRES, refining until the uniform
     residual (of B~ if S has a closed class with a = 0 on it) is at most
-    ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|, each GMRES call within
-    ``GMRES_MAX_CYCLES`` restart cycles.  Raises
-    :class:`DisconnectedGraphError` when S has more than one closed class
-    with a = 0 on it and :class:`MinNormConvergenceError` (best iterate
-    and least-squares residual attached) on an ILU breakdown or GMRES
-    non-convergence.
+    ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|, each Krylov call within its
+    iteration limit.  Raises :class:`DisconnectedGraphError` when S has
+    more than one closed class with a = 0 on it and
+    :class:`MinNormConvergenceError` (best iterate and least-squares
+    residual attached) on an ILU breakdown or Krylov non-convergence.
 
     ``method="svd"`` computes the truncated-SVD pseudo-inverse (singular
     values below 1e-8 sigma_max dropped) of diag(a) + L, available for
@@ -422,7 +498,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
         raise ValueError(f"unknown min-norm method {method!r}")
     if not np.any(f):
         return SolveReport(np.zeros(n), f"min_norm_{method}", 0.0, iterations=0)
-    factor_nnz = None
+    factor_nnz = krylov = None
     if method == "iterative":
         if a.max() > 0:
             raise ValueError("the iterative minimum-norm solve needs a <= 0; use method='svd'")
@@ -433,7 +509,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
             u = exc.best[0] if exc.best else np.zeros(n)
             residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
             raise MinNormConvergenceError(f"minimum-norm solve failed: {exc}", u, residual) from None
-        itn, factor_nnz = system.iterations, system.factor_nnz
+        itn, factor_nnz, krylov = system.iterations, system.factor_nnz, system.krylov
         residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
     else:
         if n > SVD_MAX_N:
@@ -443,7 +519,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
         keep = sing > SVD_TRUNCATION_RTOL * sing[0]
         u, itn = vt[keep].T @ ((u_mat.T @ f)[keep] / sing[keep]), 0
         residual = float(np.linalg.norm(A @ u - f))
-    return SolveReport(u, f"min_norm_{method}", residual, iterations=itn, factor_nnz=factor_nnz)
+    return SolveReport(u, f"min_norm_{method}", residual, itn, factor_nnz, krylov)
 
 
 def error_report(u_hat: np.ndarray, u_true: np.ndarray) -> tuple[float, float]:

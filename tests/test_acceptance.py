@@ -281,15 +281,19 @@ class TestCriterion6Properties:
         )
 
     def test_dense_oracle_equivalence_small(self):
-        # complete dense numpy reimplementation of the pipeline at N <= 50
+        # complete dense numpy reimplementation of the pipeline at N <= 50;
+        # the Laplace-Beltrami kernel is symmetric, so its pattern is the kNN
+        # pattern joined with its mirror, and a drifted kernel keeps the kNN pattern
         rng = np.random.default_rng(3)
-        for trial in range(3):
+        for drifted in (False, False, False, True):
             n = int(rng.integers(12, 50))
             theta = np.sort(rng.uniform(0, 2 * np.pi, size=n))
             pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
             cloud = PointCloud(pts, None, "iid_density", ambient_cloud_manifold(2, 1))
             coeffs = CoefficientField.laplace_beltrami(n, 2)
             k = int(rng.integers(4, n))
+            if drifted:
+                coeffs = CoefficientField(rng.uniform(-1.0, 1.0, size=(n, 2)), coeffs.diffusion_inv)
             eps, eps_t = 0.05, 0.08
             cfg = KernelConfig(eps, eps_t, k)
 
@@ -303,6 +307,8 @@ class TestCriterion6Properties:
                     v = pts[i] - pts[j] + eps * coeffs.drift[i]
                     kernel[i, j] = np.exp(-v @ coeffs.diffusion_inv[i] @ v / (2 * eps))
                     dens_pattern[i, j] = True
+            if not drifted:
+                kernel = np.maximum(kernel, kernel.T)
             q = (np.exp(-d2 / (2 * eps_t)) * dens_pattern).sum(axis=1)
             debiased = kernel / q[None, :]
             s = debiased / debiased.sum(axis=1, keepdims=True)

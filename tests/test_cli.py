@@ -785,6 +785,32 @@ class TestMainEntry:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--problem", "torus", "--N", "6400", "--k", "128", "--epsilon", "0.0024",
+             "--tilde-epsilon", "0.0179"],
+            ["study", "--problem", "bvp1d", "--N-values", "100,200,300,400", "--k", "30", "--debias", "false"],
+            ["tune", "--problem", "ellipse", "--N", "200"],
+        ],
+        ids=["solve", "study", "tune"],
+    )
+    def test_output_is_opened_before_the_numerics(self, tmp_path, monkeypatch, capsys, argv):
+        # an output path in a missing directory exits 1 before the kNN search
+        # (or the Q(eps) scan) runs, not after the whole solve
+        import lokpde.cli as cli
+        import lokpde.operator as operator
+        import lokpde.solver as solver_module
+
+        def numerics(*args, **kwargs):
+            raise AssertionError("the numerics ran")
+
+        for module in (cli, operator, solver_module):
+            monkeypatch.setattr(module, "build_knn_graph", numerics)
+        monkeypatch.setattr(cli, "tune_bandwidth", numerics)
+        assert main([*argv, "--output", str(tmp_path / "nodir" / "out.csv")]) == 1
+        assert "config key 'output' cannot be written" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags, named",
         [
             (["--problem", "torus", "--N", "401"], "does not factor"),
@@ -939,6 +965,24 @@ class TestSphereCloudPathway:
         record = run_solve(cfg)
         assert record["debias"] is True  # the default, which the ambient pathway needs
         assert record["solver"] == "min_norm"
+
+    def test_cloud_without_coefficients_takes_cg(self, tmp_path, capsys):
+        # the Laplace-Beltrami field is isotropic and drift-free: S is reversible
+        cloud_path = write_cloud(tmp_path, sample_sphere(400, seed=1).ambient)
+        flags = ["--problem", cloud_path, "--rhs", "1", "--k", "60", "--epsilon", "0.05", "--tilde-epsilon", "0.05"]
+        for shift, route in (("-1", "direct"), ("0", "min_norm")):
+            assert main(["solve", *flags, "--shift-a", shift]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert (record["solver"], record["krylov"], record["factor_nnz"]) == (route, "cg", None)
+            assert record["iterations"] > 0 and record["nnz"] > 400 * 60
+
+    def test_zoo_problems_take_gmres(self, capsys):
+        # lifted (ellipse) and drifted (bvp1d) fields keep the kNN pattern
+        for flags in (["--problem", "ellipse", "--N", "200", "--k", "40", "--epsilon", "3e-3"],
+                      ["--problem", "bvp1d", "--N", "200", "--k", "50", "--epsilon", "1e-5", "--debias", "false"]):
+            assert main(["solve", *flags, "--tilde-epsilon", "3e-3"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert record["krylov"] == "gmres" and record["factor_nnz"] > 0
 
     def test_debias_false_is_rejected(self, tmp_path, capsys):
         cloud_path = write_cloud(tmp_path, sample_sphere(200, seed=1).ambient)

@@ -245,10 +245,11 @@ class TestNamedFailures:
     def test_transient_point_is_not_a_class(self):
         # point 0 sits far out: its neighbours are cluster points, but no
         # cluster point has it as a neighbour, so it is transient and the
-        # pinned point must come from the cluster
+        # pinned point must come from the cluster; the drift keeps the kNN
+        # pattern, which a symmetric kernel would join with its mirror
         rng = np.random.default_rng(1)
         pts = np.vstack([[3.0, 0.0], rng.normal(scale=0.3, size=(15, 2))])
-        gen = cloud_generator(pts, 4, 1.0)
+        gen = cloud_generator(pts, 4, 1.0, drift=np.full((16, 2), 0.1))
         assert _null_classes(gen.s_matrix, np.zeros(16)).tolist() == [1]
         f = rng.normal(size=16)
         # a < 0 at the transient point only: the class stays singular, but
@@ -329,6 +330,83 @@ class TestNamedFailures:
             problem, cloud, coeffs, 20, n_coarse=5, n_refine=2, debias=False
         )
         assert eps >= 1e-4 and np.isfinite(err)
+
+
+class TestReversibleRoute:
+    """A generator with weights (an isotropic, drift-free field whose S keeps
+    every link of its symmetric pattern) is solved by CG; every other by GMRES."""
+
+    @staticmethod
+    def generators():
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(size=(80, 2))
+        cloud = PointCloud(pts, None, "iid_density", ambient_cloud_manifold(2))
+        anisotropic = CoefficientField(np.zeros((80, 2)), np.broadcast_to(np.diag([1.0, 3.0]), (80, 2, 2)))
+        grid = PointCloud(np.linspace(0.0, 1.0, 30)[:, None], None, "iid_density", ambient_cloud_manifold(1))
+        return {
+            "isotropic": cloud_generator(pts, 20, 0.05, debias=True),
+            "drifted": cloud_generator(pts, 20, 0.05, debias=True, drift=np.full((80, 2), 0.2)),
+            "anisotropic": build_operator(cloud, anisotropic, KernelConfig(0.05, 0.05, 20)),
+            # isotropic, but the far links of k = N fall below eps and S drops them
+            "dropped-link": build_operator(grid, CoefficientField.isotropic(30, 1), KernelConfig(1e-3, 1e-3, 30)),
+        }
+
+    @pytest.mark.parametrize("name", ["isotropic", "drifted", "anisotropic", "dropped-link"])
+    def test_route_and_result(self, name):
+        gen = self.generators()[name]
+        n, krylov = gen.n_points, "cg" if name == "isotropic" else "gmres"
+        assert (gen.weights is not None) == (krylov == "cg")
+        f = np.random.default_rng(13).normal(size=n)
+        dense = gen.matrix().toarray()
+        a = np.full(n, -1.0)
+        rep = solve_direct(LinearProblem(gen, a, f))
+        assert (rep.krylov, rep.factor_nnz is None) == (krylov, krylov == "cg")
+        np.testing.assert_allclose(rep.u_hat, np.linalg.solve(dense + np.diag(a), f), atol=1e-9)
+        rep = solve_min_norm(LinearProblem(gen, np.zeros(n), f))
+        assert rep.krylov == krylov and rep.iterations > 0
+        np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
+        assert check_minimum_norm_certificate(rep.u_hat, gen)
+
+    def test_zero_shift_on_one_component_takes_gmres(self):
+        # two far clusters, a = 0 on the second only: its null vectors are
+        # not w and 1 but their restrictions, so the reversible S takes GMRES
+        rng = np.random.default_rng(14)
+        pts = np.vstack([rng.normal(scale=0.1, size=(10, 2)), rng.normal(scale=0.1, size=(10, 2)) + [50.0, 0.0]])
+        gen = cloud_generator(pts, 5, 0.05)
+        assert gen.weights is not None
+        a = np.where(np.arange(20) < 10, -1.0, 0.0)
+        f = rng.normal(size=20)
+        rep = solve_min_norm(LinearProblem(gen, a, f))
+        assert rep.krylov == "gmres"
+        dense = gen.matrix().toarray() + np.diag(a)
+        np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
+
+    def test_two_clusters_are_disconnected_on_cg(self):
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(scale=0.1, size=(10, 2)), rng.normal(scale=0.1, size=(10, 2)) + [50.0, 0.0]])
+        gen = cloud_generator(pts, 5, 0.05)
+        assert gen.weights is not None
+        with pytest.raises(DisconnectedGraphError) as info:
+            solve(LinearProblem(gen, np.zeros(20), rng.normal(size=20)))
+        assert (info.value.n_classes, info.value.extra_points) == (2, [10])
+
+    def test_direct_failure_is_named_on_cg(self, monkeypatch):
+        gen = self.generators()["isotropic"]
+        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+        f = np.random.default_rng(15).normal(size=80)
+        with pytest.raises(DirectSolveError, match=f"after {solver.REFINE_ROUNDS} CG iterations") as info:
+            solve_direct(LinearProblem(gen, np.full(80, -1.0), f))
+        assert info.value.best_u.shape == (80,) and info.value.best_u.any()
+        assert info.value.residual_inf > solver.DIRECT_RESIDUAL_RTOL * np.abs(f).max()
+
+    def test_min_norm_failure_is_named_on_cg(self, monkeypatch):
+        gen = self.generators()["isotropic"]
+        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+        f = np.random.default_rng(16).normal(size=80)
+        with pytest.raises(MinNormConvergenceError, match=r"uniform residual .* after 3 CG iterations") as info:
+            solve_min_norm(LinearProblem(gen, np.zeros(80), f))
+        assert info.value.best_u.shape == (80,) and info.value.best_u.any()
+        assert np.isfinite(info.value.residual)
 
 
 @st.composite
