@@ -12,7 +12,7 @@ through :func:`load_cloud` and carry ambient data only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,21 +96,25 @@ def ambient_cloud_manifold(ambient_dim: int, intrinsic_dim: int | None = None) -
     return Manifold("ambient_cloud", d, ambient_dim, ())
 
 
+def _intrinsic_points(manifold: Manifold, intrinsic) -> tuple[np.ndarray, bool]:
+    """(points as (N, d) floats, whether one (d,) point was given), after
+    checking that the manifold has an embedding and d its dimension."""
+    if not manifold.has_embedding:
+        raise ValueError("ambient_cloud has no embedding")
+    x = np.asarray(intrinsic, dtype=float)
+    pts = np.atleast_2d(x)
+    if pts.shape[1] != manifold.intrinsic_dim:
+        raise ValueError(f"expected intrinsic dimension {manifold.intrinsic_dim}, got {pts.shape[1]}")
+    return pts, x.ndim == 1
+
+
 def embed(manifold: Manifold, intrinsic: np.ndarray) -> np.ndarray:
     """Map intrinsic coordinates to ambient coordinates.
 
     Accepts a single point of shape (d,) or a batch of shape (N, d) and
     returns shape (n,) or (N, n) accordingly.
     """
-    if not manifold.has_embedding:
-        raise ValueError("ambient_cloud has no embedding")
-    x = np.asarray(intrinsic, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != manifold.intrinsic_dim:
-        raise ValueError(
-            f"expected intrinsic dimension {manifold.intrinsic_dim}, got {pts.shape[1]}"
-        )
+    pts, single = _intrinsic_points(manifold, intrinsic)
     if manifold.id == "interval":
         out = pts.copy()
     elif manifold.id in ("ellipse", "half_ellipse"):
@@ -125,11 +129,7 @@ def embed(manifold: Manifold, intrinsic: np.ndarray) -> np.ndarray:
 
 def embedding_jacobian(manifold: Manifold, intrinsic: np.ndarray) -> np.ndarray:
     """Jacobian of the embedding, shape (n, d) per point ((N, n, d) for batches)."""
-    if not manifold.has_embedding:
-        raise ValueError("ambient_cloud has no embedding")
-    x = np.asarray(intrinsic, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    pts, single = _intrinsic_points(manifold, intrinsic)
     N = pts.shape[0]
     if manifold.id == "interval":
         jac = np.ones((N, 1, 1))
@@ -274,11 +274,10 @@ def psd_eigenvalues(diffusion_inv: np.ndarray) -> tuple[np.ndarray, int | None]:
 class CoefficientField:
     """Ambient drift B (N x n) and diffusion pseudo-inverse C^-1 (N x n x n),
     finite and positive semidefinite by :func:`psd_eigenvalues` (construction
-    names the first bad point), with those ``eigenvalues`` (N x n)."""
+    names the first bad point)."""
 
     drift: np.ndarray
     diffusion_inv: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B, Ci = _frozen_copy(self, "drift"), _frozen_copy(self, "diffusion_inv")
@@ -291,8 +290,6 @@ class CoefficientField:
         if bad is not None:
             raise ValueError(f"diffusion_inv at point {bad} is not positive semidefinite "
                              f"(smallest eigenvalue {float(eig[bad, 0])!r})")
-        eig.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", eig)
 
     @property
     def n_points(self) -> int:

@@ -221,11 +221,12 @@ def _kernel_rows(planes, rows, cols, drift, ci, scale, epsilon, work, out):
     (``drift``, ``ci``); v = (x_i - x_j) + eps B_i goes to the rows of
     ``work`` past the four that :func:`_pair_forms` uses."""
     v = _plane_differences(planes, rows, cols, work[4:])
-    for a, va in enumerate(v):
-        np.add(va, epsilon * drift[:, a, None], out=va)
-    q0, _ = _pair_forms(ci, v, None, scale, work)
-    # quad / (-2 eps) == -quad / (2 eps) bit for bit
-    np.divide(q0, -2.0 * epsilon, out=out)
+    with np.errstate(over="ignore"):  # a quad of inf gives exp(-inf) = 0.0, the exact limit
+        for a, va in enumerate(v):
+            np.add(va, epsilon * drift[:, a, None], out=va)
+        q0, _ = _pair_forms(ci, v, None, scale, work)
+        # quad / (-2 eps) == -quad / (2 eps) bit for bit
+        np.divide(q0, -2.0 * epsilon, out=out)
     np.exp(out, out=out)
 
 

@@ -28,8 +28,9 @@ locating the maximal log-log slope of Q(eps), the mean of the full kernel
 matrix, which also estimates the intrinsic dimension as twice that slope;
 :func:`select_bandwidths` holds the rule for both bandwidths.
 
-The Q(eps) scan of :func:`tune_bandwidth` is exact but skips the terms
-it can certify to be 0.0; its docstring gives the bound, the symmetric
+The Q(eps) scan of :func:`tune_bandwidth` is exact but skips each row's
+terms past a one-sided bound on q0, which evaluate to 0.0 whatever C^-1;
+its docstring gives the bound and its rounding argument, the symmetric
 route and the row blocks, which run on the pool of the kNN search.
 """
 
@@ -187,7 +188,7 @@ def left_normalize(kernel: SparseKernelMatrix) -> GeneratorMatrix:
         bad = int(np.argmin(row_sums))
         raise ValueError(
             f"kernel row {bad} has non-positive sum {float(row_sums[bad])!r}; "
-            "the point is isolated (k too small or epsilon too small)"
+            "the point is isolated (k too small, epsilon too small, or epsilon too large for the drift)"
         )
     counts = np.diff(mat.indptr)
     blocks = _entry_blocks(mat.indptr)
@@ -284,39 +285,6 @@ def default_epsilon_grid() -> np.ndarray:
     return 2.0 ** np.linspace(-30.0, 10.0, 41)
 
 
-def _q0_window(pts, coeffs, q2, grid):
-    """Per-row q0 bounds outside which every term underflows to exactly 0.0.
-
-    Returns (low, high), each (N, grid.size): the term of pair (i, j) at
-    grid point g can be nonzero only if low[i, g] < q0_ij < high[i, g].
-    A q0 below 0 from rounding counts as 0 (low is -inf or positive).
-    """
-    dim = pts.shape[1]
-    ci = coeffs.diffusion_inv
-    # rounding in q0, q1, q2 and in the quadratic form, a slightly negative
-    # eigenvalue and an antisymmetric part of C^-1 all perturb quad by at
-    # most kappa (|v| + eps |B|)^2, so |sqrt(q0) - eps sqrt(q2)| may fall
-    # short of sqrt(quad) by at most sigma (|v| + eps |B|)
-    gamma = 4.0 * (2 * dim + 8) * np.finfo(float).eps / 2.0
-    norm_c = np.sqrt(np.einsum("mnp,mnp->m", ci, ci))
-    anti = ci - np.swapaxes(ci, 1, 2)
-    norm_anti = 0.5 * np.sqrt(np.einsum("mnp,mnp->m", anti, anti))
-    sigma = 3.0 * np.sqrt(np.maximum(-coeffs.eigenvalues[:, 0], 0.0) + norm_anti + 2.0 * gamma * norm_c)
-    # |x_i - x_j| <= |x_i - center| + max_j |x_j - center|
-    dist = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
-    reach = (dist + dist.max()) * (1.0 + 1e-9)
-    b_norm = np.linalg.norm(coeffs.drift, axis=1) * (1.0 + 1e-9)
-
-    eps = grid[None, :]
-    center = eps * np.sqrt(np.maximum(q2, 0.0))[:, None]
-    radius = np.sqrt((2.0 * _UNDERFLOW_EXPONENT) * eps)
-    radius = radius + sigma[:, None] * (reach[:, None] + eps * b_norm[:, None])
-    radius += 1e-12 * (center + radius)  # rounding of these bounds themselves
-    lower = center - radius
-    low = np.where(lower > 0.0, lower * lower, -np.inf)
-    return low, (center + radius) ** 2
-
-
 def _isotropic_scale(coeffs: CoefficientField) -> float | None:
     """c when the drift is zero and every C^-1 is the same c I, else None.
     Such a kernel is symmetric to the bit: x_j - x_i is exactly -(x_i - x_j),
@@ -324,30 +292,35 @@ def _isotropic_scale(coeffs: CoefficientField) -> float | None:
     return None if coeffs.drift.any() else _identity_scale(coeffs.diffusion_inv)
 
 
-def _window_sums(q0, q1, q2_rows, low, high, grid, buf):
-    """Sum each grid point's terms over the window of row-sorted q0.
+def _prefix_ends(q0, q1, q2_rows, grid, buf):
+    """Per row i and grid point, the count of row-sorted q0 at or below the
+    bound H_i(eps) of :func:`tune_bandwidth`, past which every term is 0.0.
+    ``q1`` is in q0's order, or None without drift (then ``q2_rows`` is
+    unused); |q1| goes to the free scratch row ``buf``."""
+    half = 0.5 * grid
+    if q1 is None:
+        q1_max = q2_rows = np.zeros((q0.shape[0], 1))
+    else:
+        q1_max = np.abs(q1, out=buf[: q1.size].reshape(q1.shape)).max(axis=1, keepdims=True)
+    bound = 2.0 * grid * ((_UNDERFLOW_EXPONENT + q1_max) - half * q2_rows)
+    bound[q1_max + half * np.abs(q2_rows) > 2.0**40] = np.inf
+    return np.array([np.searchsorted(row, h, side="right") for row, h in zip(q0, bound)])
 
-    ``q1`` is in q0's order (None without drift, then ``q2_rows`` is
-    unused); ``low``/``high`` are the rows' bounds from :func:`_q0_window`.
-    Every row evaluates the union of the rows' windows, one contiguous
-    column range per grid point, into the free scratch row ``buf`` (at
-    least q0.size long).  Returns (sums, terms evaluated).
-    """
-    los = [np.searchsorted(row, lo, side="right") for row, lo in zip(q0, low)]
-    his = [np.searchsorted(row, hi, side="left") for row, hi in zip(q0, high)]
-    los, his = np.min(los, axis=0), np.max(his, axis=0)
+
+def _window_sums(q0, q1, q2_rows, grid, buf):
+    """Sum each grid point's terms over the longest of the rows' prefixes
+    (:func:`_prefix_ends`) into the free scratch row ``buf`` (at least
+    q0.size long).  Returns (sums, terms evaluated)."""
+    his = _prefix_ends(q0, q1, q2_rows, grid, buf).max(axis=0)
     sums = np.zeros(grid.size)
     evals = 0
-    for idx, eps in enumerate(grid):
-        lo, hi = los[idx], his[idx]
-        if lo >= hi:
-            continue
+    for idx, (eps, hi) in enumerate(zip(grid, his)):
         # -quad / (2 eps) as (q0 (-1/(2 eps)) - q1) - (eps/2) q2: for a
         # power-of-two eps each step scales the formula's step exactly
-        out = buf[: q0.shape[0] * (hi - lo)].reshape(q0.shape[0], hi - lo)
-        np.multiply(q0[:, lo:hi], -0.5 / eps, out=out)
+        out = buf[: q0.shape[0] * hi].reshape(q0.shape[0], hi)
+        np.multiply(q0[:, :hi], -0.5 / eps, out=out)
         if q1 is not None:
-            np.subtract(out, q1[:, lo:hi], out=out)
+            np.subtract(out, q1[:, :hi], out=out)
             np.subtract(out, (0.5 * eps) * q2_rows, out=out)
         np.exp(out, out=out)
         sums[idx] = out.sum()
@@ -372,14 +345,16 @@ def tune_bandwidth(
     (q0 (-1/(2 eps)) - q1) - (eps/2) q2, in three passes; for a power of
     two eps, as on :func:`default_epsilon_grid`, each rounded step is an
     exact scaling of the formula's, so the terms equal the formula's bit
-    for bit.  Terms that provably evaluate to 0.0 are skipped.  With C^-1
-    positive semidefinite, quad = |v + eps B|^2 in the C^-1 seminorm, so
-    sqrt(quad) >= |sqrt(q0) - eps sqrt(q2)|.  A term is skipped when this
-    bound, less a margin for the rounding of q0, q1, q2 and of the form,
-    still puts quad / (2 eps) above 750, beyond the 745.13 at which
-    exp(-x) underflows to 0.0 in float64.  Rows are processed in blocks of
-    32 with their q0 sorted, so each grid point evaluates one contiguous
-    column range per block.
+    for bit.  Row i skips the terms with q0 > H_i(eps) = 2 eps (750 + M_i
+    - (eps/2) q2_i), M_i = max_j |q1_ij|, whose exact exponent is below
+    -750 - M_i - q1_ij <= -750 whatever C^-1 is.  The rounded passes are
+    monotone in q0, so a skipped term's exponent is at most the one they
+    give at q0 = fl(H_i); while M_i + (eps/2) |q2_i| <= 2^40 (a row past
+    that is evaluated whole), their dozen roundings move it by under 2e-3,
+    far inside the 4.87 between -750 and the -745.13 below which exp
+    underflows to 0.0 in float64.  Rows are processed in blocks of 32 with
+    their q0 sorted, so each grid point evaluates one prefix per block,
+    the longest of its rows'.
 
     Each block cuts v into ``dim`` (rows x columns) coordinate planes of
     pts.T and forms q0, q1 (q2 likewise) with ``kernels._pair_forms``, in
@@ -398,15 +373,13 @@ def tune_bandwidth(
     Blocks run on ``kernels.map_row_blocks``, each cutting its planes from
     its worker's scratch rows; the drift route gathers the row-sorted q0
     and q1 into those rows too.  The subtractions, multiplies and adds, the
-    sorts and gathers, and the window sums' multiplies, exp and sums release
+    sorts and gathers, and the prefixes' multiplies, exp and sums release
     the GIL; only the Python loops over rows and grid points hold it.
     Partial sums are added in block order, so the result does not depend
     on the worker count.
 
-    The cloud and the field are finite and every C^-1 is positive
-    semidefinite by construction; the rounding margin reads the field's
-    ``eigenvalues``.  Raises ValueError for a grid that is not finite,
-    positive and strictly increasing.
+    The cloud and the field are finite by construction.  Raises ValueError
+    for a grid that is not finite, positive and strictly increasing.
     """
     grid = default_epsilon_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
@@ -420,7 +393,6 @@ def tune_bandwidth(
     ci, drift = coeffs.diffusion_inv, coeffs.drift
     has_drift = bool(drift.any())
     q2 = _pair_forms(ci, [drift[:, p, None] for p in range(dim)], None, None, np.empty((4, n)))[0][:, 0]
-    low, high = _q0_window(pts, coeffs, q2, grid)
     scale = _isotropic_scale(coeffs)
     planes = np.ascontiguousarray(pts.T)
 
@@ -437,8 +409,8 @@ def tune_bandwidth(
         square.sort(axis=1)
         tail.sort(axis=1)
         # C^-1 v's scratch row is free once the forms are made
-        own, own_evals = _window_sums(square, None, None, low[rows], high[rows], grid, work[0])
-        mirrored, mirrored_evals = _window_sums(tail, None, None, low[rows], high[rows], grid, work[0])
+        own, own_evals = _window_sums(square, None, None, grid, work[0])
+        mirrored, mirrored_evals = _window_sums(tail, None, None, grid, work[0])
         return own + 2.0 * mirrored, own_evals + mirrored_evals
 
     def scan_block(rows, work):
@@ -454,7 +426,7 @@ def tune_bandwidth(
             q0, q1 = s0, s1
         else:
             q0.sort(axis=1)
-        return _window_sums(q0, q1, q2[rows, None], low[rows], high[rows], grid, work[0])
+        return _window_sums(q0, q1, q2[rows, None], grid, work[0])
 
     totals = np.zeros(grid.size)
     pair_evals = 0

@@ -891,6 +891,28 @@ class TestMainEntry:
         assert code == 2
         assert "closed classes" in capsys.readouterr().err
 
+    def test_drift_past_the_underflow_is_named(self, capsys):
+        # eps B pushes every neighbour of a row, the point itself too, past
+        # exp's underflow: the row is empty for a large epsilon, not a small one
+        code = main(["solve", "--problem", "half_torus", "--N", "200", "--k", "20", "--epsilon", "1e9",
+                     "--tilde-epsilon", "1e-3"])
+        assert code == 2
+        assert "or epsilon too large for the drift" in capsys.readouterr().err
+
+    def test_overflowing_kernel_prints_only_the_named_error(self):
+        # quad overflows to inf at eps = 1e300, whose entry exp(-inf) = 0.0 is
+        # exact; numpy's overflow warning must not precede the named error
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "lokpde.cli", "solve", "--problem", "bvp1d", "--N", "50", "--k", "50",
+             "--epsilon", "1e300", "--tilde-epsilon", "1e300"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: kernel row 0 has non-positive sum"), lines
+
     def test_import_defers_kd_tree_and_thread_pool(self):
         # no solve uses scipy.spatial; csgraph loads on first use (the
         # solver's closed-class search), and so does the thread pool

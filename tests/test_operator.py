@@ -624,7 +624,8 @@ class TestIndefiniteField:
             build_operator(cloud, coeffs, KernelConfig(0.01, 0.01, 40))
 
     def test_each_field_is_decomposed_once(self, monkeypatch):
-        # the scans read the eigenvalues the field computed when it was built
+        # the scans decompose no C^-1: the one call is the PSD check of the
+        # Gaussian scan's isotropic field, made when that field is built
         problem = analytic_pair("half_torus")
         cloud = sample_points(problem.manifold, 200, "uniform_grid")
         coeffs = problem_coefficients(problem, cloud)
@@ -775,34 +776,56 @@ class TestTuningExactness:
         assert_matches_oracle(rep, dense_tuning(cloud, coeffs, grid))
         assert np.isfinite(rep.log_q[grid == 1.0][0]) == q_positive
 
-    @settings(max_examples=100)
-    @given(st.one_of(tuning_inputs(), isotropic_inputs().map(lambda inputs: inputs[:2])))
-    def test_rounding_margin_covers_the_pair_forms(self, inputs):
-        # _q0_window allows the float64 quad = q0 + 2 eps q1 + eps^2 q2 to be
-        # off by 2 gamma |C^-1|_F (|v| + eps |B|)^2, with gamma from its comment
-        cloud, coeffs = inputs
+    @staticmethod
+    def skipped_terms(cloud, coeffs, grid):
+        """Every term the scan's prefixes leave out, evaluated by the three
+        passes of _window_sums, with each row's skip bound taken alone (a
+        block skips a subset of these).  Returns the per-row prefix ends too."""
         pts, ci, drift = cloud.ambient, coeffs.diffusion_inv, coeffs.drift
         n, dim = pts.shape
-        gamma = 4.0 * (2 * dim + 8) * np.finfo(float).eps / 2.0
         scale = operator._isotropic_scale(coeffs)
         v = [x[:, None] - x[None, :] for x in pts.T]
-        q0, q1 = operator._pair_forms(ci, v, drift if scale is None else None, scale, np.empty((4, n * n)))
-        q1 = np.zeros_like(q0) if q1 is None else q1
+        q0, q1 = operator._pair_forms(ci, v, drift if drift.any() else None, scale, np.empty((4, n * n)))
         q2 = operator._pair_forms(ci, [drift[:, p, None] for p in range(dim)], None, None, np.empty((4, n)))[0]
-        ld = np.longdouble
-        v_ld = pts.astype(ld)[:, None, :] - pts.astype(ld)[None, :, :]
-        civ_ld = np.einsum("inp,ijp->ijn", ci.astype(ld), v_ld)
-        q0_ld = np.einsum("ijn,ijn->ij", v_ld, civ_ld)
-        q1_ld = np.einsum("in,ijn->ij", drift.astype(ld), civ_ld)
-        q2_ld = np.einsum("in,inp,ip->i", drift.astype(ld), ci.astype(ld), drift.astype(ld))[:, None]
-        v_norm = np.sqrt(sum(va * va for va in v))
-        b_norm = np.linalg.norm(drift, axis=1)[:, None]
-        norm_c = np.linalg.norm(ci, axis=(1, 2))[:, None]
-        for eps in default_epsilon_grid():
-            quad = (q0 + q1 * (2.0 * eps)) + (eps * eps) * q2  # as _window_sums forms it
-            quad_ld = q0_ld + (2.0 * eps) * q1_ld + (eps * eps) * q2_ld
-            bound = 2.0 * gamma * norm_c * (v_norm + eps * b_norm) ** 2
-            assert (np.abs(quad - quad_ld) <= bound).all()
+        order = np.argsort(q0, axis=1)
+        q0 = np.take_along_axis(q0, order, axis=1)
+        q1 = None if q1 is None else np.take_along_axis(q1, order, axis=1)
+        ends = operator._prefix_ends(q0, q1, q2, grid, np.empty(n * n))
+        skipped = []
+        for idx, eps in enumerate(grid):
+            x = q0 * (-0.5 / eps)
+            if q1 is not None:
+                x = (x - q1) - (0.5 * eps) * q2
+            skipped.append(np.exp(x)[np.arange(n) >= ends[:, idx, None]])
+        return np.concatenate(skipped), ends
+
+    @settings(max_examples=150)
+    @given(
+        st.one_of(tuning_inputs(), isotropic_inputs().map(lambda inputs: inputs[:2])),
+        st.sampled_from(["octaves", "non-power-of-two"]),
+    )
+    def test_skipped_terms_evaluate_to_zero(self, inputs, grid_kind):
+        # drifted, anisotropic and rank-deficient fields (tuning_inputs) and
+        # isotropic ones; off the octave grid the passes round differently
+        cloud, coeffs = inputs
+        grid = default_epsilon_grid() * (1.0 if grid_kind == "octaves" else 0.7)
+        terms, _ = self.skipped_terms(cloud, coeffs, grid)
+        assert (terms == 0.0).all()
+
+    def test_large_drift_rows_are_evaluated_whole(self):
+        # (eps/2) q2 = 5e9 eps passes 2^40 from eps = 256 on: those rows skip
+        # nothing, though every term there underflows, and Q still vanishes
+        drift = np.array([[1e5], [-1e5], [1e5]])
+        cloud, coeffs = make_cloud([[0.0], [1.0], [3.0]]), CoefficientField(drift, np.ones((3, 1, 1)))
+        grid = default_epsilon_grid()
+        terms, ends = self.skipped_terms(cloud, coeffs, grid)
+        assert (terms == 0.0).all()
+        guarded = 0.5 * grid * 1e10 > 2.0**40
+        assert guarded.sum() == 3
+        assert (ends[:, guarded] == 3).all() and (ends[:, ~guarded & (grid > 1.0)] == 0).all()
+        rep = tune_bandwidth(cloud, coeffs, grid)
+        assert_matches_oracle(rep, dense_tuning(cloud, coeffs, grid))
+        assert np.isneginf(rep.log_q[guarded]).all()
 
     def test_drift_problem_matches_dense_oracle(self):
         problem = analytic_pair("bvp1d")
