@@ -5,7 +5,7 @@ curve; their ambient lift (B, C^-1) through the embedding Jacobian's
 pseudo-inverse is what the kernel consumes.  With a = 0 the generator is
 singular (constants are in its nullspace), so the solve is the unique
 minimum-norm least-squares solution, by pinning one point and deflating
-the left null vector (ILU-preconditioned GMRES).
+the left null vector (GMRES with a two-level aggregation preconditioner).
 
 Equal-angle nodes are NOT equidistant on the ellipse, which is exactly the
 sampling bias the right normalization (debias) removes: the script runs

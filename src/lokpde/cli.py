@@ -347,9 +347,9 @@ def run_solve(config: RunConfig) -> dict:
     eps).  ``krylov`` names the solve's Krylov method: "cg" where S is
     reversible (an isotropic, drift-free field whose S kept every link,
     as on a cloud file without coefficients), else "gmres";
-    ``factor_nnz`` counts the entries of GMRES's incomplete factors and
-    is null on CG, which builds none.  The ``output`` file is opened
-    before any numerics run.
+    ``coarse_size`` is the order of GMRES's coarse level (the number of
+    aggregates of its preconditioner) and is null on CG, which builds
+    none.  The ``output`` file is opened before any numerics run.
     """
     import resource  # loaded by a solve, not by the import of the CLI
     start = time.perf_counter()
@@ -408,7 +408,7 @@ def run_solve(config: RunConfig) -> dict:
             "residual_inf": report.residual_inf,
             "iterations": report.iterations,
             "nnz": int(gen.s_matrix.nnz),
-            "factor_nnz": report.factor_nnz,
+            "coarse_size": report.coarse_size,
             "d_hat": d_hat,
             "pair_evals": pair_evals,
             "stages": stages,

@@ -215,6 +215,29 @@ def _plane_differences(planes, rows, cols, out):
     return v
 
 
+def _check_overflow(planes, drift, ci, scale, epsilon):
+    """Raise ValueError when eps can overflow the kernel's quadratic form.
+
+    Every plane of v = (x_i - x_j) + eps B_i is bounded by V, the widest
+    coordinate span plus eps max|B_a|.  With C^-1 = c I every term of q0
+    is c v_a^2 >= 0, so a finite V is enough: a quad that overflows is
+    +inf, whose entry exp(-inf) = 0.0 is exact.  A general C^-1 mixes
+    signs, and an overflow there gives inf - inf = nan, or 0 inf = nan
+    where C^-1 is rank-deficient; every partial sum of C^-1 v and q0 stays
+    below dim^2 max|C^-1| V^2, which must then be finite with a factor 2
+    to spare.  Python floats keep numpy's overflow warning out.
+    """
+    spans = planes.max(axis=1) - planes.min(axis=1) + epsilon * np.abs(drift).max(axis=0)
+    reach = max(float(v) for v in spans)
+    dim = planes.shape[0]
+    bound = reach if scale is not None else dim * dim * float(np.abs(ci).max()) * reach * reach
+    if not bound < np.finfo(float).max / 2:
+        raise ValueError(
+            f"epsilon = {epsilon:g} overflows the kernel's quadratic form: x - y + epsilon B "
+            f"reaches {reach:.3g} (epsilon too large for the drift)"
+        )
+
+
 def _kernel_rows(planes, rows, cols, drift, ci, scale, epsilon, work, out):
     """K(eps, x_i, x_j) into ``out`` for the points i of the slice ``rows``
     against their columns ``cols``, with the row points' B and C^-1
@@ -244,10 +267,11 @@ def eval_prototypical_kernel(x, y, drift, diffusion_inv, epsilon: float) -> floa
     dim = x.shape[0]
     if y.shape != x.shape or B.shape != x.shape or Ci.shape != (dim, dim):
         raise ValueError(f"x, y and drift must be ({dim},) and diffusion_inv ({dim}, {dim})")
-    out = np.empty((1, 1))
+    out, planes, scale = np.empty((1, 1)), np.stack([x, y], axis=1), _identity_scale(Ci[None])
+    _check_overflow(planes, B[None], Ci[None], scale, epsilon)
     _kernel_rows(
-        np.stack([x, y], axis=1), slice(0, 1), np.ones((1, 1), dtype=np.intp), B[None], Ci[None],
-        _identity_scale(Ci[None]), epsilon, np.empty((4 + dim, 1)), out,
+        planes, slice(0, 1), np.ones((1, 1), dtype=np.intp), B[None], Ci[None], scale, epsilon,
+        np.empty((4 + dim, 1)), out,
     )
     return float(out[0, 0])
 
@@ -289,7 +313,7 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     probes = np.unique(np.linspace(0, n - 1, _PROBES).astype(np.intp))
     probe_d2 = _nearest(planes, probes, everyone, k, _scratch(4 + dim, probes.size * n))[1]
     reach = 1.1 * np.sqrt(probe_d2[:, -1].max())
-    todo = _median_order(planes, everyone)
+    todo = _median_order(planes, everyone, _KNN_ROWS)
     indices = np.empty((n, k), dtype=np.intp)
     d2 = np.empty((n, k))
 
@@ -312,16 +336,17 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     return indices, d2
 
 
-def _median_order(planes, rows):
+def _median_order(planes, rows, leaf):
     """``rows`` split recursively at a median of their widest axis (the k-d
-    tree's rule, Bentley 1975), each split at a multiple of ``_KNN_ROWS``:
-    the leaves in order, each ``_KNN_ROWS`` rows long but the last."""
-    if rows.size <= _KNN_ROWS:
+    tree's rule, Bentley 1975), each split at a multiple of ``leaf``: the
+    leaves in order, each ``leaf`` rows long but the last."""
+    if rows.size <= leaf:
         return rows
     x = planes[:, rows]
-    half = _KNN_ROWS * (-(-rows.size // _KNN_ROWS) // 2)
+    half = leaf * (-(-rows.size // leaf) // 2)
     order = np.argpartition(x[np.argmax(x.max(axis=1) - x.min(axis=1))], half)
-    return np.concatenate([_median_order(planes, rows[order[:half]]), _median_order(planes, rows[order[half:]])])
+    return np.concatenate([_median_order(planes, rows[order[:half]], leaf),
+                           _median_order(planes, rows[order[half:]], leaf)])
 
 
 def _nearest(planes, rows, cand, k, work):
@@ -408,6 +433,7 @@ def assemble_kernel_matrix(
         raise ValueError(f"neighbor indices must be ({n}, {k}), got {np.shape(indices)}")
     planes = np.ascontiguousarray(pts.T)
     scale = _identity_scale(coeffs.diffusion_inv)
+    _check_overflow(planes, coeffs.drift, coeffs.diffusion_inv, scale, cfg.epsilon)
     extra_rows, extra_cols = (np.empty(0, dtype=np.intp),) * 2 if mirrors is None else mirrors
     cols = np.empty(n * k + extra_rows.size, dtype=np.int32)
     data = np.empty(cols.size)

@@ -97,12 +97,18 @@ class GeneratorMatrix:
     measure w (w S = w), and diag(w)(S - I + eps diag(a)) is symmetric
     negative semidefinite for a <= 0.  :func:`build_operator` sets it;
     it is None otherwise.
+
+    ``points`` holds the nodes' ambient coordinates (N, n), which
+    :func:`build_operator` passes on from the cloud; the solver groups
+    nearby nodes by them for its coarse level.  None takes the nodes'
+    own numbering instead.
     """
 
     s_matrix: scipy.sparse.csr_matrix
     epsilon: float
     row_sums: np.ndarray
     weights: np.ndarray | None = None
+    points: np.ndarray | None = None
 
     def __post_init__(self):
         data = self.s_matrix.data
@@ -238,7 +244,8 @@ def build_operator(
     When the field is isotropic and drift-free the kernel is symmetric to
     the bit, and K is assembled on the union of the kNN pattern with its
     mirror (:func:`kernels.missing_mirrors`), so S is reversible; if S
-    keeps every link of it, the generator carries its ``weights``.
+    keeps every link of it, the generator carries its ``weights``.  The
+    generator carries the cloud's ambient coordinates as ``points``.
     """
     indices, d2 = build_knn_graph(cloud, cfg.k_neighbors) if neighbors is None else neighbors
     del neighbors
@@ -253,10 +260,10 @@ def build_operator(
     if debias:
         kernel = right_normalize(kernel, density)
     gen = left_normalize(kernel)
-    if mirrors is None or gen.s_matrix.nnz < kernel.matrix.nnz:
-        return gen
-    weights = gen.row_sums / density.q_hat if debias else gen.row_sums
-    return GeneratorMatrix(gen.s_matrix, gen.epsilon, gen.row_sums, weights)
+    weights = None
+    if mirrors is not None and gen.s_matrix.nnz == kernel.matrix.nnz:
+        weights = gen.row_sums / density.q_hat if debias else gen.row_sums
+    return GeneratorMatrix(gen.s_matrix, gen.epsilon, gen.row_sums, weights, cloud.ambient)
 
 
 @dataclass(frozen=True)

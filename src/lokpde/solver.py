@@ -17,21 +17,33 @@ method depends on S:
   once its residual bounds B's uniform residual by the target, or after
   ``CG_MAX_ITERATIONS`` = 1000 iterations.  For a = 0 the null vectors
   are known: 1 on the right and w on the left.
-* **GMRES otherwise** (Saad & Schultz, 1986), preconditioned by an
-  incomplete LU (``spilu``, drop tolerance ``ILU_DROP_TOL`` = 1e-2) of a
-  pruned copy P in SuperLU's symmetric minimum-degree order.  P drops
-  B's off-diagonals below ``ILU_DROP_TOL`` |B_ii| and adds
-  (1 - ``ILU_DROP_TOL``) of each row's dropped sum to its diagonal, a
-  row-sum compensation as in modified ILU (Gustafsson, 1978) that keeps
-  the smooth modes.  -B is a Z-matrix (off-diagonals -S_ij <= 0) and
-  every row of -P keeps a diagonal margin of at least ``ILU_DROP_TOL``
-  times its dropped mass, so -P, and any symmetric permutation of it, is
-  a nonsingular M-matrix whenever -B is one: its incomplete LU exists
-  with diagonal pivots for any dropping pattern (Meijerink & van der
-  Vorst, 1977).  One GMRES call (restart ``GMRES_RESTART`` = 100) stops
-  when its residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that
-  of its right-hand side, or after ``GMRES_MAX_CYCLES`` = 10 restart
-  cycles.
+* **GMRES otherwise** (Saad & Schultz, 1986), restarted every
+  ``GMRES_RESTART`` = 100 iterations, right-preconditioned by two-level
+  aggregation (Vanek, Mandel & Brezina, 1996; Notay, 2010).  The points
+  are grouped into aggregates, the leaves of a median split of their
+  coordinates (``kernels._median_order``), of ``COARSE_POINTS`` = 8
+  points up to N = 4096 and of N / ``COARSE_MAX_ORDER`` points past it,
+  so the coarse order stays at most ``COARSE_MAX_ORDER`` = 512.  With R
+  the piecewise-constant N x (coarse order) aggregation matrix, the
+  coarse matrix A_c = R^T B R is inverted densely; one preconditioner
+  application is a damped Jacobi sweep (weight ``JACOBI_WEIGHT`` = 0.6),
+  the coarse correction R A_c^-1 R^T on the residual, and a second
+  sweep.  -B is a Z-matrix (off-diagonals -S_ij <= 0) whose row sums are
+  -eps a_i >= 0.  The off-diagonals of -A_c are sums of -S_ij <= 0, its
+  row sums are sums of those of -B, and an aggregate leads to another
+  whenever one of its points leads to one of the other's, so -A_c
+  inherits the chain of positive row sums that makes -B a nonsingular
+  M-matrix (Berman & Plemmons, 1994): -A_c is one whenever -B is, and
+  the coarse inverse exists.  The dense inverse holds 512^2 doubles
+  (2 MB), and LAPACK's inversion about four times that at its peak.
+  Past N = 4096 the aggregates grow, and so does the iteration count: on
+  the torus with k = 128, N = 6400 takes 13-point aggregates and 70
+  iterations, and N = 25 600 takes 50-point aggregates and 131
+  iterations (2.1 s).  Much larger clouds need a third level.  One GMRES
+  call stops when its residual 2-norm is at most ``GMRES_RTOL`` = 1e-10
+  times that of its right-hand side, after ``GMRES_MAX_CYCLES`` = 10
+  restart cycles, or after a cycle at whose rate the cycles left could
+  not reach that target.
 
 A closed class of S with a = 0 on it makes a + L singular; the driver
 then deflates by rank one.  f is projected onto w^perp for the left null
@@ -41,11 +53,11 @@ is pinned by lowering B_qq by 1: B~ = B - e_q e_q^T.  On the class -B is
 an irreducible singular M-matrix, which one more positive diagonal entry
 makes nonsingular (Berman & Plemmons, 1994); every other point leads to
 the class or to a point with a < 0, so -B~ is a nonsingular M-matrix and
-the ILU argument above holds for it.  w (w B = 0, w_q = 1) then solves
-B~^T w = -e_q, with the same ILU, B~ u = f forces u_q = 0 and so B u = f
-for f in w^perp, and v = 1 for a = 0, else B~ v = -e_q, v_q = 1.  A
-reversible S whose class leaves a != 0 elsewhere takes GMRES, as its
-null vectors are not w and 1 there.
+the coarse argument above holds for it.  w (w B = 0, w_q = 1) then
+solves B~^T w = -e_q, preconditioned by the transposed steps, B~ u = f
+forces u_q = 0 and so B u = f for f in w^perp, and v = 1 for a = 0, else
+B~ v = -e_q, v_q = 1.  A reversible S whose class leaves a != 0
+elsewhere takes GMRES, as its null vectors are not w and 1 there.
 
 * ``solve_direct`` for strictly negative a, where nothing is pinned: the
   scaled system is strictly diagonally dominant, hence nonsingular with
@@ -56,22 +68,29 @@ null vectors are not w and 1 there.
   cross-check.
 
 Failures are named: more than one closed class raises
-:class:`DisconnectedGraphError`; an ILU breakdown or Krylov
+:class:`DisconnectedGraphError`; a singular coarse matrix or Krylov
 non-convergence raise :class:`DirectSolveError` or
 :class:`MinNormConvergenceError` with the best iterate and its residual.
+
+The solve needs numpy and ``scipy.sparse`` alone: the Krylov methods and
+the closed-class search are written here, so no process loads
+``scipy.sparse.linalg``, ``scipy.linalg`` or ``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .geometry import sample_points
-from .kernels import KernelConfig, _entry_blocks, build_knn_graph
+from .kernels import KernelConfig, _entry_blocks, _median_order, build_knn_graph
 from .operator import GeneratorMatrix, build_operator, select_bandwidths
 from .problems import analytic_pair, problem_coefficients
 
@@ -99,7 +118,9 @@ DIRECT_RESIDUAL_RTOL = 1e-10
 MIN_NORM_RESIDUAL_RTOL = 1e-8
 SVD_TRUNCATION_RTOL = 1e-8
 SVD_MAX_N = 3000
-ILU_DROP_TOL = 1e-2
+COARSE_POINTS = 8
+COARSE_MAX_ORDER = 512
+JACOBI_WEIGHT = 0.6
 GMRES_RESTART = 100
 # at 1e-12 and below GMRES stalls short of the tolerance on bvp1d and the
 # half-ellipse at paper size, even with exact LU factors
@@ -184,8 +205,8 @@ class SolveReport:
     ``krylov`` names the Krylov method of the driver, "cg" or "gmres",
     None where no Krylov solve runs; ``iterations`` counts its iterations
     (null vectors, solve and refinement), 0 where none runs, and
-    ``factor_nnz`` the stored entries of the incomplete L + U, None where
-    no factor is built, as on CG.  Error fields are filled by
+    ``coarse_size`` the order of GMRES's coarse level, None where none is
+    built, as on CG.  Error fields are filled by
     :meth:`with_errors` when an analytic truth is available;
     ``error_inf_best_shift`` additionally minimizes the uniform error over
     an added constant (the solution family of the singular problem).
@@ -195,7 +216,7 @@ class SolveReport:
     method: str
     residual_inf: float
     iterations: int | None = None
-    factor_nnz: int | None = None
+    coarse_size: int | None = None
     krylov: str | None = None
     error_inf: float | None = None
     error_l2: float | None = None
@@ -219,49 +240,55 @@ class _KrylovFailure(Exception):
         self.best = best
 
 
-def _pruned(b):
-    """P: B less its off-diagonals below ``ILU_DROP_TOL`` |B_ii|, plus
-    (1 - ``ILU_DROP_TOL``) of each row's removed sum on its diagonal.
+def _aggregates(points, n):
+    """(labels, count): the aggregate of each of the n points and their number.
 
-    Rows meet their thresholds in row blocks, so the kept-entry mask is the
-    only temporary as long as nnz(B).
+    Aggregates are the leaves of ``kernels._median_order`` on ``points``
+    (runs of the points' own numbering when None), ``COARSE_POINTS`` points
+    each up to N = ``COARSE_POINTS`` ``COARSE_MAX_ORDER`` and
+    N / ``COARSE_MAX_ORDER`` past it, so there are at most
+    ``COARSE_MAX_ORDER`` of them.
     """
-    n = b.shape[0]
-    thresholds = ILU_DROP_TOL * np.abs(b.diagonal())
-    keep, kept, removed = np.empty(b.nnz, dtype=bool), np.empty(n, dtype=np.intp), np.empty(n)
-    for rows, span in _entry_blocks(b.indptr):
-        lo, hi = rows.start, rows.stop
-        row = np.repeat(np.arange(hi - lo), np.diff(b.indptr[lo : hi + 1]))
-        keep[span] = np.abs(b.data[span]) >= thresholds[lo:hi][row]
-        kept[lo:hi] = np.bincount(row, keep[span], hi - lo)
-        removed[lo:hi] = np.bincount(row, np.where(keep[span], 0.0, b.data[span]), hi - lo)
-    indptr = np.concatenate(([0], np.cumsum(kept)))
-    p = scipy.sparse.csr_matrix((b.data[keep], b.indices[keep], indptr), shape=b.shape)
-    p.setdiag(p.diagonal() + (1.0 - ILU_DROP_TOL) * removed)
-    return p
+    size = max(COARSE_POINTS, -(-n // COARSE_MAX_ORDER))
+    order = np.arange(n)
+    if points is not None:
+        order = _median_order(np.ascontiguousarray(points.T), order, size)
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.arange(n) // size
+    return labels, -(-n // size)
+
+
+def _diagonal(generator, shift, pinned=None):
+    """The diagonal of B~: B = S - I + eps diag(a) as (S_ii - 1) + eps a_i,
+    which keeps its relative accuracy where S_ii is close to 1, less 1 at a
+    pinned point q (B~ = B - e_q e_q^T)."""
+    diagonal = (generator.s_matrix.diagonal() - 1.0) + generator.epsilon * shift
+    if pinned is not None:
+        diagonal[pinned] -= 1.0
+    return diagonal
 
 
 class _Refined:
     """Iterative refinement around one Krylov method on B~ = eps (diag(a) + L).
 
-    ``matrix`` is B = S - I + eps diag(a): one copy of S's data on S's
-    index arrays, with the diagonal set to (S_ii - 1) + eps a_i, which
-    keeps its relative accuracy where S_ii is close to 1; a subclass may
-    change it into B~.  ``krylov`` names the method and ``iterations``
-    counts its iterations over every call; a subclass runs one call from
-    zero towards a uniform bound on the scaled residual (``_correction``).
+    ``matrix`` is B~: one copy of S's data on S's index arrays, with the
+    ``diagonal`` of :func:`_diagonal` set in place of S's.  ``krylov``
+    names the method and ``iterations`` counts its iterations over every
+    call; a subclass runs one call from zero towards a uniform bound on the
+    scaled residual (``_correction``), and sets ``stalled`` when a call
+    stops early for want of progress, which ends the refinement.
     """
 
-    def __init__(self, generator, shift):
+    stalled = False
+
+    def __init__(self, generator, diagonal):
         s, self.epsilon, self.iterations = generator.s_matrix, generator.epsilon, 0
         self.matrix = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
-        self.matrix.setdiag((s.diagonal() - 1.0) + self.epsilon * shift)
+        self.matrix.setdiag(diagonal)
 
     def _spent(self):
-        return f"after {self.iterations} {self.krylov.upper()} iterations"
-
-    def _count(self, _):
-        self.iterations += 1
+        stall = ", where a restart cycle cut the residual too slowly to meet the target" if self.stalled else ""
+        return f"after {self.iterations} {self.krylov.upper()} iterations{stall}"
 
     def solve(self, rhs, target):
         """(u, residual) with residual = rhs - B~ u / eps, |residual|_inf <= target.
@@ -275,7 +302,7 @@ class _Refined:
             x += self._correction(residual, goal)
             residual = scaled - self.matrix @ x
             worst = np.abs(residual).max() / self.epsilon
-            if worst <= target:
+            if worst <= target or self.stalled:
                 break
         residual /= self.epsilon
         if worst > target:
@@ -285,60 +312,128 @@ class _Refined:
         return x, residual
 
 
-class _IluGmres(_Refined):
-    """B = eps (diag(a) + L), less e_q e_q^T at a pinned point q = ``pinned``.
+class _TwoLevelGmres(_Refined):
+    """B = eps (diag(a) + L), less e_q e_q^T at a pinned point q = ``pinned``,
+    by GMRES with a two-level aggregation preconditioner.
 
-    ``matrix`` is this B~, B with its entry at q 1 lower.  The
-    preconditioner ``_ilu`` is SuperLU's incomplete LU of P^T (P of
-    :func:`_pruned`) in the minimum-degree order of P^T + P (George & Liu,
-    1989), which ``SymmetricMode`` and ``diag_pivot_thresh=0`` apply to
-    rows and columns alike, taking the diagonal pivots.
+    ``matrix`` is this B~, B with its entry at q 1 lower.  The points are
+    grouped into aggregates (:func:`_aggregates`); R, N x ``coarse_size``,
+    holds R_iI = 1 where point i lies in aggregate I, and the coarse matrix
+    A_c = R^T B~ R sums B~'s entries over pairs of aggregates.  One
+    application of the preconditioner to r is a damped Jacobi sweep,
+    z = omega D^-1 r with D = diag(B~) and omega = ``JACOBI_WEIGHT``, the
+    coarse correction z += R A_c^-1 R^T (r - B~ z), and a second sweep,
+    z += omega D^-1 (r - B~ z) (Vanek, Mandel & Brezina, 1996; Notay,
+    2010).  The transposed system B~^T takes the transposed steps, with
+    A_c^-T.  A_c is assembled from S's off-diagonal entries and B~'s
+    diagonal before B~ copies S's data, so that LAPACK's workspace for the
+    inverse and that copy are never held at once.
     """
 
     krylov = "gmres"
 
     def __init__(self, generator, shift, pinned):
-        super().__init__(generator, shift)
+        s, diagonal = generator.s_matrix, _diagonal(generator, shift, pinned)
+        # a zero on B~'s diagonal, which no generator has, is left out of the sweeps
+        self._sweep = np.divide(JACOBI_WEIGHT, diagonal, out=np.zeros_like(diagonal), where=diagonal != 0.0)
         self.pinned = pinned
-        if pinned is not None:
-            self.matrix[pinned, pinned] -= 1.0
+        self._labels, self.coarse_size = _aggregates(generator.points, s.shape[0])
+        coarse, counts = np.zeros((self.coarse_size, self.coarse_size)), np.diff(s.indptr)
+        coarse.reshape(-1)[:: self.coarse_size + 1] = np.bincount(self._labels, diagonal, self.coarse_size)
+        for rows, entries in _entry_blocks(s.indptr):  # block-sized index arrays
+            tails = np.repeat(np.arange(rows.start, rows.stop), counts[rows])
+            heads = s.indices[entries]
+            links = np.where(heads == tails, 0.0, s.data[entries])  # S's diagonal is B~'s above
+            np.add.at(coarse.reshape(-1), self._labels[tails] * self.coarse_size + self._labels[heads], links)
         try:
-            self._ilu = scipy.sparse.linalg.spilu(
-                _pruned(self.matrix).T, drop_tol=ILU_DROP_TOL, permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            raise _KrylovFailure(f"incomplete LU broke down: {exc}") from None
-        self.factor_nnz = int(self._ilu.L.nnz + self._ilu.U.nnz)
-        self._precond = scipy.sparse.linalg.LinearOperator(
-            self.matrix.shape, lambda v: self._ilu.solve(v, "T"), lambda v: self._ilu.solve(v, "N"), dtype=float
-        )
+            self._coarse_inverse = np.linalg.inv(coarse)
+        except np.linalg.LinAlgError:
+            raise _KrylovFailure("the preconditioner broke down: the coarse matrix is singular") from None
+        del coarse
+        super().__init__(generator, diagonal)
+        self._transposed = self.matrix.T
 
-    def _gmres(self, matrix, precond, rhs):
-        """(x, converged): one preconditioned GMRES call from zero."""
-        x, info = scipy.sparse.linalg.gmres(
-            matrix, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART,
-            maxiter=GMRES_MAX_CYCLES * GMRES_RESTART, M=precond, callback=self._count, callback_type="legacy",
-        )
-        return x, info == 0
+    def _precondition(self, r, transposed):
+        """M^-1 r, or M^-T r for the ``transposed`` system."""
+        b, inverse = (self._transposed, self._coarse_inverse.T) if transposed else (self.matrix, self._coarse_inverse)
+        z = self._sweep * r
+        z += (inverse @ np.bincount(self._labels, r - b @ z, self.coarse_size))[self._labels]
+        z += self._sweep * (r - b @ z)
+        return z
+
+    def _gmres(self, rhs, transposed=False):
+        """(x, converged): one right-preconditioned GMRES call from zero.
+
+        Restarted every ``GMRES_RESTART`` iterations, for at most
+        ``GMRES_MAX_CYCLES`` cycles, and converged once the residual 2-norm
+        is at most ``GMRES_RTOL`` times that of ``rhs``.  The Krylov basis
+        is one (restart + 1, N) array, orthogonalised by classical
+        Gram-Schmidt with one reorthogonalisation (Giraud, Langou &
+        Rozloznik, 2005); Givens rotations keep the least-squares residual
+        of each step.  A cycle after which the cycles left, cutting the
+        residual at its rate, could not reach the target sets ``stalled``
+        and ends the call.
+        """
+        b = self._transposed if transposed else self.matrix
+        basis = np.empty((GMRES_RESTART + 1, rhs.size))
+        target = GMRES_RTOL * np.linalg.norm(rhs)
+        x, residual = np.zeros(rhs.size), rhs
+        norm = float(np.linalg.norm(residual))
+        for cycle in range(1, GMRES_MAX_CYCLES + 1):
+            if norm <= target:
+                return x, True
+            basis[0] = residual / norm
+            hessenberg = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+            rotations, g = [], [norm]
+            for j in range(GMRES_RESTART):
+                w = b @ self._precondition(basis[j], transposed)
+                self.iterations += 1
+                h = basis[: j + 1] @ w
+                w -= h @ basis[: j + 1]
+                again = basis[: j + 1] @ w
+                w -= again @ basis[: j + 1]
+                column = [*(h + again).tolist(), float(np.linalg.norm(w))]
+                for i, (c, s) in enumerate(rotations):
+                    column[i], column[i + 1] = c * column[i] + s * column[i + 1], c * column[i + 1] - s * column[i]
+                top, below = column[j], column[j + 1]
+                radius = np.hypot(top, below)
+                c, s = (1.0, 0.0) if radius == 0.0 else (top / radius, below / radius)
+                rotations.append((c, s))
+                column[j], column[j + 1] = radius, 0.0
+                hessenberg[: j + 2, j] = column
+                g.append(-s * g[j])
+                g[j] *= c
+                if below == 0.0 or abs(g[j + 1]) <= target:
+                    break
+                basis[j + 1] = w / below
+            steps = j + 1
+            y = np.linalg.solve(hessenberg[:steps, :steps], g[:steps])
+            x += self._precondition(y @ basis[:steps], transposed)
+            residual = rhs - b @ x
+            start, norm = norm, float(np.linalg.norm(residual))
+            if cycle < GMRES_MAX_CYCLES and norm * (norm / start) ** (GMRES_MAX_CYCLES - cycle) > target:
+                self.stalled = True
+                break
+        return x, norm <= target
 
     def _correction(self, residual, _):
-        return self._gmres(self.matrix, self._precond, residual)[0]
+        return self._gmres(residual)[0]
 
     def null_vector(self, left):
         """v with v (a + L) = 0 (``left``) or (a + L) v = 0, and v = 1 at the pin.
 
         v B~ = -v_q e_q^T (B~ v = -v_q e_q), so v is y / y_q for y solving
-        B~^T y = -e_q (B~ y = -e_q); a y_q that is 0 or not finite raises.
+        B~^T y = -e_q (B~ y = -e_q).  y is known to about ``GMRES_RTOL``
+        times its largest entry, so a y_q at or below that, or not finite,
+        raises.
         """
-        matrix, precond = (self.matrix.T, self._precond.T) if left else (self.matrix, self._precond)
-        rhs = np.zeros(matrix.shape[0])
+        rhs = np.zeros(self.matrix.shape[0])
         rhs[self.pinned] = -1.0
-        v, converged = self._gmres(matrix, precond, rhs)
+        v, converged = self._gmres(rhs, transposed=left)
         side = "left" if left else "right"
         if not converged:
             raise _KrylovFailure(f"no {side} null vector {self._spent()}")
-        if not (np.isfinite(v[self.pinned]) and v[self.pinned] != 0.0):
+        if not (np.isfinite(v[self.pinned]) and abs(v[self.pinned]) > GMRES_RTOL * np.abs(v).max()):
             raise _KrylovFailure(f"the {side} null vector is {v[self.pinned]} at the pin")
         return v / v[self.pinned]
 
@@ -352,25 +447,33 @@ class _JacobiCg(_Refined):
     Jacobi preconditioner diag(A)^-1.  A call stops once its residual
     2-norm is at most min(w) times the uniform goal, which bounds B's
     uniform residual by the goal, or after ``CG_MAX_ITERATIONS``
-    iterations.  No factor is built, and the null vectors for a = 0 are
-    known: w on the left, 1 on the right.
+    iterations.  No coarse level is built, and the null vectors for a = 0
+    are known: w on the left, 1 on the right.
     """
 
     krylov = "cg"
-    factor_nnz = None
+    coarse_size = None
 
     def __init__(self, generator, shift):
-        super().__init__(generator, shift)
-        w, b = generator.weights, self.matrix
-        self._weights, inverse_diagonal = w, -1.0 / (w * b.diagonal())
-        self._a = scipy.sparse.linalg.LinearOperator(b.shape, lambda v: -w * (b @ v), dtype=float)
-        self._precond = scipy.sparse.linalg.LinearOperator(b.shape, lambda v: inverse_diagonal * v, dtype=float)
+        super().__init__(generator, _diagonal(generator, shift))
+        self._weights = generator.weights
+        self._inverse_diagonal = -1.0 / (self._weights * self.matrix.diagonal())
 
     def _correction(self, residual, goal):
-        x, _ = scipy.sparse.linalg.cg(
-            self._a, -self._weights * residual, rtol=0.0, atol=goal * self._weights.min(),
-            maxiter=CG_MAX_ITERATIONS, M=self._precond, callback=self._count,
-        )
+        w, tolerance = self._weights, goal * self._weights.min()
+        r = -w * residual
+        x, direction, rho = np.zeros(r.size), None, 0.0
+        for _ in range(CG_MAX_ITERATIONS):
+            if np.linalg.norm(r) <= tolerance:
+                break
+            z = self._inverse_diagonal * r
+            rho, previous = float(r @ z), rho
+            direction = z if direction is None else z + (rho / previous) * direction
+            image = -w * (self.matrix @ direction)
+            step = rho / float(direction @ image)
+            x += step * direction
+            r -= step * image
+            self.iterations += 1
         return x
 
     def null_vector(self, left):
@@ -384,6 +487,31 @@ def solve(problem: LinearProblem) -> SolveReport:
     return solve_min_norm(problem)
 
 
+def _closure(s_matrix, values, op, pointer):
+    """op of ``values`` over the points each point reaches in the graph of S.
+
+    Each sweep takes op over every row's own value and its heads' values,
+    one ``reduceat`` per block of S's rows, and then, while that changes
+    anything, op with the value of the point ``pointer(values)``, which the
+    point reaches (pointer jumping), so a value crosses a long path in
+    few sweeps.  Stops after a sweep that changes nothing.
+    """
+    indptr, heads = s_matrix.indptr, s_matrix.indices
+    counts = np.diff(indptr)
+    while True:
+        swept = values.copy()
+        for rows, entries in _entry_blocks(indptr):
+            filled = rows.start + np.flatnonzero(counts[rows])  # a row without links reaches only itself
+            if filled.size:
+                reached = op.reduceat(swept[heads[entries]], indptr[filled] - entries.start)
+                swept[filled] = op(swept[filled], reached)
+        while not np.array_equal(jumped := op(swept, swept[pointer(swept)]), swept):
+            swept = jumped
+        if np.array_equal(swept, values):
+            return values
+        values = swept
+
+
 def _null_classes(s_matrix, shift):
     """Smallest point index of each closed class of S with a = 0 on it.
 
@@ -394,20 +522,71 @@ def _null_classes(s_matrix, shift):
     row whose other entries are all smaller is absorbing in floating point
     (S_ii - 1 rounds to 0).  With a != 0 at every point every class
     leaks, and the connectivity pass is skipped.
+
+    Two reachability labels find the classes, each a :func:`_closure` over
+    S's rows (colouring, as in Orzan 2004, in place of the forward and
+    backward searches of Fleischer, Hendrickson & Pinar 2000):
+
+    * top(i), the largest point that i reaches.  Every point on the way
+      from i to top(i) has the same top, so a root r = top(r) heads the
+      points that reach it and nothing larger.
+    * low(i), the least key (2 top(j) + [a_j = 0]) N + j over the points j
+      that i reaches.  Every point that a root r reaches has top at most
+      r, and exactly r when it reaches r back.  So low(r) is
+      (2 r + 1) N + j exactly when everything r reaches lies in r's class,
+      which is then closed, with a = 0 on it, and j is its smallest point.
+      No point i other than a root has low(i) // N = 2 i + 1: a j that i
+      reaches with top(j) = i would also reach top(i) > i.
     """
     if shift.all():
         return np.empty(0, dtype=np.intp)
-    from scipy.sparse.csgraph import connected_components
+    n = s_matrix.shape[0]
+    points = np.arange(n)
+    top = _closure(s_matrix, points, np.maximum, lambda v: v)
+    low = _closure(s_matrix, (2 * top + (shift == 0)) * n + points, np.minimum, lambda v: v % n)
+    closed = low // n == 2 * points + 1
+    return np.sort(low[closed] % n)
 
-    n_comp, labels = connected_components(s_matrix, directed=True, connection="strong")
-    counts = np.diff(s_matrix.indptr)
-    leaks = np.zeros(n_comp, dtype=bool)
-    for rows, entries in _entry_blocks(s_matrix.indptr):  # block-sized label arrays
-        tails, heads = np.repeat(labels[rows], counts[rows]), labels[s_matrix.indices[entries]]
-        leaks[tails[tails != heads]] = True
-    leaks[labels[shift != 0]] = True
-    _, first_member = np.unique(labels, return_index=True)
-    return np.sort(first_member[~leaks])
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles, or None where numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*.so*")
+    for lib in glob.glob(libs):
+        dll = ctypes.CDLL(lib)  # the loaded library itself, as numpy holds it open
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            if hasattr(dll, f"{prefix}_set_num_threads{suffix}"):
+                get = getattr(dll, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(dll, f"{prefix}_set_num_threads{suffix}")
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    The solve's dense products are small: the coarse inverse of order at
+    most 512, its matrix-vector products and the Gram-Schmidt products
+    with the (restart + 1, N) basis.  Where a second CPU has idled,
+    waking OpenBLAS's worker threads cost about 1 ms per parallel region
+    on a 2-CPU host, so a first inverse of order 493 took 194 ms and a
+    cycle of Gram-Schmidt products at N = 6400 463 ms, against 20 and
+    21 ms on one thread; no BLAS call of the solve gains from threads.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
 
 
 def _krylov_solve(gen, a, f, target):
@@ -416,40 +595,41 @@ def _krylov_solve(gen, a, f, target):
 
     A generator with ``weights`` takes :class:`_JacobiCg`, unless a closed
     class with a = 0 on it leaves a != 0 elsewhere (its null vectors are
-    then not w and 1); every other takes :class:`_IluGmres`, pinned at the
-    class's smallest point.  ``residual``, at most ``target`` on every row,
+    then not w and 1); every other takes :class:`_TwoLevelGmres`, pinned
+    at the class's smallest point.  ``residual``, at most ``target`` on every row,
     is f' - B~ u / eps for f' = f or its projection onto w^perp, before v
     is removed: off a pin q it is r = f' - (a + L) u, and r_q is bounded
     only through w r = 0.  Raises :class:`DisconnectedGraphError` for more
     than one such class and :class:`_KrylovFailure` when the Krylov solve
-    fails.
+    fails.  Runs with numpy's BLAS on one thread (:func:`_one_blas_thread`).
     """
-    classes = _null_classes(gen.s_matrix, a)
-    if classes.size > 1:
-        raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
-    if gen.weights is not None and not (classes.size and a.any()):
-        system = _JacobiCg(gen, a)
-    else:
-        system = _IluGmres(gen, a, int(classes[0]) if classes.size else None)
-    if not classes.size:  # a + L is nonsingular
-        u, residual = system.solve(f, target)
+    with _one_blas_thread():
+        classes = _null_classes(gen.s_matrix, a)
+        if classes.size > 1:
+            raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
+        if gen.weights is not None and not (classes.size and a.any()):
+            system = _JacobiCg(gen, a)
+        else:
+            system = _TwoLevelGmres(gen, a, int(classes[0]) if classes.size else None)
+        if not classes.size:  # a + L is nonsingular
+            u, residual = system.solve(f, target)
+            return u, residual, system
+        w = system.null_vector(left=True)
+        u, residual = system.solve(f - (w @ f) / (w @ w) * w, target)
+        v = system.null_vector(left=False) if a.any() else np.ones(f.size)
+        u -= (v @ u) / (v @ v) * v
         return u, residual, system
-    w = system.null_vector(left=True)
-    u, residual = system.solve(f - (w @ f) / (w @ w) * w, target)
-    v = system.null_vector(left=False) if a.any() else np.ones(f.size)
-    u -= (v @ u) / (v @ v) * v
-    return u, residual, system
 
 
 def solve_direct(problem: LinearProblem) -> SolveReport:
     """Solve (diag(a) + L) u = f for strictly negative a.
 
-    Runs the shared driver, CG or ILU / GMRES, on the whole system (no
+    Runs the shared driver, CG or two-level GMRES, on the whole system (no
     pinning) and refines until the relative uniform residual
     |f - (a + L) u|_inf / |f|_inf is at most ``DIRECT_RESIDUAL_RTOL``
     (1e-10).  Raises :class:`DirectSolveError`, with the best iterate and
-    its uniform residual, if the ILU breaks down or the contract is not
-    met within ``REFINE_ROUNDS`` Krylov calls (each within its
+    its uniform residual, if the coarse matrix is singular or the contract
+    is not met within ``REFINE_ROUNDS`` Krylov calls (each within its
     iteration limit).
     """
     a, f = problem.shift, problem.rhs
@@ -471,7 +651,7 @@ def solve_direct(problem: LinearProblem) -> SolveReport:
             f"direct solve failed at relative residual {res_inf / f_scale:.3e}: {exc}", res_inf, u
         ) from None
     return SolveReport(
-        u, "direct", float(np.abs(residual).max()), system.iterations, system.factor_nnz, system.krylov
+        u, "direct", float(np.abs(residual).max()), system.iterations, system.coarse_size, system.krylov
     )
 
 
@@ -479,13 +659,13 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
     """Minimum-norm least-squares solution of (diag(a) + L) u = f.
 
     ``method="iterative"`` (default) needs a <= 0 and computes (a + L)^+ f
-    with the shared driver, CG or ILU / GMRES, refining until the uniform
+    with the shared driver, CG or two-level GMRES, refining until the uniform
     residual (of B~ if S has a closed class with a = 0 on it) is at most
     ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|, each Krylov call within its
     iteration limit.  Raises :class:`DisconnectedGraphError` when S has
     more than one closed class with a = 0 on it and
     :class:`MinNormConvergenceError` (best iterate and least-squares
-    residual attached) on an ILU breakdown or Krylov non-convergence.
+    residual attached) on a singular coarse matrix or Krylov non-convergence.
 
     ``method="svd"`` computes the truncated-SVD pseudo-inverse (singular
     values below 1e-8 sigma_max dropped) of diag(a) + L, available for
@@ -498,7 +678,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
         raise ValueError(f"unknown min-norm method {method!r}")
     if not np.any(f):
         return SolveReport(np.zeros(n), f"min_norm_{method}", 0.0, iterations=0)
-    factor_nnz = krylov = None
+    coarse_size = krylov = None
     if method == "iterative":
         if a.max() > 0:
             raise ValueError("the iterative minimum-norm solve needs a <= 0; use method='svd'")
@@ -509,7 +689,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
             u = exc.best[0] if exc.best else np.zeros(n)
             residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
             raise MinNormConvergenceError(f"minimum-norm solve failed: {exc}", u, residual) from None
-        itn, factor_nnz, krylov = system.iterations, system.factor_nnz, system.krylov
+        itn, coarse_size, krylov = system.iterations, system.coarse_size, system.krylov
         residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
     else:
         if n > SVD_MAX_N:
@@ -519,7 +699,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
         keep = sing > SVD_TRUNCATION_RTOL * sing[0]
         u, itn = vt[keep].T @ ((u_mat.T @ f)[keep] / sing[keep]), 0
         residual = float(np.linalg.norm(A @ u - f))
-    return SolveReport(u, f"min_norm_{method}", residual, itn, factor_nnz, krylov)
+    return SolveReport(u, f"min_norm_{method}", residual, itn, coarse_size, krylov)
 
 
 def error_report(u_hat: np.ndarray, u_true: np.ndarray) -> tuple[float, float]:

@@ -834,7 +834,7 @@ class TestMainEntry:
         assert record["N"] == 120
         assert record["error_inf"] is not None
         assert isinstance(record["iterations"], int) and record["iterations"] > 0
-        assert isinstance(record["factor_nnz"], int) and record["factor_nnz"] > 0
+        assert isinstance(record["coarse_size"], int) and record["coarse_size"] > 0
         assert_stages(record, "solver.direct_s")
         assert record["stages"]["kernels.knn_s"] > 0.0  # timed apart from the build
         assert record["stages"]["operator.tune_s"] == 0.0  # pinned bandwidths
@@ -879,7 +879,7 @@ class TestMainEntry:
         assert code == 0
         record = json.loads(capsys.readouterr().out.strip())
         assert record["solver"] == "min_norm"
-        assert record["iterations"] > 0 and record["factor_nnz"] > 0
+        assert record["iterations"] > 0 and record["coarse_size"] == 200 // 8
 
     def test_disconnected_cloud_exit_code(self, tmp_path, capsys):
         pts = np.vstack([np.eye(3) * 0.1, np.eye(3) * 0.1 + 50.0])
@@ -913,12 +913,26 @@ class TestMainEntry:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: kernel row 0 has non-positive sum"), lines
 
+    def test_overflowing_drift_shift_is_named_before_the_assembly(self):
+        # eps B = 1e200 B on the torus: x - y + eps B and C^-1 v overflow,
+        # and a rank-2 C^-1 in three dimensions would give inf - inf = nan
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "lokpde.cli", "solve", "--problem", "torus", "--N", "400", "--k", "20",
+             "--epsilon", "1e200", "--tilde-epsilon", "1e-3"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "overflow" in lines[0] and "epsilon" in lines[0], lines
+        assert "RuntimeWarning" not in result.stderr
+
     def test_import_defers_kd_tree_and_thread_pool(self):
-        # no solve uses scipy.spatial; csgraph loads on first use (the
-        # solver's closed-class search), and so does the thread pool
-        # (map_row_blocks, behind the kNN search, the assembly and
-        # tune_bandwidth); at import they would add to the start-up time of
-        # every solve
+        # no solve uses scipy.spatial or scipy.sparse.csgraph; the thread
+        # pool loads on first use (map_row_blocks, behind the kNN search, the
+        # assembly and tune_bandwidth); at import they would add to the
+        # start-up time of every solve
         src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = (
@@ -930,30 +944,39 @@ class TestMainEntry:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("problem", ["ellipse", "cloud"])
+    @pytest.mark.parametrize("problem", ["ellipse", "cloud", "bvp1d"])
     def test_solve_loads_neither_spatial_nor_special(self, tmp_path, problem):
-        # the kNN search needs only numpy; scipy.spatial and the scipy.special
-        # it pulls in would add about 0.13 s to every solve; a direct solve
-        # (a < 0) runs no graph pass, so it loads no scipy.sparse.csgraph
+        # the kNN search needs only numpy, and the solve numpy and
+        # scipy.sparse: scipy.spatial and the scipy.special it pulls in would
+        # add about 0.13 s to every solve, scipy.sparse.linalg and the
+        # scipy.linalg it loads 0.1 s and 10 MB; the ellipse takes the
+        # singular GMRES route, bvp1d (a < 0) the direct one, and a cloud
+        # without coefficients CG
         src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        absent = ["scipy.spatial", "scipy.special"]
+        absent = ["scipy.spatial", "scipy.special", "scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph"]
         if problem == "cloud":
             cloud_path = write_cloud(tmp_path, sample_sphere(300, seed=1).ambient)
             flags = ["--problem", cloud_path, "--rhs", "1", "--k", "40", "--shift-a", "-1"]
-            absent.append("scipy.sparse.csgraph")
+        elif problem == "bvp1d":
+            flags = ["--problem", "bvp1d", "--N", "200", "--k", "50", "--debias", "false"]
         else:
             flags = ["--problem", "ellipse", "--N", "200", "--k", "40"]
         code = (
-            "import sys, lokpde.cli; assert lokpde.cli.main(sys.argv[1:]) == 0; "
+            "import json, sys, lokpde.cli; assert lokpde.cli.main(sys.argv[1:]) == 0; "
             f"print([m for m in {absent!r} if m in sys.modules])"
         )
+        epsilon = "1e-5" if problem == "bvp1d" else "0.01"
         result = subprocess.run(
-            [sys.executable, "-c", code, "solve", *flags, "--epsilon", "0.01", "--tilde-epsilon", "0.01"],
+            [sys.executable, "-c", code, "solve", *flags, "--epsilon", epsilon, "--tilde-epsilon", epsilon],
             capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip().splitlines()[-1] == "[]"
+        lines = result.stdout.strip().splitlines()
+        record = json.loads(lines[-2])
+        expected = {"ellipse": ("min_norm", "gmres"), "cloud": ("direct", "cg"), "bvp1d": ("direct", "gmres")}
+        assert (record["solver"], record["krylov"]) == expected[problem]
+        assert lines[-1] == "[]"
 
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(
@@ -995,7 +1018,7 @@ class TestSphereCloudPathway:
         for shift, route in (("-1", "direct"), ("0", "min_norm")):
             assert main(["solve", *flags, "--shift-a", shift]) == 0
             record = json.loads(capsys.readouterr().out)
-            assert (record["solver"], record["krylov"], record["factor_nnz"]) == (route, "cg", None)
+            assert (record["solver"], record["krylov"], record["coarse_size"]) == (route, "cg", None)
             assert record["iterations"] > 0 and record["nnz"] > 400 * 60
 
     def test_zoo_problems_take_gmres(self, capsys):
@@ -1004,7 +1027,7 @@ class TestSphereCloudPathway:
                       ["--problem", "bvp1d", "--N", "200", "--k", "50", "--epsilon", "1e-5", "--debias", "false"]):
             assert main(["solve", *flags, "--tilde-epsilon", "3e-3"]) == 0
             record = json.loads(capsys.readouterr().out)
-            assert record["krylov"] == "gmres" and record["factor_nnz"] > 0
+            assert record["krylov"] == "gmres" and record["coarse_size"] > 0
 
     def test_debias_false_is_rejected(self, tmp_path, capsys):
         cloud_path = write_cloud(tmp_path, sample_sphere(200, seed=1).ambient)

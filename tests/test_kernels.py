@@ -310,18 +310,18 @@ class TestMedianOrder:
     leaf of a recursive median split."""
 
     @staticmethod
-    def leaves(monkeypatch, planes):
+    def leaves(monkeypatch, planes, leaf=kernels._KNN_ROWS):
         found = []
         split = kernels._median_order
 
-        def spy(planes, rows):
-            order = split(planes, rows)
-            if rows.size <= kernels._KNN_ROWS:
+        def spy(planes, rows, leaf):
+            order = split(planes, rows, leaf)
+            if rows.size <= leaf:
                 found.append(order)
             return order
 
         monkeypatch.setattr(kernels, "_median_order", spy)
-        return kernels._median_order(planes, np.arange(planes.shape[1])), found
+        return kernels._median_order(planes, np.arange(planes.shape[1]), leaf), found
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 777, 3000])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -333,12 +333,21 @@ class TestMedianOrder:
         assert [leaf.size for leaf in leaves[:-1]] == [kernels._KNN_ROWS] * (len(leaves) - 1)
         assert 1 <= leaves[-1].size <= kernels._KNN_ROWS
 
+    @pytest.mark.parametrize("leaf", [1, 8, 13])
+    def test_leaves_of_any_size_tile_a_permutation(self, monkeypatch, leaf):
+        # the solver's aggregates are these leaves
+        planes = np.random.default_rng(leaf).normal(size=(3, 777))
+        order, leaves = self.leaves(monkeypatch, planes, leaf)
+        np.testing.assert_array_equal(np.sort(order), np.arange(777))
+        np.testing.assert_array_equal(np.concatenate(leaves), order)
+        assert [piece.size for piece in leaves[:-1]] == [leaf] * (len(leaves) - 1)
+
     def test_each_split_is_at_a_median_of_the_widest_axis(self):
         # a flat cloud: the first split is along x, so the first half of the
         # order holds the points left of every point of the second half
         rng = np.random.default_rng(4)
         planes = np.stack([rng.uniform(0, 10, 1000), rng.uniform(0, 1, 1000)])
-        order = kernels._median_order(planes, np.arange(1000))
+        order = kernels._median_order(planes, np.arange(1000), kernels._KNN_ROWS)
         half = kernels._KNN_ROWS * 8
         assert planes[0, order[:half]].max() <= planes[0, order[half:]].min()
 
@@ -346,9 +355,10 @@ class TestMedianOrder:
     def test_repeated_calls_give_the_same_order(self, name):
         cloud = worker_cloud(name)[0] if name != "sphere" else sample_sphere(3000, seed=7)
         planes = np.ascontiguousarray(cloud.ambient.T)
-        first = kernels._median_order(planes, np.arange(cloud.n_points))
+        rows = np.arange(cloud.n_points)
+        first = kernels._median_order(planes, rows, kernels._KNN_ROWS)
         for _ in range(3):
-            np.testing.assert_array_equal(kernels._median_order(planes, np.arange(cloud.n_points)), first)
+            np.testing.assert_array_equal(kernels._median_order(planes, rows, kernels._KNN_ROWS), first)
 
 
 def worker_cloud(name):
@@ -652,3 +662,35 @@ class TestMoments:
             moment_check(1, [[1.0]], [0.0], -1e-3)
         with pytest.raises(ValueError, match=r"\(d, d\)"):
             moment_check(2, [[1.0]], [0.0, 0.0], 1e-3)
+
+
+class TestOverflowGuard:
+    """An epsilon at which x - y + eps B or the quadratic form can overflow
+    is rejected by name before any kernel entry is formed."""
+
+    def test_lifted_field_rejects_an_overflowing_shift(self):
+        # C^-1 of rank 2 in three dimensions: an overflowing v gives 0 inf = nan
+        ci = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="overflows the kernel's quadratic form"):
+            kernels.eval_prototypical_kernel(np.zeros(3), np.ones(3), np.ones(3), ci, 1e200)
+        assert np.isfinite(kernels.eval_prototypical_kernel(np.zeros(3), np.ones(3), np.ones(3), ci, 1e100))
+
+    def test_isotropic_quad_may_overflow_to_zero(self):
+        # c |v|^2 overflows to inf, whose exp(-inf) = 0.0 is exact: no error
+        assert kernels.eval_prototypical_kernel(np.zeros(1), np.zeros(1), np.ones(1), np.eye(1), 1e300) == 0.0
+        with pytest.raises(ValueError, match="overflows"):
+            kernels.eval_prototypical_kernel(np.zeros(1), np.zeros(1), np.ones(1), np.eye(1), 1.5e308)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.floats(1e100, 1e300), st.integers(0, 2**32 - 1))
+    def test_accepted_epsilons_give_no_nan(self, dim, epsilon, seed):
+        rng = np.random.default_rng(seed)
+        root = rng.normal(size=(dim, dim))
+        ci = root @ root.T
+        x, y, b = rng.normal(size=(3, dim))
+        try:
+            value = kernels.eval_prototypical_kernel(x, y, b, ci, epsilon)
+        except ValueError as exc:
+            assert "overflows" in str(exc)
+        else:
+            assert value == value

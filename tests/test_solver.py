@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,15 +15,17 @@ from lokpde.operator import build_operator, left_normalize
 from lokpde.problems import analytic_pair, problem_coefficients
 from lokpde.operator import GeneratorMatrix
 from lokpde.solver import (
-    ILU_DROP_TOL,
+    COARSE_MAX_ORDER,
+    COARSE_POINTS,
     ConvergenceStudyError,
     DirectSolveError,
     DisconnectedGraphError,
     LinearProblem,
     MinNormConvergenceError,
+    _aggregates,
+    _JacobiCg,
     _null_classes,
-    _IluGmres,
-    _pruned,
+    _TwoLevelGmres,
     best_shift_error,
     check_minimum_norm_certificate,
     convergence_study,
@@ -199,7 +202,7 @@ class TestSolveDispatch:
     def test_counters(self, ellipse_paper):
         rep = ellipse_paper.report
         assert 0 < rep.iterations <= 20 * 1000
-        assert rep.factor_nnz > 0
+        assert rep.coarse_size == 1000 // COARSE_POINTS
 
 
 class TestNamedFailures:
@@ -262,7 +265,7 @@ class TestNamedFailures:
             np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
         # a < 0 at the transient point (the last case above) is the one case
         # that takes the right null vector from the pinned system
-        v = _IluGmres(gen, a, 1).null_vector(left=False)
+        v = _TwoLevelGmres(gen, a, 1).null_vector(left=False)
         assert v[1] == 1.0
         assert np.abs(dense @ v).max() <= 1e-8 * np.abs(v).max()
 
@@ -270,7 +273,7 @@ class TestNamedFailures:
         # on this ellipse the solve meets its uniform target in fewer GMRES
         # iterations than the left null vector needs, so the limits drop to one
         # restart cycle of 5 only once the null vector has converged
-        null_vector, spent = _IluGmres.null_vector, []
+        null_vector, spent = _TwoLevelGmres.null_vector, []
 
         def then_starve(helper, left):
             v = null_vector(helper, left)
@@ -279,7 +282,7 @@ class TestNamedFailures:
             monkeypatch.setattr(solver, "GMRES_RESTART", 5)
             return v
 
-        monkeypatch.setattr(_IluGmres, "null_vector", then_starve)
+        monkeypatch.setattr(_TwoLevelGmres, "null_vector", then_starve)
         lin = LinearProblem(ellipse_paper.generator, ellipse_paper.shift, ellipse_paper.rhs)
         with pytest.raises(MinNormConvergenceError, match="uniform residual") as info:
             solve_min_norm(lin)
@@ -288,13 +291,20 @@ class TestNamedFailures:
         assert info.value.best_u.any()  # the solve's iterate, not zeros
         assert np.isfinite(info.value.residual)
 
-    def test_ilu_breakdown_min_norm(self):
-        # not row-stochastic: B_11 = S_11 - 1 = 0, and the pruned copy drops
-        # the link 0 -> 1 (below 1e-2 |B~_00|), leaving P^T a zero last pivot
-        gen = fake_generator([[0.999, 0.001], [0.5, 1.0]])
-        with pytest.raises(MinNormConvergenceError, match="incomplete LU") as info:
-            solve_min_norm(LinearProblem(gen, np.zeros(2), np.array([1.0, -1.0])))
-        assert info.value.best_u.tolist() == [0.0, 0.0]
+    @pytest.mark.parametrize("route", ["direct", "min_norm"])
+    def test_singular_coarse_matrix_is_named(self, route):
+        # not row-stochastic: the entries of B~ (B = S_00 - 1 + eps a = 0 on
+        # one point; B~ = [[-1.5, 1], [1, -0.5]] pinned at 0 on two) sum to
+        # 0 over their one aggregate, so A_c = R^T B~ R is singular
+        if route == "direct":
+            with pytest.raises(DirectSolveError, match="preconditioner broke down: the coarse matrix") as info:
+                solve_direct(LinearProblem(fake_generator([[2.0]]), np.array([-1.0]), np.array([1.0])))
+            assert info.value.residual_inf == 1.0
+        else:
+            gen = fake_generator([[0.5, 1.0], [1.0, 0.5]])
+            with pytest.raises(MinNormConvergenceError, match="preconditioner broke down: the coarse matrix") as info:
+                solve_min_norm(LinearProblem(gen, np.zeros(2), np.array([1.0, -1.0])))
+        assert not info.value.best_u.any()
 
     def test_null_vector_zero_at_the_pin_is_named(self):
         # not row-stochastic: B~^T y = -e_0 has y = (0, -2), which no scaling
@@ -304,13 +314,13 @@ class TestNamedFailures:
             solve_min_norm(LinearProblem(gen, np.zeros(2), np.array([1.0, -1.0])))
         assert info.value.best_u.tolist() == [0.0, 0.0]
 
-    def test_ilu_breakdown_direct(self):
-        # B = S_00 - 1 + eps a = 2 - 1 - 1 = 0
-        gen = fake_generator([[2.0]])
-        with pytest.raises(DirectSolveError, match="incomplete LU") as info:
-            solve_direct(LinearProblem(gen, np.array([-1.0]), np.array([1.0])))
-        assert info.value.residual_inf == 1.0
-        assert info.value.best_u.tolist() == [0.0]
+    def test_null_vector_at_rounding_level_at_the_pin_is_named(self):
+        # B~^T y = -e_0 has y = (0, -2) again, but GMRES leaves y_0 at
+        # -1.3e-15, far below what it resolves of y (GMRES_RTOL |y|)
+        gen = fake_generator([[0.999, 0.001], [0.5, 1.0]])
+        with pytest.raises(MinNormConvergenceError, match=r"left null vector is \S+ at the pin") as info:
+            solve_min_norm(LinearProblem(gen, np.zeros(2), np.array([1.0, -1.0])))
+        assert info.value.best_u.tolist() == [0.0, 0.0]
 
     def test_oracle_epsilon_skips_disconnected(self, monkeypatch):
         import lokpde.solver as solver_module
@@ -360,7 +370,7 @@ class TestReversibleRoute:
         dense = gen.matrix().toarray()
         a = np.full(n, -1.0)
         rep = solve_direct(LinearProblem(gen, a, f))
-        assert (rep.krylov, rep.factor_nnz is None) == (krylov, krylov == "cg")
+        assert (rep.krylov, rep.coarse_size is None) == (krylov, krylov == "cg")
         np.testing.assert_allclose(rep.u_hat, np.linalg.solve(dense + np.diag(a), f), atol=1e-9)
         rep = solve_min_norm(LinearProblem(gen, np.zeros(n), f))
         assert rep.krylov == krylov and rep.iterations > 0
@@ -454,7 +464,7 @@ class TestSolverProperties:
         classes = _null_classes(gen.s_matrix, np.zeros(n))
         assume(classes.size == 1)
         q = int(classes[0])
-        helper = _IluGmres(gen, np.zeros(n), q)
+        helper = _TwoLevelGmres(gen, np.zeros(n), q)
         pinned = -helper.matrix.toarray()
         assert (pinned[~np.eye(n, dtype=bool)] <= 0.0).all()
         e_qq = np.zeros((n, n))
@@ -532,6 +542,16 @@ class TestNullClasses:
             classes = _null_classes(gen.s_matrix, shift)
         assert classes.tolist() == closed_class_oracle(dense, shift)
 
+    @pytest.mark.parametrize("empty", [0, 2, 3])
+    def test_a_row_without_links_is_absorbing(self, empty):
+        # S built by hand may leave a row without entries: the point reaches
+        # nothing but itself, so it is a closed class of its own
+        dense = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+        dense[empty] = 0.0
+        s = scipy.sparse.csr_matrix(dense)
+        assert np.diff(s.indptr)[empty] == 0
+        assert _null_classes(s, np.zeros(4)).tolist() == closed_class_oracle(dense, np.zeros(4))
+
     def test_reads_s_as_its_own_graph(self, torus_paper):
         # no pattern is built: the torus S (793 523 links, 9.5 MB) is passed as it is
         s = torus_paper.generator.s_matrix
@@ -545,27 +565,45 @@ class TestNullClasses:
         assert peak < s.nnz * 4
 
 
-class TestPrunedPreconditioner:
+def aggregation(gen):
+    """R (N x coarse order) with R_iI = 1 where point i lies in aggregate I."""
+    labels, size = _aggregates(gen.points, gen.n_points)
+    return np.eye(size)[labels]
+
+
+class TestTwoLevelPreconditioner:
     @settings(max_examples=60)
     @given(small_systems())
-    def test_pruned_copy_is_a_compensated_z_matrix(self, system):
+    def test_coarse_matrix_is_an_m_matrix(self, system):
+        # A_c = R^T B~ R; -B~ is a nonsingular M-matrix, with and without the
+        # pin, so -A_c is one too, and its inverse is entrywise nonnegative
         _, _, _, _, _, gen, _, a, _ = system
-        for shift in (np.zeros(gen.n_points), a):
+        n = gen.n_points
+        classes = _null_classes(gen.s_matrix, np.zeros(n))
+        cases = [(a, None)] + ([(np.zeros(n), int(classes[0]))] if classes.size == 1 else [])
+        r = aggregation(gen)
+        for shift, pinned in cases:
             b = dense_b(gen, shift)
-            p = _pruned(scipy.sparse.csr_matrix(b)).toarray()
-            off = ~np.eye(gen.n_points, dtype=bool)
-            # -P is a Z-matrix, and P only drops off-diagonals of B
-            assert (p[off] >= 0.0).all()
-            assert ((p == b) | (p == 0.0))[off].all()
-            removed = np.where(off, b - p, 0.0).sum(axis=1)
-            dropped = off & (p == 0.0) & (b != 0.0)
-            assert (b[dropped] < ILU_DROP_TOL * np.abs(np.diag(b))[np.nonzero(dropped)[0]]).all()
-            margin = -np.diag(p) - np.where(off, p, 0.0).sum(axis=1)
-            slack = 1e-13 * np.abs(np.diag(b))
-            assert (margin >= ILU_DROP_TOL * removed - slack).all()
-            np.testing.assert_allclose(
-                np.diag(p), np.diag(b) + (1.0 - ILU_DROP_TOL) * removed, rtol=1e-14, atol=1e-15
-            )
+            if pinned is not None:
+                b[pinned, pinned] -= 1.0
+            coarse = r.T @ b @ r
+            assert (coarse[~np.eye(len(coarse), dtype=bool)] >= 0.0).all()
+            assert (coarse.sum(axis=1) <= 1e-12 * np.abs(coarse).max()).all()
+            inverse = _TwoLevelGmres(gen, shift, pinned)._coarse_inverse
+            np.testing.assert_allclose(inverse @ coarse, np.eye(len(coarse)), atol=1e-8)
+            assert (-inverse >= -1e-10 * np.abs(inverse).max()).all()
+
+    def test_aggregates_are_median_leaves_up_to_the_coarse_cap(self):
+        rng = np.random.default_rng(5)
+        for n in (7, 100, COARSE_POINTS * COARSE_MAX_ORDER, COARSE_POINTS * COARSE_MAX_ORDER + 1):
+            points = rng.normal(size=(n, 3))
+            labels, size = _aggregates(points, n)
+            leaf = max(COARSE_POINTS, -(-n // COARSE_MAX_ORDER))
+            order = kernels._median_order(np.ascontiguousarray(points.T), np.arange(n), leaf)
+            assert size == -(-n // leaf) <= COARSE_MAX_ORDER
+            np.testing.assert_array_equal(labels[order], np.arange(n) // leaf)
+        # without coordinates the aggregates run in the points' own numbering
+        np.testing.assert_array_equal(_aggregates(None, 20)[0], np.arange(20) // COARSE_POINTS)
 
     @settings(max_examples=30)
     @given(small_systems())
@@ -576,44 +614,39 @@ class TestPrunedPreconditioner:
         classes = _null_classes(gen.s_matrix, np.zeros(n))
         cases = [(a, None)] + ([(np.zeros(n), int(classes[0]))] if classes.size == 1 else [])
         for shift, pinned in cases:
-            helper = _IluGmres(gen, shift, pinned)
+            helper = _TwoLevelGmres(gen, shift, pinned)
             b = dense_b(gen, shift)
             if pinned is not None:
                 b[pinned, pinned] -= 1.0
             np.testing.assert_allclose(helper.matrix @ f, b @ f, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(helper.matrix.T @ f, b.T @ f, rtol=1e-13, atol=1e-13)
 
-    @settings(max_examples=60)
-    @given(small_systems())
-    def test_factor_takes_diagonal_pivots_and_keeps_the_pin(self, system):
-        # the rows follow the columns' minimum-degree order, and every pivot is
-        # a diagonal entry of the reordered P, whose negative is an M-matrix,
-        # with and without the pin
-        _, _, _, _, _, gen, _, a, _ = system
-        n = gen.n_points
-        classes = _null_classes(gen.s_matrix, np.zeros(n))
-        cases = [(a, None)]
-        if classes.size == 1:
-            cases += [(a, int(classes[0])), (np.zeros(n), int(classes[0]))]
-        for shift, pinned in cases:
-            helper = _IluGmres(gen, shift, pinned)
-            np.testing.assert_array_equal(helper._ilu.perm_r, helper._ilu.perm_c)
-            assert (helper._ilu.U.diagonal() < 0.0).all()
-
-    def test_flat_rows_prune_every_off_diagonal(self):
+    def test_flat_rows_match_the_dense_solves(self):
         # k = N and eps far above the squared diameter: every S_ij is about
-        # 1/N, below 1e-2 |B_ii|, so P is diagonal and GMRES gets no help
+        # 1/N, below 1e-2 |B_ii|, the rows on which an incomplete LU that
+        # prunes by magnitude keeps only the diagonal
         n = 150
         rng = np.random.default_rng(3)
         gen = cloud_generator(rng.uniform(size=(n, 2)), n, 100.0)
         f = rng.normal(size=n)
-        for shift in (np.zeros(n), np.full(n, -1.0)):
-            assert _pruned(scipy.sparse.csr_matrix(dense_b(gen, shift))).nnz == n
         dense = gen.matrix().toarray()
         rep = solve_direct(LinearProblem(gen, np.full(n, -1.0), f))
         np.testing.assert_allclose(rep.u_hat, np.linalg.solve(dense - np.eye(n), f), atol=1e-9)
         rep = solve_min_norm(LinearProblem(gen, np.zeros(n), f))
         np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
+
+    @pytest.mark.parametrize("eps", [1e-3, 3.2e-3, 1e-2])
+    def test_flat_bvp1d_rows_need_few_iterations(self, eps):
+        # N = 4000, k = 100: a kernel wide against the spacing; the pruned
+        # ILU of earlier versions needed 90 to 264 GMRES iterations here, and
+        # the unpruned ILU(1e-2) 16 to 74
+        problem = analytic_pair("bvp1d")
+        cloud = sample_points(problem.manifold, 4000, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        gen = build_operator(cloud, coeffs, KernelConfig(eps, eps, 100), debias=False)
+        x = cloud.intrinsic
+        rep = solve_direct(LinearProblem(gen, problem.shift(x), problem.f(x)))
+        assert rep.krylov == "gmres" and rep.iterations <= 74
 
     def test_bvp1d_paper_bandwidth_needs_few_iterations(self):
         # N = 4000, eps = 2e-6: the unpruned ILU(1e-2) needed 99 iterations
@@ -624,6 +657,90 @@ class TestPrunedPreconditioner:
         x = cloud.intrinsic
         rep = solve_direct(LinearProblem(gen, problem.shift(x), problem.f(x)))
         assert rep.iterations < 60
+
+    @pytest.mark.parametrize("eps", [1.7e-3, 3e-3])
+    def test_stalled_restart_cycle_fails_early(self, eps):
+        # the torus at N = 256, k = 64 is nearly disconnected at these
+        # bandwidths: a restart cycle too slow to reach the target within
+        # the cap ends the GMRES call, and the solve meets its contract or
+        # fails by name in under 300 iterations, not after the cap's 1000
+        problem = analytic_pair("torus")
+        cloud = sample_points(problem.manifold, 256, "uniform_grid")
+        coeffs = problem_coefficients(problem, cloud)
+        gen = build_operator(cloud, coeffs, KernelConfig(eps, eps, 64))
+        x = cloud.intrinsic
+        f = problem.f(x)
+        try:
+            rep = solve_min_norm(LinearProblem(gen, problem.shift(x), f))
+        except MinNormConvergenceError as exc:
+            spent = int(re.search(r"after (\d+) GMRES iterations", str(exc)).group(1))
+            assert spent < 300 and "cut the residual too slowly" in str(exc)
+        else:
+            assert rep.iterations < 300
+            assert np.abs(gen.apply(rep.u_hat) - f).max() <= 1e-6 * np.abs(f).max()
+
+
+class TestOneBlasThread:
+    def test_the_solve_runs_on_one_thread_and_restores_the_count(self, monkeypatch):
+        threads = solver._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy links no OpenBLAS of its own")
+        get, put = threads
+        before, seen = get(), []
+        null_classes = solver._null_classes
+
+        def spy(s_matrix, shift):
+            seen.append(get())
+            return null_classes(s_matrix, shift)
+
+        monkeypatch.setattr(solver, "_null_classes", spy)
+        gen = small_generator(n=20, seed=4)
+        f = gen.apply(np.random.default_rng(4).normal(size=20))
+        solve(LinearProblem(gen, np.zeros(20), f))
+        with pytest.raises(DisconnectedGraphError):  # a failed solve restores it as well
+            solve_min_norm(LinearProblem(fake_generator(np.eye(3)), np.zeros(3), np.ones(3)))
+        assert seen == [1, 1] and get() == before
+
+
+@st.composite
+def isotropic_systems(draw):
+    """A random 1-3-D cloud without drift, whose S is reversible, with a
+    random f and a random negative shift."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(10, 60))
+    k = draw(st.integers(-(-n // 3), n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gen = cloud_generator(rng.uniform(size=(n, dim)), k, draw(st.floats(0.02, 0.3)), draw(st.booleans()))
+    return gen, rng.normal(size=n), -rng.uniform(0.5, 2.0, size=n)
+
+
+class TestKrylov:
+    """The solver's own GMRES and CG against numpy's dense solve."""
+
+    @settings(max_examples=60)
+    @given(small_systems())
+    def test_gmres_matches_the_dense_solve(self, system):
+        _, _, _, _, _, gen, f, a, _ = system
+        helper = _TwoLevelGmres(gen, a, None)
+        b = dense_b(gen, a)
+        for transposed, matrix in ((False, b), (True, b.T)):
+            x, converged = helper._gmres(f, transposed)
+            assert converged
+            assert np.linalg.norm(matrix @ x - f) <= 1.01 * solver.GMRES_RTOL * np.linalg.norm(f)
+            exact = np.linalg.solve(matrix, f)
+            np.testing.assert_allclose(x, exact, atol=1e-10 * np.linalg.cond(matrix) * np.abs(exact).max())
+
+    @settings(max_examples=60)
+    @given(isotropic_systems())
+    def test_cg_matches_the_dense_solve(self, system):
+        gen, f, a = system
+        assume(gen.weights is not None)
+        helper, goal = _JacobiCg(gen, a), 1e-10 * np.abs(f).max()
+        x = helper._correction(f, goal)
+        b = dense_b(gen, a)
+        assert np.abs(b @ x - f).max() <= goal
+        exact = np.linalg.solve(b, f)
+        np.testing.assert_allclose(x, exact, atol=goal * np.abs(np.linalg.inv(b)).sum(axis=1).max())
 
 
 class TestOraclePins:
