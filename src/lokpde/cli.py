@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CoefficientField, load_cloud, psd_eigenvalues, read_numeric_rows, sample_points
-from .kernels import KernelConfig, build_knn_graph, pool_width
+from .kernels import KernelConfig, build_knn_graph, pool_width, row_blocks
 from .operator import build_operator, select_bandwidths, tune_bandwidth
 from .problems import PROBLEM_IDS, analytic_pair, problem_coefficients
 from .solver import LinearProblem, convergence_study, solve
@@ -391,8 +391,9 @@ def run_solve(config: RunConfig) -> dict:
             if u_true is not None:
                 header += ["u_true", "abs_error"]
                 columns += [u_true, np.abs(report.u_hat - u_true)]
-            rows = (map(repr, row) for row in np.column_stack(columns).tolist())
-            _write_csv(out, header, rows)
+            # a block's rows at a time: one N-row tolist() held 1.9 MB of floats on the paper torus
+            blocks = (np.column_stack([c[b] for c in columns]).tolist() for b in row_blocks(cloud.n_points, 256))
+            _write_csv(out, header, (map(repr, row) for block in blocks for row in block))
         stages["cli.output_s"] = time.perf_counter() - mark
 
     record.update(

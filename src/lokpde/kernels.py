@@ -9,10 +9,14 @@ diffusion coefficients; :func:`moment_check` verifies that numerically.
 The isotropic Gaussian kernel (B = 0, C = I) doubles as the density
 estimator used by the debiasing normalization.
 
-The kNN d^2, the kernel entries (matrix and scalar alike) and the Q(eps)
-scan in ``operator`` take their quadratic forms from one helper,
+The kernel entries (matrix and scalar alike) and the Q(eps) scan in
+``operator`` take their quadratic forms from one helper,
 :func:`_pair_forms`, over ``dim`` coordinate planes of the pair vectors,
-summed in ascending coordinate order with GIL-free ufuncs.
+summed in ascending coordinate order with GIL-free ufuncs.  The kNN
+search needs only |x_i - x_j|^2 and forms it plane by plane in two
+scratch rows (:func:`_nearest`), with the same multiplies and adds: its
+rows span all N candidates, so each scratch row it saves is a block of
+rows x N doubles per worker.
 
 The kernel is evaluated only on each point's k nearest neighbours.
 :func:`build_knn_graph` finds them with numpy alone: each block of rows,
@@ -139,7 +143,7 @@ def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
             return next(pending, None)
 
     def work(i):
-        scratch = _scratch(scratch_planes, scratch_size)
+        scratch = _scratch((scratch_planes, scratch_size))
         while i is not None:
             results[i] = body(blocks[i], scratch)
             i = claim()
@@ -155,13 +159,18 @@ def map_row_blocks(body, n, size, scratch_planes, scratch_size) -> list:
     return results
 
 
-def _scratch(planes, size):
-    """``planes`` float rows of ``size`` on an anonymous memory map, whose
-    pages go back to the OS when it is dropped.  malloc keeps freed blocks
-    in its arena and, once it has freed a large block, serves blocks up to
-    that size from the arena too, so later (N, k) arrays stay resident (up
-    to 10 MB more peak RSS on the half-torus solve, 1 MB on the ellipse)."""
-    return np.frombuffer(mmap.mmap(-1, planes * size * 8)).reshape(planes, size)
+def _scratch(shape, dtype=np.float64):
+    """An array of ``shape`` and ``dtype`` on its own anonymous memory map,
+    whose pages go back to the OS when the array is dropped, and which
+    malloc never sees.  glibc's malloc maps a block above its threshold
+    (128 KB at start) and unmaps it on free, but then raises the threshold
+    to that block's size, so later blocks up to that size come from its
+    heap, and the holes they leave stay resident.  So the search's scratch
+    rows and its (indices, d2) pair, the largest blocks of a build, take
+    this map: freeing d2, an (N, k) float array, through malloc kept about
+    10 MB of later kNN and kernel arrays resident on the paper torus."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
 
 
 def _identity_scale(ci: np.ndarray) -> float | None:
@@ -282,7 +291,10 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(indices, d2)``, both (N, k), ordered by (d^2, index): distance
     ties break toward the smaller index, so the result is deterministic.
     ``d2[i, c]`` is |x_i - x_j|^2 for j = ``indices[i, c]``, summed over the
-    coordinate planes of x_i - x_j in ascending order by :func:`_pair_forms`.
+    coordinate planes of x_i - x_j in ascending order (:func:`_nearest`).
+    ``indices`` is int32, as are the kernel matrix's columns.  Each array
+    lies on its own anonymous memory map (:func:`_scratch`), so dropping
+    it returns its pages and leaves glibc's mmap threshold where it was.
 
     An exact range search (Bentley, Stanat & Williams 1977) with a
     certificate.  The reach r is 1.1 times the largest k-th distance of
@@ -311,11 +323,10 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     # a point past the outward-rounded box has a d^2 above r^2 less a few ulps
     shrink = 1.0 - 8.0 * (dim + 2) * np.finfo(float).eps
     probes = np.unique(np.linspace(0, n - 1, _PROBES).astype(np.intp))
-    probe_d2 = _nearest(planes, probes, everyone, k, _scratch(4 + dim, probes.size * n))[1]
+    probe_d2 = _nearest(planes, probes, everyone, k, _scratch((2, probes.size * n)))[1]
     reach = 1.1 * np.sqrt(probe_d2[:, -1].max())
     todo = _median_order(planes, everyone, _KNN_ROWS)
-    indices = np.empty((n, k), dtype=np.intp)
-    d2 = np.empty((n, k))
+    indices, d2 = _scratch((n, k), np.int32), _scratch((n, k))
 
     def search(block, work):  # writes only its own rows; little from malloc
         rows, cand = todo[block], everyone
@@ -329,7 +340,7 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
         return rows[:0] if cand.size == n else rows[d2[rows, -1] >= reach * reach * shrink]
 
     while todo.size:
-        todo = np.concatenate(map_row_blocks(search, todo.size, _KNN_ROWS, 4 + dim, min(n, _KNN_ROWS) * n))
+        todo = np.concatenate(map_row_blocks(search, todo.size, _KNN_ROWS, 2, min(n, _KNN_ROWS) * n))
         if todo.size:
             wider = np.sqrt(d2[todo, -1].max()) * (1.0 + 2.0**-20)
             reach = wider if wider > reach else None
@@ -353,16 +364,25 @@ def _nearest(planes, rows, cand, k, work):
     """The k points of ``cand`` (ascending indices) nearest each point of
     ``rows``, as ``(indices, d2)`` ordered by (d^2, index): the k-th d^2 by
     a partition, every d^2 below it plus the lowest-index ties, then a
-    stable sort by d^2.  The (rows, cand) planes fill the rows of ``work``."""
+    stable sort by d^2.
+
+    Two (rows, cand) scratch rows of ``work`` serve it all.  d^2
+    accumulates in the first, plane by plane: each coordinate's
+    differences are subtracted into the second, squared and added, in
+    ascending coordinate order: the multiplies and adds of
+    :func:`_pair_forms` with C^-1 = I, so d^2 is the same to the bit, in
+    two rows where that helper takes dim + 4.  The second row then takes
+    the partition and, once the k-th d^2 is copied out, the mask."""
     shape = (rows.size, cand.size)
-    v = [w[: rows.size * cand.size].reshape(shape) for w in work[4:]]
-    for x, va in zip(planes, v):
-        np.subtract(x[rows, None], x[cand], out=va)
-    full = _pair_forms(None, v, None, 1.0, work)[0]
-    kth = work[0][: full.size].reshape(shape)  # rows 0 and 1 are free for C^-1 = I
-    np.copyto(kth, full)
-    kth.partition(k - 1, axis=1)
-    kth = kth[:, k - 1, None]
+    full, part = (w[: rows.size * cand.size].reshape(shape) for w in work[:2])
+    for a, x in enumerate(planes):
+        np.subtract(x[rows, None], x[cand], out=part)
+        np.multiply(part, part, out=part if a else full)
+        if a:
+            np.add(full, part, out=full)
+    np.copyto(part, full)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1, None].copy()
     keep = np.less_equal(full, kth, out=work[1].view(bool)[: full.size].reshape(shape))
     count = np.count_nonzero(keep, axis=1)
     at = np.flatnonzero(keep)  # row by row, each in ascending index order
@@ -400,7 +420,7 @@ def missing_mirrors(indices: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np
         return at[lone] + span.start
 
     at = np.concatenate(map_row_blocks(scan, n, _CHUNK_ROWS, 2, min(n, _CHUNK_ROWS) * k))
-    return heads[at], at // k
+    return heads[at].astype(np.intp), at // k  # intp, as the assembly's flat places j k + c are
 
 
 def assemble_kernel_matrix(

@@ -72,6 +72,16 @@ Failures are named: more than one closed class raises
 non-convergence raise :class:`DirectSolveError` or
 :class:`MinNormConvergenceError` with the best iterate and its residual.
 
+B~ differs from S only on its diagonal, so the solve makes no copy of S:
+it borrows S for the Krylov calls, writes B~'s diagonal, (S_ii - 1) +
+eps a_i less 1 at a pin, over S's stored diagonal, and writes S's values
+back on return and on every exception (:class:`_Refined`).  Forming
+B~ x as S x - x + eps a x would need no write to S, but the sum S x
+rounds at the size of x_i, so S x - x loses the relative accuracy of
+(S_ii - 1) x_i where 1 - S_ii is small, the accuracy that the residual
+at small eps rests on; B~'s stored diagonal keeps it.  An S that stores
+no diagonal entry in some row takes a copy with those entries inserted.
+
 The solve needs numpy and ``scipy.sparse`` alone: the Krylov methods and
 the closed-class search are written here, so no process loads
 ``scipy.sparse.linalg``, ``scipy.linalg`` or ``scipy.sparse.csgraph``.
@@ -84,6 +94,7 @@ import ctypes
 import dataclasses
 import glob
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,23 +279,64 @@ def _diagonal(generator, shift, pinned=None):
     return diagonal
 
 
+def _diagonal_places(s_matrix):
+    """The place of each row's diagonal entry in S's data, or None when
+    some row stores no diagonal entry or more than one."""
+    n, counts = s_matrix.shape[0], np.diff(s_matrix.indptr)
+    places = np.empty(n, dtype=np.intp)
+    for rows, entries in _entry_blocks(s_matrix.indptr):
+        own = np.arange(rows.start, rows.stop)
+        tails = np.repeat(own, counts[rows])
+        at = np.flatnonzero(s_matrix.indices[entries] == tails)
+        if at.size != own.size or (tails[at] != own).any():
+            return None
+        places[rows] = at + entries.start
+    return places
+
+
 class _Refined:
     """Iterative refinement around one Krylov method on B~ = eps (diag(a) + L).
 
-    ``matrix`` is B~: one copy of S's data on S's index arrays, with the
-    ``diagonal`` of :func:`_diagonal` set in place of S's.  ``krylov``
-    names the method and ``iterations`` counts its iterations over every
-    call; a subclass runs one call from zero towards a uniform bound on the
-    scaled residual (``_correction``), and sets ``stalled`` when a call
-    stops early for want of progress, which ends the refinement.
+    A context manager that borrows S for B~: on entry it saves S's stored
+    diagonal and writes the ``diagonal`` of :func:`_diagonal` over it, so
+    that ``matrix`` is S itself holding exactly the values a copy of S's
+    data with that diagonal would hold; on exit, also on an exception, it
+    writes the saved values back.  Where some row of S stores no diagonal
+    entry, or S's data is read-only, ``matrix`` is that copy, with the
+    missing entries inserted.  Two solves on one generator must not run at
+    once.
+
+    ``krylov`` names the method and ``iterations`` counts its iterations
+    over every call; a subclass runs one call from zero towards a uniform
+    bound on the scaled residual (``_correction``), and sets ``stalled``
+    when a call stops early for want of progress, which ends the
+    refinement.
     """
 
     stalled = False
 
     def __init__(self, generator, diagonal):
-        s, self.epsilon, self.iterations = generator.s_matrix, generator.epsilon, 0
-        self.matrix = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
-        self.matrix.setdiag(diagonal)
+        self._s, self._diagonal = generator.s_matrix, diagonal
+        self.epsilon, self.iterations = generator.epsilon, 0
+
+    def __enter__(self):
+        s = self._s
+        self._places = _diagonal_places(s) if s.data.flags.writeable else None
+        if self._places is None:
+            self.matrix = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
+            with warnings.catch_warnings():  # older scipy warns that inserting is slow; it is this path's purpose
+                warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
+                self.matrix.setdiag(self._diagonal)
+        else:
+            self._saved = s.data[self._places]
+            s.data[self._places] = self._diagonal
+            self.matrix = s
+        return self
+
+    def __exit__(self, *_):
+        if self._places is not None:
+            self._s.data[self._places] = self._saved
+        self.matrix = None
 
     def _spent(self):
         stall = ", where a restart cycle cut the residual too slowly to meet the target" if self.stalled else ""
@@ -325,9 +377,10 @@ class _TwoLevelGmres(_Refined):
     coarse correction z += R A_c^-1 R^T (r - B~ z), and a second sweep,
     z += omega D^-1 (r - B~ z) (Vanek, Mandel & Brezina, 1996; Notay,
     2010).  The transposed system B~^T takes the transposed steps, with
-    A_c^-T.  A_c is assembled from S's off-diagonal entries and B~'s
-    diagonal before B~ copies S's data, so that LAPACK's workspace for the
-    inverse and that copy are never held at once.
+    A_c^-T, on the CSC view of B~'s arrays.  A_c is assembled from S's
+    off-diagonal entries and B~'s diagonal and inverted at construction;
+    the system borrows S for B~ (:class:`_Refined`) only while it is
+    entered, and no copy of S's data is made.
     """
 
     krylov = "gmres"
@@ -351,7 +404,11 @@ class _TwoLevelGmres(_Refined):
             raise _KrylovFailure("the preconditioner broke down: the coarse matrix is singular") from None
         del coarse
         super().__init__(generator, diagonal)
-        self._transposed = self.matrix.T
+
+    def __enter__(self):
+        super().__enter__()
+        self._transposed = self.matrix.T  # a view on B~'s arrays
+        return self
 
     def _precondition(self, r, transposed):
         """M^-1 r, or M^-T r for the ``transposed`` system."""
@@ -457,7 +514,7 @@ class _JacobiCg(_Refined):
     def __init__(self, generator, shift):
         super().__init__(generator, _diagonal(generator, shift))
         self._weights = generator.weights
-        self._inverse_diagonal = -1.0 / (self._weights * self.matrix.diagonal())
+        self._inverse_diagonal = -1.0 / (self._weights * self._diagonal)
 
     def _correction(self, residual, goal):
         w, tolerance = self._weights, goal * self._weights.min()
@@ -601,7 +658,9 @@ def _krylov_solve(gen, a, f, target):
     is removed: off a pin q it is r = f' - (a + L) u, and r_q is bounded
     only through w r = 0.  Raises :class:`DisconnectedGraphError` for more
     than one such class and :class:`_KrylovFailure` when the Krylov solve
-    fails.  Runs with numpy's BLAS on one thread (:func:`_one_blas_thread`).
+    fails.  Runs with numpy's BLAS on one thread (:func:`_one_blas_thread`),
+    and the system borrows S for the Krylov calls only (:class:`_Refined`),
+    so S is unchanged on return and on every exception.
     """
     with _one_blas_thread():
         classes = _null_classes(gen.s_matrix, a)
@@ -611,12 +670,13 @@ def _krylov_solve(gen, a, f, target):
             system = _JacobiCg(gen, a)
         else:
             system = _TwoLevelGmres(gen, a, int(classes[0]) if classes.size else None)
-        if not classes.size:  # a + L is nonsingular
-            u, residual = system.solve(f, target)
-            return u, residual, system
-        w = system.null_vector(left=True)
-        u, residual = system.solve(f - (w @ f) / (w @ w) * w, target)
-        v = system.null_vector(left=False) if a.any() else np.ones(f.size)
+        with system:
+            if not classes.size:  # a + L is nonsingular
+                u, residual = system.solve(f, target)
+                return u, residual, system
+            w = system.null_vector(left=True)
+            u, residual = system.solve(f - (w @ f) / (w @ w) * w, target)
+            v = system.null_vector(left=False) if a.any() else np.ones(f.size)
         u -= (v @ u) / (v @ v) * v
         return u, residual, system
 

@@ -2,6 +2,7 @@ import functools
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,24 @@ class TestKnnExactness:
     def test_paper_clouds_match_brute(self, name):
         cloud, k, _ = paper_cloud(name)
         self.assert_matches_brute(cloud.ambient, k)
+
+
+class TestKnnPairMemory:
+    def test_pair_is_int32_and_off_the_malloc_heap(self, monkeypatch):
+        # each array of the pair lies on its own anonymous map, which
+        # tracemalloc does not see; an (N, k) block from malloc would be at
+        # least N k 4 bytes (3.3 MB on the paper torus), against about 1.6 MB
+        # of block temporaries with two workers
+        monkeypatch.setattr(kernels, "pool_width", lambda: 2)
+        cloud, k, _ = paper_cloud("torus")
+        tracemalloc.start()
+        try:
+            indices, d2 = build_knn_graph(cloud, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert indices.dtype == np.int32 and d2.dtype == np.float64
+        assert peak < cloud.n_points * k * 4
 
 
 class TestMedianOrder:

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -265,7 +266,8 @@ class TestNamedFailures:
             np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
         # a < 0 at the transient point (the last case above) is the one case
         # that takes the right null vector from the pinned system
-        v = _TwoLevelGmres(gen, a, 1).null_vector(left=False)
+        with _TwoLevelGmres(gen, a, 1) as helper:
+            v = helper.null_vector(left=False)
         assert v[1] == 1.0
         assert np.abs(dense @ v).max() <= 1e-8 * np.abs(v).max()
 
@@ -464,18 +466,18 @@ class TestSolverProperties:
         classes = _null_classes(gen.s_matrix, np.zeros(n))
         assume(classes.size == 1)
         q = int(classes[0])
-        helper = _TwoLevelGmres(gen, np.zeros(n), q)
-        pinned = -helper.matrix.toarray()
-        assert (pinned[~np.eye(n, dtype=bool)] <= 0.0).all()
-        e_qq = np.zeros((n, n))
-        e_qq[q, q] = 1.0
-        np.testing.assert_allclose(pinned + dense_b(gen, np.zeros(n)), e_qq, rtol=0, atol=1e-15)
-        dense = gen.matrix().toarray()
-        w = helper.null_vector(left=True)
-        assert w[q] == 1.0
-        assert np.abs(w @ dense).max() <= 1e-8 * np.abs(w).max()
-        assert np.abs(w @ dense).max() <= 1e-9 * np.abs(w).sum() * np.abs(dense).max()
-        np.testing.assert_allclose(helper.null_vector(left=False), 1.0, atol=1e-9)
+        b, dense = dense_b(gen, np.zeros(n)), gen.matrix().toarray()
+        with _TwoLevelGmres(gen, np.zeros(n), q) as helper:
+            pinned = -helper.matrix.toarray()
+            assert (pinned[~np.eye(n, dtype=bool)] <= 0.0).all()
+            e_qq = np.zeros((n, n))
+            e_qq[q, q] = 1.0
+            np.testing.assert_allclose(pinned + b, e_qq, rtol=0, atol=1e-15)
+            w = helper.null_vector(left=True)
+            assert w[q] == 1.0
+            assert np.abs(w @ dense).max() <= 1e-8 * np.abs(w).max()
+            assert np.abs(w @ dense).max() <= 1e-9 * np.abs(w).sum() * np.abs(dense).max()
+            np.testing.assert_allclose(helper.null_vector(left=False), 1.0, atol=1e-9)
 
     @settings(max_examples=60)
     @given(small_systems())
@@ -614,12 +616,12 @@ class TestTwoLevelPreconditioner:
         classes = _null_classes(gen.s_matrix, np.zeros(n))
         cases = [(a, None)] + ([(np.zeros(n), int(classes[0]))] if classes.size == 1 else [])
         for shift, pinned in cases:
-            helper = _TwoLevelGmres(gen, shift, pinned)
             b = dense_b(gen, shift)
             if pinned is not None:
                 b[pinned, pinned] -= 1.0
-            np.testing.assert_allclose(helper.matrix @ f, b @ f, rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(helper.matrix.T @ f, b.T @ f, rtol=1e-13, atol=1e-13)
+            with _TwoLevelGmres(gen, shift, pinned) as helper:
+                np.testing.assert_allclose(helper.matrix @ f, b @ f, rtol=1e-13, atol=1e-13)
+                np.testing.assert_allclose(helper.matrix.T @ f, b.T @ f, rtol=1e-13, atol=1e-13)
 
     def test_flat_rows_match_the_dense_solves(self):
         # k = N and eps far above the squared diameter: every S_ij is about
@@ -680,6 +682,108 @@ class TestTwoLevelPreconditioner:
             assert np.abs(gen.apply(rep.u_hat) - f).max() <= 1e-6 * np.abs(f).max()
 
 
+def borrow_cases(route):
+    """(generator, a < 0, f) on an 80-point cloud in the unit square whose
+    S has one closed class: with a drift for GMRES, isotropic for CG."""
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(size=(80, 2))
+    gen = cloud_generator(pts, 20, 0.05, drift=np.full((80, 2), 0.1) if route == "gmres" else None)
+    assert (gen.weights is None) == (route == "gmres")
+    return gen, -rng.uniform(0.5, 2.0, size=80), rng.normal(size=80)
+
+
+class TestBorrowedS:
+    """The Krylov calls run on S's own data with B~'s diagonal written in,
+    and S is given back bit for bit, whether the solve meets its contract
+    or fails by name."""
+
+    @pytest.mark.parametrize("route", ["gmres", "cg"])
+    @pytest.mark.parametrize("outcome", ["direct", "min_norm", "direct fails", "min_norm fails"])
+    def test_s_is_borrowed_and_given_back(self, route, outcome, monkeypatch):
+        gen, a, f = borrow_cases(route)
+        s = gen.s_matrix
+        before = [s.data.copy(), s.indices.copy(), s.indptr.copy()]
+        borrowed = []
+        for cls, name in ((_TwoLevelGmres, "_gmres"), (_JacobiCg, "_correction")):
+            def spy(system, *args, method=getattr(cls, name), **kwargs):
+                borrowed.append(np.shares_memory(system.matrix.data, s.data))
+                return method(system, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+        if outcome.endswith("fails"):  # one CG iteration, or one cycle of 2 GMRES iterations, per call
+            monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+            monkeypatch.setattr(solver, "GMRES_MAX_CYCLES", 1)
+            monkeypatch.setattr(solver, "GMRES_RESTART", 2)
+        if outcome.startswith("direct"):
+            run, error = lambda: solve_direct(LinearProblem(gen, a, f)), DirectSolveError
+        else:
+            run, error = lambda: solve_min_norm(LinearProblem(gen, np.zeros(80), f)), MinNormConvergenceError
+        if outcome.endswith("fails"):
+            with pytest.raises(error):
+                run()
+        else:
+            assert run().krylov == route
+        assert borrowed and all(borrowed)
+        for array, saved in zip((s.data, s.indices, s.indptr), before):
+            assert array.dtype == saved.dtype and array.tobytes() == saved.tobytes()
+
+    @pytest.mark.parametrize("route", ["gmres", "cg"])
+    @pytest.mark.parametrize("case", ["no diagonal in row 0", "read-only data"])
+    def test_copy_when_s_cannot_be_borrowed(self, route, case):
+        # symmetric, doubly stochastic S; without a diagonal entry in row 0,
+        # B~ needs one inserted, and read-only data cannot take B~'s: the
+        # system then takes a copy of S with the diagonal set, quietly, and S
+        # keeps its own arrays
+        dense = np.array({
+            "no diagonal in row 0": [[0.0, 0.5, 0.5], [0.5, 0.25, 0.25], [0.5, 0.25, 0.25]],
+            "read-only data": [[0.25, 0.25, 0.5], [0.25, 0.5, 0.25], [0.5, 0.25, 0.25]],
+        }[case])
+        s = scipy.sparse.csr_matrix(dense)
+        if case == "read-only data":
+            s.data.flags.writeable = False
+        weights = np.ones(3) if route == "cg" else None
+        gen = GeneratorMatrix(s, 1.0, np.ones(3), weights)
+        before = [s.data.copy(), s.indices.copy(), s.indptr.copy()]
+        a, f = np.array([-1.0, -0.5, -2.0]), np.array([1.0, -2.0, 0.5])
+        b = dense - np.eye(3) + np.diag(a)
+        system = _JacobiCg(gen, a) if route == "cg" else _TwoLevelGmres(gen, a, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with system as helper:
+                assert not np.shares_memory(helper.matrix.data, s.data)
+                np.testing.assert_array_equal(helper.matrix.toarray(), b)
+            rep = solve_direct(LinearProblem(gen, a, f))
+            assert rep.krylov == route
+            np.testing.assert_allclose(rep.u_hat, np.linalg.solve(b, f), atol=1e-10)
+            rep = solve_min_norm(LinearProblem(gen, np.zeros(3), f))
+            np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense - np.eye(3)) @ f, atol=1e-8)
+        for array, saved in zip((s.data, s.indices, s.indptr), before):
+            assert array.tobytes() == saved.tobytes()
+
+    @pytest.mark.parametrize("fixture", ["torus_paper", "sphere_run"])
+    def test_solve_allocates_no_copy_of_s(self, fixture, request):
+        # a copy of S's data is nnz doubles (6.3 MB on the torus, 9.8 MB on
+        # the sphere); the solve's own arrays on the sphere's CG route are
+        # N-vectors and row-block temporaries, and GMRES on the torus adds
+        # its Krylov basis and the coarse inverse
+        run = request.getfixturevalue(fixture)
+        gen = run.generator
+        n, nnz = gen.n_points, gen.s_matrix.nnz
+        shift = run.shift if fixture == "torus_paper" else np.zeros(n)
+        problem = LinearProblem(gen, shift, run.rhs)
+        tracemalloc.start()
+        try:
+            report = solve(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = 0
+        if report.krylov == "gmres":
+            own = (solver.GMRES_RESTART + 1) * n * 8 + report.coarse_size**2 * 8
+        assert report.krylov == ("gmres" if fixture == "torus_paper" else "cg")
+        assert peak < own + nnz * 8 / 2
+
+
 class TestOneBlasThread:
     def test_the_solve_runs_on_one_thread_and_restores_the_count(self, monkeypatch):
         threads = solver._openblas_threads()
@@ -721,23 +825,23 @@ class TestKrylov:
     @given(small_systems())
     def test_gmres_matches_the_dense_solve(self, system):
         _, _, _, _, _, gen, f, a, _ = system
-        helper = _TwoLevelGmres(gen, a, None)
         b = dense_b(gen, a)
-        for transposed, matrix in ((False, b), (True, b.T)):
-            x, converged = helper._gmres(f, transposed)
-            assert converged
-            assert np.linalg.norm(matrix @ x - f) <= 1.01 * solver.GMRES_RTOL * np.linalg.norm(f)
-            exact = np.linalg.solve(matrix, f)
-            np.testing.assert_allclose(x, exact, atol=1e-10 * np.linalg.cond(matrix) * np.abs(exact).max())
+        with _TwoLevelGmres(gen, a, None) as helper:
+            for transposed, matrix in ((False, b), (True, b.T)):
+                x, converged = helper._gmres(f, transposed)
+                assert converged
+                assert np.linalg.norm(matrix @ x - f) <= 1.01 * solver.GMRES_RTOL * np.linalg.norm(f)
+                exact = np.linalg.solve(matrix, f)
+                np.testing.assert_allclose(x, exact, atol=1e-10 * np.linalg.cond(matrix) * np.abs(exact).max())
 
     @settings(max_examples=60)
     @given(isotropic_systems())
     def test_cg_matches_the_dense_solve(self, system):
         gen, f, a = system
         assume(gen.weights is not None)
-        helper, goal = _JacobiCg(gen, a), 1e-10 * np.abs(f).max()
-        x = helper._correction(f, goal)
-        b = dense_b(gen, a)
+        b, goal = dense_b(gen, a), 1e-10 * np.abs(f).max()
+        with _JacobiCg(gen, a) as helper:
+            x = helper._correction(f, goal)
         assert np.abs(b @ x - f).max() <= goal
         exact = np.linalg.solve(b, f)
         np.testing.assert_allclose(x, exact, atol=goal * np.abs(np.linalg.inv(b)).sum(axis=1).max())
