@@ -23,10 +23,11 @@ The kernel is evaluated only on each point's k nearest neighbours.
 one leaf of a median split, takes as candidates the points in its
 bounding box grown by a reach r, and a row is certified once its k-th
 d^2 is below r^2; the few rows that are not are searched again with a
-wider reach.  Its (indices, d^2) pair equals a brute-force search over
-all N^2 pairs bit for bit.  ``operator.build_operator`` runs it (or takes
-it from a caller that shares it across bandwidths) and hands
-:func:`assemble_kernel_matrix` the indices, the density estimate the d^2.
+wider reach.  Each row of its (indices, d^2) pair lists by ascending
+index the k points first in (d^2, index) order, as a brute-force search
+over all N^2 pairs does bit for bit.  ``operator.build_operator`` runs it
+(or takes it from a caller that shares it across bandwidths) and hands the
+indices to :func:`assemble_kernel_matrix`, the d^2 to the density estimate.
 For a symmetric kernel, :func:`missing_mirrors` reads the pair for the
 links whose mirror the kNN pattern lacks, which the assembly adds.
 
@@ -70,7 +71,8 @@ class KernelConfig:
 
     ``epsilon`` is the squared-length scale of the prototypical kernel,
     ``tilde_epsilon`` the Gaussian bandwidth used for density estimation,
-    ``k_neighbors`` the kNN count (self included; N gives the dense kernel).
+    ``k_neighbors`` the kNN count (N gives the dense kernel), of which a
+    point is one unless k copies of it come first (:func:`build_knn_graph`).
     """
 
     epsilon: float
@@ -286,10 +288,12 @@ def eval_prototypical_kernel(x, y, drift, diffusion_inv, epsilon: float) -> floa
 
 
 def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest points (self included) of every point, with their d^2.
+    """The k nearest points of every point, with their d^2.
 
-    Returns ``(indices, d2)``, both (N, k), ordered by (d^2, index): distance
-    ties break toward the smaller index, so the result is deterministic.
+    Returns ``(indices, d2)``, both (N, k): row i lists by ascending index
+    the k points first in (d^2, index) order, so ties at the k-th d^2 keep
+    the smaller indices.  x_i is among them unless k copies of it come
+    first: at k = 2 the third of three copies gets the first two.
     ``d2[i, c]`` is |x_i - x_j|^2 for j = ``indices[i, c]``, summed over the
     coordinate planes of x_i - x_j in ascending order (:func:`_nearest`).
     ``indices`` is int32, as are the kernel matrix's columns.  Each array
@@ -324,7 +328,7 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     shrink = 1.0 - 8.0 * (dim + 2) * np.finfo(float).eps
     probes = np.unique(np.linspace(0, n - 1, _PROBES).astype(np.intp))
     probe_d2 = _nearest(planes, probes, everyone, k, _scratch((2, probes.size * n)))[1]
-    reach = 1.1 * np.sqrt(probe_d2[:, -1].max())
+    reach = 1.1 * np.sqrt(probe_d2.max())
     todo = _median_order(planes, everyone, _KNN_ROWS)
     indices, d2 = _scratch((n, k), np.int32), _scratch((n, k))
 
@@ -336,13 +340,13 @@ def build_knn_graph(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
                 inside &= x >= np.nextafter(x[rows].min() - reach, -np.inf)
                 inside &= x <= np.nextafter(x[rows].max() + reach, np.inf)
             cand = np.flatnonzero(inside) if np.count_nonzero(inside) >= k else everyone
-        indices[rows], d2[rows] = _nearest(planes, rows, cand, k, work)
-        return rows[:0] if cand.size == n else rows[d2[rows, -1] >= reach * reach * shrink]
+        indices[rows], d2[rows] = near = _nearest(planes, rows, cand, k, work)
+        return rows[:0] if cand.size == n else rows[near[1].max(axis=1) >= reach * reach * shrink]
 
     while todo.size:
         todo = np.concatenate(map_row_blocks(search, todo.size, _KNN_ROWS, 2, min(n, _KNN_ROWS) * n))
         if todo.size:
-            wider = np.sqrt(d2[todo, -1].max()) * (1.0 + 2.0**-20)
+            wider = np.sqrt(d2.max(axis=1)[todo].max()) * (1.0 + 2.0**-20)
             reach = wider if wider > reach else None
     return indices, d2
 
@@ -361,10 +365,10 @@ def _median_order(planes, rows, leaf):
 
 
 def _nearest(planes, rows, cand, k, work):
-    """The k points of ``cand`` (ascending indices) nearest each point of
-    ``rows``, as ``(indices, d2)`` ordered by (d^2, index): the k-th d^2 by
-    a partition, every d^2 below it plus the lowest-index ties, then a
-    stable sort by d^2.
+    """The k points of ``cand`` (ascending indices) first in (d^2, index)
+    order from each point of ``rows``, as ``(indices, d2)`` by ascending
+    index: the k-th d^2 by a partition, then every d^2 below it plus the
+    lowest-index ties, read off in candidate order, with no sort.
 
     Two (rows, cand) scratch rows of ``work`` serve it all.  d^2
     accumulates in the first, plane by plane: each coordinate's
@@ -394,33 +398,47 @@ def _nearest(planes, rows, cand, k, work):
         later = upto[np.cumsum(count) - 1][row] - upto + tie  # ties from here to the row's end
         kept = ~tie | (later > (count - k)[row])
         at, d2 = at[kept], d2[kept]
-    order = np.argsort(d2.reshape(rows.size, k), axis=1, kind="stable") + np.arange(0, at.size, k)[:, None]
-    return cand[at[order] - np.arange(0, full.size, cand.size)[:, None]], d2[order]
+    return cand[at.reshape(rows.size, k) - np.arange(0, full.size, cand.size)[:, None]], d2.reshape(rows.size, k)
+
+
+def _kth(indices: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k-th (d^2, index) in a kNN pair: the last entry at the row's largest d^2."""
+    n, k = indices.shape
+    kth_d2, kth_index = np.empty(n), np.empty(n, dtype=indices.dtype)
+
+    def scan(rows, work):  # argmax finds the first largest d^2 of the row read backward
+        np.copyto(work[: rows.stop - rows.start], d2[rows, ::-1])
+        at = np.arange(rows.start, rows.stop), k - 1 - work[: rows.stop - rows.start].argmax(axis=1)
+        kth_d2[rows], kth_index[rows] = d2[at], indices[at]
+
+    map_row_blocks(scan, n, _CHUNK_ROWS, min(n, _CHUNK_ROWS), k)
+    return kth_d2, kth_index
 
 
 def missing_mirrors(indices: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The links (j, i) whose mirror (i, j) is in the kNN pattern of
     :func:`build_knn_graph` but which are not in it themselves.
 
-    Row j of the pair holds the k nearest points of x_j in (d^2, index)
+    Row j of the pair holds the k first points of x_j in (d^2, index)
     order, and d^2 is symmetric to the bit (x_j - x_i is exactly
     -(x_i - x_j)), so i is among them exactly when (d^2_ij, i) is at most
-    (d2[j, -1], indices[j, -1]).  Returns (rows, cols): the j and the i of
-    each missing link, in row-major order of the links (i, j).
+    row j's k-th (d^2, index) (:func:`_kth`).  Returns (rows, cols): the j
+    and the i of each missing link, in row-major order of the links (i, j).
     """
     n, k = indices.shape
     heads, flat_d2 = indices.ravel(), d2.ravel()
+    kth_d2, kth_index = _kth(indices, d2)
 
     def scan(rows, work):
         span = slice(rows.start * k, rows.stop * k)
-        reach = np.take(d2[:, -1], heads[span], out=work[0][: span.stop - span.start])
+        reach = np.take(kth_d2, heads[span], out=work[0][: span.stop - span.start])
         at = np.flatnonzero(np.greater_equal(flat_d2[span], reach, out=work[1].view(bool)[: reach.size]))
         # a d^2 tie with the k-th neighbour of j falls on the index order
-        lone = (flat_d2[span][at] > reach[at]) | (at // k + rows.start > indices[heads[span][at], -1])
+        lone = (flat_d2[span][at] > reach[at]) | (at // k + rows.start > kth_index[heads[span][at]])
         return at[lone] + span.start
 
     at = np.concatenate(map_row_blocks(scan, n, _CHUNK_ROWS, 2, min(n, _CHUNK_ROWS) * k))
-    return heads[at].astype(np.intp), at // k  # intp, as the assembly's flat places j k + c are
+    return heads[at].astype(np.intp), at // k  # intp, as the assembly's keys j N + i are
 
 
 def assemble_kernel_matrix(
@@ -434,16 +452,15 @@ def assemble_kernel_matrix(
 
     Row i holds K(eps, x_i, x_j) for the j in row i of ``indices``, the
     (N, k) kNN indices of :func:`build_knn_graph` (ValueError for another
-    shape), with the row point's coefficients B(x_i), C(x_i)^-1;
-    ``k_neighbors = N`` retains every column.  The blocks run on
-    :func:`map_row_blocks`, each writing its own rows, so the worker count
-    changes nothing; the CSR matrix keeps their int32 columns uncopied.
+    shape), with the row point's coefficients B(x_i), C(x_i)^-1; its rows
+    ascend by index, so they are the CSR columns as they stand.  The
+    blocks run on :func:`map_row_blocks`, each writing its rows' span of
+    the data and columns, so the worker count changes nothing.
 
     ``mirrors``, the (rows, cols) of :func:`missing_mirrors`, adds those
-    links, evaluated alike.  The data and columns are sized for them
-    once: the kNN rows are assembled at the front, and each entry is
-    moved, back to front, past the added links that precede it, which
-    then fill the gaps, so every row stays sorted.
+    links, evaluated alike; a block with added links evaluates its kNN
+    rows into scratch and ranks the links among them, so that every entry
+    goes straight to its final slot, in (row, column) order.
     """
     pts = cloud.ambient
     n, k = pts.shape[0], cfg.k_neighbors
@@ -454,54 +471,37 @@ def assemble_kernel_matrix(
     planes = np.ascontiguousarray(pts.T)
     scale = _identity_scale(coeffs.diffusion_inv)
     _check_overflow(planes, coeffs.drift, coeffs.diffusion_inv, scale, cfg.epsilon)
-    extra_rows, extra_cols = (np.empty(0, dtype=np.intp),) * 2 if mirrors is None else mirrors
-    cols = np.empty(n * k + extra_rows.size, dtype=np.int32)
-    data = np.empty(cols.size)
-    knn_cols, knn_data = cols[: n * k].reshape(n, k), data[: n * k].reshape(n, k)
+    links = np.sort(np.empty(0, dtype=np.intp) if mirrors is None else mirrors[0] * n + mirrors[1])
+    extra_rows, extra_cols = np.divmod(links, n)  # in (row, column) order
+    indptr = np.concatenate(([0], np.cumsum(k + np.bincount(extra_rows, minlength=n))))
+    cols, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
 
-    def assemble(rows, work):  # writes only the rows of its block
-        knn_cols[rows] = indices[rows]
-        knn_cols[rows].sort(axis=1)
-        _kernel_rows(
-            planes, rows, knn_cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale, cfg.epsilon,
-            work, knn_data[rows],
-        )
+    def kernel(at, targets, work, out):  # K(eps, x_i, x_j) for the i of ``at``, the j of ``targets``
+        _kernel_rows(planes, at, targets, coeffs.drift[at], coeffs.diffusion_inv[at], scale, cfg.epsilon, work, out)
+
+    def assemble(rows, work):  # writes only the entries of its rows
+        span, knn = slice(indptr[rows.start], indptr[rows.stop]), indices[rows]
+        added = slice(span.start - rows.start * k, span.stop - rows.stop * k)  # its links
+        if added.start == added.stop:
+            cols[span] = knn.ravel()
+            return kernel(rows, knn, work, data[span].reshape(knn.shape))
+        out = work[3][: knn.size]  # the q1 row of _pair_forms, which _kernel_rows leaves free
+        kernel(rows, knn, work, out.reshape(knn.shape))
+        # the kNN keys row N + column ascend; an added link lands past those below its key and the links before it
+        keys = work[0].view(np.int64)[: knn.size].reshape(knn.shape)
+        np.add(np.arange(rows.start * n, rows.stop * n, n)[:, None], knn, out=keys)
+        place = np.searchsorted(keys.ravel(), links[added]) + np.arange(added.stop - added.start)
+        free = np.ones(span.stop - span.start, dtype=bool)
+        free[place] = False
+        cols[span][free], data[span][free] = knn.ravel(), out
+        if place.size > work.shape[1]:  # a hub row: more added links than a scratch row holds
+            work = _scratch((work.shape[0], place.size))
+        out = work[3][: place.size]
+        kernel(extra_rows[added], extra_cols[added, None], work, out[:, None])
+        cols[span][place], data[span][place] = extra_cols[added], out
 
     size = max(1, _CHUNK_ROWS // pool_width())
     map_row_blocks(assemble, n, size, 4 + pts.shape[1], min(n, size) * k)
-    indptr = np.arange(0, n * k + 1, k, dtype=np.intp)
-    if extra_rows.size:
-        order = np.lexsort((extra_cols, extra_rows))
-        extra_rows, extra_cols = extra_rows[order], extra_cols[order]
-        values = np.empty(extra_rows.size)
-
-        def mirror(links, work):
-            rows = extra_rows[links]
-            _kernel_rows(
-                planes, rows, extra_cols[links, None], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale,
-                cfg.epsilon, work, values[links, None],
-            )
-
-        # blocks of 4096 links: each block's C^-1 gather and scratch stay near 300 KB
-        map_row_blocks(mirror, extra_rows.size, 4096, 4 + pts.shape[1], min(extra_rows.size, 4096))
-        # each link's place in the flat kNN arrays: its row's start plus, by
-        # bisection, the count of that row's sorted columns below its own
-        ahead, step, flat = np.zeros(extra_rows.size, dtype=np.intp), 1 << k.bit_length(), knn_cols.ravel()
-        while step := step >> 1:
-            probe = np.minimum(ahead + step, k)
-            ahead = np.where(flat[extra_rows * k + probe - 1] < extra_cols, probe, ahead)
-        places = extra_rows * k + ahead
-        # every kNN entry moves up by the links placed at or before it, the
-        # last entries first, so no entry is overwritten before it has moved
-        spans = row_blocks(n * k, _CHUNK_ROWS * 64)
-        bounds = np.searchsorted(places, [span.start for span in spans] + [n * k])
-        for span, first, last in reversed(list(zip(spans, bounds, bounds[1:]))):
-            at = np.bincount(places[first:last] - span.start, minlength=span.stop - span.start).cumsum()
-            at += np.arange(span.start + first, span.stop + first)
-            cols[at], data[at] = cols[span].copy(), data[span].copy()
-        places += np.arange(extra_rows.size)  # the e-th link lands past the e links before it
-        cols[places], data[places] = extra_cols, values
-        indptr += np.concatenate(([0], np.cumsum(np.bincount(extra_rows, minlength=n))))
     mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(n, n))
     return SparseKernelMatrix(mat, cfg.epsilon)
 

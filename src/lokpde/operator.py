@@ -142,13 +142,13 @@ def estimate_density(d2: np.ndarray, tilde_epsilon: float) -> DensityEstimate:
     """Gaussian kernel density values over the kNN pattern.
 
     q_i = sum_c exp(-d2[i, c] / (2 eps~)) over row i of the (N, k) squared
-    distances that :func:`build_knn_graph` returns, summed in its (d^2,
-    index) order; the self term (d^2 = 0) makes every value >= 1.
+    distances that :func:`build_knn_graph` returns, each row sorted first to
+    sum in (d^2, index) order; a d^2 = 0 term makes every value >= 1.
     """
     if tilde_epsilon <= 0:
         raise ValueError("tilde_epsilon must be positive")
     blocks = row_blocks(d2.shape[0], _BLOCK_ROWS)  # temporaries below malloc's 128 KB mmap threshold to k = 500
-    return DensityEstimate(np.concatenate([np.exp(-d2[b] / (2.0 * tilde_epsilon)).sum(axis=1) for b in blocks]))
+    return DensityEstimate(np.concatenate([np.exp(-np.sort(d2[b]) / (2 * tilde_epsilon)).sum(axis=1) for b in blocks]))
 
 
 def _divided(mat, divisor):
@@ -231,10 +231,10 @@ def build_operator(
 ) -> GeneratorMatrix:
     """Full pipeline: (density) -> kernel matrix -> (debias) -> row normalization.
 
-    Every stage reads one kNN pair ``(indices, d2)`` of
-    :func:`build_knn_graph`, searched here when ``neighbors`` is None or
-    passed in to share one search across bandwidths; both must be (N, k).
-    With ``debias`` the d2 give the Gaussian density estimate at
+    Every stage reads one kNN pair ``(indices, d2)`` of :func:`build_knn_graph`,
+    rows by ascending index as K's columns are, searched here when ``neighbors``
+    is None or passed in to share one search across bandwidths; both must be
+    (N, k).  With ``debias`` the d2 give the Gaussian density estimate at
     ``cfg.tilde_epsilon`` that the kernel columns are divided by, removing
     the sampling-density bias of i.i.d. clouds.  ``k_neighbors = N`` gives
     the dense operator.  d2 is dropped after the density and the indices

@@ -28,6 +28,7 @@ from lokpde.kernels import (
     moment_check,
     row_blocks,
 )
+from lokpde.operator import estimate_density
 from lokpde.problems import analytic_pair, problem_coefficients
 
 
@@ -56,10 +57,13 @@ def squared_distances(diff):
     return functools.reduce(np.add, (diff[..., a] * diff[..., a] for a in range(diff.shape[-1])))
 
 
-def brute_knn(pts, k):
-    """Brute-force oracle: every |x_i - x_j|^2, a stable argsort per row.
+def brute_knn(pts, k, by_distance=False):
+    """Brute-force oracle: every |x_i - x_j|^2; a stable argsort per row
+    selects the k first in (d^2, index) order.
 
-    Returns (indices, d2) ordered by (d^2, index), in 256-row chunks.
+    Returns (indices, d2) with each row in ascending index order, as the
+    search returns them, or in (d^2, index) order with ``by_distance``;
+    in 256-row chunks.
     """
     n = pts.shape[0]
     indices = np.empty((n, k), dtype=np.intp)
@@ -69,6 +73,8 @@ def brute_knn(pts, k):
         diff = pts[start:stop, None, :] - pts[None, :, :]
         full = squared_distances(diff)
         order = np.argsort(full, axis=1, kind="stable")[:, :k]
+        if not by_distance:
+            order.sort(axis=1)
         indices[start:stop] = order
         d2[start:stop] = np.take_along_axis(full, order, axis=1)
     return indices, d2
@@ -236,7 +242,7 @@ class TestKnnGraph:
         for i in range(100):
             dist = np.sum((pts - pts[i]) ** 2, axis=1)
             expected = sorted(range(100), key=lambda j: (dist[j], j))[:10]
-            assert list(nbrs[i]) == expected
+            assert list(nbrs[i]) == sorted(expected)
 
     def test_ties_break_to_smaller_index(self):
         cloud = make_cloud([[0.0], [1.0], [-1.0], [2.0]])
@@ -304,6 +310,24 @@ class TestKnnExactness:
     def test_paper_clouds_match_brute(self, name):
         cloud, k, _ = paper_cloud(name)
         self.assert_matches_brute(cloud.ambient, k)
+
+
+class TestIndexOrder:
+    """Each row of the pair ascends by index.  Its k-th (d^2, index) is the
+    row's largest, and the density sums the row in (d^2, index) order."""
+
+    @settings(max_examples=100)
+    @given(tie_clouds(), st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    def test_tie_clouds(self, inputs, tilde_epsilon):
+        cloud, k = inputs
+        indices, d2 = build_knn_graph(cloud, k)
+        assert (np.diff(indices, axis=1) > 0).all()
+        ref_indices, ref_d2 = brute_knn(cloud.ambient, k, by_distance=True)
+        kth_d2, kth_index = kernels._kth(indices, d2)
+        np.testing.assert_array_equal(kth_d2, ref_d2[:, -1])
+        np.testing.assert_array_equal(kth_index, ref_indices[:, -1])
+        q = estimate_density(d2, tilde_epsilon).q_hat
+        np.testing.assert_array_equal(q, np.exp(-ref_d2 / (2.0 * tilde_epsilon)).sum(axis=1))
 
 
 class TestKnnPairMemory:
@@ -595,7 +619,7 @@ class TestUnionPattern:
         axis = np.arange(200 if dim == 1 else 15) / 8.0
         pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
         cloud = make_cloud(pts)
-        d2 = build_knn_graph(cloud, k + 1)[1]
+        d2 = np.sort(build_knn_graph(cloud, k + 1)[1], axis=1)
         assert (d2[:, k - 1] == d2[:, k]).sum() > cloud.n_points / 2
         assert self.assert_union_is_the_maximum(cloud, KernelConfig(0.05, 0.05, k)) > 0
 
@@ -604,6 +628,16 @@ class TestUnionPattern:
         indices, d2 = build_knn_graph(cloud, 40)
         assert [part.size for part in missing_mirrors(indices, d2)] == [0, 0]
         assert self.assert_union_is_the_maximum(cloud, KernelConfig(2.0, 2.0, 40)) == 0
+
+    def test_hub_rows_with_more_added_links_than_a_scratch_row(self, monkeypatch):
+        # each of 600 copies of one point holds the first 50 copies, which
+        # gain 550 added links apiece: the first block adds more links than
+        # its scratch rows hold, so it evaluates them in scratch of their own
+        pts = np.concatenate([np.full((300, 2), 0.5), np.eye(2), np.full((300, 2), 0.5)])
+        scratch, sizes = kernels._scratch, []
+        monkeypatch.setattr(kernels, "_scratch", lambda shape, *args: sizes.append(shape) or scratch(shape, *args))
+        assert self.assert_union_is_the_maximum(make_cloud(pts), KernelConfig(1.0, 1.0, 50)) > 50 * 550
+        assert max(shape[1] for shape in sizes if shape[0] == 4 + 2) > 50 * 550  # the assembly's scratch
 
     @settings(max_examples=80)
     @given(tie_clouds())

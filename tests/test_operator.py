@@ -152,16 +152,16 @@ class TestDensityEstimate:
     def test_tie_clouds_match_chunk_loop(self, inputs, tilde_epsilon):
         cloud, k = inputs
         q = estimate_density(build_knn_graph(cloud, k)[1], tilde_epsilon)
-        indices, _ = brute_knn(cloud.ambient, k)
+        indices, _ = brute_knn(cloud.ambient, k, by_distance=True)
         np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, indices))
 
     @pytest.mark.parametrize("name", [*PAPER_GRIDS, "sphere"])
     def test_paper_clouds_match_chunk_loop(self, name):
-        # the search's indices equal the brute oracle's (test_kernels)
+        # the oracle sums each row in the brute search's (d^2, index) order
         cloud, k, tilde_epsilon = paper_cloud(name)
-        neighbors = build_knn_graph(cloud, k)
-        q = estimate_density(neighbors[1], tilde_epsilon)
-        np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, neighbors[0]))
+        q = estimate_density(build_knn_graph(cloud, k)[1], tilde_epsilon)
+        indices, _ = brute_knn(cloud.ambient, k, by_distance=True)
+        np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, indices))
 
 
 class TestRightNormalize:
