@@ -27,7 +27,8 @@ wider reach.  Each row of its (indices, d^2) pair lists by ascending
 index the k points first in (d^2, index) order, as a brute-force search
 over all N^2 pairs does bit for bit.  ``operator.build_operator`` runs it
 (or takes it from a caller that shares it across bandwidths) and hands the
-indices to :func:`assemble_kernel_matrix`, the d^2 to the density estimate.
+indices to :func:`assemble_kernel_matrix`, the d^2 to the density estimate,
+which sums each row as stored; no other module knows the (d^2, index) order.
 For a symmetric kernel, :func:`missing_mirrors` reads the pair for the
 links whose mirror the kNN pattern lacks, which the assembly adds.
 

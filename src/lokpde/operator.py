@@ -142,13 +142,13 @@ def estimate_density(d2: np.ndarray, tilde_epsilon: float) -> DensityEstimate:
     """Gaussian kernel density values over the kNN pattern.
 
     q_i = sum_c exp(-d2[i, c] / (2 eps~)) over row i of the (N, k) squared
-    distances that :func:`build_knn_graph` returns, each row sorted first to
-    sum in (d^2, index) order; a d^2 = 0 term makes every value >= 1.
+    distances that :func:`build_knn_graph` returns, summed in the row's
+    stored order; a d^2 = 0 term makes every value >= 1.
     """
     if tilde_epsilon <= 0:
         raise ValueError("tilde_epsilon must be positive")
     blocks = row_blocks(d2.shape[0], _BLOCK_ROWS)  # temporaries below malloc's 128 KB mmap threshold to k = 500
-    return DensityEstimate(np.concatenate([np.exp(-np.sort(d2[b]) / (2 * tilde_epsilon)).sum(axis=1) for b in blocks]))
+    return DensityEstimate(np.concatenate([np.exp(-d2[b] / (2 * tilde_epsilon)).sum(axis=1) for b in blocks]))
 
 
 def _divided(mat, divisor):

@@ -73,14 +73,14 @@ non-convergence raise :class:`DirectSolveError` or
 :class:`MinNormConvergenceError` with the best iterate and its residual.
 
 B~ differs from S only on its diagonal, so the solve makes no copy of S:
-it borrows S for the Krylov calls, writes B~'s diagonal, (S_ii - 1) +
-eps a_i less 1 at a pin, over S's stored diagonal, and writes S's values
-back on return and on every exception (:class:`_Refined`).  Forming
-B~ x as S x - x + eps a x would need no write to S, but the sum S x
-rounds at the size of x_i, so S x - x loses the relative accuracy of
-(S_ii - 1) x_i where 1 - S_ii is small, the accuracy that the residual
-at small eps rests on; B~'s stored diagonal keeps it.  An S that stores
-no diagonal entry in some row takes a copy with those entries inserted.
+for the Krylov calls scipy's in-place ``setdiag`` writes B~'s diagonal,
+(S_ii - 1) + eps a_i less 1 at a pin, over S's, and writes S's back on
+return and on every exception (:class:`_Refined`).  Forming B~ x as
+S x - x + eps a x would need no write to S, but S x rounds at the size
+of x_i, so S x - x loses the relative accuracy of (S_ii - 1) x_i where
+1 - S_ii is small, which the residual at small eps rests on.  An S with
+read-only data, not canonical (unsorted rows or an entry stored twice)
+or missing a diagonal entry gets its diagonal set on ``S.copy()``.
 
 The solve needs numpy and ``scipy.sparse`` alone: the Krylov methods and
 the closed-class search are written here, so no process loads
@@ -269,42 +269,17 @@ def _aggregates(points, n):
     return labels, -(-n // size)
 
 
-def _diagonal(generator, shift, pinned=None):
-    """The diagonal of B~: B = S - I + eps diag(a) as (S_ii - 1) + eps a_i,
-    which keeps its relative accuracy where S_ii is close to 1, less 1 at a
-    pinned point q (B~ = B - e_q e_q^T)."""
-    diagonal = (generator.s_matrix.diagonal() - 1.0) + generator.epsilon * shift
-    if pinned is not None:
-        diagonal[pinned] -= 1.0
-    return diagonal
-
-
-def _diagonal_places(s_matrix):
-    """The place of each row's diagonal entry in S's data, or None when
-    some row stores no diagonal entry or more than one."""
-    n, counts = s_matrix.shape[0], np.diff(s_matrix.indptr)
-    places = np.empty(n, dtype=np.intp)
-    for rows, entries in _entry_blocks(s_matrix.indptr):
-        own = np.arange(rows.start, rows.stop)
-        tails = np.repeat(own, counts[rows])
-        at = np.flatnonzero(s_matrix.indices[entries] == tails)
-        if at.size != own.size or (tails[at] != own).any():
-            return None
-        places[rows] = at + entries.start
-    return places
-
-
 class _Refined:
     """Iterative refinement around one Krylov method on B~ = eps (diag(a) + L).
 
-    A context manager that borrows S for B~: on entry it saves S's stored
-    diagonal and writes the ``diagonal`` of :func:`_diagonal` over it, so
-    that ``matrix`` is S itself holding exactly the values a copy of S's
-    data with that diagonal would hold; on exit, also on an exception, it
-    writes the saved values back.  Where some row of S stores no diagonal
-    entry, or S's data is read-only, ``matrix`` is that copy, with the
-    missing entries inserted.  Two solves on one generator must not run at
-    once.
+    A context manager that borrows S for B~: on entry scipy's ``setdiag``
+    writes B~'s diagonal, (S_ii - 1) + eps a_i less 1 at a ``pinned``
+    point q, over S's own, so ``matrix`` is S itself; on exit, also on an
+    exception, ``setdiag`` writes S's saved diagonal back.  Where S's data
+    is read-only, S is not canonical (rows unsorted or an entry stored
+    twice) or a row stores no diagonal entry, ``matrix`` is ``S.copy()``
+    with the diagonal set, missing entries inserted.  Two solves on one
+    generator must not run at once.
 
     ``krylov`` names the method and ``iterations`` counts its iterations
     over every call; a subclass runs one call from zero towards a uniform
@@ -315,27 +290,26 @@ class _Refined:
 
     stalled = False
 
-    def __init__(self, generator, diagonal):
-        self._s, self._diagonal = generator.s_matrix, diagonal
-        self.epsilon, self.iterations = generator.epsilon, 0
+    def __init__(self, generator, shift, pinned=None):
+        self._s, self.epsilon, self.iterations = generator.s_matrix, generator.epsilon, 0
+        self._saved = self._s.diagonal()
+        self._diagonal = (self._saved - 1.0) + generator.epsilon * shift
+        if pinned is not None:
+            self._diagonal[pinned] -= 1.0
 
     def __enter__(self):
         s = self._s
-        self._places = _diagonal_places(s) if s.data.flags.writeable else None
-        if self._places is None:
-            self.matrix = scipy.sparse.csr_matrix((s.data.copy(), s.indices, s.indptr), shape=s.shape)
-            with warnings.catch_warnings():  # older scipy warns that inserting is slow; it is this path's purpose
-                warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
-                self.matrix.setdiag(self._diagonal)
-        else:
-            self._saved = s.data[self._places]
-            s.data[self._places] = self._diagonal
-            self.matrix = s
+        # S stores nothing at or below eps, so a saved 0.0 is a row without its diagonal entry
+        borrow = s.data.flags.writeable and s.has_canonical_format and self._saved.all()
+        self.matrix = s if borrow else s.copy()
+        with warnings.catch_warnings():  # older scipy warns that inserting is slow; only a copy inserts
+            warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
+            self.matrix.setdiag(self._diagonal)
         return self
 
     def __exit__(self, *_):
-        if self._places is not None:
-            self._s.data[self._places] = self._saved
+        if self.matrix is self._s:
+            self._s.setdiag(self._saved)
         self.matrix = None
 
     def _spent(self):
@@ -386,7 +360,8 @@ class _TwoLevelGmres(_Refined):
     krylov = "gmres"
 
     def __init__(self, generator, shift, pinned):
-        s, diagonal = generator.s_matrix, _diagonal(generator, shift, pinned)
+        super().__init__(generator, shift, pinned)
+        s, diagonal = generator.s_matrix, self._diagonal
         # a zero on B~'s diagonal, which no generator has, is left out of the sweeps
         self._sweep = np.divide(JACOBI_WEIGHT, diagonal, out=np.zeros_like(diagonal), where=diagonal != 0.0)
         self.pinned = pinned
@@ -403,7 +378,6 @@ class _TwoLevelGmres(_Refined):
         except np.linalg.LinAlgError:
             raise _KrylovFailure("the preconditioner broke down: the coarse matrix is singular") from None
         del coarse
-        super().__init__(generator, diagonal)
 
     def __enter__(self):
         super().__enter__()
@@ -512,7 +486,7 @@ class _JacobiCg(_Refined):
     coarse_size = None
 
     def __init__(self, generator, shift):
-        super().__init__(generator, _diagonal(generator, shift))
+        super().__init__(generator, shift)
         self._weights = generator.weights
         self._inverse_diagonal = -1.0 / (self._weights * self._diagonal)
 

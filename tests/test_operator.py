@@ -152,15 +152,15 @@ class TestDensityEstimate:
     def test_tie_clouds_match_chunk_loop(self, inputs, tilde_epsilon):
         cloud, k = inputs
         q = estimate_density(build_knn_graph(cloud, k)[1], tilde_epsilon)
-        indices, _ = brute_knn(cloud.ambient, k, by_distance=True)
+        indices, _ = brute_knn(cloud.ambient, k)
         np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, indices))
 
     @pytest.mark.parametrize("name", [*PAPER_GRIDS, "sphere"])
     def test_paper_clouds_match_chunk_loop(self, name):
-        # the oracle sums each row in the brute search's (d^2, index) order
+        # the oracle sums each row in the brute search's ascending index order
         cloud, k, tilde_epsilon = paper_cloud(name)
         q = estimate_density(build_knn_graph(cloud, k)[1], tilde_epsilon)
-        indices, _ = brute_knn(cloud.ambient, k, by_distance=True)
+        indices, _ = brute_knn(cloud.ambient, k)
         np.testing.assert_array_equal(q.q_hat, chunk_density(cloud, tilde_epsilon, indices))
 
 

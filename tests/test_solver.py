@@ -728,19 +728,26 @@ class TestBorrowedS:
             assert array.dtype == saved.dtype and array.tobytes() == saved.tobytes()
 
     @pytest.mark.parametrize("route", ["gmres", "cg"])
-    @pytest.mark.parametrize("case", ["no diagonal in row 0", "read-only data"])
+    @pytest.mark.parametrize("case", ["no diagonal in row 0", "read-only data", "row 0's diagonal stored twice"])
     def test_copy_when_s_cannot_be_borrowed(self, route, case):
         # symmetric, doubly stochastic S; without a diagonal entry in row 0,
-        # B~ needs one inserted, and read-only data cannot take B~'s: the
-        # system then takes a copy of S with the diagonal set, quietly, and S
-        # keeps its own arrays
+        # B~ needs one inserted, read-only data cannot take B~'s, and setting
+        # a diagonal stored twice sums S's duplicates, which rewrites the
+        # index arrays: the system then takes a copy of S with the diagonal
+        # set, quietly, and S keeps its own arrays
         dense = np.array({
             "no diagonal in row 0": [[0.0, 0.5, 0.5], [0.5, 0.25, 0.25], [0.5, 0.25, 0.25]],
             "read-only data": [[0.25, 0.25, 0.5], [0.25, 0.5, 0.25], [0.5, 0.25, 0.25]],
+            "row 0's diagonal stored twice": [[0.25, 0.25, 0.5], [0.25, 0.5, 0.25], [0.5, 0.25, 0.25]],
         }[case])
         s = scipy.sparse.csr_matrix(dense)
         if case == "read-only data":
             s.data.flags.writeable = False
+        if case == "row 0's diagonal stored twice":
+            s = scipy.sparse.csr_matrix(
+                (np.r_[0.125, 0.125, s.data[1:]], np.r_[0, s.indices], np.r_[0, s.indptr[1:] + 1]), shape=(3, 3)
+            )
+            assert not s.has_canonical_format
         weights = np.ones(3) if route == "cg" else None
         gen = GeneratorMatrix(s, 1.0, np.ones(3), weights)
         before = [s.data.copy(), s.indices.copy(), s.indptr.copy()]
