@@ -26,24 +26,29 @@ method depends on S:
   so the coarse order stays at most ``COARSE_MAX_ORDER`` = 512.  With R
   the piecewise-constant N x (coarse order) aggregation matrix, the
   coarse matrix A_c = R^T B R is inverted densely; one preconditioner
-  application is a damped Jacobi sweep (weight ``JACOBI_WEIGHT`` = 0.6),
-  the coarse correction R A_c^-1 R^T on the residual, and a second
-  sweep.  -B is a Z-matrix (off-diagonals -S_ij <= 0) whose row sums are
-  -eps a_i >= 0.  The off-diagonals of -A_c are sums of -S_ij <= 0, its
-  row sums are sums of those of -B, and an aggregate leads to another
-  whenever one of its points leads to one of the other's, so -A_c
-  inherits the chain of positive row sums that makes -B a nonsingular
-  M-matrix (Berman & Plemmons, 1994): -A_c is one whenever -B is, and
-  the coarse inverse exists.  The dense inverse holds 512^2 doubles
-  (2 MB), and LAPACK's inversion about four times that at its peak.
-  Past N = 4096 the aggregates grow, and so does the iteration count: on
-  the torus with k = 128, N = 6400 takes 13-point aggregates and 70
-  iterations, and N = 25 600 takes 50-point aggregates and 131
-  iterations (2.1 s).  Much larger clouds need a third level.  One GMRES
-  call stops when its residual 2-norm is at most ``GMRES_RTOL`` = 1e-10
-  times that of its right-hand side, after ``GMRES_MAX_CYCLES`` = 10
-  restart cycles, or after a cycle at whose rate the cycles left could
-  not reach that target.
+  application is a damped Jacobi pre-sweep (weight ``JACOBI_WEIGHT`` =
+  0.6) and the coarse correction on its residual, M^-1 = omega D^-1 +
+  R A_c^-1 R^T (I - B omega D^-1).  The sweep's product also gives
+  B M^-1 v, with B R formed once, so a GMRES iteration makes one product
+  with B and one with B R (an eighth of S's entries on the torus), where
+  a symmetric cycle makes three with B.  -B is a Z-matrix (off-diagonals
+  -S_ij <= 0) whose row sums are -eps a_i >= 0.  The off-diagonals of
+  -A_c are sums of -S_ij <= 0, its row sums are sums of those of -B, and
+  an aggregate leads to another whenever one of its points leads to one
+  of the other's, so -A_c inherits the chain of positive row sums that
+  makes -B a nonsingular M-matrix (Berman & Plemmons, 1994): -A_c is one
+  whenever -B is, and the coarse inverse exists.  Beside S the solve
+  holds the Krylov basis, (``GMRES_RESTART`` + 1) N doubles, the dense
+  inverse, at most 512^2 doubles (2 MB, and about four times that while
+  LAPACK inverts), and one of B R and B^T R at a time.  Past N = 4096
+  the aggregates grow, and so does the iteration count: on the torus
+  with k = 128, N = 6400 (eps = 0.0024) takes 13-point aggregates and 80
+  iterations (0.13 s), and N = 25 600 (eps = 6e-4) takes 50-point
+  aggregates and 156 iterations (0.9 s).  Much larger clouds need a
+  third level.  One GMRES call stops when its residual 2-norm is at most
+  ``GMRES_RTOL`` = 1e-10 times that of its right-hand side, after
+  ``GMRES_MAX_CYCLES`` = 10 restart cycles, or after a cycle at whose
+  rate the cycles left could not reach that target.
 
 A closed class of S with a = 0 on it makes a + L singular; the driver
 then deflates by rank one.  f is projected onto w^perp for the left null
@@ -54,7 +59,7 @@ an irreducible singular M-matrix, which one more positive diagonal entry
 makes nonsingular (Berman & Plemmons, 1994); every other point leads to
 the class or to a point with a < 0, so -B~ is a nonsingular M-matrix and
 the coarse argument above holds for it.  w (w B = 0, w_q = 1) then
-solves B~^T w = -e_q, preconditioned by the transposed steps, B~ u = f
+solves B~^T w = -e_q, preconditioned by the cycle on B~^T, B~ u = f
 forces u_q = 0 and so B u = f for f in w^perp, and v = 1 for a = 0, else
 B~ v = -e_q, v_q = 1.  A reversible S whose class leaves a != 0
 elsewhere takes GMRES, as its null vectors are not w and 1 there.
@@ -345,16 +350,17 @@ class _TwoLevelGmres(_Refined):
     ``matrix`` is this B~, B with its entry at q 1 lower.  The points are
     grouped into aggregates (:func:`_aggregates`); R, N x ``coarse_size``,
     holds R_iI = 1 where point i lies in aggregate I, and the coarse matrix
-    A_c = R^T B~ R sums B~'s entries over pairs of aggregates.  One
-    application of the preconditioner to r is a damped Jacobi sweep,
-    z = omega D^-1 r with D = diag(B~) and omega = ``JACOBI_WEIGHT``, the
-    coarse correction z += R A_c^-1 R^T (r - B~ z), and a second sweep,
-    z += omega D^-1 (r - B~ z) (Vanek, Mandel & Brezina, 1996; Notay,
-    2010).  The transposed system B~^T takes the transposed steps, with
-    A_c^-T, on the CSC view of B~'s arrays.  A_c is assembled from S's
-    off-diagonal entries and B~'s diagonal and inverted at construction;
-    the system borrows S for B~ (:class:`_Refined`) only while it is
-    entered, and no copy of S's data is made.
+    A_c = R^T B~ R sums B~'s entries over pairs of aggregates.  The
+    preconditioner is a damped Jacobi pre-sweep, omega D^-1 with
+    D = diag(B~) and omega = ``JACOBI_WEIGHT``, followed by the coarse
+    correction (Vanek, Mandel & Brezina, 1996; Notay, 2010), and it
+    returns B~ M^-1 v beside M^-1 v (:meth:`_precondition`), so GMRES
+    makes no product of its own.  The transposed system B~^T runs the
+    same cycle on the CSC view of B~'s arrays, with A_c^T.  A_c is
+    assembled from S's off-diagonal entries and B~'s diagonal and
+    inverted at construction.  The system borrows S for B~
+    (:class:`_Refined`) only while it is entered, and no copy of S's data
+    is made.
     """
 
     krylov = "gmres"
@@ -366,6 +372,9 @@ class _TwoLevelGmres(_Refined):
         self._sweep = np.divide(JACOBI_WEIGHT, diagonal, out=np.zeros_like(diagonal), where=diagonal != 0.0)
         self.pinned = pinned
         self._labels, self.coarse_size = _aggregates(generator.points, s.shape[0])
+        self._aggregation = scipy.sparse.csr_matrix(  # R
+            (np.ones(s.shape[0]), self._labels, np.arange(s.shape[0] + 1)), shape=(s.shape[0], self.coarse_size)
+        )
         coarse, counts = np.zeros((self.coarse_size, self.coarse_size)), np.diff(s.indptr)
         coarse.reshape(-1)[:: self.coarse_size + 1] = np.bincount(self._labels, diagonal, self.coarse_size)
         for rows, entries in _entry_blocks(s.indptr):  # block-sized index arrays
@@ -382,15 +391,27 @@ class _TwoLevelGmres(_Refined):
     def __enter__(self):
         super().__enter__()
         self._transposed = self.matrix.T  # a view on B~'s arrays
+        self._coarse_image = (None, None)
         return self
 
-    def _precondition(self, r, transposed):
-        """M^-1 r, or M^-T r for the ``transposed`` system."""
+    def _precondition(self, v, transposed):
+        """(M^-1 v, B~ M^-1 v), or the pair of B~^T for the ``transposed`` system.
+
+        z_1 = omega D^-1 v, c = A_c^-1 R^T (v - B~ z_1), M^-1 v = z_1 + R c
+        and B~ M^-1 v = B~ z_1 + (B~ R) c.  B~ R is formed on the first call
+        in its direction and frees the other direction's; B~^T R is the CSC
+        view times R, as ``R.T @ B~`` would convert B~ to CSC, a copy of S.
+        """
         b, inverse = (self._transposed, self._coarse_inverse.T) if transposed else (self.matrix, self._coarse_inverse)
-        z = self._sweep * r
-        z += (inverse @ np.bincount(self._labels, r - b @ z, self.coarse_size))[self._labels]
-        z += self._sweep * (r - b @ z)
-        return z
+        if self._coarse_image[0] != transposed:
+            self._coarse_image = (None, None)  # one direction's product alive at a time
+            self._coarse_image = (transposed, b @ self._aggregation)
+        z = self._sweep * v
+        image = b @ z
+        correction = inverse @ np.bincount(self._labels, v - image, self.coarse_size)
+        z += correction[self._labels]
+        image += self._coarse_image[1] @ correction
+        return z, image
 
     def _gmres(self, rhs, transposed=False):
         """(x, converged): one right-preconditioned GMRES call from zero.
@@ -417,7 +438,7 @@ class _TwoLevelGmres(_Refined):
             hessenberg = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
             rotations, g = [], [norm]
             for j in range(GMRES_RESTART):
-                w = b @ self._precondition(basis[j], transposed)
+                w = self._precondition(basis[j], transposed)[1]
                 self.iterations += 1
                 h = basis[: j + 1] @ w
                 w -= h @ basis[: j + 1]
@@ -439,7 +460,7 @@ class _TwoLevelGmres(_Refined):
                 basis[j + 1] = w / below
             steps = j + 1
             y = np.linalg.solve(hessenberg[:steps, :steps], g[:steps])
-            x += self._precondition(y @ basis[:steps], transposed)
+            x += self._precondition(y @ basis[:steps], transposed)[0]
             residual = rhs - b @ x
             start, norm = norm, float(np.linalg.norm(residual))
             if cycle < GMRES_MAX_CYCLES and norm * (norm / start) ** (GMRES_MAX_CYCLES - cycle) > target:

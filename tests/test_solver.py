@@ -567,6 +567,21 @@ class TestNullClasses:
         assert peak < s.nnz * 4
 
 
+class CountingProducts:
+    """A sparse matrix that appends to ``products`` at each product with a vector."""
+
+    def __init__(self, matrix, products):
+        self._matrix, self._products = matrix, products
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray):
+            self._products.append(other.shape)
+        return self._matrix @ other
+
+    def __getattr__(self, name):
+        return getattr(self._matrix, name)
+
+
 def aggregation(gen):
     """R (N x coarse order) with R_iI = 1 where point i lies in aggregate I."""
     labels, size = _aggregates(gen.points, gen.n_points)
@@ -594,6 +609,63 @@ class TestTwoLevelPreconditioner:
             inverse = _TwoLevelGmres(gen, shift, pinned)._coarse_inverse
             np.testing.assert_allclose(inverse @ coarse, np.eye(len(coarse)), atol=1e-8)
             assert (-inverse >= -1e-10 * np.abs(inverse).max()).all()
+
+    @settings(max_examples=60)
+    @given(small_systems())
+    def test_cycle_matches_its_dense_definition(self, system):
+        # one damped Jacobi pre-sweep and the coarse correction,
+        # M^-1 = omega D^-1 + R A_c^-1 R^T (I - B~ omega D^-1), returned with
+        # B~ M^-1 v; the transposed system runs the same cycle on B~^T and A_c^T
+        _, _, _, _, _, gen, v, a, _ = system
+        n = gen.n_points
+        classes = _null_classes(gen.s_matrix, np.zeros(n))
+        cases = [(a, None)] + ([(np.zeros(n), int(classes[0]))] if classes.size == 1 else [])
+        r = aggregation(gen)
+        for shift, pinned in cases:
+            b = dense_b(gen, shift)
+            if pinned is not None:
+                b[pinned, pinned] -= 1.0
+            sweep = np.diag(solver.JACOBI_WEIGHT / np.diag(b))
+            with _TwoLevelGmres(gen, shift, pinned) as helper:
+                for transposed, matrix in ((False, b), (True, b.T)):
+                    cycle = sweep + r @ np.linalg.solve(r.T @ matrix @ r, r.T @ (np.eye(n) - matrix @ sweep))
+                    z, image = helper._precondition(v, transposed)
+                    want = cycle @ v
+                    assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
+                    assert np.abs(image - matrix @ want).max() <= 1e-12 * np.abs(matrix @ want).max()
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_one_product_with_b_per_iteration(self, transposed, monkeypatch):
+        # the cycle returns B~ M^-1 v, so an iteration makes one product with
+        # B~ (B~^T); a restart cycle adds one in its closing application of
+        # M^-1 and one for its residual, and a refinement round one for its
+        # residual; the products with B~ R (B~^T R) are not of S's size
+        gen, a, f = borrow_cases("gmres")
+        monkeypatch.setattr(solver, "GMRES_RESTART", 10)
+        applications, products = [], []
+        precondition = _TwoLevelGmres._precondition
+
+        def spy(system, v, transposed):
+            applications.append(v.size)
+            return precondition(system, v, transposed)
+
+        monkeypatch.setattr(_TwoLevelGmres, "_precondition", spy)
+        with _TwoLevelGmres(gen, a, None) as helper:
+            held = helper.matrix, helper._transposed
+            helper.matrix, helper._transposed = (CountingProducts(m, products) for m in held)
+            try:
+                _, converged = helper._gmres(f, transposed)
+                iterations, cycles = helper.iterations, len(applications) - helper.iterations
+                assert converged and cycles > 1
+                assert len(products) <= iterations + 2 * cycles
+                if not transposed:
+                    del applications[:], products[:]
+                    helper.iterations = 0
+                    helper.solve(f, solver.DIRECT_RESIDUAL_RTOL * np.abs(f).max())
+                    cycles = len(applications) - helper.iterations
+                    assert len(products) <= helper.iterations + 2 * cycles + solver.REFINE_ROUNDS
+            finally:
+                helper.matrix, helper._transposed = held
 
     def test_aggregates_are_median_leaves_up_to_the_coarse_cap(self):
         rng = np.random.default_rng(5)
