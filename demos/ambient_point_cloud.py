@@ -52,7 +52,7 @@ def main(n_points=3000):
     ).with_errors(u_true)
     print(f"minimum-norm solve: uniform error {report.error_inf:.4f} "
           f"(best constant shift {report.error_inf_best_shift:.4f}), "
-          f"{report.iterations} {report.krylov.upper()} iterations")
+          f"{report.iterations} GMRES iterations on {report.coarse_size} aggregates")
 
 
 if __name__ == "__main__":

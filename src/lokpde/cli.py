@@ -344,16 +344,13 @@ def run_solve(config: RunConfig) -> dict:
     ``solver`` names the route :func:`solve` took) and the CSV output;
     ``workers`` is their pool width and ``peak_rss_mb`` the peak RSS so far.
     ``nnz`` counts S's links, the entries it stores (those above float64
-    eps).  ``krylov`` names the solve's Krylov method: "cg" where S is
-    reversible (an isotropic, drift-free field whose S kept every link,
-    as on a cloud file without coefficients), else "gmres";
-    ``coarse_size`` is the order of GMRES's coarse level (the number of
-    aggregates of its preconditioner) and is null on CG, which builds
-    none.  ``residual_inf`` is the uniform residual of a direct run and,
-    on a ``min_norm`` run, the least-squares 2-norm |f - (a + L) u|_2,
-    which includes f's component outside the range (19.59 for a converged
-    ``--rhs 1`` solve at a = 0 on a 400-point sphere cloud).  The
-    ``output`` file is opened before any numerics run.
+    eps).  ``coarse_size`` is the order of the GMRES solve's coarse level
+    (the number of aggregates of its preconditioner), null where no
+    Krylov solve runs.  ``residual_inf`` is the uniform residual of a
+    direct run and, on a ``min_norm`` run, the least-squares 2-norm
+    |f - (a + L) u|_2, which includes f's component outside the range
+    (19.79 for a converged ``--rhs 1`` solve at a = 0 on a 400-point
+    sphere cloud).  The ``output`` file is opened before any numerics run.
     """
     import resource  # loaded by a solve, not by the import of the CLI
     start = time.perf_counter()
@@ -407,7 +404,6 @@ def run_solve(config: RunConfig) -> dict:
             "epsilon": epsilon,
             "tilde_epsilon": tilde_epsilon,
             "solver": solver,
-            "krylov": report.krylov,
             "error_inf": report.error_inf,
             "error_l2": report.error_l2,
             "residual_inf": report.residual_inf,

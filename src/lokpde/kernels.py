@@ -29,8 +29,6 @@ over all N^2 pairs does bit for bit.  ``operator.build_operator`` runs it
 (or takes it from a caller that shares it across bandwidths) and hands the
 indices to :func:`assemble_kernel_matrix`, the d^2 to the density estimate,
 which sums each row as stored; no other module knows the (d^2, index) order.
-For a symmetric kernel, :func:`missing_mirrors` reads the pair for the
-links whose mirror the kNN pattern lacks, which the assembly adds.
 
 The search, the assembly and the Q(eps) scan in ``operator`` share out
 their row blocks with :func:`map_row_blocks`; each block is computed on
@@ -56,7 +54,6 @@ __all__ = [
     "MomentReport",
     "eval_prototypical_kernel",
     "build_knn_graph",
-    "missing_mirrors",
     "assemble_kernel_matrix",
     "moment_check",
 ]
@@ -402,52 +399,11 @@ def _nearest(planes, rows, cand, k, work):
     return cand[at.reshape(rows.size, k) - np.arange(0, full.size, cand.size)[:, None]], d2.reshape(rows.size, k)
 
 
-def _kth(indices: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k-th (d^2, index) in a kNN pair: the last entry at the row's largest d^2."""
-    n, k = indices.shape
-    kth_d2, kth_index = np.empty(n), np.empty(n, dtype=indices.dtype)
-
-    def scan(rows, work):  # argmax finds the first largest d^2 of the row read backward
-        np.copyto(work[: rows.stop - rows.start], d2[rows, ::-1])
-        at = np.arange(rows.start, rows.stop), k - 1 - work[: rows.stop - rows.start].argmax(axis=1)
-        kth_d2[rows], kth_index[rows] = d2[at], indices[at]
-
-    map_row_blocks(scan, n, _CHUNK_ROWS, min(n, _CHUNK_ROWS), k)
-    return kth_d2, kth_index
-
-
-def missing_mirrors(indices: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The links (j, i) whose mirror (i, j) is in the kNN pattern of
-    :func:`build_knn_graph` but which are not in it themselves.
-
-    Row j of the pair holds the k first points of x_j in (d^2, index)
-    order, and d^2 is symmetric to the bit (x_j - x_i is exactly
-    -(x_i - x_j)), so i is among them exactly when (d^2_ij, i) is at most
-    row j's k-th (d^2, index) (:func:`_kth`).  Returns (rows, cols): the j
-    and the i of each missing link, in row-major order of the links (i, j).
-    """
-    n, k = indices.shape
-    heads, flat_d2 = indices.ravel(), d2.ravel()
-    kth_d2, kth_index = _kth(indices, d2)
-
-    def scan(rows, work):
-        span = slice(rows.start * k, rows.stop * k)
-        reach = np.take(kth_d2, heads[span], out=work[0][: span.stop - span.start])
-        at = np.flatnonzero(np.greater_equal(flat_d2[span], reach, out=work[1].view(bool)[: reach.size]))
-        # a d^2 tie with the k-th neighbour of j falls on the index order
-        lone = (flat_d2[span][at] > reach[at]) | (at // k + rows.start > kth_index[heads[span][at]])
-        return at[lone] + span.start
-
-    at = np.concatenate(map_row_blocks(scan, n, _CHUNK_ROWS, 2, min(n, _CHUNK_ROWS) * k))
-    return heads[at].astype(np.intp), at // k  # intp, as the assembly's keys j N + i are
-
-
 def assemble_kernel_matrix(
     cloud: PointCloud,
     coeffs: CoefficientField,
     cfg: KernelConfig,
     indices: np.ndarray,
-    mirrors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SparseKernelMatrix:
     """Evaluate the prototypical kernel on the kNN pattern of the cloud.
 
@@ -457,11 +413,6 @@ def assemble_kernel_matrix(
     ascend by index, so they are the CSR columns as they stand.  The
     blocks run on :func:`map_row_blocks`, each writing its rows' span of
     the data and columns, so the worker count changes nothing.
-
-    ``mirrors``, the (rows, cols) of :func:`missing_mirrors`, adds those
-    links, evaluated alike; a block with added links evaluates its kNN
-    rows into scratch and ranks the links among them, so that every entry
-    goes straight to its final slot, in (row, column) order.
     """
     pts = cloud.ambient
     n, k = pts.shape[0], cfg.k_neighbors
@@ -472,38 +423,18 @@ def assemble_kernel_matrix(
     planes = np.ascontiguousarray(pts.T)
     scale = _identity_scale(coeffs.diffusion_inv)
     _check_overflow(planes, coeffs.drift, coeffs.diffusion_inv, scale, cfg.epsilon)
-    links = np.sort(np.empty(0, dtype=np.intp) if mirrors is None else mirrors[0] * n + mirrors[1])
-    extra_rows, extra_cols = np.divmod(links, n)  # in (row, column) order
-    indptr = np.concatenate(([0], np.cumsum(k + np.bincount(extra_rows, minlength=n))))
-    cols, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    cols, data = np.empty((n, k), dtype=np.int32), np.empty((n, k))
 
-    def kernel(at, targets, work, out):  # K(eps, x_i, x_j) for the i of ``at``, the j of ``targets``
-        _kernel_rows(planes, at, targets, coeffs.drift[at], coeffs.diffusion_inv[at], scale, cfg.epsilon, work, out)
-
-    def assemble(rows, work):  # writes only the entries of its rows
-        span, knn = slice(indptr[rows.start], indptr[rows.stop]), indices[rows]
-        added = slice(span.start - rows.start * k, span.stop - rows.stop * k)  # its links
-        if added.start == added.stop:
-            cols[span] = knn.ravel()
-            return kernel(rows, knn, work, data[span].reshape(knn.shape))
-        out = work[3][: knn.size]  # the q1 row of _pair_forms, which _kernel_rows leaves free
-        kernel(rows, knn, work, out.reshape(knn.shape))
-        # the kNN keys row N + column ascend; an added link lands past those below its key and the links before it
-        keys = work[0].view(np.int64)[: knn.size].reshape(knn.shape)
-        np.add(np.arange(rows.start * n, rows.stop * n, n)[:, None], knn, out=keys)
-        place = np.searchsorted(keys.ravel(), links[added]) + np.arange(added.stop - added.start)
-        free = np.ones(span.stop - span.start, dtype=bool)
-        free[place] = False
-        cols[span][free], data[span][free] = knn.ravel(), out
-        if place.size > work.shape[1]:  # a hub row: more added links than a scratch row holds
-            work = _scratch((work.shape[0], place.size))
-        out = work[3][: place.size]
-        kernel(extra_rows[added], extra_cols[added, None], work, out[:, None])
-        cols[span][place], data[span][place] = extra_cols[added], out
+    def assemble(rows, work):  # writes only its own rows
+        cols[rows] = indices[rows]
+        _kernel_rows(
+            planes, rows, cols[rows], coeffs.drift[rows], coeffs.diffusion_inv[rows], scale, cfg.epsilon,
+            work, data[rows],
+        )
 
     size = max(1, _CHUNK_ROWS // pool_width())
     map_row_blocks(assemble, n, size, 4 + pts.shape[1], min(n, size) * k)
-    mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(n, n))
+    mat = scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
     return SparseKernelMatrix(mat, cfg.epsilon)
 
 

@@ -5,19 +5,14 @@ backward Kolmogorov operator.  :func:`build_operator` runs it on one kNN
 pair (indices, d2) and writes each (N, k) array once:
 
 1. (debias, for non-uniform samples) a Gaussian kernel density estimate
-   q_j at each point x_j, from d2, which is then released; for an
-   isotropic, drift-free field, whose kernel is symmetric, the links that
-   the kNN pattern lacks for symmetry are read from the pair first,
-2. the kernel matrix K on the kNN pattern, or on its union with those
-   mirrors, its data and int32 columns, after which the kNN indices are
-   released,
+   q_j at each point x_j, from d2, which is then released,
+2. the kernel matrix K on the kNN pattern, its data and int32 columns,
+   after which the kNN indices are released,
 3. (debias) new data on K's columns: column j divided by q_j,
 4. each row divided by its sum, giving a row-stochastic matrix S and the
    generator L = (S - I) / eps.  S stores only its links, the entries
    above float64 eps: new data on K's columns when every entry is one,
    else new data and columns for the links, divided by their own row sums.
-   On the union pattern with every entry kept, S is reversible and the
-   generator carries its stationary weights.
 
 Each stage's data is released once the next has written its own.
 
@@ -44,7 +39,7 @@ import scipy.sparse
 from .geometry import CoefficientField, PointCloud
 from .kernels import (
     KernelConfig, SparseKernelMatrix, _entry_blocks, _identity_scale, _pair_forms,
-    assemble_kernel_matrix, build_knn_graph, map_row_blocks, missing_mirrors, row_blocks,
+    assemble_kernel_matrix, build_knn_graph, map_row_blocks, row_blocks,
 )
 
 __all__ = [
@@ -90,14 +85,6 @@ class GeneratorMatrix:
     the kernel row sums before normalization (the diagonal of D in
     S = D^-1 K), after the debiasing division if any, over those links.
 
-    ``weights`` is w = d / q, with d the row sums and q the density the
-    columns were divided by (w = d without debiasing), when K is symmetric
-    on a symmetric pattern and S kept all of it: then w_i S_ij =
-    K_ij / (q_i q_j) is symmetric, S is reversible with stationary
-    measure w (w S = w), and diag(w)(S - I + eps diag(a)) is symmetric
-    negative semidefinite for a <= 0.  :func:`build_operator` sets it;
-    it is None otherwise.
-
     ``points`` holds the nodes' ambient coordinates (N, n), which
     :func:`build_operator` passes on from the cloud; the solver groups
     nearby nodes by them for its coarse level.  None takes the nodes'
@@ -107,7 +94,6 @@ class GeneratorMatrix:
     s_matrix: scipy.sparse.csr_matrix
     epsilon: float
     row_sums: np.ndarray
-    weights: np.ndarray | None = None
     points: np.ndarray | None = None
 
     def __post_init__(self):
@@ -240,30 +226,21 @@ def build_operator(
     the dense operator.  d2 is dropped after the density and the indices
     after the assembly, so with no other reference to the pair (``lokpde
     solve`` keeps none) at most three (N, k) arrays are alive at a time.
-
-    When the field is isotropic and drift-free the kernel is symmetric to
-    the bit, and K is assembled on the union of the kNN pattern with its
-    mirror (:func:`kernels.missing_mirrors`), so S is reversible; if S
-    keeps every link of it, the generator carries its ``weights``.  The
-    generator carries the cloud's ambient coordinates as ``points``.
+    The generator carries the cloud's ambient coordinates as ``points``.
     """
     indices, d2 = build_knn_graph(cloud, cfg.k_neighbors) if neighbors is None else neighbors
     del neighbors
     got, want = [np.shape(indices), np.shape(d2)], (cloud.n_points, cfg.k_neighbors)
     if got != [want] * 2:
         raise ValueError(f"neighbors (indices, d2) must both be {want}, got {got}")
-    mirrors = None if _isotropic_scale(coeffs) is None else missing_mirrors(indices, d2)
     density = debias and estimate_density(d2, cfg.tilde_epsilon)
     del d2
-    kernel = assemble_kernel_matrix(cloud, coeffs, cfg, indices, mirrors)
+    kernel = assemble_kernel_matrix(cloud, coeffs, cfg, indices)
     del indices
     if debias:
         kernel = right_normalize(kernel, density)
     gen = left_normalize(kernel)
-    weights = None
-    if mirrors is not None and gen.s_matrix.nnz == kernel.matrix.nnz:
-        weights = gen.row_sums / density.q_hat if debias else gen.row_sums
-    return GeneratorMatrix(gen.s_matrix, gen.epsilon, gen.row_sums, weights, cloud.ambient)
+    return GeneratorMatrix(gen.s_matrix, gen.epsilon, gen.row_sums, points=cloud.ambient)
 
 
 @dataclass(frozen=True)

@@ -4,65 +4,52 @@ Both regimes are one computation, (a + L)^+ f for a <= 0, and run through
 one driver on B = eps (a + L) = S - I + eps diag(a), in the points' own
 numbering.  The uniform residual is recomputed with B after each Krylov
 call and, while it is above the caller's target, fed back as the next
-right-hand side, for at most ``REFINE_ROUNDS`` = 3 calls.  The Krylov
-method depends on S:
-
-* **CG, where S is reversible.**  An isotropic, drift-free field gives a
-  symmetric kernel, which ``operator.build_operator`` assembles on a
-  symmetric pattern; when S keeps all of it, the generator carries its
-  stationary weights w (w S = w), diag(w) S is symmetric (Coifman &
-  Lafon, 2006), and A = -diag(w) B is symmetric positive semidefinite
-  for a <= 0.  CG (Hestenes & Stiefel, 1952) with the Jacobi
-  preconditioner diag(A)^-1 solves A u = -diag(w) f, and each call stops
-  once its residual bounds B's uniform residual by the target, or after
-  ``CG_MAX_ITERATIONS`` = 1000 iterations.  For a = 0 the null vectors
-  are known: 1 on the right and w on the left.
-* **GMRES otherwise** (Saad & Schultz, 1986), restarted every
-  ``GMRES_RESTART`` = 100 iterations, right-preconditioned by two-level
-  aggregation (Vanek, Mandel & Brezina, 1996; Notay, 2010).  The points
-  are grouped into aggregates, the leaves of a median split of their
-  coordinates (``kernels._median_order``), of ``COARSE_POINTS`` = 8
-  points up to N = 4096 and of N / ``COARSE_MAX_ORDER`` points past it,
-  so the coarse order stays at most ``COARSE_MAX_ORDER`` = 512.  With R
-  the piecewise-constant N x (coarse order) aggregation matrix, the
-  coarse matrix A_c = R^T B R is inverted densely; one preconditioner
-  application is a damped Jacobi pre-sweep (weight ``JACOBI_WEIGHT`` =
-  0.6) and the coarse correction on its residual, M^-1 = omega D^-1 +
-  R A_c^-1 R^T (I - B omega D^-1).  The sweep's product also gives
-  B M^-1 v, with B R formed once, so a GMRES iteration makes one product
-  with B and one with B R (an eighth of S's entries on the torus), where
-  a symmetric cycle makes three with B.  -B is a Z-matrix (off-diagonals
-  -S_ij <= 0) whose row sums are -eps a_i >= 0.  The off-diagonals of
-  -A_c are sums of -S_ij <= 0, its row sums are sums of those of -B, and
-  an aggregate leads to another whenever one of its points leads to one
-  of the other's, so -A_c inherits the chain of positive row sums that
-  makes -B a nonsingular M-matrix (Berman & Plemmons, 1994): -A_c is one
-  whenever -B is, and the coarse inverse exists.  Beside S the solve
-  holds the Krylov basis, (``GMRES_RESTART`` + 1) N doubles, the dense
-  inverse, at most 512^2 doubles (2 MB, and about four times that while
-  LAPACK inverts), and one of B R and B^T R at a time.  Past N = 4096
-  the aggregates grow, and so does the iteration count: on the torus
-  with k = 128, N = 6400 (eps = 0.0024) takes 13-point aggregates and 80
-  iterations (0.13 s), and N = 25 600 (eps = 6e-4) takes 50-point
-  aggregates and 156 iterations (0.9 s).  Much larger clouds need a
-  third level.  One GMRES call stops when its residual 2-norm is at most
-  ``GMRES_RTOL`` = 1e-10 times that of its right-hand side, after
-  ``GMRES_MAX_CYCLES`` = 10 restart cycles, or after a cycle at whose
-  rate the cycles left could not reach that target.
+right-hand side, for at most ``REFINE_ROUNDS`` = 3 calls.  Each call is
+GMRES (Saad & Schultz, 1986), restarted every ``GMRES_RESTART`` = 100
+iterations, right-preconditioned by two-level aggregation (Vanek, Mandel
+& Brezina, 1996; Notay, 2010).  The points are grouped into aggregates,
+the leaves of a median split of their coordinates
+(``kernels._median_order``), of ``COARSE_POINTS`` = 8 points up to
+N = 4096 and of N / ``COARSE_MAX_ORDER`` points past it, so the coarse
+order stays at most ``COARSE_MAX_ORDER`` = 512.  With R the
+piecewise-constant N x (coarse order) aggregation matrix, the coarse
+matrix A_c = R^T B R is inverted densely; one preconditioner application
+is a damped Jacobi pre-sweep (weight ``JACOBI_WEIGHT`` = 0.6) and the
+coarse correction on its residual, M^-1 = omega D^-1 +
+R A_c^-1 R^T (I - B omega D^-1).  The sweep's product also gives
+B M^-1 v, with B R formed once, so a GMRES iteration makes one product
+with B and one with B R (an eighth of S's entries on the torus), where a
+symmetric cycle makes three with B.  -B is a Z-matrix (off-diagonals
+-S_ij <= 0) whose row sums are -eps a_i >= 0.  The off-diagonals of -A_c
+are sums of -S_ij <= 0, its row sums are sums of those of -B, and an
+aggregate leads to another whenever one of its points leads to one of
+the other's, so -A_c inherits the chain of positive row sums that makes
+-B a nonsingular M-matrix (Berman & Plemmons, 1994): -A_c is one whenever
+-B is, and the coarse inverse exists.  Beside S the solve holds the
+Krylov basis, (``GMRES_RESTART`` + 1) N doubles, the dense inverse, at
+most 512^2 doubles (2 MB, and about four times that while LAPACK
+inverts), and one of B R and B^T R at a time.  The ambient sphere cloud
+with N = 3000, k = 400 and a = -1 takes 375 aggregates and 20
+iterations.  Past N = 4096 the aggregates grow, and so does the
+iteration count: on the torus with k = 128, N = 6400 (eps = 0.0024)
+takes 13-point aggregates and 80 iterations (0.13 s), and N = 25 600
+(eps = 6e-4) takes 50-point aggregates and 156 iterations (0.9 s).  Much
+larger clouds need a third level.  One GMRES call stops when its
+residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that of its
+right-hand side, after ``GMRES_MAX_CYCLES`` = 10 restart cycles, or after
+a cycle at whose rate the cycles left could not reach that target.
 
 A closed class of S with a = 0 on it makes a + L singular; the driver
 then deflates by rank one.  f is projected onto w^perp for the left null
-vector w, and u loses its component along the right null vector v.  On
-CG these are the weights and 1.  On GMRES the class's smallest point q
-is pinned by lowering B_qq by 1: B~ = B - e_q e_q^T.  On the class -B is
-an irreducible singular M-matrix, which one more positive diagonal entry
-makes nonsingular (Berman & Plemmons, 1994); every other point leads to
-the class or to a point with a < 0, so -B~ is a nonsingular M-matrix and
-the coarse argument above holds for it.  w (w B = 0, w_q = 1) then
-solves B~^T w = -e_q, preconditioned by the cycle on B~^T, B~ u = f
-forces u_q = 0 and so B u = f for f in w^perp, and v = 1 for a = 0, else
-B~ v = -e_q, v_q = 1.  A reversible S whose class leaves a != 0
-elsewhere takes GMRES, as its null vectors are not w and 1 there.
+vector w, and u loses its component along the right null vector v.  The
+class's smallest point q is pinned by lowering B_qq by 1:
+B~ = B - e_q e_q^T.  On the class -B is an irreducible singular M-matrix,
+which one more positive diagonal entry makes nonsingular (Berman &
+Plemmons, 1994); every other point leads to the class or to a point with
+a < 0, so -B~ is a nonsingular M-matrix and the coarse argument above
+holds for it.  w (w B = 0, w_q = 1) then solves B~^T w = -e_q,
+preconditioned by the cycle on B~^T, B~ u = f forces u_q = 0 and so
+B u = f for f in w^perp, and v = 1 for a = 0, else B~ v = -e_q, v_q = 1.
 
 * ``solve_direct`` for strictly negative a, where nothing is pinned: the
   scaled system is strictly diagonally dominant, hence nonsingular with
@@ -80,15 +67,15 @@ non-convergence raise :class:`DirectSolveError` or
 B~ differs from S only on its diagonal, so the solve makes no copy of S:
 for the Krylov calls scipy's in-place ``setdiag`` writes B~'s diagonal,
 (S_ii - 1) + eps a_i less 1 at a pin, over S's, and writes S's back on
-return and on every exception (:class:`_Refined`).  Forming B~ x as
+return and on every exception (:class:`_TwoLevelGmres`).  Forming B~ x as
 S x - x + eps a x would need no write to S, but S x rounds at the size
 of x_i, so S x - x loses the relative accuracy of (S_ii - 1) x_i where
 1 - S_ii is small, which the residual at small eps rests on.  An S with
 read-only data, not canonical (unsorted rows or an entry stored twice)
 or missing a diagonal entry gets its diagonal set on ``S.copy()``.
 
-The solve needs numpy and ``scipy.sparse`` alone: the Krylov methods and
-the closed-class search are written here, so no process loads
+The solve needs numpy and ``scipy.sparse`` alone: GMRES and the
+closed-class search are written here, so no process loads
 ``scipy.sparse.linalg``, ``scipy.linalg`` or ``scipy.sparse.csgraph``.
 """
 
@@ -142,7 +129,6 @@ GMRES_RESTART = 100
 # half-ellipse at paper size, even with exact LU factors
 GMRES_RTOL = 1e-10
 GMRES_MAX_CYCLES = 10
-CG_MAX_ITERATIONS = 1000
 REFINE_ROUNDS = 3
 
 
@@ -218,11 +204,10 @@ class SolveReport:
 
     ``residual_inf`` is the uniform residual for the direct method and the
     least-squares residual 2-norm for the minimum-norm method.
-    ``krylov`` names the Krylov method of the driver, "cg" or "gmres",
-    None where no Krylov solve runs; ``iterations`` counts its iterations
-    (null vectors, solve and refinement), 0 where none runs, and
-    ``coarse_size`` the order of GMRES's coarse level, None where none is
-    built, as on CG.  Error fields are filled by
+    ``iterations`` counts the driver's GMRES iterations (null vectors,
+    solve and refinement), 0 where no Krylov solve runs, and
+    ``coarse_size`` the order of its coarse level, None where none is
+    built.  Error fields are filled by
     :meth:`with_errors` when an analytic truth is available;
     ``error_inf_best_shift`` additionally minimizes the uniform error over
     an added constant (the solution family of the singular problem).
@@ -233,7 +218,6 @@ class SolveReport:
     residual_inf: float
     iterations: int | None = None
     coarse_size: int | None = None
-    krylov: str | None = None
     error_inf: float | None = None
     error_l2: float | None = None
     error_inf_best_shift: float | None = None
@@ -249,7 +233,7 @@ class SolveReport:
 
 
 class _KrylovFailure(Exception):
-    """Raised by a :class:`_Refined` driver with (best u, its residual) or None."""
+    """Raised by a :class:`_TwoLevelGmres` driver with (best u, its residual) or None."""
 
     def __init__(self, message, best=None):
         super().__init__(message)
@@ -274,103 +258,47 @@ def _aggregates(points, n):
     return labels, -(-n // size)
 
 
-class _Refined:
-    """Iterative refinement around one Krylov method on B~ = eps (diag(a) + L).
+class _TwoLevelGmres:
+    """Iterative refinement around GMRES on B~ = eps (diag(a) + L), that is
+    B less e_q e_q^T at a pinned point q = ``pinned``, with a two-level
+    aggregation preconditioner.
 
     A context manager that borrows S for B~: on entry scipy's ``setdiag``
-    writes B~'s diagonal, (S_ii - 1) + eps a_i less 1 at a ``pinned``
-    point q, over S's own, so ``matrix`` is S itself; on exit, also on an
-    exception, ``setdiag`` writes S's saved diagonal back.  Where S's data
-    is read-only, S is not canonical (rows unsorted or an entry stored
-    twice) or a row stores no diagonal entry, ``matrix`` is ``S.copy()``
-    with the diagonal set, missing entries inserted.  Two solves on one
-    generator must not run at once.
+    writes B~'s diagonal, (S_ii - 1) + eps a_i less 1 at q, over S's own,
+    so ``matrix`` is S itself; on exit, also on an exception, ``setdiag``
+    writes S's saved diagonal back.  Where S's data is read-only, S is not
+    canonical (rows unsorted or an entry stored twice) or a row stores no
+    diagonal entry, ``matrix`` is ``S.copy()`` with the diagonal set,
+    missing entries inserted.  Two solves on one generator must not run at
+    once.
 
-    ``krylov`` names the method and ``iterations`` counts its iterations
-    over every call; a subclass runs one call from zero towards a uniform
-    bound on the scaled residual (``_correction``), and sets ``stalled``
-    when a call stops early for want of progress, which ends the
-    refinement.
+    The points are grouped into aggregates (:func:`_aggregates`); R,
+    N x ``coarse_size``, holds R_iI = 1 where point i lies in aggregate I,
+    and the coarse matrix A_c = R^T B~ R sums B~'s entries over pairs of
+    aggregates.  The preconditioner is a damped Jacobi pre-sweep,
+    omega D^-1 with D = diag(B~) and omega = ``JACOBI_WEIGHT``, followed by
+    the coarse correction (Vanek, Mandel & Brezina, 1996; Notay, 2010),
+    and it returns B~ M^-1 v beside M^-1 v (:meth:`_precondition`), so
+    GMRES makes no product of its own.  The transposed system B~^T runs
+    the same cycle on the CSC view of B~'s arrays, with A_c^T.  A_c is
+    assembled from S's off-diagonal entries and B~'s diagonal and inverted
+    at construction, and no copy of S's data is made.
+
+    ``iterations`` counts the GMRES iterations over every call, and
+    ``stalled`` is set when a call stops early for want of progress, which
+    ends the refinement.
     """
 
     stalled = False
 
-    def __init__(self, generator, shift, pinned=None):
-        self._s, self.epsilon, self.iterations = generator.s_matrix, generator.epsilon, 0
-        self._saved = self._s.diagonal()
-        self._diagonal = (self._saved - 1.0) + generator.epsilon * shift
-        if pinned is not None:
-            self._diagonal[pinned] -= 1.0
-
-    def __enter__(self):
-        s = self._s
-        # S stores nothing at or below eps, so a saved 0.0 is a row without its diagonal entry
-        borrow = s.data.flags.writeable and s.has_canonical_format and self._saved.all()
-        self.matrix = s if borrow else s.copy()
-        with warnings.catch_warnings():  # older scipy warns that inserting is slow; only a copy inserts
-            warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
-            self.matrix.setdiag(self._diagonal)
-        return self
-
-    def __exit__(self, *_):
-        if self.matrix is self._s:
-            self._s.setdiag(self._saved)
-        self.matrix = None
-
-    def _spent(self):
-        stall = ", where a restart cycle cut the residual too slowly to meet the target" if self.stalled else ""
-        return f"after {self.iterations} {self.krylov.upper()} iterations{stall}"
-
-    def solve(self, rhs, target):
-        """(u, residual) with residual = rhs - B~ u / eps, |residual|_inf <= target.
-
-        After each Krylov call the residual is recomputed with B~ and fed
-        back as the next right-hand side, at most ``REFINE_ROUNDS`` times.
-        """
-        scaled, goal = self.epsilon * rhs, self.epsilon * target
-        x, residual = np.zeros(scaled.size), scaled
-        for _ in range(REFINE_ROUNDS):
-            x += self._correction(residual, goal)
-            residual = scaled - self.matrix @ x
-            worst = np.abs(residual).max() / self.epsilon
-            if worst <= target or self.stalled:
-                break
-        residual /= self.epsilon
-        if worst > target:
-            raise _KrylovFailure(
-                f"uniform residual {worst:.3e} above {target:.3e} {self._spent()}", (x, residual)
-            )
-        return x, residual
-
-
-class _TwoLevelGmres(_Refined):
-    """B = eps (diag(a) + L), less e_q e_q^T at a pinned point q = ``pinned``,
-    by GMRES with a two-level aggregation preconditioner.
-
-    ``matrix`` is this B~, B with its entry at q 1 lower.  The points are
-    grouped into aggregates (:func:`_aggregates`); R, N x ``coarse_size``,
-    holds R_iI = 1 where point i lies in aggregate I, and the coarse matrix
-    A_c = R^T B~ R sums B~'s entries over pairs of aggregates.  The
-    preconditioner is a damped Jacobi pre-sweep, omega D^-1 with
-    D = diag(B~) and omega = ``JACOBI_WEIGHT``, followed by the coarse
-    correction (Vanek, Mandel & Brezina, 1996; Notay, 2010), and it
-    returns B~ M^-1 v beside M^-1 v (:meth:`_precondition`), so GMRES
-    makes no product of its own.  The transposed system B~^T runs the
-    same cycle on the CSC view of B~'s arrays, with A_c^T.  A_c is
-    assembled from S's off-diagonal entries and B~'s diagonal and
-    inverted at construction.  The system borrows S for B~
-    (:class:`_Refined`) only while it is entered, and no copy of S's data
-    is made.
-    """
-
-    krylov = "gmres"
-
     def __init__(self, generator, shift, pinned):
-        super().__init__(generator, shift, pinned)
-        s, diagonal = generator.s_matrix, self._diagonal
+        s, self.epsilon, self.iterations = generator.s_matrix, generator.epsilon, 0
+        self._s, self._saved, self.pinned = s, s.diagonal(), pinned
+        diagonal = self._diagonal = (self._saved - 1.0) + generator.epsilon * shift
+        if pinned is not None:
+            diagonal[pinned] -= 1.0
         # a zero on B~'s diagonal, which no generator has, is left out of the sweeps
         self._sweep = np.divide(JACOBI_WEIGHT, diagonal, out=np.zeros_like(diagonal), where=diagonal != 0.0)
-        self.pinned = pinned
         self._labels, self.coarse_size = _aggregates(generator.points, s.shape[0])
         self._aggregation = scipy.sparse.csr_matrix(  # R
             (np.ones(s.shape[0]), self._labels, np.arange(s.shape[0] + 1)), shape=(s.shape[0], self.coarse_size)
@@ -389,10 +317,46 @@ class _TwoLevelGmres(_Refined):
         del coarse
 
     def __enter__(self):
-        super().__enter__()
+        s = self._s
+        # S stores nothing at or below eps, so a saved 0.0 is a row without its diagonal entry
+        borrow = s.data.flags.writeable and s.has_canonical_format and self._saved.all()
+        self.matrix = s if borrow else s.copy()
+        with warnings.catch_warnings():  # older scipy warns that inserting is slow; only a copy inserts
+            warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
+            self.matrix.setdiag(self._diagonal)
         self._transposed = self.matrix.T  # a view on B~'s arrays
         self._coarse_image = (None, None)
         return self
+
+    def __exit__(self, *_):
+        if self.matrix is self._s:
+            self._s.setdiag(self._saved)
+        self.matrix = None
+
+    def _spent(self):
+        stall = ", where a restart cycle cut the residual too slowly to meet the target" if self.stalled else ""
+        return f"after {self.iterations} GMRES iterations{stall}"
+
+    def solve(self, rhs, target):
+        """(u, residual) with residual = rhs - B~ u / eps, |residual|_inf <= target.
+
+        After each GMRES call the residual is recomputed with B~ and fed
+        back as the next right-hand side, at most ``REFINE_ROUNDS`` times.
+        """
+        scaled = self.epsilon * rhs
+        x, residual = np.zeros(scaled.size), scaled
+        for _ in range(REFINE_ROUNDS):
+            x += self._gmres(residual)[0]
+            residual = scaled - self.matrix @ x
+            worst = np.abs(residual).max() / self.epsilon
+            if worst <= target or self.stalled:
+                break
+        residual /= self.epsilon
+        if worst > target:
+            raise _KrylovFailure(
+                f"uniform residual {worst:.3e} above {target:.3e} {self._spent()}", (x, residual)
+            )
+        return x, residual
 
     def _precondition(self, v, transposed):
         """(M^-1 v, B~ M^-1 v), or the pair of B~^T for the ``transposed`` system.
@@ -468,9 +432,6 @@ class _TwoLevelGmres(_Refined):
                 break
         return x, norm <= target
 
-    def _correction(self, residual, _):
-        return self._gmres(residual)[0]
-
     def null_vector(self, left):
         """v with v (a + L) = 0 (``left``) or (a + L) v = 0, and v = 1 at the pin.
 
@@ -488,48 +449,6 @@ class _TwoLevelGmres(_Refined):
         if not (np.isfinite(v[self.pinned]) and abs(v[self.pinned]) > GMRES_RTOL * np.abs(v).max()):
             raise _KrylovFailure(f"the {side} null vector is {v[self.pinned]} at the pin")
         return v / v[self.pinned]
-
-
-class _JacobiCg(_Refined):
-    """B = eps (diag(a) + L) for a reversible S with stationary weights w
-    (``GeneratorMatrix.weights``), solved as A = -diag(w) B.
-
-    A is symmetric positive semidefinite (positive definite unless a = 0
-    everywhere), so CG (Hestenes & Stiefel, 1952) runs on it, with the
-    Jacobi preconditioner diag(A)^-1.  A call stops once its residual
-    2-norm is at most min(w) times the uniform goal, which bounds B's
-    uniform residual by the goal, or after ``CG_MAX_ITERATIONS``
-    iterations.  No coarse level is built, and the null vectors for a = 0
-    are known: w on the left, 1 on the right.
-    """
-
-    krylov = "cg"
-    coarse_size = None
-
-    def __init__(self, generator, shift):
-        super().__init__(generator, shift)
-        self._weights = generator.weights
-        self._inverse_diagonal = -1.0 / (self._weights * self._diagonal)
-
-    def _correction(self, residual, goal):
-        w, tolerance = self._weights, goal * self._weights.min()
-        r = -w * residual
-        x, direction, rho = np.zeros(r.size), None, 0.0
-        for _ in range(CG_MAX_ITERATIONS):
-            if np.linalg.norm(r) <= tolerance:
-                break
-            z = self._inverse_diagonal * r
-            rho, previous = float(r @ z), rho
-            direction = z if direction is None else z + (rho / previous) * direction
-            image = -w * (self.matrix @ direction)
-            step = rho / float(direction @ image)
-            x += step * direction
-            r -= step * image
-            self.iterations += 1
-        return x
-
-    def null_vector(self, left):
-        return self._weights if left else np.ones(self._weights.size)
 
 
 def solve(problem: LinearProblem) -> SolveReport:
@@ -642,29 +561,24 @@ def _one_blas_thread():
 
 
 def _krylov_solve(gen, a, f, target):
-    """(u, residual, system): (a + L)^+ f for a <= 0, by rank-one deflation
-    where S has a closed class with a = 0 on it.
+    """(u, residual, system): (a + L)^+ f for a <= 0 by :class:`_TwoLevelGmres`,
+    with rank-one deflation, pinned at the class's smallest point, where S
+    has a closed class with a = 0 on it.
 
-    A generator with ``weights`` takes :class:`_JacobiCg`, unless a closed
-    class with a = 0 on it leaves a != 0 elsewhere (its null vectors are
-    then not w and 1); every other takes :class:`_TwoLevelGmres`, pinned
-    at the class's smallest point.  ``residual``, at most ``target`` on every row,
-    is f' - B~ u / eps for f' = f or its projection onto w^perp, before v
-    is removed: off a pin q it is r = f' - (a + L) u, and r_q is bounded
-    only through w r = 0.  Raises :class:`DisconnectedGraphError` for more
-    than one such class and :class:`_KrylovFailure` when the Krylov solve
-    fails.  Runs with numpy's BLAS on one thread (:func:`_one_blas_thread`),
-    and the system borrows S for the Krylov calls only (:class:`_Refined`),
-    so S is unchanged on return and on every exception.
+    ``residual``, at most ``target`` on every row, is f' - B~ u / eps for
+    f' = f or its projection onto w^perp, before v is removed: off a pin q
+    it is r = f' - (a + L) u, and r_q is bounded only through w r = 0.
+    Raises :class:`DisconnectedGraphError` for more than one such class and
+    :class:`_KrylovFailure` when the Krylov solve fails.  Runs with numpy's
+    BLAS on one thread (:func:`_one_blas_thread`), and the system borrows S
+    for the Krylov calls only, so S is unchanged on return and on every
+    exception.
     """
     with _one_blas_thread():
         classes = _null_classes(gen.s_matrix, a)
         if classes.size > 1:
             raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
-        if gen.weights is not None and not (classes.size and a.any()):
-            system = _JacobiCg(gen, a)
-        else:
-            system = _TwoLevelGmres(gen, a, int(classes[0]) if classes.size else None)
+        system = _TwoLevelGmres(gen, a, int(classes[0]) if classes.size else None)
         with system:
             if not classes.size:  # a + L is nonsingular
                 u, residual = system.solve(f, target)
@@ -679,7 +593,7 @@ def _krylov_solve(gen, a, f, target):
 def solve_direct(problem: LinearProblem) -> SolveReport:
     """Solve (diag(a) + L) u = f for strictly negative a.
 
-    Runs the shared driver, CG or two-level GMRES, on the whole system (no
+    Runs the shared driver, two-level GMRES, on the whole system (no
     pinning) and refines until the relative uniform residual
     |f - (a + L) u|_inf / |f|_inf is at most ``DIRECT_RESIDUAL_RTOL``
     (1e-10).  Raises :class:`DirectSolveError`, with the best iterate and
@@ -705,16 +619,14 @@ def solve_direct(problem: LinearProblem) -> SolveReport:
         raise DirectSolveError(
             f"direct solve failed at relative residual {res_inf / f_scale:.3e}: {exc}", res_inf, u
         ) from None
-    return SolveReport(
-        u, "direct", float(np.abs(residual).max()), system.iterations, system.coarse_size, system.krylov
-    )
+    return SolveReport(u, "direct", float(np.abs(residual).max()), system.iterations, system.coarse_size)
 
 
 def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveReport:
     """Minimum-norm least-squares solution of (diag(a) + L) u = f.
 
     ``method="iterative"`` (default) needs a <= 0 and computes (a + L)^+ f
-    with the shared driver, CG or two-level GMRES, refining until the uniform
+    with the shared driver, two-level GMRES, refining until the uniform
     residual (of B~ if S has a closed class with a = 0 on it) is at most
     ``MIN_NORM_RESIDUAL_RTOL`` (1e-8) max|f|, each Krylov call within its
     iteration limit.  Raises :class:`DisconnectedGraphError` when S has
@@ -733,7 +645,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
         raise ValueError(f"unknown min-norm method {method!r}")
     if not np.any(f):
         return SolveReport(np.zeros(n), f"min_norm_{method}", 0.0, iterations=0)
-    coarse_size = krylov = None
+    coarse_size = None
     if method == "iterative":
         if a.max() > 0:
             raise ValueError("the iterative minimum-norm solve needs a <= 0; use method='svd'")
@@ -744,7 +656,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
             u = exc.best[0] if exc.best else np.zeros(n)
             residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
             raise MinNormConvergenceError(f"minimum-norm solve failed: {exc}", u, residual) from None
-        itn, coarse_size, krylov = system.iterations, system.coarse_size, system.krylov
+        itn, coarse_size = system.iterations, system.coarse_size
         residual = float(np.linalg.norm(generator.apply(u) + a * u - f))
     else:
         if n > SVD_MAX_N:
@@ -754,7 +666,7 @@ def solve_min_norm(problem: LinearProblem, method: str = "iterative") -> SolveRe
         keep = sing > SVD_TRUNCATION_RTOL * sing[0]
         u, itn = vt[keep].T @ ((u_mat.T @ f)[keep] / sing[keep]), 0
         residual = float(np.linalg.norm(A @ u - f))
-    return SolveReport(u, f"min_norm_{method}", residual, itn, coarse_size, krylov)
+    return SolveReport(u, f"min_norm_{method}", residual, itn, coarse_size)
 
 
 def error_report(u_hat: np.ndarray, u_true: np.ndarray) -> tuple[float, float]:

@@ -281,9 +281,7 @@ class TestCriterion6Properties:
         )
 
     def test_dense_oracle_equivalence_small(self):
-        # complete dense numpy reimplementation of the pipeline at N <= 50;
-        # the Laplace-Beltrami kernel is symmetric, so its pattern is the kNN
-        # pattern joined with its mirror, and a drifted kernel keeps the kNN pattern
+        # complete dense numpy reimplementation of the pipeline at N <= 50
         rng = np.random.default_rng(3)
         for drifted in (False, False, False, True):
             n = int(rng.integers(12, 50))
@@ -307,8 +305,6 @@ class TestCriterion6Properties:
                     v = pts[i] - pts[j] + eps * coeffs.drift[i]
                     kernel[i, j] = np.exp(-v @ coeffs.diffusion_inv[i] @ v / (2 * eps))
                     dens_pattern[i, j] = True
-            if not drifted:
-                kernel = np.maximum(kernel, kernel.T)
             q = (np.exp(-d2 / (2 * eps_t)) * dens_pattern).sum(axis=1)
             debiased = kernel / q[None, :]
             s = debiased / debiased.sum(axis=1, keepdims=True)

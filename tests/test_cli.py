@@ -950,8 +950,8 @@ class TestMainEntry:
         # scipy.sparse: scipy.spatial and the scipy.special it pulls in would
         # add about 0.13 s to every solve, scipy.sparse.linalg and the
         # scipy.linalg it loads 0.1 s and 10 MB; the ellipse takes the
-        # singular GMRES route, bvp1d (a < 0) the direct one, and a cloud
-        # without coefficients CG
+        # singular GMRES route, and bvp1d and a cloud without coefficients
+        # (a < 0) the direct one
         src = os.path.dirname(os.path.dirname(os.path.abspath(lokpde.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         absent = ["scipy.spatial", "scipy.special", "scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph"]
@@ -974,8 +974,8 @@ class TestMainEntry:
         assert result.returncode == 0, result.stderr
         lines = result.stdout.strip().splitlines()
         record = json.loads(lines[-2])
-        expected = {"ellipse": ("min_norm", "gmres"), "cloud": ("direct", "cg"), "bvp1d": ("direct", "gmres")}
-        assert (record["solver"], record["krylov"]) == expected[problem]
+        expected = {"ellipse": "min_norm", "cloud": "direct", "bvp1d": "direct"}
+        assert record["solver"] == expected[problem] and record["coarse_size"] > 0
         assert lines[-1] == "[]"
 
     def test_installed_entry_point(self, tmp_path):
@@ -1011,15 +1011,16 @@ class TestSphereCloudPathway:
         assert record["debias"] is True  # the default, which the ambient pathway needs
         assert record["solver"] == "min_norm"
 
-    def test_cloud_without_coefficients_takes_cg(self, tmp_path, capsys):
-        # the Laplace-Beltrami field is isotropic and drift-free: S is reversible
+    def test_cloud_without_coefficients_takes_gmres(self, tmp_path, capsys):
+        # the Laplace-Beltrami field is isotropic and drift-free, so its
+        # kernel is symmetric, and S keeps the kNN pattern all the same
         cloud_path = write_cloud(tmp_path, sample_sphere(400, seed=1).ambient)
         flags = ["--problem", cloud_path, "--rhs", "1", "--k", "60", "--epsilon", "0.05", "--tilde-epsilon", "0.05"]
         for shift, route in (("-1", "direct"), ("0", "min_norm")):
             assert main(["solve", *flags, "--shift-a", shift]) == 0
             record = json.loads(capsys.readouterr().out)
-            assert (record["solver"], record["krylov"], record["coarse_size"]) == (route, "cg", None)
-            assert record["iterations"] > 0 and record["nnz"] > 400 * 60
+            assert (record["solver"], record["coarse_size"]) == (route, 400 // 8)
+            assert record["iterations"] > 0 and record["nnz"] == 400 * 60
 
     def test_zoo_problems_take_gmres(self, capsys):
         # lifted (ellipse) and drifted (bvp1d) fields keep the kNN pattern
@@ -1027,7 +1028,7 @@ class TestSphereCloudPathway:
                       ["--problem", "bvp1d", "--N", "200", "--k", "50", "--epsilon", "1e-5", "--debias", "false"]):
             assert main(["solve", *flags, "--tilde-epsilon", "3e-3"]) == 0
             record = json.loads(capsys.readouterr().out)
-            assert record["krylov"] == "gmres" and record["coarse_size"] > 0
+            assert record["coarse_size"] > 0
 
     def test_debias_false_is_rejected(self, tmp_path, capsys):
         cloud_path = write_cloud(tmp_path, sample_sphere(200, seed=1).ambient)

@@ -24,7 +24,6 @@ from lokpde.kernels import (
     build_knn_graph,
     eval_prototypical_kernel,
     map_row_blocks,
-    missing_mirrors,
     moment_check,
     row_blocks,
 )
@@ -313,8 +312,8 @@ class TestKnnExactness:
 
 
 class TestIndexOrder:
-    """Each row of the pair ascends by index.  Its k-th (d^2, index) is the
-    row's largest, and the density sums the row in that index order."""
+    """Each row of the pair ascends by index.  Its largest d^2 is the k-th,
+    and the density sums the row in that index order."""
 
     @settings(max_examples=100)
     @given(tie_clouds(), st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
@@ -323,9 +322,8 @@ class TestIndexOrder:
         indices, d2 = build_knn_graph(cloud, k)
         assert (np.diff(indices, axis=1) > 0).all()
         ref_indices, ref_d2 = brute_knn(cloud.ambient, k, by_distance=True)
-        kth_d2, kth_index = kernels._kth(indices, d2)
-        np.testing.assert_array_equal(kth_d2, ref_d2[:, -1])
-        np.testing.assert_array_equal(kth_index, ref_indices[:, -1])
+        np.testing.assert_array_equal(d2.max(axis=1), ref_d2[:, -1])
+        np.testing.assert_array_equal(indices, np.sort(ref_indices, axis=1))
         q = estimate_density(d2, tilde_epsilon).q_hat
         _, index_d2 = brute_knn(cloud.ambient, k)
         np.testing.assert_array_equal(q, np.exp(-index_d2 / (2.0 * tilde_epsilon)).sum(axis=1))
@@ -585,97 +583,6 @@ class TestAssembly:
         indices, _ = build_knn_graph(cloud if n_rows == 20 else other, k_search)
         with pytest.raises(ValueError, match=rf"indices must be \(20, 8\), got \({n_rows}, {k_search}\)"):
             assemble_kernel_matrix(cloud, CoefficientField.isotropic(20, 2), KernelConfig(0.1, 0.1, 8), indices)
-
-
-def union(cloud, coeffs, cfg):
-    """The kernel matrix on the kNN pattern joined with its mirror."""
-    indices, d2 = build_knn_graph(cloud, cfg.k_neighbors)
-    return assemble_kernel_matrix(cloud, coeffs, cfg, indices, missing_mirrors(indices, d2)).matrix
-
-
-class TestUnionPattern:
-    """For a symmetric kernel the assembly on the kNN pattern plus its
-    missing mirrors is K.maximum(K.T) bit for bit: the same links, the same
-    sorted columns and the same doubles."""
-
-    @staticmethod
-    def assert_union_is_the_maximum(cloud, cfg):
-        """Returns the number of links the union adds."""
-        coeffs = CoefficientField.laplace_beltrami(cloud.n_points, cloud.ambient_dim)
-        knn = assemble(cloud, coeffs, cfg).matrix
-        assert knn.data.min() > 0.0  # so the maximum drops no stored zero
-        want = knn.maximum(knn.T).tocsr()
-        want.sort_indices()
-        got = union(cloud, coeffs, cfg)
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
-        return got.nnz - knn.nnz
-
-    def test_iid_sphere(self):
-        assert self.assert_union_is_the_maximum(sample_sphere(600, seed=5), KernelConfig(0.05, 0.05, 30)) > 0
-
-    @pytest.mark.parametrize("dim, k", [(1, 8), (2, 11)])
-    def test_tie_heavy_uniform_grids(self, dim, k):
-        # exact binary spacing: every distance recurs, and k cuts a tie group
-        axis = np.arange(200 if dim == 1 else 15) / 8.0
-        pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-        cloud = make_cloud(pts)
-        d2 = np.sort(build_knn_graph(cloud, k + 1)[1], axis=1)
-        assert (d2[:, k - 1] == d2[:, k]).sum() > cloud.n_points / 2
-        assert self.assert_union_is_the_maximum(cloud, KernelConfig(0.05, 0.05, k)) > 0
-
-    def test_k_equals_n_adds_nothing(self):
-        cloud = make_cloud(np.random.default_rng(11).normal(size=(40, 3)))
-        indices, d2 = build_knn_graph(cloud, 40)
-        assert [part.size for part in missing_mirrors(indices, d2)] == [0, 0]
-        assert self.assert_union_is_the_maximum(cloud, KernelConfig(2.0, 2.0, 40)) == 0
-
-    def test_hub_rows_with_more_added_links_than_a_scratch_row(self, monkeypatch):
-        # each of 600 copies of one point holds the first 50 copies, which
-        # gain 550 added links apiece: the first block adds more links than
-        # its scratch rows hold, so it evaluates them in scratch of their own
-        pts = np.concatenate([np.full((300, 2), 0.5), np.eye(2), np.full((300, 2), 0.5)])
-        scratch, sizes = kernels._scratch, []
-        monkeypatch.setattr(kernels, "_scratch", lambda shape, *args: sizes.append(shape) or scratch(shape, *args))
-        assert self.assert_union_is_the_maximum(make_cloud(pts), KernelConfig(1.0, 1.0, 50)) > 50 * 550
-        assert max(shape[1] for shape in sizes if shape[0] == 4 + 2) > 50 * 550  # the assembly's scratch
-
-    @settings(max_examples=80)
-    @given(tie_clouds())
-    def test_tie_clouds(self, inputs):
-        cloud, k = inputs
-        extent = float(np.ptp(cloud.ambient))
-        self.assert_union_is_the_maximum(cloud, KernelConfig(max(extent * extent, 1e-3), 1.0, max(k, 2)))
-
-    @settings(max_examples=60)
-    @given(kernel_inputs())
-    def test_added_links_are_kernel_entries(self, inputs):
-        # on any field an added link (j, i) holds K(eps, x_j, x_i), with x_j's coefficients
-        cloud, coeffs, cfg = inputs
-        mat = union(cloud, coeffs, cfg)
-        pts, B, Ci = cloud.ambient, coeffs.drift, coeffs.diffusion_inv
-        rows = np.repeat(np.arange(cloud.n_points), np.diff(mat.indptr))
-        scalar = [
-            eval_prototypical_kernel(pts[i], pts[j], B[i], Ci[i], cfg.epsilon)
-            for i, j in zip(rows, mat.indices)
-        ]
-        np.testing.assert_array_equal(mat.data, scalar)
-
-    def test_worker_count_does_not_change_the_union(self, monkeypatch):
-        # 6910 added links: the pool evaluates them in two blocks
-        cloud = sample_sphere(1500, seed=3)
-        coeffs = CoefficientField.laplace_beltrami(1500, 3)
-        cfg = KernelConfig(0.05, 0.05, 120)
-        results = []
-        for cpus in (None, {0}, set(range(4))):
-            if cpus is not None:
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            mat = union(cloud, coeffs, cfg)
-            results.append((mat.indptr, mat.indices, mat.data))
-        assert results[0][1].size == 1500 * 120 + 6910
-        for other in results[1:]:
-            for ref, got in zip(results[0], other):
-                np.testing.assert_array_equal(got, ref)
 
 
 class TestMoments:

@@ -24,7 +24,6 @@ from lokpde.solver import (
     LinearProblem,
     MinNormConvergenceError,
     _aggregates,
-    _JacobiCg,
     _null_classes,
     _TwoLevelGmres,
     best_shift_error,
@@ -345,8 +344,8 @@ class TestNamedFailures:
 
 
 class TestReversibleRoute:
-    """A generator with weights (an isotropic, drift-free field whose S keeps
-    every link of its symmetric pattern) is solved by CG; every other by GMRES."""
+    """Every field takes two-level GMRES on the kNN pattern, the isotropic,
+    drift-free one too, whose kernel is symmetric."""
 
     @staticmethod
     def generators():
@@ -366,65 +365,58 @@ class TestReversibleRoute:
     @pytest.mark.parametrize("name", ["isotropic", "drifted", "anisotropic", "dropped-link"])
     def test_route_and_result(self, name):
         gen = self.generators()[name]
-        n, krylov = gen.n_points, "cg" if name == "isotropic" else "gmres"
-        assert (gen.weights is not None) == (krylov == "cg")
+        n = gen.n_points
         f = np.random.default_rng(13).normal(size=n)
         dense = gen.matrix().toarray()
         a = np.full(n, -1.0)
         rep = solve_direct(LinearProblem(gen, a, f))
-        assert (rep.krylov, rep.coarse_size is None) == (krylov, krylov == "cg")
+        assert rep.coarse_size == _aggregates(gen.points, n)[1] and rep.iterations > 0
         np.testing.assert_allclose(rep.u_hat, np.linalg.solve(dense + np.diag(a), f), atol=1e-9)
         rep = solve_min_norm(LinearProblem(gen, np.zeros(n), f))
-        assert rep.krylov == krylov and rep.iterations > 0
+        assert rep.coarse_size == _aggregates(gen.points, n)[1] and rep.iterations > 0
         np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
         assert check_minimum_norm_certificate(rep.u_hat, gen)
 
     def test_zero_shift_on_one_component_takes_gmres(self):
-        # two far clusters, a = 0 on the second only: its null vectors are
-        # not w and 1 but their restrictions, so the reversible S takes GMRES
+        # two far isotropic clusters, a = 0 on the second only: its null
+        # vectors are not those of the whole S but their restrictions
         rng = np.random.default_rng(14)
         pts = np.vstack([rng.normal(scale=0.1, size=(10, 2)), rng.normal(scale=0.1, size=(10, 2)) + [50.0, 0.0]])
         gen = cloud_generator(pts, 5, 0.05)
-        assert gen.weights is not None
         a = np.where(np.arange(20) < 10, -1.0, 0.0)
         f = rng.normal(size=20)
         rep = solve_min_norm(LinearProblem(gen, a, f))
-        assert rep.krylov == "gmres"
+        assert rep.coarse_size is not None
         dense = gen.matrix().toarray() + np.diag(a)
         np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
 
-    def test_two_clusters_are_disconnected_on_cg(self):
-        rng = np.random.default_rng(0)
-        pts = np.vstack([rng.normal(scale=0.1, size=(10, 2)), rng.normal(scale=0.1, size=(10, 2)) + [50.0, 0.0]])
-        gen = cloud_generator(pts, 5, 0.05)
-        assert gen.weights is not None
-        with pytest.raises(DisconnectedGraphError) as info:
-            solve(LinearProblem(gen, np.zeros(20), rng.normal(size=20)))
-        assert (info.value.n_classes, info.value.extra_points) == (2, [10])
-
-    def test_direct_failure_is_named_on_cg(self, monkeypatch):
+    def test_direct_failure_is_named_on_the_isotropic_field(self, monkeypatch):
         gen = self.generators()["isotropic"]
-        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver, "GMRES_MAX_CYCLES", 1)
+        monkeypatch.setattr(solver, "GMRES_RESTART", 2)
         f = np.random.default_rng(15).normal(size=80)
-        with pytest.raises(DirectSolveError, match=f"after {solver.REFINE_ROUNDS} CG iterations") as info:
+        with pytest.raises(DirectSolveError, match=f"after {solver.REFINE_ROUNDS * 2} GMRES iterations") as info:
             solve_direct(LinearProblem(gen, np.full(80, -1.0), f))
         assert info.value.best_u.shape == (80,) and info.value.best_u.any()
         assert info.value.residual_inf > solver.DIRECT_RESIDUAL_RTOL * np.abs(f).max()
 
-    def test_min_norm_failure_is_named_on_cg(self, monkeypatch):
+    def test_min_norm_failure_is_named_on_the_isotropic_field(self, monkeypatch):
+        # one restart cycle of 2 iterations cannot reach the left null vector
         gen = self.generators()["isotropic"]
-        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver, "GMRES_MAX_CYCLES", 1)
+        monkeypatch.setattr(solver, "GMRES_RESTART", 2)
         f = np.random.default_rng(16).normal(size=80)
-        with pytest.raises(MinNormConvergenceError, match=r"uniform residual .* after 3 CG iterations") as info:
+        with pytest.raises(MinNormConvergenceError, match="no left null vector after 2 GMRES iterations") as info:
             solve_min_norm(LinearProblem(gen, np.zeros(80), f))
-        assert info.value.best_u.shape == (80,) and info.value.best_u.any()
+        assert info.value.best_u.shape == (80,)
         assert np.isfinite(info.value.residual)
 
 
 @st.composite
-def small_systems(draw):
-    """A random 1-3-D cloud in the unit cube with drift, a bandwidth, k in
-    [N/3, N], a random f, a random negative shift and a permutation."""
+def small_systems(draw, drifted=st.just(True)):
+    """A random 1-3-D cloud in the unit cube with drift (none where
+    ``drifted`` draws False), a bandwidth, k in [N/3, N], a random f, a
+    random negative shift and a permutation."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(10, 60))
     k = draw(st.integers(-(-n // 3), n))
@@ -432,7 +424,7 @@ def small_systems(draw):
     debias = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.uniform(size=(n, dim))
-    drift = rng.uniform(-1.0, 1.0, size=(n, dim))
+    drift = rng.uniform(-1.0, 1.0, size=(n, dim)) if draw(drifted) else np.zeros((n, dim))
     gen = cloud_generator(pts, k, eps, debias, drift)
     a = -rng.uniform(0.5, 2.0, size=n)
     return pts, drift, k, eps, debias, gen, rng.normal(size=n), a, rng.permutation(n)
@@ -640,7 +632,7 @@ class TestTwoLevelPreconditioner:
         # B~ (B~^T); a restart cycle adds one in its closing application of
         # M^-1 and one for its residual, and a refinement round one for its
         # residual; the products with B~ R (B~^T R) are not of S's size
-        gen, a, f = borrow_cases("gmres")
+        gen, a, f = borrow_cases()
         monkeypatch.setattr(solver, "GMRES_RESTART", 10)
         applications, products = [], []
         precondition = _TwoLevelGmres._precondition
@@ -720,7 +712,7 @@ class TestTwoLevelPreconditioner:
         gen = build_operator(cloud, coeffs, KernelConfig(eps, eps, 100), debias=False)
         x = cloud.intrinsic
         rep = solve_direct(LinearProblem(gen, problem.shift(x), problem.f(x)))
-        assert rep.krylov == "gmres" and rep.iterations <= 74
+        assert rep.iterations <= 74
 
     def test_bvp1d_paper_bandwidth_needs_few_iterations(self):
         # N = 4000, eps = 2e-6: the unpruned ILU(1e-2) needed 99 iterations
@@ -754,13 +746,12 @@ class TestTwoLevelPreconditioner:
             assert np.abs(gen.apply(rep.u_hat) - f).max() <= 1e-6 * np.abs(f).max()
 
 
-def borrow_cases(route):
-    """(generator, a < 0, f) on an 80-point cloud in the unit square whose
-    S has one closed class: with a drift for GMRES, isotropic for CG."""
+def borrow_cases():
+    """(generator, a < 0, f) on an 80-point drifted cloud in the unit
+    square whose S has one closed class."""
     rng = np.random.default_rng(8)
     pts = rng.uniform(size=(80, 2))
-    gen = cloud_generator(pts, 20, 0.05, drift=np.full((80, 2), 0.1) if route == "gmres" else None)
-    assert (gen.weights is None) == (route == "gmres")
+    gen = cloud_generator(pts, 20, 0.05, drift=np.full((80, 2), 0.1))
     return gen, -rng.uniform(0.5, 2.0, size=80), rng.normal(size=80)
 
 
@@ -769,21 +760,21 @@ class TestBorrowedS:
     and S is given back bit for bit, whether the solve meets its contract
     or fails by name."""
 
-    @pytest.mark.parametrize("route", ["gmres", "cg"])
+    @pytest.mark.parametrize("route", ["gmres"])  # the solve's one Krylov route
     @pytest.mark.parametrize("outcome", ["direct", "min_norm", "direct fails", "min_norm fails"])
     def test_s_is_borrowed_and_given_back(self, route, outcome, monkeypatch):
-        gen, a, f = borrow_cases(route)
+        gen, a, f = borrow_cases()
         s = gen.s_matrix
         before = [s.data.copy(), s.indices.copy(), s.indptr.copy()]
         borrowed = []
-        for cls, name in ((_TwoLevelGmres, "_gmres"), (_JacobiCg, "_correction")):
-            def spy(system, *args, method=getattr(cls, name), **kwargs):
-                borrowed.append(np.shares_memory(system.matrix.data, s.data))
-                return method(system, *args, **kwargs)
+        gmres = _TwoLevelGmres._gmres
 
-            monkeypatch.setattr(cls, name, spy)
-        if outcome.endswith("fails"):  # one CG iteration, or one cycle of 2 GMRES iterations, per call
-            monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+        def spy(system, *args, **kwargs):
+            borrowed.append(np.shares_memory(system.matrix.data, s.data))
+            return gmres(system, *args, **kwargs)
+
+        monkeypatch.setattr(_TwoLevelGmres, "_gmres", spy)
+        if outcome.endswith("fails"):  # one cycle of 2 GMRES iterations per call
             monkeypatch.setattr(solver, "GMRES_MAX_CYCLES", 1)
             monkeypatch.setattr(solver, "GMRES_RESTART", 2)
         if outcome.startswith("direct"):
@@ -791,15 +782,15 @@ class TestBorrowedS:
         else:
             run, error = lambda: solve_min_norm(LinearProblem(gen, np.zeros(80), f)), MinNormConvergenceError
         if outcome.endswith("fails"):
-            with pytest.raises(error):
+            with pytest.raises(error, match=rf"after \d+ {route.upper()} iterations"):
                 run()
         else:
-            assert run().krylov == route
+            assert run().coarse_size is not None
         assert borrowed and all(borrowed)
         for array, saved in zip((s.data, s.indices, s.indptr), before):
             assert array.dtype == saved.dtype and array.tobytes() == saved.tobytes()
 
-    @pytest.mark.parametrize("route", ["gmres", "cg"])
+    @pytest.mark.parametrize("route", ["gmres"])  # the solve's one Krylov route
     @pytest.mark.parametrize("case", ["no diagonal in row 0", "read-only data", "row 0's diagonal stored twice"])
     def test_copy_when_s_cannot_be_borrowed(self, route, case):
         # symmetric, doubly stochastic S; without a diagonal entry in row 0,
@@ -820,19 +811,18 @@ class TestBorrowedS:
                 (np.r_[0.125, 0.125, s.data[1:]], np.r_[0, s.indices], np.r_[0, s.indptr[1:] + 1]), shape=(3, 3)
             )
             assert not s.has_canonical_format
-        weights = np.ones(3) if route == "cg" else None
-        gen = GeneratorMatrix(s, 1.0, np.ones(3), weights)
+        gen = GeneratorMatrix(s, 1.0, np.ones(3))
         before = [s.data.copy(), s.indices.copy(), s.indptr.copy()]
         a, f = np.array([-1.0, -0.5, -2.0]), np.array([1.0, -2.0, 0.5])
         b = dense - np.eye(3) + np.diag(a)
-        system = _JacobiCg(gen, a) if route == "cg" else _TwoLevelGmres(gen, a, None)
+        system = _TwoLevelGmres(gen, a, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with system as helper:
                 assert not np.shares_memory(helper.matrix.data, s.data)
                 np.testing.assert_array_equal(helper.matrix.toarray(), b)
             rep = solve_direct(LinearProblem(gen, a, f))
-            assert rep.krylov == route
+            assert rep.coarse_size == 1
             np.testing.assert_allclose(rep.u_hat, np.linalg.solve(b, f), atol=1e-10)
             rep = solve_min_norm(LinearProblem(gen, np.zeros(3), f))
             np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense - np.eye(3)) @ f, atol=1e-8)
@@ -841,10 +831,9 @@ class TestBorrowedS:
 
     @pytest.mark.parametrize("fixture", ["torus_paper", "sphere_run"])
     def test_solve_allocates_no_copy_of_s(self, fixture, request):
-        # a copy of S's data is nnz doubles (6.3 MB on the torus, 9.8 MB on
-        # the sphere); the solve's own arrays on the sphere's CG route are
-        # N-vectors and row-block temporaries, and GMRES on the torus adds
-        # its Krylov basis and the coarse inverse
+        # a copy of S's data is nnz doubles (6.3 MB on the torus, 9.6 MB on
+        # the sphere); the solve's own arrays are N-vectors and row-block
+        # temporaries, the Krylov basis and the coarse inverse
         run = request.getfixturevalue(fixture)
         gen = run.generator
         n, nnz = gen.n_points, gen.s_matrix.nnz
@@ -856,10 +845,7 @@ class TestBorrowedS:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        own = 0
-        if report.krylov == "gmres":
-            own = (solver.GMRES_RESTART + 1) * n * 8 + report.coarse_size**2 * 8
-        assert report.krylov == ("gmres" if fixture == "torus_paper" else "cg")
+        own = (solver.GMRES_RESTART + 1) * n * 8 + report.coarse_size**2 * 8
         assert peak < own + nnz * 8 / 2
 
 
@@ -885,23 +871,11 @@ class TestOneBlasThread:
         assert seen == [1, 1] and get() == before
 
 
-@st.composite
-def isotropic_systems(draw):
-    """A random 1-3-D cloud without drift, whose S is reversible, with a
-    random f and a random negative shift."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.integers(10, 60))
-    k = draw(st.integers(-(-n // 3), n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    gen = cloud_generator(rng.uniform(size=(n, dim)), k, draw(st.floats(0.02, 0.3)), draw(st.booleans()))
-    return gen, rng.normal(size=n), -rng.uniform(0.5, 2.0, size=n)
-
-
 class TestKrylov:
-    """The solver's own GMRES and CG against numpy's dense solve."""
+    """The solver's own GMRES against numpy's dense solve."""
 
     @settings(max_examples=60)
-    @given(small_systems())
+    @given(small_systems(drifted=st.booleans()))
     def test_gmres_matches_the_dense_solve(self, system):
         _, _, _, _, _, gen, f, a, _ = system
         b = dense_b(gen, a)
@@ -912,18 +886,6 @@ class TestKrylov:
                 assert np.linalg.norm(matrix @ x - f) <= 1.01 * solver.GMRES_RTOL * np.linalg.norm(f)
                 exact = np.linalg.solve(matrix, f)
                 np.testing.assert_allclose(x, exact, atol=1e-10 * np.linalg.cond(matrix) * np.abs(exact).max())
-
-    @settings(max_examples=60)
-    @given(isotropic_systems())
-    def test_cg_matches_the_dense_solve(self, system):
-        gen, f, a = system
-        assume(gen.weights is not None)
-        b, goal = dense_b(gen, a), 1e-10 * np.abs(f).max()
-        with _JacobiCg(gen, a) as helper:
-            x = helper._correction(f, goal)
-        assert np.abs(b @ x - f).max() <= goal
-        exact = np.linalg.solve(b, f)
-        np.testing.assert_allclose(x, exact, atol=goal * np.abs(np.linalg.inv(b)).sum(axis=1).max())
 
 
 class TestOraclePins:
