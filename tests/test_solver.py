@@ -390,6 +390,18 @@ class TestReversibleRoute:
         dense = gen.matrix().toarray() + np.diag(a)
         np.testing.assert_allclose(rep.u_hat, np.linalg.pinv(dense) @ f, atol=1e-8)
 
+    def test_two_clusters_are_disconnected_on_every_field(self):
+        # the isotropic, drift-free cloud is no special case: with a drift
+        # the same two clusters fail by the same name
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(scale=0.1, size=(10, 2)), rng.normal(scale=0.1, size=(10, 2)) + [50.0, 0.0]])
+        f = rng.normal(size=20)
+        for drift in (None, np.full((20, 2), 0.2)):
+            gen = cloud_generator(pts, 5, 0.05, drift=drift)
+            with pytest.raises(DisconnectedGraphError) as info:
+                solve(LinearProblem(gen, np.zeros(20), f))
+            assert (info.value.n_classes, info.value.extra_points) == (2, [10])
+
     def test_direct_failure_is_named_on_the_isotropic_field(self, monkeypatch):
         gen = self.generators()["isotropic"]
         monkeypatch.setattr(solver, "GMRES_MAX_CYCLES", 1)
