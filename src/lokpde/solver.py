@@ -13,31 +13,32 @@ the leaves of a median split of their coordinates
 N = 4096 and of N / ``COARSE_MAX_ORDER`` points past it, so the coarse
 order stays at most ``COARSE_MAX_ORDER`` = 512.  With R the
 piecewise-constant N x (coarse order) aggregation matrix, the coarse
-matrix A_c = R^T B R is inverted densely; one preconditioner application
-is a damped Jacobi pre-sweep (weight ``JACOBI_WEIGHT`` = 0.6) and the
-coarse correction on its residual, M^-1 = omega D^-1 +
-R A_c^-1 R^T (I - B omega D^-1).  The sweep's product also gives
-B M^-1 v, with B R formed once, so a GMRES iteration makes one product
-with B and one with B R (an eighth of S's entries on the torus), where a
-symmetric cycle makes three with B.  -B is a Z-matrix (off-diagonals
--S_ij <= 0) whose row sums are -eps a_i >= 0.  The off-diagonals of -A_c
-are sums of -S_ij <= 0, its row sums are sums of those of -B, and an
-aggregate leads to another whenever one of its points leads to one of
-the other's, so -A_c inherits the chain of positive row sums that makes
--B a nonsingular M-matrix (Berman & Plemmons, 1994): -A_c is one whenever
--B is, and the coarse inverse exists.  Beside S the solve holds the
-Krylov basis, (``GMRES_RESTART`` + 1) N doubles, the dense inverse, at
-most 512^2 doubles (2 MB, and about four times that while LAPACK
-inverts), and one of B R and B^T R at a time.  The ambient sphere cloud
-with N = 3000, k = 400 and a = -1 takes 375 aggregates and 20
-iterations.  Past N = 4096 the aggregates grow, and so does the
-iteration count: on the torus with k = 128, N = 6400 (eps = 0.0024)
-takes 13-point aggregates and 80 iterations (0.13 s), and N = 25 600
-(eps = 6e-4) takes 50-point aggregates and 156 iterations (0.9 s).  Much
-larger clouds need a third level.  One GMRES call stops when its
-residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that of its
-right-hand side, after ``GMRES_MAX_CYCLES`` = 10 restart cycles, or after
-a cycle at whose rate the cycles left could not reach that target.
+matrix A_c = R^T B R is formed on entry to the solve as the transpose of
+R^T (B^T R), and B^T R is dropped before A_c is inverted densely.  One
+preconditioner application is a damped Jacobi pre-sweep (weight
+``JACOBI_WEIGHT`` = 0.6) and the coarse correction on its residual,
+M^-1 = omega D^-1 + R A_c^-1 R^T (I - B omega D^-1).  The sweep's
+product also gives B M^-1 v, with B R formed once, so a GMRES iteration
+makes one product with B and one with B R (an eighth of S's entries on
+the torus), where a symmetric cycle makes three with B.  -B is a
+Z-matrix (off-diagonals -S_ij <= 0) whose row sums are -eps a_i >= 0.
+The off-diagonals of -A_c are sums of -S_ij <= 0, its row sums are sums
+of those of -B, and an aggregate leads to another whenever one of its
+points leads to one of the other's, so -A_c inherits the chain of
+positive row sums that makes -B a nonsingular M-matrix (Berman &
+Plemmons, 1994): -A_c is one whenever -B is, and the coarse inverse
+exists.  Beside S the solve holds the Krylov basis,
+(``GMRES_RESTART`` + 1) N doubles, the dense inverse, at most 512^2
+doubles (2 MB, and about four times that while LAPACK inverts), and one
+of B R and B^T R at a time.  The ambient sphere cloud with N = 3000, k = 400 and a = -1 takes
+375 aggregates and 20 iterations.  Past N = 4096 the aggregates grow,
+and so does the iteration count: on the torus with k = 128, N = 6400
+(eps = 0.0024) takes 13-point aggregates and 80 iterations (0.13 s), and
+N = 25 600 (eps = 6e-4) takes 50-point aggregates and 156 iterations
+(0.9 s).  Much larger clouds need a third level.  One GMRES call stops
+when its residual 2-norm is at most ``GMRES_RTOL`` = 1e-10 times that of
+its right-hand side, after ``GMRES_MAX_CYCLES`` = 10 restart cycles, or
+after a cycle at whose rate the cycles left could not reach that target.
 
 A closed class of S with a = 0 on it makes a + L singular; the driver
 then deflates by rank one.  f is projected onto w^perp for the left null
@@ -67,10 +68,11 @@ non-convergence raise :class:`DirectSolveError` or
 B~ differs from S only on its diagonal, so the solve makes no copy of S:
 for the Krylov calls scipy's in-place ``setdiag`` writes B~'s diagonal,
 (S_ii - 1) + eps a_i less 1 at a pin, over S's, and writes S's back on
-return and on every exception (:class:`_TwoLevelGmres`).  Forming B~ x as
-S x - x + eps a x would need no write to S, but S x rounds at the size
-of x_i, so S x - x loses the relative accuracy of (S_ii - 1) x_i where
-1 - S_ii is small, which the residual at small eps rests on.  An S with
+return and on every exception, one raised on entry included
+(:class:`_TwoLevelGmres`).  Forming B~ x as S x - x + eps a x would need
+no write to S, but S x rounds at the size of x_i, so S x - x loses the
+relative accuracy of (S_ii - 1) x_i where 1 - S_ii is small, which the
+residual at small eps rests on.  An S with
 read-only data, not canonical (unsorted rows or an entry stored twice)
 or missing a diagonal entry gets its diagonal set on ``S.copy()``.
 
@@ -81,7 +83,6 @@ closed-class search are written here, so no process loads
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import dataclasses
 import glob
@@ -263,14 +264,27 @@ class _TwoLevelGmres:
     B less e_q e_q^T at a pinned point q = ``pinned``, with a two-level
     aggregation preconditioner.
 
-    A context manager that borrows S for B~: on entry scipy's ``setdiag``
-    writes B~'s diagonal, (S_ii - 1) + eps a_i less 1 at q, over S's own,
-    so ``matrix`` is S itself; on exit, also on an exception, ``setdiag``
-    writes S's saved diagonal back.  Where S's data is read-only, S is not
-    canonical (rows unsorted or an entry stored twice) or a row stores no
-    diagonal entry, ``matrix`` is ``S.copy()`` with the diagonal set,
-    missing entries inserted.  Two solves on one generator must not run at
-    once.
+    The solve's one context manager.  On entry it pins numpy's OpenBLAS
+    to one thread, borrows S for B~ and forms the coarse level; on exit,
+    also on an exception, and before re-raising any exception of the
+    entry itself (a singular coarse matrix above all), it gives S and the
+    thread count back.
+
+    The solve's dense products are small: the coarse inverse of order at
+    most 512, its matrix-vector products and the Gram-Schmidt products
+    with the (restart + 1, N) basis.  Where a second CPU has idled,
+    waking OpenBLAS's worker threads cost about 1 ms per parallel region
+    on a 2-CPU host, so a first inverse of order 493 took 194 ms and a
+    cycle of Gram-Schmidt products at N = 6400 463 ms, against 20 and
+    21 ms on one thread; no BLAS call of the solve gains from threads.
+
+    To borrow S, scipy's ``setdiag`` writes B~'s diagonal,
+    (S_ii - 1) + eps a_i less 1 at q, over S's own, so ``matrix`` is S
+    itself, and on exit writes S's saved diagonal back.  Where S's data is
+    read-only, S is not canonical (rows unsorted or an entry stored twice)
+    or a row stores no diagonal entry, ``matrix`` is ``S.copy()`` with the
+    diagonal set, missing entries inserted.  Two solves on one generator
+    must not run at once.
 
     The points are grouped into aggregates (:func:`_aggregates`); R,
     N x ``coarse_size``, holds R_iI = 1 where point i lies in aggregate I,
@@ -280,16 +294,17 @@ class _TwoLevelGmres:
     the coarse correction (Vanek, Mandel & Brezina, 1996; Notay, 2010),
     and it returns B~ M^-1 v beside M^-1 v (:meth:`_precondition`), so
     GMRES makes no product of its own.  The transposed system B~^T runs
-    the same cycle on the CSC view of B~'s arrays, with A_c^T.  A_c is
-    assembled from S's off-diagonal entries and B~'s diagonal and inverted
-    at construction, and no copy of S's data is made.
+    the same cycle on the CSC view of B~'s arrays, with A_c^T.  On entry
+    A_c^T = R^T (B~^T R) comes from the CSC view's product, which is
+    dropped before A_c^T is inverted densely (the transposed cycle forms
+    it again when it first needs it), and no copy of S's data is made.
 
     ``iterations`` counts the GMRES iterations over every call, and
     ``stalled`` is set when a call stops early for want of progress, which
     ends the refinement.
     """
 
-    stalled = False
+    stalled, matrix = False, None
 
     def __init__(self, generator, shift, pinned):
         s, self.epsilon, self.iterations = generator.s_matrix, generator.epsilon, 0
@@ -303,35 +318,37 @@ class _TwoLevelGmres:
         self._aggregation = scipy.sparse.csr_matrix(  # R
             (np.ones(s.shape[0]), self._labels, np.arange(s.shape[0] + 1)), shape=(s.shape[0], self.coarse_size)
         )
-        coarse, counts = np.zeros((self.coarse_size, self.coarse_size)), np.diff(s.indptr)
-        coarse.reshape(-1)[:: self.coarse_size + 1] = np.bincount(self._labels, diagonal, self.coarse_size)
-        for rows, entries in _entry_blocks(s.indptr):  # block-sized index arrays
-            tails = np.repeat(np.arange(rows.start, rows.stop), counts[rows])
-            heads = s.indices[entries]
-            links = np.where(heads == tails, 0.0, s.data[entries])  # S's diagonal is B~'s above
-            np.add.at(coarse.reshape(-1), self._labels[tails] * self.coarse_size + self._labels[heads], links)
-        try:
-            self._coarse_inverse = np.linalg.inv(coarse)
-        except np.linalg.LinAlgError:
-            raise _KrylovFailure("the preconditioner broke down: the coarse matrix is singular") from None
-        del coarse
 
     def __enter__(self):
-        s = self._s
-        # S stores nothing at or below eps, so a saved 0.0 is a row without its diagonal entry
-        borrow = s.data.flags.writeable and s.has_canonical_format and self._saved.all()
-        self.matrix = s if borrow else s.copy()
-        with warnings.catch_warnings():  # older scipy warns that inserting is slow; only a copy inserts
-            warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
-            self.matrix.setdiag(self._diagonal)
-        self._transposed = self.matrix.T  # a view on B~'s arrays
-        self._coarse_image = (None, None)
+        self._blas = _openblas_threads()
+        if self._blas is not None:
+            self._threads = self._blas[0]()
+            self._blas[1](1)
+        try:
+            s = self._s
+            # S stores nothing at or below eps, so a saved 0.0 is a row without its diagonal entry
+            borrow = s.data.flags.writeable and s.has_canonical_format and self._saved.all()
+            self.matrix = s if borrow else s.copy()
+            with warnings.catch_warnings():  # older scipy warns that inserting is slow; only a copy inserts
+                warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
+                self.matrix.setdiag(self._diagonal)
+            self._transposed = self.matrix.T  # a view on B~'s arrays
+            self._coarse_image = (None, None)
+            coarse = (self._aggregation.T @ (self._transposed @ self._aggregation)).toarray()  # A_c^T
+            self._coarse_inverse = np.linalg.inv(coarse).T
+        except BaseException as exc:
+            self.__exit__()
+            if isinstance(exc, np.linalg.LinAlgError):
+                raise _KrylovFailure("the preconditioner broke down: the coarse matrix is singular") from None
+            raise
         return self
 
     def __exit__(self, *_):
         if self.matrix is self._s:
             self._s.setdiag(self._saved)
         self.matrix = None
+        if self._blas is not None:
+            self._blas[1](self._threads)
 
     def _spent(self):
         stall = ", where a restart cycle cut the residual too slowly to meet the target" if self.stalled else ""
@@ -535,31 +552,6 @@ def _openblas_threads():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
-
-    The solve's dense products are small: the coarse inverse of order at
-    most 512, its matrix-vector products and the Gram-Schmidt products
-    with the (restart + 1, N) basis.  Where a second CPU has idled,
-    waking OpenBLAS's worker threads cost about 1 ms per parallel region
-    on a 2-CPU host, so a first inverse of order 493 took 194 ms and a
-    cycle of Gram-Schmidt products at N = 6400 463 ms, against 20 and
-    21 ms on one thread; no BLAS call of the solve gains from threads.
-    """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    count = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(count)
-
-
 def _krylov_solve(gen, a, f, target):
     """(u, residual, system): (a + L)^+ f for a <= 0 by :class:`_TwoLevelGmres`,
     with rank-one deflation, pinned at the class's smallest point, where S
@@ -569,25 +561,24 @@ def _krylov_solve(gen, a, f, target):
     f' = f or its projection onto w^perp, before v is removed: off a pin q
     it is r = f' - (a + L) u, and r_q is bounded only through w r = 0.
     Raises :class:`DisconnectedGraphError` for more than one such class and
-    :class:`_KrylovFailure` when the Krylov solve fails.  Runs with numpy's
-    BLAS on one thread (:func:`_one_blas_thread`), and the system borrows S
-    for the Krylov calls only, so S is unchanged on return and on every
-    exception.
+    :class:`_KrylovFailure` when the coarse matrix is singular or the
+    Krylov solve fails.  The closed-class search runs first; the system,
+    entered once it has passed, runs numpy's BLAS on one thread and
+    borrows S, and gives both back on return and on every exception, so S
+    is unchanged then.
     """
-    with _one_blas_thread():
-        classes = _null_classes(gen.s_matrix, a)
-        if classes.size > 1:
-            raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
-        system = _TwoLevelGmres(gen, a, int(classes[0]) if classes.size else None)
-        with system:
-            if not classes.size:  # a + L is nonsingular
-                u, residual = system.solve(f, target)
-                return u, residual, system
-            w = system.null_vector(left=True)
-            u, residual = system.solve(f - (w @ f) / (w @ w) * w, target)
-            v = system.null_vector(left=False) if a.any() else np.ones(f.size)
+    classes = _null_classes(gen.s_matrix, a)
+    if classes.size > 1:
+        raise DisconnectedGraphError(int(classes.size), [int(p) for p in classes[1:]])
+    with _TwoLevelGmres(gen, a, int(classes[0]) if classes.size else None) as system:
+        if not classes.size:  # a + L is nonsingular
+            u, residual = system.solve(f, target)
+            return u, residual, system
+        w = system.null_vector(left=True)
+        u, residual = system.solve(f - (w @ f) / (w @ w) * w, target)
+        v = system.null_vector(left=False) if a.any() else np.ones(f.size)
         u -= (v @ u) / (v @ v) * v
-        return u, residual, system
+    return u, residual, system
 
 
 def solve_direct(problem: LinearProblem) -> SolveReport:

@@ -597,7 +597,8 @@ class TestTwoLevelPreconditioner:
     @given(small_systems())
     def test_coarse_matrix_is_an_m_matrix(self, system):
         # A_c = R^T B~ R; -B~ is a nonsingular M-matrix, with and without the
-        # pin, so -A_c is one too, and its inverse is entrywise nonnegative
+        # pin, so -A_c is one too, and its inverse is entrywise nonnegative;
+        # A_c is formed on entry to the system
         _, _, _, _, _, gen, _, a, _ = system
         n = gen.n_points
         classes = _null_classes(gen.s_matrix, np.zeros(n))
@@ -610,7 +611,8 @@ class TestTwoLevelPreconditioner:
             coarse = r.T @ b @ r
             assert (coarse[~np.eye(len(coarse), dtype=bool)] >= 0.0).all()
             assert (coarse.sum(axis=1) <= 1e-12 * np.abs(coarse).max()).all()
-            inverse = _TwoLevelGmres(gen, shift, pinned)._coarse_inverse
+            with _TwoLevelGmres(gen, shift, pinned) as helper:
+                inverse = helper._coarse_inverse
             np.testing.assert_allclose(inverse @ coarse, np.eye(len(coarse)), atol=1e-8)
             assert (-inverse >= -1e-10 * np.abs(inverse).max()).all()
 
@@ -802,6 +804,39 @@ class TestBorrowedS:
         for array, saved in zip((s.data, s.indices, s.indptr), before):
             assert array.dtype == saved.dtype and array.tobytes() == saved.tobytes()
 
+    @pytest.mark.parametrize("outcome", ["singular coarse matrix", "error after the pin"])
+    def test_failure_on_entry_gives_everything_back(self, outcome, monkeypatch):
+        # S = [[2]] is borrowed (canonical, writable, diagonal stored), and
+        # with a = -1 B~ = [[0]], so A_c = [[0]] is singular; on the drifted
+        # cloud the coarse inverse itself fails, after the pin and after
+        # B~'s diagonal is written over S's; either way the entry gives S
+        # and the OpenBLAS thread count back before it raises
+        threads = solver._openblas_threads()
+        count = threads[0] if threads is not None else lambda: None
+        if outcome == "singular coarse matrix":
+            gen, a, f = fake_generator([[2.0]]), np.array([-1.0]), np.array([1.0])
+            error, match = DirectSolveError, "preconditioner broke down: the coarse matrix is singular"
+        else:
+            gen, a, f = borrow_cases()
+            error, match = MemoryError, "forced"
+        s, inside = gen.s_matrix, []
+        assert s.has_canonical_format and s.data.flags.writeable and s.diagonal().all()
+        before, before_count = [s.data.copy(), s.indices.copy(), s.indptr.copy()], count()
+
+        def broken(matrix):
+            inside.append((count(), not np.array_equal(s.data, before[0])))
+            raise MemoryError("forced")
+
+        if outcome == "error after the pin":
+            monkeypatch.setattr(solver.np.linalg, "inv", broken)
+        with pytest.raises(error, match=match):
+            solve_direct(LinearProblem(gen, a, f))
+        if outcome == "error after the pin":
+            assert inside == [(1 if threads is not None else None, True)]
+        for array, saved in zip((s.data, s.indices, s.indptr), before):
+            assert array.dtype == saved.dtype and array.tobytes() == saved.tobytes()
+        assert count() == before_count
+
     @pytest.mark.parametrize("route", ["gmres"])  # the solve's one Krylov route
     @pytest.mark.parametrize("case", ["no diagonal in row 0", "read-only data", "row 0's diagonal stored twice"])
     def test_copy_when_s_cannot_be_borrowed(self, route, case):
@@ -866,21 +901,25 @@ class TestOneBlasThread:
         threads = solver._openblas_threads()
         if threads is None:
             pytest.skip("numpy links no OpenBLAS of its own")
-        get, put = threads
+        get = threads[0]
         before, seen = get(), []
-        null_classes = solver._null_classes
+        gmres = _TwoLevelGmres._gmres
 
-        def spy(s_matrix, shift):
+        def spy(system, *args, **kwargs):
             seen.append(get())
-            return null_classes(s_matrix, shift)
+            return gmres(system, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "_null_classes", spy)
+        monkeypatch.setattr(_TwoLevelGmres, "_gmres", spy)
         gen = small_generator(n=20, seed=4)
         f = gen.apply(np.random.default_rng(4).normal(size=20))
-        solve(LinearProblem(gen, np.zeros(20), f))
-        with pytest.raises(DisconnectedGraphError):  # a failed solve restores it as well
+        solve(LinearProblem(gen, np.zeros(20), f))  # the left null vector and the solve
+        assert len(seen) >= 2 and set(seen) == {1} and get() == before
+        with pytest.raises(DisconnectedGraphError):  # raised before the system pins the count
             solve_min_norm(LinearProblem(fake_generator(np.eye(3)), np.zeros(3), np.ones(3)))
-        assert seen == [1, 1] and get() == before
+        assert get() == before
+        with pytest.raises(DirectSolveError, match="coarse matrix is singular"):  # raised on entry, after the pin
+            solve_direct(LinearProblem(fake_generator([[2.0]]), np.array([-1.0]), np.array([1.0])))
+        assert get() == before
 
 
 class TestKrylov:
